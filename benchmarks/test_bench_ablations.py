@@ -77,7 +77,7 @@ def test_bench_ablation_victim_selection(benchmark, bench_scale, bench_seed, pub
     def run_pair():
         lottery = run_unit(bench_scale, bench_seed).usm
 
-        def factory(config, streams):
+        def factory(config, streams, recorder=None):
             return UniformVictimUnit(
                 config.unit_config(), streams.stream("unit-lottery")
             )

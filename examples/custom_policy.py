@@ -67,7 +67,7 @@ def run_with_policy(policy_name: str, custom=None):
         return run_experiment(config)
 
     original = runner_mod.make_policy
-    runner_mod.make_policy = lambda cfg, streams: custom
+    runner_mod.make_policy = lambda config, streams, recorder=None: custom
     try:
         return run_experiment(config)
     finally:

@@ -17,15 +17,14 @@ Run:
 
 import dataclasses
 
-from repro.core.unit import UnitConfig, UnitPolicy
+from repro.core.unit import UnitConfig
 from repro.core.usm import PenaltyProfile
-from repro.db.server import ARRIVAL_EVENT_PRIORITY, CONTROL_EVENT_PRIORITY, Server, ServerConfig
-from repro.db.transactions import Outcome, QueryTransaction
+from repro.db.server import CONTROL_EVENT_PRIORITY
+from repro.db.transactions import Outcome
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.report import ascii_table
-from repro.experiments.runner import build_workload, item_table_from_trace
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
+from repro.experiments.runner import Substrate
+from repro.workload.cache import get_workload
 
 
 @dataclasses.dataclass
@@ -51,38 +50,10 @@ def main() -> None:
         burst_factor=6.0,
         normal_dwell=150.0,
         burst_dwell=30.0,
+        unit=UnitConfig(profile=PenaltyProfile.naive(), control_period=1.0),
     )
-    streams = RandomStreams(config.seed)
-    query_trace, update_trace = build_workload(config, streams)
-
-    sim = Simulator()
-    items = item_table_from_trace(update_trace)
-    policy = UnitPolicy(
-        UnitConfig(profile=PenaltyProfile.naive(), control_period=1.0),
-        streams.stream("unit-lottery"),
-    )
-    server = Server(sim, items, policy, ServerConfig())
-
-    for spec in query_trace.queries:
-        txn = QueryTransaction(
-            txn_id=server.next_txn_id(),
-            arrival=spec.arrival,
-            exec_time=spec.exec_time,
-            items=spec.items,
-            relative_deadline=spec.relative_deadline,
-            freshness_req=spec.freshness_req,
-        )
-        sim.schedule(
-            spec.arrival,
-            lambda q=txn: server.submit_query(q),
-            priority=ARRIVAL_EVENT_PRIORITY,
-        )
-    for arrival, item_id in update_trace.arrival_events():
-        sim.schedule(
-            arrival,
-            lambda i=item_id: server.source_update_arrival(i),
-            priority=ARRIVAL_EVENT_PRIORITY,
-        )
+    substrate = Substrate(config, *get_workload(config))
+    sim, server, policy = substrate.sim, substrate.server, substrate.policy
 
     samples = []
 
@@ -103,8 +74,10 @@ def main() -> None:
         if sim.now + 20.0 <= scale.horizon:
             sim.schedule_after(20.0, sample, priority=CONTROL_EVENT_PRIORITY)
 
+    # The probe samples the control state every 20 s up to the horizon;
+    # finish() then drains every admitted query and builds the report.
     sim.schedule(20.0, sample, priority=CONTROL_EVENT_PRIORITY)
-    sim.run(until=scale.horizon + 2.0)
+    report = substrate.finish()
 
     rows = [
         [
@@ -126,11 +99,10 @@ def main() -> None:
             title="UNIT riding a flash crowd (cumulative outcome counts)",
         )
     )
-    total = server.queries_submitted
     print(
-        f"\nfinal: {total} queries, success ratio "
-        f"{server.outcome_counts[Outcome.SUCCESS] / total:.3f}, "
-        f"updates dropped {items.totals()['dropped']}/{items.totals()['arrivals']}"
+        f"\nfinal: {report.queries_submitted} queries, success ratio "
+        f"{report.success_ratio:.3f}, "
+        f"updates dropped {report.updates_dropped}/{report.update_arrivals}"
     )
 
 

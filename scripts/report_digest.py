@@ -14,9 +14,10 @@ Usage::
     PYTHONPATH=src python scripts/report_digest.py > digests2.json
     diff digests.json digests2.json
 
-The serialization matches tests/test_determinism_regression.py: float
-fields go through ``float.hex()`` so the comparison is exact bits, not
-a rounded repr.
+The serialization is the canonical
+:func:`repro.experiments.report.stable_report_bytes` (shared with
+tests/test_determinism_regression.py): float fields go through
+``float.hex()`` so the comparison is exact bits, not a rounded repr.
 """
 
 from __future__ import annotations
@@ -27,37 +28,9 @@ import sys
 
 from repro.core.usm import TABLE2_PROFILES, PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
+from repro.experiments.report import stable_report_bytes
 from repro.experiments.runner import run_experiment
 from repro.faults.scenarios import canned
-
-
-def stable_report_bytes(report) -> bytes:
-    """Exact-bits serialization of every result field of a report."""
-    by_name = lambda kv: kv[0].value  # noqa: E731
-    payload = {
-        "policy": report.policy_name,
-        "counts": {
-            o.value: n
-            for o, n in sorted(report.outcome_counts.items(), key=by_name)
-        },
-        "submitted": report.queries_submitted,
-        "usm": report.usm.hex(),
-        "total_usm": report.total_usm.hex(),
-        "ratios": {
-            o.value: r.hex() for o, r in sorted(report.ratios.items(), key=by_name)
-        },
-        "components": {k: v.hex() for k, v in sorted(report.components.items())},
-        "update_arrivals": report.update_arrivals,
-        "updates_executed": report.updates_executed,
-        "updates_dropped": report.updates_dropped,
-        "query_access_counts": report.query_access_counts,
-        "update_counts_original": report.update_counts_original,
-        "update_counts_executed": report.update_counts_executed,
-        "busy": {k: v.hex() for k, v in sorted(report.busy_by_class.items())},
-        "events_fired": report.events_fired,
-        "summary": report.summary(),
-    }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 def battery() -> list:

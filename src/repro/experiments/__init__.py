@@ -2,7 +2,8 @@
 paper's evaluation (Section 4).
 
 * :mod:`repro.experiments.config` — experiment configuration and scales.
-* :mod:`repro.experiments.runner` — run one configured simulation.
+* :mod:`repro.experiments.runner` — :class:`Substrate`, the one assembly
+  path for a simulated server, and :func:`run_experiment` on top of it.
 * :mod:`repro.experiments.sweep` — grids over traces × policies × profiles.
 * :mod:`repro.experiments.tables` — Table 1 and Table 2.
 * :mod:`repro.experiments.figures` — Figures 3, 4, 5, and 6.
@@ -15,7 +16,7 @@ from repro.experiments.config import (
     ExperimentScale,
     build_experiment,
 )
-from repro.experiments.runner import SimulationReport, run_experiment
+from repro.experiments.runner import SimulationReport, Substrate, run_experiment
 from repro.experiments.sweep import run_grid
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentScale",
     "SimulationReport",
+    "Substrate",
     "build_experiment",
     "run_experiment",
     "run_grid",

@@ -37,59 +37,40 @@ from repro.workload.updates import STANDARD_UPDATE_TRACES
 TARGETS = ("table1", "table2", "fig3", "fig4", "fig5", "fig6", "all", "run")
 
 
+def dossier_run(config):
+    """Run ``config`` on a :class:`Substrate` with a timeline probe
+    attached; returns ``(report, timeline)``."""
+    from repro.analysis.timeline import TimelineProbe
+    from repro.experiments.runner import Substrate
+    from repro.workload.cache import get_workload
+
+    substrate = Substrate(config, *get_workload(config))
+    horizon = config.scale.horizon
+    probe = TimelineProbe(substrate.server, interval=horizon / 10.0, horizon=horizon)
+    probe.start()
+    return substrate.finish(), probe.timeline
+
+
 def _run_dossier(args, scale) -> None:
     """Run one policy and print outcomes, latency, and a timeline."""
     from repro.analysis.latency import latency_summary
-    from repro.analysis.timeline import TimelineProbe
-    from repro.db.transactions import Outcome, QueryTransaction
-    from repro.db.server import ARRIVAL_EVENT_PRIORITY, Server, ServerConfig
+    from repro.db.transactions import Outcome
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.report import ascii_table
-    from repro.experiments.runner import (
-        build_workload,
-        item_table_from_trace,
-        make_policy,
-    )
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
 
     config = ExperimentConfig(
-        policy=args.policy, update_trace=args.trace, seed=args.seed, scale=scale
+        policy=args.policy,
+        update_trace=args.trace,
+        seed=args.seed,
+        scale=scale,
+        keep_records=True,
     )
-    streams = RandomStreams(config.seed)
-    query_trace, update_trace = build_workload(config, streams)
-    sim = Simulator()
-    items = item_table_from_trace(update_trace)
-    policy = make_policy(config, streams)
-    server = Server(sim, items, policy, ServerConfig())
-    for spec in query_trace.queries:
-        txn = QueryTransaction(
-            txn_id=server.next_txn_id(),
-            arrival=spec.arrival,
-            exec_time=spec.exec_time,
-            items=spec.items,
-            relative_deadline=spec.relative_deadline,
-            freshness_req=spec.freshness_req,
-        )
-        sim.schedule(
-            spec.arrival, lambda q=txn: server.submit_query(q),
-            priority=ARRIVAL_EVENT_PRIORITY,
-        )
-    for arrival, item_id in update_trace.arrival_events():
-        sim.schedule(
-            arrival, lambda i=item_id: server.source_update_arrival(i),
-            priority=ARRIVAL_EVENT_PRIORITY,
-        )
-    probe = TimelineProbe(
-        server, interval=scale.horizon / 10.0, horizon=scale.horizon
-    )
-    probe.start()
-    sim.run(until=scale.horizon * 1.2 + 10.0)
+    report, timeline = dossier_run(config)
 
-    total = server.queries_submitted
-    counts = server.outcome_counts
+    total = report.queries_submitted
+    counts = report.outcome_counts
     print(
-        f"{policy.describe()} on {args.trace} ({args.scale} scale, seed {args.seed}): "
+        f"{report.policy_name} on {args.trace} ({args.scale} scale, seed {args.seed}): "
         f"{total} queries"
     )
     print(
@@ -99,7 +80,7 @@ def _run_dossier(args, scale) -> None:
             title="Outcomes",
         )
     )
-    summaries = latency_summary(server.records)
+    summaries = latency_summary(report.records)
     rows = []
     for key, summary in summaries.items():
         rows.append(
@@ -131,7 +112,7 @@ def _run_dossier(args, scale) -> None:
             "" if s.c_flex is None else f"{s.c_flex:.3f}",
             "" if s.degraded_items is None else s.degraded_items,
         ]
-        for s in probe.timeline.samples
+        for s in timeline.samples
     ]
     print(
         ascii_table(

@@ -1,10 +1,15 @@
 """Run one configured experiment end to end.
 
-The runner generates the workload, assembles the server with the chosen
-policy, schedules every trace event on the simulator, runs until the
-horizon plus a drain window (so every admitted query resolves through
-its firm deadline), and packages the outcome statistics into a
-:class:`SimulationReport`.
+:class:`Substrate` is the single assembly path for a simulated server:
+given a config and its query/update traces it builds the recorder,
+simulator, item table, policy and :class:`Server`, schedules the
+batched arrival feed and the configured faults, steps the run in
+slices (:meth:`Substrate.run_to`), and drains it to the horizon plus a
+drain window (so every admitted query resolves through its firm
+deadline) before packaging a :class:`SimulationReport`
+(:meth:`Substrate.finish`).  :func:`run_experiment`, every fleet shard
+(:class:`repro.fleet.substrate.ShardRun`) and the ``run`` dossier of
+``python -m repro.experiments`` all go through it.
 """
 
 from __future__ import annotations
@@ -343,126 +348,180 @@ def _export_artifacts(
     return written
 
 
+class Substrate:
+    """One assembled single-server substrate: the only assembly path.
+
+    The constructor builds the recorder, simulator, item table, policy,
+    and :class:`Server` (with the configured freshness metric),
+    allocates query transaction ids eagerly in trace order (ids are EDF
+    tie-breakers, so allocation order is part of the determinism
+    contract), schedules the batched arrival feed, and installs the
+    configured faults.  :meth:`run_to` steps the run in slices;
+    :meth:`finish` drains it and packages its report.
+
+    ``shard`` labels the query spans of a fleet shard (``None`` for a
+    single server).  No wall-clock value is ever stored here: callers
+    time phases in locals and hand them to :meth:`finish`.
+    """
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        query_trace: QueryTrace,
+        update_trace: UpdateTrace,
+        shard: Optional[int] = None,
+    ) -> None:
+        self.config = config
+        self.query_trace = query_trace
+        self.update_trace = update_trace
+        self.shard = shard
+        self.recorder = _build_recorder(config.obs)
+        self.sim = Simulator()
+        self.items = item_table_from_trace(update_trace)
+        self.policy = make_policy(
+            config, RandomStreams(config.seed), recorder=self.recorder
+        )
+        self.server = Server(
+            self.sim,
+            self.items,
+            self.policy,
+            ServerConfig(freshness_metric=config.build_freshness_metric()),
+            recorder=self.recorder,
+        )
+        # Only the event *scheduling* is lazy; ids are allocated here.
+        query_txns = [
+            QueryTransaction(
+                txn_id=self.server.next_txn_id(),
+                arrival=query_spec.arrival,
+                exec_time=query_spec.exec_time,
+                items=query_spec.items,
+                relative_deadline=query_spec.relative_deadline,
+                freshness_req=query_spec.freshness_req,
+            )
+            for query_spec in query_trace.queries
+        ]
+        _feed_arrivals(
+            self.sim, self.server, query_txns, list(update_trace.arrival_events())
+        )
+        if config.faults is not None and not config.faults.is_empty:
+            FaultDriver(config.faults, self.server, self.recorder).install(self.sim)
+
+    def run_to(self, until: float) -> None:
+        """Fire every event with time <= ``until`` (idempotent past it)."""
+        if until > self.sim.now:
+            self.sim.run(until=until)
+
+    def drain_until(self) -> float:
+        """The horizon plus the drain window every admitted query needs."""
+        horizon = self.config.scale.horizon
+        return horizon + _drain_window(self.query_trace, horizon)
+
+    def finish(
+        self,
+        started: Optional[float] = None,
+        phase_seconds: Optional[Dict[str, float]] = None,
+    ) -> SimulationReport:
+        """Drain the run, check every query resolved, and build the report.
+
+        ``started`` is the ``perf_counter`` reading the report's
+        ``wall_seconds`` counts from (0.0 when omitted); a given
+        ``phase_seconds`` gains the ``simulate`` and ``finalize`` phases.
+        """
+        config = self.config
+        server = self.server
+        query_trace = self.query_trace
+        simulate_started = time.perf_counter()
+        self.run_to(self.drain_until())
+        if phase_seconds is not None:
+            phase_seconds["simulate"] = time.perf_counter() - simulate_started
+
+        finalize_started = time.perf_counter()
+        unresolved = len(query_trace.queries) - len(server.records)
+        if unresolved:
+            where = "" if self.shard is None else f"shard {self.shard}: "
+            raise RuntimeError(
+                f"{where}{unresolved} of {len(query_trace.queries)} queries "
+                "never resolved; drain window too short?"
+            )
+
+        recorder = self.recorder
+        obs_summary: Optional[Dict[str, object]] = None
+        obs_metrics: Optional[Dict[str, object]] = None
+        obs_events: Optional[List[Dict[str, object]]] = None
+        obs_artifacts: Optional[Dict[str, str]] = None
+        obs_spans: Optional[Dict[str, object]] = None
+        if recorder is not None and config.obs is not None:
+            obs_summary = recorder.summary()
+            if recorder.metrics is not None:
+                obs_metrics = recorder.metrics.registry.snapshot()  # type: ignore[attr-defined]
+            if config.obs.keep_events:
+                obs_events = recorder.event_dicts()
+            span_result: Optional[SpanBuildResult] = None
+            if config.obs.spans:
+                # Imported lazily: attrib pulls the USM layer.
+                from repro.obs.attrib import attrib_report
+
+                span_result = build_spans(
+                    recorder.events(), dropped=recorder.dropped, shard=self.shard
+                )
+                obs_spans = {"summary": span_result.summary()}
+                obs_spans.update(attrib_report(span_result.spans, config.profile))
+            obs_artifacts = _export_artifacts(
+                recorder, config.obs, config, span_result=span_result
+            )
+
+        degradation: Optional[Dict[str, object]] = None
+        if (
+            config.faults is not None
+            and not config.faults.is_empty
+            and config.keep_records
+        ):
+            degradation = degradation_metrics(
+                server.records, config.profile, config.faults, config.scale.horizon
+            )
+
+        accumulator = UsmAccumulator.from_counts(config.profile, server.outcome_counts)
+        totals = self.items.totals()
+        if phase_seconds is not None:
+            phase_seconds["finalize"] = time.perf_counter() - finalize_started
+        return SimulationReport(
+            config=config,
+            policy_name=self.policy.describe(),
+            outcome_counts=dict(server.outcome_counts),
+            queries_submitted=server.queries_submitted,
+            usm=accumulator.average_usm(),
+            total_usm=accumulator.total_usm(),
+            ratios=accumulator.ratios(),
+            components=accumulator.components(),
+            update_arrivals=totals["arrivals"],
+            updates_executed=totals["executed"],
+            updates_dropped=totals["dropped"],
+            query_access_counts=query_trace.access_counts(),
+            update_counts_original=self.update_trace.per_item_counts(),
+            update_counts_executed=[item.updates_executed for item in self.items],
+            busy_by_class=server.busy_time_by_class(),
+            wall_seconds=0.0 if started is None else time.perf_counter() - started,
+            events_fired=self.sim.events_fired,
+            records=list(server.records) if config.keep_records else None,
+            degradation=degradation,
+            phase_seconds=phase_seconds,
+            obs_summary=obs_summary,
+            obs_metrics=obs_metrics,
+            obs_events=obs_events,
+            obs_artifacts=obs_artifacts,
+            obs_spans=obs_spans,
+        )
+
+
 def run_experiment(config: ExperimentConfig) -> SimulationReport:
     """Run one simulation and collect its report."""
     started = time.perf_counter()
-    phase_seconds: Dict[str, float] = {}
-    streams = RandomStreams(config.seed)
     # Workload generation is memoized: traces draw only from named
     # substreams disjoint from the policy streams, so a cache hit is
     # byte-identical to regeneration.
     query_trace, update_trace = get_workload(config)
-    phase_seconds["workload"] = time.perf_counter() - started
-
+    phase_seconds = {"workload": time.perf_counter() - started}
     setup_started = time.perf_counter()
-    recorder = _build_recorder(config.obs)
-    sim = Simulator()
-    items = item_table_from_trace(update_trace)
-    policy = make_policy(config, streams, recorder=recorder)
-    server = Server(
-        sim,
-        items,
-        policy,
-        ServerConfig(freshness_metric=config.build_freshness_metric()),
-        recorder=recorder,
-    )
-
-    # Transaction ids are allocated eagerly in trace order (queries get
-    # ids 1..N) — ids are EDF tie-breakers, so allocation order is part
-    # of the determinism contract.  Only the event *scheduling* is lazy.
-    query_txns = [
-        QueryTransaction(
-            txn_id=server.next_txn_id(),
-            arrival=query_spec.arrival,
-            exec_time=query_spec.exec_time,
-            items=query_spec.items,
-            relative_deadline=query_spec.relative_deadline,
-            freshness_req=query_spec.freshness_req,
-        )
-        for query_spec in query_trace.queries
-    ]
-    _feed_arrivals(sim, server, query_txns, list(update_trace.arrival_events()))
-    if config.faults is not None and not config.faults.is_empty:
-        FaultDriver(config.faults, server, recorder).install(sim)
+    substrate = Substrate(config, query_trace, update_trace)
     phase_seconds["setup"] = time.perf_counter() - setup_started
-
-    simulate_started = time.perf_counter()
-    horizon = config.scale.horizon
-    sim.run(until=horizon + _drain_window(query_trace, horizon))
-    phase_seconds["simulate"] = time.perf_counter() - simulate_started
-
-    finalize_started = time.perf_counter()
-    unresolved = query_trace_size = len(query_trace.queries)
-    unresolved -= len(server.records)
-    if unresolved:
-        raise RuntimeError(
-            f"{unresolved} of {query_trace_size} queries never resolved; "
-            "drain window too short?"
-        )
-
-    obs_summary: Optional[Dict[str, object]] = None
-    obs_metrics: Optional[Dict[str, object]] = None
-    obs_events: Optional[List[Dict[str, object]]] = None
-    obs_artifacts: Optional[Dict[str, str]] = None
-    obs_spans: Optional[Dict[str, object]] = None
-    if recorder is not None and config.obs is not None:
-        obs_summary = recorder.summary()
-        if recorder.metrics is not None:
-            obs_metrics = recorder.metrics.registry.snapshot()  # type: ignore[attr-defined]
-        if config.obs.keep_events:
-            obs_events = recorder.event_dicts()
-        span_result: Optional[SpanBuildResult] = None
-        if config.obs.spans:
-            # Imported lazily above; attrib pulls the USM layer.
-            from repro.obs.attrib import attrib_report
-
-            span_result = build_spans(
-                recorder.events(), dropped=recorder.dropped
-            )
-            obs_spans = {"summary": span_result.summary()}
-            obs_spans.update(attrib_report(span_result.spans, config.profile))
-        obs_artifacts = _export_artifacts(
-            recorder, config.obs, config, span_result=span_result
-        )
-
-    degradation: Optional[Dict[str, object]] = None
-    if (
-        config.faults is not None
-        and not config.faults.is_empty
-        and config.keep_records
-    ):
-        degradation = degradation_metrics(
-            server.records, config.profile, config.faults, config.scale.horizon
-        )
-
-    accumulator = UsmAccumulator.from_counts(config.profile, server.outcome_counts)
-    totals = items.totals()
-    phase_seconds["finalize"] = time.perf_counter() - finalize_started
-    report = SimulationReport(
-        config=config,
-        policy_name=policy.describe(),
-        outcome_counts=dict(server.outcome_counts),
-        queries_submitted=server.queries_submitted,
-        usm=accumulator.average_usm(),
-        total_usm=accumulator.total_usm(),
-        ratios=accumulator.ratios(),
-        components=accumulator.components(),
-        update_arrivals=totals["arrivals"],
-        updates_executed=totals["executed"],
-        updates_dropped=totals["dropped"],
-        query_access_counts=query_trace.access_counts(),
-        update_counts_original=update_trace.per_item_counts(),
-        update_counts_executed=[item.updates_executed for item in items],
-        busy_by_class=server.busy_time_by_class(),
-        wall_seconds=time.perf_counter() - started,
-        events_fired=sim.events_fired,
-        records=list(server.records) if config.keep_records else None,
-        degradation=degradation,
-        phase_seconds=phase_seconds,
-        obs_summary=obs_summary,
-        obs_metrics=obs_metrics,
-        obs_events=obs_events,
-        obs_artifacts=obs_artifacts,
-        obs_spans=obs_spans,
-    )
-    return report
+    return substrate.finish(started=started, phase_seconds=phase_seconds)

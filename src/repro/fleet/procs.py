@@ -14,6 +14,10 @@ in).  Workers complement the sweep pool in
 fleet cells across a sweep grid, while these processes parallelize the
 *coupled* shards inside one fleet run (a stateful epoch protocol the
 pool's fire-and-forget tasks cannot express).
+
+A worker that dies, or replies with an error, surfaces in the parent as
+a :class:`ShardProcessError` naming the shard and the command it was
+serving; the parent checks worker liveness while it waits for a reply.
 """
 
 from __future__ import annotations
@@ -30,6 +34,18 @@ from repro.fleet.substrate import ShardRun, ShardSpec
 _CMD_RUN_TO = "run_to"
 _CMD_FINISH = "finish"
 _CMD_STOP = "stop"
+
+#: Seconds between liveness checks while awaiting a shard's reply.
+_POLL_SECONDS = 0.05
+
+
+class ShardProcessError(RuntimeError):
+    """A shard worker died or reported an error while serving a command."""
+
+    def __init__(self, shard: int, command: str, detail: str) -> None:
+        super().__init__(f"shard {shard} failed during {command!r}: {detail}")
+        self.shard = shard
+        self.command = command
 
 
 def _shard_worker(
@@ -49,7 +65,7 @@ def _shard_worker(
                 run.run_to(until)
                 conn.send(("ok", run.epoch_summary()))
             elif command == _CMD_FINISH:
-                conn.send(("ok", run.finish(time.perf_counter() - started)))
+                conn.send(("ok", run.finish(started=started)))
                 break
             elif command == _CMD_STOP:
                 break
@@ -77,6 +93,8 @@ class ShardProcessPool:
             ctx = multiprocessing.get_context()
         self._conns: List["multiprocessing.connection.Connection"] = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
+        #: The command each shard is serving, for error messages.
+        self._pending: List[str] = ["init"] * len(specs)
         for spec in specs:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
@@ -90,10 +108,33 @@ class ShardProcessPool:
             self._conns.append(parent)
             self._procs.append(proc)
 
+    def _send(self, index: int, message: tuple, command: str) -> None:
+        self._pending[index] = command
+        try:
+            self._conns[index].send(message)
+        except OSError as exc:  # BrokenPipeError, ConnectionResetError, ...
+            raise ShardProcessError(index, command, f"worker unreachable ({exc})") from exc
+
     def _recv(self, index: int) -> object:
-        status, payload = self._conns[index].recv()
+        """Await shard ``index``'s reply, checking between polls that its
+        worker is still alive (a dead worker must not block forever)."""
+        conn = self._conns[index]
+        proc = self._procs[index]
+        command = self._pending[index]
+        try:
+            while not conn.poll(_POLL_SECONDS):
+                # A worker may exit right after replying: poll once more.
+                if not proc.is_alive() and not conn.poll(0):
+                    raise ShardProcessError(
+                        index, command, f"worker exited with code {proc.exitcode}"
+                    )
+            status, payload = conn.recv()
+        except (EOFError, ConnectionResetError) as exc:
+            raise ShardProcessError(
+                index, command, f"worker died ({type(exc).__name__})"
+            ) from exc
         if status != "ok":
-            raise RuntimeError(f"shard process {index} failed: {payload}")
+            raise ShardProcessError(index, command, str(payload))
         return payload
 
     def run_epoch(
@@ -105,15 +146,15 @@ class ShardProcessPool:
         is awaited); replies are collected in shard order so the caller
         sees a deterministic sequence.
         """
-        for index, conn in enumerate(self._conns):
+        for index in range(len(self._conns)):
             directive = directives[index] if directives is not None else None
-            conn.send((_CMD_RUN_TO, until, directive))
+            self._send(index, (_CMD_RUN_TO, until, directive), f"run_to {until}")
         return [self._recv(index) for index in range(len(self._conns))]  # type: ignore[misc]
 
     def finish(self) -> List[SimulationReport]:
         """Drain every shard and collect the reports (shard order)."""
-        for conn in self._conns:
-            conn.send((_CMD_FINISH,))
+        for index in range(len(self._conns)):
+            self._send(index, (_CMD_FINISH,), _CMD_FINISH)
         reports = [self._recv(index) for index in range(len(self._conns))]
         self.close()
         return reports  # type: ignore[return-value]
@@ -133,3 +174,4 @@ class ShardProcessPool:
                 proc.join(timeout=5.0)
         self._conns = []
         self._procs = []
+        self._pending = []

@@ -156,9 +156,7 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
                 run.run_to(until)
                 raw.append(run.epoch_summary())
             directives = plan_epoch(raw)
-        reports = [
-            run.finish(time.perf_counter() - serial_started) for run in runs
-        ]
+        reports = [run.finish(started=serial_started) for run in runs]
 
     merged = merge_reports(base, specs, reports)
     obs_summary = recorder.summary() if recorder is not None else None

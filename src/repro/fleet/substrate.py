@@ -2,12 +2,12 @@
 
 A :class:`ShardSpec` is the picklable, self-contained description of a
 shard's run: its (remapped) query and update traces, its config, and
-its fault scenario.  A :class:`ShardRun` executes a spec exactly the
-way :func:`repro.experiments.runner.run_experiment` executes a config —
-same stream derivation, same eager txn-id allocation, same arrival
-feeder, same drain and finalize — but sliced into epochs via
-``Simulator.run(until=...)`` so a fleet controller can intervene at
-epoch boundaries.  A 1-shard spec built from an unmodified config
+its fault scenario.  A :class:`ShardRun` *is* a
+:class:`repro.experiments.runner.Substrate` built from that spec, so it
+assembles, steps, drains and finalizes exactly as
+:func:`repro.experiments.runner.run_experiment` does; it adds only the
+epoch summary and the coordinator directives a fleet controller uses
+at epoch boundaries.  A 1-shard spec built from an unmodified config
 reproduces the single-server run byte for byte.
 
 Item ids are remapped: a shard hosts a subset of the global item space,
@@ -23,24 +23,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.admission import FLEX_MAX, FLEX_MIN
 from repro.core.unit import UnitPolicy
-from repro.core.usm import UsmAccumulator
-from repro.db.server import Server, ServerConfig
-from repro.db.transactions import Outcome, QueryTransaction
+from repro.db.transactions import Outcome
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    SimulationReport,
-    _build_recorder,
-    _drain_window,
-    _export_artifacts,
-    _feed_arrivals,
-    item_table_from_trace,
-    make_policy,
-)
-from repro.faults.driver import FaultDriver
-from repro.faults.metrics import degradation_metrics
-from repro.obs.spans import SpanBuildResult, build_spans
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams, derive_seed
+from repro.experiments.runner import Substrate
+from repro.obs.spans import build_spans  # noqa: F401  (perfbench patches this name)
+from repro.sim.rng import derive_seed
 from repro.workload.queries import QuerySpec, QueryTrace
 from repro.workload.updates import ItemUpdateSpec, UpdateTrace
 
@@ -63,51 +50,18 @@ class ShardSpec:
     update_trace: UpdateTrace
 
 
-class ShardRun:
-    """A live shard substrate, steppable in epoch slices."""
+class ShardRun(Substrate):
+    """A fleet shard: the spec's substrate, steppable in epoch slices."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        config = spec.config
-        self._streams = RandomStreams(config.seed)
-        self._recorder = _build_recorder(config.obs)
-        self.sim = Simulator()
-        self.items = item_table_from_trace(spec.update_trace)
-        self.policy = make_policy(config, self._streams, recorder=self._recorder)
-        self.server = Server(
-            self.sim,
-            self.items,
-            self.policy,
-            ServerConfig(freshness_metric=config.build_freshness_metric()),
-            recorder=self._recorder,
+        super().__init__(
+            spec.config,
+            spec.query_trace,
+            spec.update_trace,
+            shard=spec.shard_id if spec.n_shards > 1 else None,
         )
-        # Eager txn-id allocation in trace order: ids are EDF
-        # tie-breakers, so allocation order is part of the determinism
-        # contract (mirrors run_experiment exactly).
-        query_txns = [
-            QueryTransaction(
-                txn_id=self.server.next_txn_id(),
-                arrival=q.arrival,
-                exec_time=q.exec_time,
-                items=q.items,
-                relative_deadline=q.relative_deadline,
-                freshness_req=q.freshness_req,
-            )
-            for q in spec.query_trace.queries
-        ]
-        _feed_arrivals(
-            self.sim, self.server, query_txns, list(spec.update_trace.arrival_events())
-        )
-        if config.faults is not None and not config.faults.is_empty:
-            FaultDriver(config.faults, self.server, self._recorder).install(self.sim)
         self._epoch_counts: Dict[Outcome, int] = {o: 0 for o in Outcome}
-
-    # -- epoch stepping -------------------------------------------------
-
-    def run_to(self, until: float) -> None:
-        """Fire every event with time <= ``until`` (idempotent past it)."""
-        if until > self.sim.now:
-            self.sim.run(until=until)
 
     def epoch_summary(self) -> Dict[str, object]:
         """Outcome deltas since the previous summary, plus knob state."""
@@ -150,101 +104,6 @@ class ShardRun:
             policy.modulator.upgrade_all()
             changed = True
         return changed
-
-    # -- finalize -------------------------------------------------------
-
-    def drain_until(self) -> float:
-        horizon = self.spec.config.scale.horizon
-        return horizon + _drain_window(self.spec.query_trace, horizon)
-
-    def finish(self, wall_seconds: float = 0.0) -> SimulationReport:
-        """Drain the shard and package its report (mirrors the single-
-        server finalize path field for field).
-
-        The caller passes the elapsed wall time: holding a wall-clock
-        value on this object would taint the whole substrate instance
-        (SF002), whereas ``wall_seconds`` on a report constructor is
-        the declared wall-metadata sink.
-        """
-        spec = self.spec
-        config = spec.config
-        self.run_to(self.drain_until())
-        query_trace = spec.query_trace
-        unresolved = len(query_trace.queries) - len(self.server.records)
-        if unresolved:
-            raise RuntimeError(
-                f"shard {spec.shard_id}: {unresolved} of "
-                f"{len(query_trace.queries)} queries never resolved; "
-                "drain window too short?"
-            )
-
-        recorder = self._recorder
-        obs_summary: Optional[Dict[str, object]] = None
-        obs_metrics: Optional[Dict[str, object]] = None
-        obs_events: Optional[List[Dict[str, object]]] = None
-        obs_artifacts: Optional[Dict[str, str]] = None
-        obs_spans: Optional[Dict[str, object]] = None
-        if recorder is not None and config.obs is not None:
-            obs_summary = recorder.summary()
-            if recorder.metrics is not None:
-                obs_metrics = recorder.metrics.registry.snapshot()  # type: ignore[attr-defined]
-            if config.obs.keep_events:
-                obs_events = recorder.event_dicts()
-            span_result: Optional[SpanBuildResult] = None
-            if config.obs.spans:
-                from repro.obs.attrib import attrib_report
-
-                span_result = build_spans(
-                    recorder.events(),
-                    dropped=recorder.dropped,
-                    shard=spec.shard_id if spec.n_shards > 1 else None,
-                )
-                obs_spans = {"summary": span_result.summary()}
-                obs_spans.update(attrib_report(span_result.spans, config.profile))
-            obs_artifacts = _export_artifacts(
-                recorder, config.obs, config, span_result=span_result
-            )
-
-        degradation: Optional[Dict[str, object]] = None
-        if (
-            config.faults is not None
-            and not config.faults.is_empty
-            and config.keep_records
-        ):
-            degradation = degradation_metrics(
-                self.server.records, config.profile, config.faults, config.scale.horizon
-            )
-
-        accumulator = UsmAccumulator.from_counts(
-            config.profile, self.server.outcome_counts
-        )
-        totals = self.items.totals()
-        return SimulationReport(
-            config=config,
-            policy_name=self.policy.describe(),
-            outcome_counts=dict(self.server.outcome_counts),
-            queries_submitted=self.server.queries_submitted,
-            usm=accumulator.average_usm(),
-            total_usm=accumulator.total_usm(),
-            ratios=accumulator.ratios(),
-            components=accumulator.components(),
-            update_arrivals=totals["arrivals"],
-            updates_executed=totals["executed"],
-            updates_dropped=totals["dropped"],
-            query_access_counts=query_trace.access_counts(),
-            update_counts_original=spec.update_trace.per_item_counts(),
-            update_counts_executed=[item.updates_executed for item in self.items],
-            busy_by_class=self.server.busy_time_by_class(),
-            wall_seconds=wall_seconds,
-            events_fired=self.sim.events_fired,
-            records=list(self.server.records) if config.keep_records else None,
-            degradation=degradation,
-            obs_summary=obs_summary,
-            obs_metrics=obs_metrics,
-            obs_events=obs_events,
-            obs_artifacts=obs_artifacts,
-            obs_spans=obs_spans,
-        )
 
 
 def build_shard_specs(

@@ -10,7 +10,7 @@ layers.
 from repro.sim.engine import Simulator, Timer
 from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import OnlineStats, TimeSeries, TimeWeightedMean, WindowedCounts
+from repro.sim.stats import OnlineStats, TimeSeries, WindowedCounts
 
 __all__ = [
     "Event",
@@ -18,7 +18,6 @@ __all__ = [
     "RandomStreams",
     "Simulator",
     "TimeSeries",
-    "TimeWeightedMean",
     "Timer",
     "WindowedCounts",
 ]

@@ -83,45 +83,6 @@ class OnlineStats:
         }
 
 
-class TimeWeightedMean:
-    """Mean of a piecewise-constant signal, weighted by holding time.
-
-    Used, e.g., for average ready-queue length: call :meth:`update`
-    whenever the signal changes and :meth:`value_at` to read the mean.
-    """
-
-    __slots__ = ("_last_time", "_last_value", "_area", "_start")
-
-    def __init__(self, start_time: float = 0.0, initial_value: float = 0.0) -> None:
-        self._start = start_time
-        self._last_time = start_time
-        self._last_value = initial_value
-        self._area = 0.0
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError("time went backwards")
-        self._area += self._last_value * (time - self._last_time)
-        self._last_time = time
-        self._last_value = value
-
-    def value_at(self, time: float) -> float:
-        """Time-weighted mean over ``[start, time]``; 0.0 on an empty span."""
-        if time < self._last_time:
-            raise ValueError("time went backwards")
-        span = time - self._start
-        if span <= 0:
-            return self._last_value
-        area = self._area + self._last_value * (time - self._last_time)
-        return area / span
-
-    @property
-    def current(self) -> float:
-        """Most recently recorded signal value."""
-        return self._last_value
-
-
 class TimeSeries:
     """An explicit ``(time, value)`` record, for figures and debugging."""
 

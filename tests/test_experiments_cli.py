@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.usm import PenaltyProfile
-from repro.experiments.__main__ import main
-from repro.experiments.config import SCALES
+from repro.experiments.__main__ import dossier_run, main
+from repro.experiments.config import SCALES, ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_grid
 
 
@@ -47,6 +48,35 @@ class TestCli:
     def test_unknown_scale_rejected(self):
         with pytest.raises(SystemExit):
             main(["table1", "--scale", "galactic"])
+
+
+class TestDossierMatchesRunner:
+    """The ``run`` dossier goes through the same substrate as
+    ``run_experiment``: its timeline probe must not perturb results."""
+
+    @pytest.mark.parametrize(
+        "policy,trace,scale",
+        [
+            ("unit", "med-unif", "smoke"),
+            ("odu", "low-unif", "smoke"),
+            ("elastic", "low-unif", "smoke"),
+            ("unit", "high-unif", "small"),
+            ("qmf", "med-unif", "small"),
+            ("imu", "high-unif", "small"),
+        ],
+    )
+    def test_same_outcomes_usm_and_busy(self, policy, trace, scale):
+        config = ExperimentConfig(
+            policy=policy, update_trace=trace, seed=7, scale=SCALES[scale],
+            keep_records=True,
+        )
+        report, timeline = dossier_run(config)
+        reference = run_experiment(config)
+        assert report.outcome_counts == reference.outcome_counts
+        assert report.usm == reference.usm
+        assert report.busy_by_class == reference.busy_by_class
+        assert len(report.records) == reference.queries_submitted
+        assert len(timeline) == 10
 
 
 class TestSweep:

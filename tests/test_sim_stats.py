@@ -6,7 +6,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import OnlineStats, TimeSeries, TimeWeightedMean, WindowedCounts
+from repro.sim.stats import OnlineStats, TimeSeries, WindowedCounts
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -42,28 +42,6 @@ class TestOnlineStats:
         stats = OnlineStats()
         stats.extend([1.0, 2.0, 3.0, 4.0])
         assert stats.stdev == pytest.approx(math.sqrt(stats.variance))
-
-
-class TestTimeWeightedMean:
-    def test_constant_signal(self):
-        twm = TimeWeightedMean(initial_value=3.0)
-        assert twm.value_at(10.0) == pytest.approx(3.0)
-
-    def test_step_signal(self):
-        twm = TimeWeightedMean()
-        twm.update(5.0, 10.0)  # 0 for 5s, then 10
-        assert twm.value_at(10.0) == pytest.approx(5.0)
-
-    def test_time_going_backwards_raises(self):
-        twm = TimeWeightedMean()
-        twm.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            twm.update(4.0, 2.0)
-
-    def test_current_tracks_last_value(self):
-        twm = TimeWeightedMean()
-        twm.update(1.0, 7.0)
-        assert twm.current == 7.0
 
 
 class TestTimeSeries:
