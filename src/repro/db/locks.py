@@ -85,9 +85,6 @@ class _ItemLock:
         self.holders: Dict[int, Tuple[Transaction, LockMode]] = {}
         self.waiters: List[_Waiter] = []
 
-    def holder_modes(self) -> List[LockMode]:
-        return [mode for _, mode in self.holders.values()]
-
 
 class LockManager:
     """Item-granularity 2PL-HP lock table.

@@ -137,9 +137,8 @@ class Server:
             self._emit_park = None
 
         self._running: Optional[Transaction] = None
-        # Engine tokens (see Simulator.schedule_token): completion and
-        # deadline timers are the two hottest schedule/cancel pairs, so
-        # they skip Timer/closure allocation entirely.
+        # Engine cancel tokens (see Simulator.schedule_token) for the
+        # completion and deadline events, the two schedule/cancel pairs.
         self._completion_token: Optional[int] = None
         self._blocked: Dict[int, Transaction] = {}
         self._deadline_tokens: Dict[int, int] = {}

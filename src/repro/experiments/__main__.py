@@ -38,22 +38,73 @@ TARGETS = ("table1", "table2", "fig3", "fig4", "fig5", "fig6", "all", "run")
 
 
 def dossier_run(config):
-    """Run ``config`` on a :class:`Substrate` with a timeline probe
-    attached; returns ``(report, timeline)``."""
-    from repro.analysis.timeline import TimelineProbe
+    """Run ``config`` on a :class:`Substrate`, sampling the server every
+    tenth of the horizon; returns ``(report, timeline rows)``."""
+    from repro.db.server import CONTROL_EVENT_PRIORITY
+    from repro.db.transactions import Outcome
     from repro.experiments.runner import Substrate
     from repro.workload.cache import get_workload
 
     substrate = Substrate(config, *get_workload(config))
+    server = substrate.server
     horizon = config.scale.horizon
-    probe = TimelineProbe(substrate.server, interval=horizon / 10.0, horizon=horizon)
-    probe.start()
-    return substrate.finish(), probe.timeline
+    interval = horizon / 10.0
+    rows = []
+
+    def sample():
+        now = server.now
+        busy = server.busy_time_by_class()
+        admission = getattr(server.policy, "admission", None)
+        modulator = getattr(server.policy, "modulator", None)
+        utilization = (busy["query"] + busy["update"]) / now if now > 0 else 0.0
+        rows.append(
+            [
+                f"{now:.0f}",
+                len(server.ready.ready_queries()),
+                len(server.ready.ready_updates()),
+                f"{utilization:.2f}",
+                server.outcome_counts[Outcome.SUCCESS],
+                "" if admission is None else f"{admission.c_flex:.3f}",
+                "" if modulator is None else modulator.degraded_count(),
+            ]
+        )
+        if now + interval <= horizon:
+            server.sim.schedule_after(interval, sample, priority=CONTROL_EVENT_PRIORITY)
+
+    server.sim.schedule_after(interval, sample, priority=CONTROL_EVENT_PRIORITY)
+    return substrate.finish(), rows
+
+
+def response_time_rows(records):
+    """``[class, n, mean, p50, p90, p99]`` rows (times in ms): the pooled
+    finished queries first, then each outcome in first-seen order.
+
+    Rejections resolve instantly (response time 0), so they are kept
+    out of the pooled row; they still get a row of their own.
+    """
+    from repro.db.transactions import Outcome
+    from repro.obs.attrib import PERCENTILES, percentile
+
+    pooled = []
+    by_outcome = {}
+    for record in records:
+        by_outcome.setdefault(record.outcome, []).append(record.response_time)
+        if record.outcome is not Outcome.REJECTED:
+            pooled.append(record.response_time)
+    groups = [("(all finished)", pooled)] if pooled else []
+    groups += [(outcome.value, values) for outcome, values in by_outcome.items()]
+    rows = []
+    for label, values in groups:
+        ordered = sorted(values)
+        rows.append(
+            [label, len(values), f"{sum(values) / len(values) * 1000:.1f}"]
+            + [f"{percentile(ordered, fraction) * 1000:.1f}" for fraction in PERCENTILES]
+        )
+    return rows
 
 
 def _run_dossier(args, scale) -> None:
     """Run one policy and print outcomes, latency, and a timeline."""
-    from repro.analysis.latency import latency_summary
     from repro.db.transactions import Outcome
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.report import ascii_table
@@ -65,7 +116,7 @@ def _run_dossier(args, scale) -> None:
         scale=scale,
         keep_records=True,
     )
-    report, timeline = dossier_run(config)
+    report, timeline_rows = dossier_run(config)
 
     total = report.queries_submitted
     counts = report.outcome_counts
@@ -80,40 +131,15 @@ def _run_dossier(args, scale) -> None:
             title="Outcomes",
         )
     )
-    summaries = latency_summary(report.records)
-    rows = []
-    for key, summary in summaries.items():
-        rows.append(
-            [
-                key.value if key is not None else "(all finished)",
-                summary.count,
-                f"{summary.mean * 1000:.1f}",
-                f"{summary.p50 * 1000:.1f}",
-                f"{summary.p90 * 1000:.1f}",
-                f"{summary.p99 * 1000:.1f}",
-            ]
-        )
     print()
     print(
         ascii_table(
             ["class", "n", "mean ms", "p50 ms", "p90 ms", "p99 ms"],
-            rows,
+            response_time_rows(report.records),
             title="Response times",
         )
     )
     print()
-    timeline_rows = [
-        [
-            f"{s.time:.0f}",
-            s.ready_queries,
-            s.ready_updates,
-            f"{s.utilization_so_far:.2f}",
-            s.outcomes.get(Outcome.SUCCESS, 0),
-            "" if s.c_flex is None else f"{s.c_flex:.3f}",
-            "" if s.degraded_items is None else s.degraded_items,
-        ]
-        for s in timeline.samples
-    ]
     print(
         ascii_table(
             ["t(s)", "q-queue", "u-queue", "util", "ok", "C_flex", "degraded"],

@@ -16,7 +16,7 @@ from typing import Dict, List
 from repro.core.usm import TABLE2_PROFILES, PenaltyProfile
 from repro.db.transactions import Outcome
 from repro.experiments.config import ExperimentConfig, ExperimentScale
-from repro.experiments.report import ascii_table, bar_chart, decile_histogram
+from repro.experiments.report import ascii_table, decile_histogram
 from repro.experiments.runner import SimulationReport, run_experiment
 from repro.experiments.sweep import run_grid
 from repro.obs.logging_setup import get_logger
@@ -316,13 +316,3 @@ def render_figure6(data: Dict[str, List[RatioBar]]) -> str:
             table(data["unit"], "Figure 6(b) — UNIT under Fig. 5(a) weight setups"),
         ]
     )
-
-
-# ----------------------------------------------------------------------
-# misc renderers
-# ----------------------------------------------------------------------
-
-
-def usm_bars(data: Dict[str, float], title: str) -> str:
-    """Bar-chart view of a {policy: usm} series."""
-    return bar_chart(data, title=title)

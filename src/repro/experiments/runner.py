@@ -329,23 +329,19 @@ def _export_artifacts(
     never collide.  Returns ``{artifact_kind: written_path}``.
     """
     paths = obs_config.export_paths(config.label(), config.seed)
-    written: Dict[str, str] = {}
-    if "trace_jsonl" in paths:
-        write_trace_jsonl(recorder, paths["trace_jsonl"])
-        written["trace_jsonl"] = str(paths["trace_jsonl"])
-    if "chrome_json" in paths:
-        write_chrome_trace(recorder, paths["chrome_json"])
-        written["chrome_json"] = str(paths["chrome_json"])
-    if "controller_csv" in paths:
-        write_controller_csv(recorder, paths["controller_csv"])
-        written["controller_csv"] = str(paths["controller_csv"])
-    if "prometheus_txt" in paths and recorder.metrics is not None:
+    if not paths:
+        return {}
+    write_trace_jsonl(recorder, paths["trace_jsonl"])
+    write_chrome_trace(recorder, paths["chrome_json"])
+    write_controller_csv(recorder, paths["controller_csv"])
+    kinds = ["trace_jsonl", "chrome_json", "controller_csv"]
+    if recorder.metrics is not None:
         write_prometheus(recorder.metrics, paths["prometheus_txt"])  # type: ignore[arg-type]
-        written["prometheus_txt"] = str(paths["prometheus_txt"])
-    if "spans_jsonl" in paths and span_result is not None:
+        kinds.append("prometheus_txt")
+    if span_result is not None:
         write_spans_jsonl(span_result, paths["spans_jsonl"])
-        written["spans_jsonl"] = str(paths["spans_jsonl"])
-    return written
+        kinds.append("spans_jsonl")
+    return {kind: str(paths[kind]) for kind in kinds}
 
 
 class Substrate:

@@ -39,10 +39,6 @@ class Partition:
     primary: Tuple[int, ...]
     hosts: Tuple[Tuple[int, ...], ...]
 
-    def shard_items(self, shard: int) -> List[int]:
-        """Global ids whose primary is ``shard`` (ascending)."""
-        return [g for g, p in enumerate(self.primary) if p == shard]
-
     def hosted_items(self, shard: int) -> List[int]:
         """Global ids hosted on ``shard`` — primary or replica (ascending)."""
         return [g for g, hs in enumerate(self.hosts) if shard in hs]

@@ -9,7 +9,7 @@ tooling cannot see:
   (Success / Rejection / DMF / DSF, paper Eqs. 2-5).
 
 ``simlint`` enforces those conventions statically, with a pluggable rule
-registry (SL001-SL006), a ``python -m repro.lint`` CLI, and per-line /
+registry (SL001-SL004, SL006, SL007), a ``python -m repro.lint`` CLI, and per-line /
 per-file suppression via ``# simlint: disable=RULE`` comments.  See
 ``docs/static-analysis.md`` for the contract each rule protects.
 """

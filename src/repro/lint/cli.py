@@ -2,7 +2,7 @@
 
 Two layers share this entry point:
 
-* per-file rules (SL001-SL007) — the default;
+* per-file rules (SL001-SL004, SL006, SL007) — the default;
 * whole-program flow rules (SF001-SF004) — ``--flow``.
 
 Exit codes: 0 = clean, 1 = violations found (after baseline filtering,
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "simlint: AST-based determinism & USM-accounting checks "
-            "(per-file rules SL001-SL007; whole-program flow rules "
+            "(per-file rules SL001-SL004, SL006, SL007; whole-program flow rules "
             "SF001-SF004 via --flow; see docs/static-analysis.md)"
         ),
     )

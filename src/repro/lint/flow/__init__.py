@@ -9,13 +9,13 @@ it:
   name must resolve to a literal, and the same name must not be claimed
   by distinct components (stream names are part of the seed contract).
 * **SF002** — clock-domain taint: wall-clock reads may never flow into
-  sim-time state, ``Event.time``, USM windows, or report fields other
-  than the declared wall-metadata sinks.
+  sim-time state, USM windows, or report fields other than the
+  declared wall-metadata sinks.
 * **SF003** — cross-process capture: payloads shipped to the sweep pool
   must be picklable module-level callables; no mutation-after-submit or
   worker-side mutation of shared module globals.
-* **SF004** — engine-owned escapes: ``Event`` / lock-table references do
-  not leave their engine and get mutated under a foreign name.
+* **SF004** — engine-owned escapes: ``LockManager`` state is mutated
+  only inside ``db/locks.py``, whatever name the reference travels under.
 
 Entry point::
 

@@ -87,10 +87,6 @@ def known_flow_rule_ids() -> List[str]:
     return sorted(_FLOW_REGISTRY)
 
 
-def get_flow_rule(rule_id: str) -> FlowRule:
-    return _FLOW_REGISTRY[rule_id]()
-
-
 def select_flow_rules(
     select: Optional[List[str]] = None,
     ignore: Optional[List[str]] = None,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set
 
 from repro.lint.flow.loader import Program
 from repro.lint.flow.symbols import FunctionInfo, SymbolTable
@@ -32,14 +32,13 @@ class CallSite:
 
 
 class CallGraph:
-    """Resolved call edges plus reverse lookup."""
+    """Resolved call edges plus per-callee call sites."""
 
     def __init__(self, program: Program, symbols: SymbolTable) -> None:
         self.program = program
         self.symbols = symbols
         self.calls: List[CallSite] = []
         self._out: Dict[str, Set[str]] = {}
-        self._in: Dict[str, Set[str]] = {}
         #: qualname → call sites targeting it.
         self._sites_by_callee: Dict[str, List[CallSite]] = {}
         #: program functions referenced as values (callbacks) per function.
@@ -69,16 +68,9 @@ class CallGraph:
         site = CallSite(caller=caller, callee=callee, node=node)
         self.calls.append(site)
         self._out.setdefault(caller, set()).add(callee)
-        self._in.setdefault(callee, set()).add(caller)
         self._sites_by_callee.setdefault(callee, []).append(site)
 
     # -- queries --------------------------------------------------------
-
-    def callees_of(self, qualname: str) -> Set[str]:
-        return set(self._out.get(qualname, set()))
-
-    def callers_of(self, qualname: str) -> Set[str]:
-        return set(self._in.get(qualname, set()))
 
     def call_sites_of(self, callee: str) -> List[CallSite]:
         """Every call site whose resolved target is ``callee``."""
@@ -107,23 +99,3 @@ class CallGraph:
         """Every program function, deterministic order."""
         for qualname in sorted(self.symbols.functions):
             yield self.symbols.functions[qualname]
-
-    def enclosing_function(
-        self, module: str, node: ast.AST
-    ) -> Optional[Tuple[str, FunctionInfo]]:  # pragma: no cover - helper
-        """Find the function whose body contains ``node`` (by position)."""
-        best: Optional[FunctionInfo] = None
-        lineno = getattr(node, "lineno", None)
-        if lineno is None:
-            return None
-        for qualname in sorted(self.symbols.functions):
-            func = self.symbols.functions[qualname]
-            if func.module != module:
-                continue
-            end = getattr(func.node, "end_lineno", func.node.lineno)
-            if func.node.lineno <= lineno <= (end or lineno):
-                if best is None or func.node.lineno >= best.node.lineno:
-                    best = func
-        if best is None:
-            return None
-        return best.qualname, best

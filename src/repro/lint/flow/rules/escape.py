@@ -1,19 +1,12 @@
 """SF004: engine-owned references do not escape and get mutated.
 
-SL005 catches ``event.time = ...`` by *receiver name*; this rule tracks
-actual :class:`repro.sim.events.Event` (and ``db.locks.LockTable``)
-references through annotations and constructor provenance, so a heap
-record that leaks out of the engine under an innocent name
-(``entry = timer._event; entry.time = 5``) is still caught.  Two
-findings:
-
-* **foreign construction** — ``Event(...)`` built outside the ``sim``
-  component: events must be minted by ``Simulator.schedule`` so they
-  carry a valid ``seq`` and live in the heap;
-* **foreign mutation** — any attribute written on an Event-typed or
-  LockTable-typed value outside its owning component's engine modules;
-  ``Timer.cancel()`` is the sanctioned cancellation path and lock-table
-  state changes only through the lock manager's own methods.
+The 2PL-HP lock table (:class:`repro.db.locks.LockManager`) keeps its
+holder, waiter and per-transaction indexes consistent only through its
+own methods.  This rule tracks ``LockManager`` references through
+annotations and constructor provenance, so a reference that leaks out
+of ``db/locks.py`` under an innocent name (``table = server.locks;
+table._held_by = {}``) is still caught: any attribute written on a
+LockManager-typed value outside ``db/locks.py`` is a violation.
 """
 
 from __future__ import annotations
@@ -26,17 +19,16 @@ from repro.lint.flow.base import FlowAnalysis, FlowRule, register_flow
 
 #: (class name, owning component, modules allowed to mutate instances).
 _OWNED_TYPES: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
-    ("Event", "sim", frozenset({"sim.engine", "sim.events"})),
-    ("LockTable", "db", frozenset({"db.locks"})),
+    ("LockManager", "db", frozenset({"db.locks"})),
 )
 
 
 @register_flow
 class EngineEscapeRule(FlowRule):
-    """SF004: Event/LockTable references stay engine-owned."""
+    """SF004: LockManager state is mutated only inside db/locks.py."""
 
     rule_id = "SF004"
-    summary = "Event/LockTable references do not escape their engine and mutate"
+    summary = "LockManager state is mutated only inside db/locks.py"
 
     def check(self, analysis: FlowAnalysis) -> Iterator[Violation]:
         owned = self._owned_classes(analysis)
@@ -45,7 +37,6 @@ class EngineEscapeRule(FlowRule):
         for func in analysis.callgraph.functions_in_postorder():
             mod = analysis.symbols.modules[func.module].module
             env = analysis.symbols.local_types(func)
-            yield from self._check_construction(analysis, func, mod, owned)
             yield from self._check_mutation(analysis, func, mod, env, owned)
 
     # -- identification -------------------------------------------------
@@ -63,36 +54,6 @@ class EngineEscapeRule(FlowRule):
 
     def _module_is_exempt(self, module: str, mutators: FrozenSet[str]) -> bool:
         return any(module.endswith(suffix) for suffix in mutators)
-
-    # -- foreign construction ------------------------------------------
-
-    def _check_construction(
-        self,
-        analysis: FlowAnalysis,
-        func,
-        mod,
-        owned: Dict[str, Tuple[str, str, FrozenSet[str]]],
-    ) -> Iterator[Violation]:
-        env = analysis.symbols.local_types(func)
-        for node in ast.walk(func.node):
-            if not isinstance(node, ast.Call):
-                continue
-            target = analysis.symbols.resolve_call_target(func.module, node.func, env)
-            if target is None or target[0] != "class":
-                continue
-            info = owned.get(target[1])
-            if info is None:
-                continue
-            name, component, _mutators = info
-            if name != "Event" or mod.component == component:
-                continue
-            yield self.violation(
-                mod,
-                node,
-                f"direct {name}(...) construction outside the {component} "
-                "engine; events must be minted by Simulator.schedule so they "
-                "carry a valid heap sequence number",
-            )
 
     # -- foreign mutation ----------------------------------------------
 
@@ -139,15 +100,10 @@ class EngineEscapeRule(FlowRule):
         name, _component, mutators = info
         if self._module_is_exempt(func.module, mutators):
             return
-        remedy = (
-            "cancel through Timer.cancel() or schedule a fresh event"
-            if name == "Event"
-            else "go through the lock manager's own methods"
-        )
         yield self.violation(
             mod,
             target,
             f"assignment to {name}.{target.attr} outside the engine modules "
             f"(receiver tracked as {receiver_type}); {name} state is "
-            f"engine-owned — {remedy}",
+            "engine-owned — go through the lock manager's own methods",
         )

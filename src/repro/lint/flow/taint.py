@@ -79,10 +79,6 @@ class TaintEngine:
         """Final name → labels environment of one function."""
         return self._envs.get(qualname, {})
 
-    def labels_of(self, func: FunctionInfo, expr: ast.expr) -> Labels:
-        """Labels that can reach ``expr`` inside ``func``."""
-        return self._expr_labels(func, expr, self.env_of(func.qualname))
-
     # -- solving --------------------------------------------------------
 
     def _solve(self) -> None:

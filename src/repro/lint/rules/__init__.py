@@ -5,6 +5,6 @@ Importing this package registers every rule with the registry in
 importing it below.
 """
 
-from repro.lint.rules import determinism, events, ordering, printing, typing, usm
+from repro.lint.rules import determinism, ordering, printing, typing, usm
 
-__all__ = ["determinism", "events", "ordering", "printing", "typing", "usm"]
+__all__ = ["determinism", "ordering", "printing", "typing", "usm"]

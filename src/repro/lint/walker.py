@@ -26,7 +26,7 @@ from repro.lint.config import DEFAULT_CONFIG, LintConfig
 #: Top-level subpackages a file can belong to; used to classify files
 #: that live outside an importable ``repro`` tree (test fixtures).
 KNOWN_COMPONENTS: FrozenSet[str] = frozenset(
-    {"sim", "db", "core", "workload", "experiments", "analysis", "lint", "obs"}
+    {"sim", "db", "core", "workload", "experiments", "lint", "obs"}
 )
 
 _SUPPRESS_RE = re.compile(

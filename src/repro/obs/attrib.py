@@ -45,11 +45,16 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
 
     The numpy default ("linear"): rank ``(n-1) * fraction``, fractional
     ranks interpolate between neighbors.  Deterministic and exact on
-    the boundary ranks; raises on an empty sequence.
+    the boundary ranks, and never outside ``[min, max]``.
+
+    Raises:
+        ValueError: On an empty sequence or ``fraction`` outside [0, 1].
     """
     n = len(sorted_values)
     if n == 0:
         raise ValueError("percentile of an empty sequence")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction!r}")
     if n == 1:
         return sorted_values[0]
     rank = (n - 1) * fraction
@@ -58,7 +63,9 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     weight = rank - lo
     if weight == 0.0:
         return sorted_values[lo]
-    return sorted_values[lo] * (1.0 - weight) + sorted_values[hi] * weight
+    value = sorted_values[lo] * (1.0 - weight) + sorted_values[hi] * weight
+    # Interpolation round-off must not escape the observed range.
+    return min(max(value, sorted_values[0]), sorted_values[-1])
 
 
 def _percentile_row(values: List[float]) -> Dict[str, Optional[float]]:

@@ -42,10 +42,6 @@ class ObsConfig:
             ``<stem>.controller.csv``, ``<stem>.prom.txt``, and (with
             ``spans``) ``<stem>.spans.jsonl`` where ``<stem>`` is the
             sanitized cell label + seed.
-        trace_jsonl / chrome_json / controller_csv / prometheus_txt /
-        spans_jsonl:
-            Explicit output paths; each overrides the ``out_dir``
-            derivation for that one artifact.
     """
 
     enabled: bool = True
@@ -54,32 +50,18 @@ class ObsConfig:
     keep_events: bool = False
     spans: bool = True
     out_dir: Optional[str] = None
-    trace_jsonl: Optional[str] = None
-    chrome_json: Optional[str] = None
-    controller_csv: Optional[str] = None
-    prometheus_txt: Optional[str] = None
-    spans_jsonl: Optional[str] = None
 
     def export_paths(self, label: str, seed: int) -> dict:
-        """Resolve the artifact paths for one cell (or {}).
-
-        Explicit per-artifact paths always win; otherwise paths are
-        derived from ``out_dir``.  Artifacts with no resolvable path
-        are omitted from the mapping.
-        """
+        """Resolve the artifact paths for one cell under ``out_dir``
+        (``{}`` when no ``out_dir`` is set)."""
+        if self.out_dir is None:
+            return {}
         stem = f"{sanitize_label(label)}.seed{seed}"
-        base = Path(self.out_dir) if self.out_dir is not None else None
-        paths = {}
-        pairs = (
-            ("trace_jsonl", self.trace_jsonl, f"{stem}.trace.jsonl"),
-            ("chrome_json", self.chrome_json, f"{stem}.chrome.json"),
-            ("controller_csv", self.controller_csv, f"{stem}.controller.csv"),
-            ("prometheus_txt", self.prometheus_txt, f"{stem}.prom.txt"),
-            ("spans_jsonl", self.spans_jsonl, f"{stem}.spans.jsonl"),
-        )
-        for key, explicit, default_name in pairs:
-            if explicit is not None:
-                paths[key] = Path(explicit)
-            elif base is not None:
-                paths[key] = base / default_name
-        return paths
+        base = Path(self.out_dir)
+        return {
+            "trace_jsonl": base / f"{stem}.trace.jsonl",
+            "chrome_json": base / f"{stem}.chrome.json",
+            "controller_csv": base / f"{stem}.controller.csv",
+            "prometheus_txt": base / f"{stem}.prom.txt",
+            "spans_jsonl": base / f"{stem}.spans.jsonl",
+        }

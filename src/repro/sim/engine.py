@@ -1,9 +1,11 @@
 """The discrete-event simulation loop.
 
 :class:`Simulator` owns the virtual clock and a binary-heap event
-queue.  Callers schedule callbacks at absolute times or after delays
-and receive a :class:`Timer` handle that can cancel the pending event —
-the engine uses lazy deletion, so cancellation is O(1).
+queue.  Callers schedule callbacks at absolute times or after delays.
+An event that may need cancelling is scheduled with
+:meth:`Simulator.schedule_token`, whose packed ``int`` token is the
+engine's one cancellation handle (:meth:`Simulator.cancel_token`); the
+engine uses lazy deletion, so cancellation is O(1).
 
 Storage is a *slotted event arena*: the heap holds ``(time, priority,
 seq, slot)`` tuples (compared natively in C; ``seq`` is unique, so the
@@ -12,8 +14,7 @@ argument, and the pending/cancelled flag live in parallel arrays
 indexed by ``slot``.  Fired and cancelled slots return to a free list
 and are reused, so steady-state event churn allocates nothing beyond
 the heap tuple itself; a per-slot generation counter makes stale
-handles (a :class:`Timer` or packed token for a slot that has since
-been recycled) harmless.
+tokens (for a slot that has since been recycled) harmless.
 
 Lazy deletion is bounded: when cancelled entries exceed half the heap
 (and a small floor), the heap is rebuilt without them, so workloads
@@ -22,7 +23,7 @@ its deadline timer on commit — cannot grow the heap without bound.
 
 The engine is deliberately minimal: it has no notion of processes or
 resources.  The preemptive CPU model lives in
-:mod:`repro.db.server`, built from plain events and timers.
+:mod:`repro.db.server`, built from plain and token-scheduled events.
 """
 
 from __future__ import annotations
@@ -49,30 +50,6 @@ _COMPACT_MIN_CANCELLED = 64
 
 class SimulationError(RuntimeError):
     """Raised on invalid use of the engine (e.g. scheduling in the past)."""
-
-
-class Timer:
-    """Handle to a scheduled event; supports cancellation and queries."""
-
-    __slots__ = ("_sim", "_slot", "_gen", "time")
-
-    def __init__(self, sim: "Simulator", slot: int, gen: int, time: float) -> None:
-        self._sim = sim
-        self._slot = slot
-        self._gen = gen
-        #: Scheduled firing time (stable even after the event resolves).
-        self.time = time
-
-    @property
-    def active(self) -> bool:
-        """True while the event is still pending (not fired, not cancelled)."""
-        sim = self._sim
-        slot = self._slot
-        return sim._gen[slot] == self._gen and not sim._flag[slot]
-
-    def cancel(self) -> None:
-        """Cancel the pending event.  Idempotent; a no-op once fired."""
-        self._sim._cancel(self._slot, self._gen)
 
 
 class Simulator:
@@ -153,19 +130,6 @@ class Simulator:
         self._flag[slot] = 0
         self._free.append(slot)
 
-    def _cancel(self, slot: int, gen: int) -> None:
-        """Lazily cancel the event in ``slot`` (no-op on stale handles)."""
-        if self._gen[slot] != gen or self._flag[slot]:
-            return
-        self._flag[slot] = 1
-        self._cb[slot] = None
-        self._arg[slot] = None
-        self._live -= 1
-        cancelled = self._cancelled + 1
-        self._cancelled = cancelled
-        if cancelled >= _COMPACT_MIN_CANCELLED and cancelled * 2 > len(self._heap):
-            self._compact()
-
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries, recycling their slots."""
         flag = self._flag
@@ -189,16 +153,16 @@ class Simulator:
         at: float,
         callback: Callable[[], Any],
         priority: int = 0,
-    ) -> Timer:
+    ) -> None:
         """Schedule ``callback`` at absolute time ``at``.
+
+        The event cannot be cancelled; use :meth:`schedule_token` for
+        one that may need to be.
 
         Args:
             at: Absolute simulated time; must not precede the clock.
             callback: Zero-argument callable.
             priority: Tie-break rank for same-instant events (lower first).
-
-        Returns:
-            A cancellable :class:`Timer` handle.
 
         Raises:
             SimulationError: If ``at`` is in the simulated past.
@@ -212,18 +176,17 @@ class Simulator:
         self._seq = seq
         heapq.heappush(self._heap, (at, priority, seq, slot))
         self._live += 1
-        return Timer(self, slot, self._gen[slot], at)
 
     def schedule_after(
         self,
         delay: float,
         callback: Callable[[], Any],
         priority: int = 0,
-    ) -> Timer:
+    ) -> None:
         """Schedule ``callback`` after a non-negative ``delay``."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule(self.now + delay, callback, priority=priority)
+        self.schedule(self.now + delay, callback, priority=priority)
 
     def schedule_token(
         self,
@@ -234,11 +197,10 @@ class Simulator:
     ) -> int:
         """Schedule ``callback(arg)`` and return a packed cancel token.
 
-        The allocation-free flavour of :meth:`schedule` for internal
-        hot paths: no :class:`Timer` object, no closure — the argument
-        rides in the arena and the returned ``int`` token cancels via
-        :meth:`cancel_token`.  Stale tokens (event already fired or
-        cancelled) are harmless.
+        The cancellable, closure-free flavour of :meth:`schedule`: the
+        argument rides in the arena and the returned ``int`` token
+        cancels via :meth:`cancel_token`.  Stale tokens (event already
+        fired or cancelled) are harmless.
         """
         if at < self.now:
             raise SimulationError(
@@ -264,9 +226,22 @@ class Simulator:
         return (self._gen[slot] << _SLOT_BITS) | slot
 
     def cancel_token(self, token: int) -> None:
-        """Cancel the event behind a :meth:`schedule_token` token.
-        Idempotent; a no-op once the event fired."""
-        self._cancel(token & _SLOT_MASK, token >> _SLOT_BITS)
+        """Lazily cancel the event behind a :meth:`schedule_token` token.
+
+        Idempotent; a no-op once the event fired or its slot was
+        recycled (the token's generation no longer matches).
+        """
+        slot = token & _SLOT_MASK
+        if self._gen[slot] != token >> _SLOT_BITS or self._flag[slot]:
+            return
+        self._flag[slot] = 1
+        self._cb[slot] = None
+        self._arg[slot] = None
+        self._live -= 1
+        cancelled = self._cancelled + 1
+        self._cancelled = cancelled
+        if cancelled >= _COMPACT_MIN_CANCELLED and cancelled * 2 > len(self._heap):
+            self._compact()
 
     def schedule_batch(
         self,
@@ -298,13 +273,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # inspection / inline advancement
     # ------------------------------------------------------------------
-
-    def peek_time(self) -> Optional[float]:
-        """Firing time of the next live event, or None if the queue is drained."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
 
     def peek_key(self) -> Optional[Tuple[float, int]]:
         """``(time, priority)`` of the next live event, or None when drained.
@@ -338,25 +306,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Fire the next live event.  Returns False when the queue is empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return False
-        time, _, _, slot = heapq.heappop(self._heap)
-        self.now = time
-        self._fired += 1
-        self._live -= 1
-        callback = self._cb[slot]
-        arg = self._arg[slot]
-        self._release(slot)
-        assert callback is not None
-        if arg is _NO_ARG:
-            callback()
-        else:
-            callback(arg)
-        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the loop until the queue drains, ``until`` is reached, or

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.usm import PenaltyProfile
-from repro.experiments.__main__ import dossier_run, main
+from repro.db.transactions import Outcome, QueryRecord
+from repro.experiments.__main__ import dossier_run, main, response_time_rows
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_grid
@@ -77,6 +78,60 @@ class TestDossierMatchesRunner:
         assert report.busy_by_class == reference.busy_by_class
         assert len(report.records) == reference.queries_submitted
         assert len(timeline) == 10
+
+
+def _record(outcome, response):
+    return QueryRecord(
+        txn_id=1,
+        arrival=0.0,
+        items=(0,),
+        exec_time=0.1,
+        relative_deadline=1.0,
+        freshness_req=0.9,
+        outcome=outcome,
+        finish_time=response,
+    )
+
+
+class TestDossierTables:
+    def test_response_rows_split_per_outcome(self):
+        rows = response_time_rows(
+            [
+                _record(Outcome.SUCCESS, 0.1),
+                _record(Outcome.SUCCESS, 0.3),
+                _record(Outcome.DEADLINE_MISS, 1.0),
+                _record(Outcome.REJECTED, 0.0),
+            ]
+        )
+        # Pooled row first (rejections excluded), then first-seen order.
+        assert [row[:2] for row in rows] == [
+            ["(all finished)", 3],
+            ["success", 2],
+            ["dmf", 1],
+            ["rejected", 1],
+        ]
+        assert rows[1][2] == "200.0"  # success mean, ms
+        assert rows[2][3:] == ["1000.0", "1000.0", "1000.0"]
+
+    def test_no_records_no_rows(self):
+        assert response_time_rows([]) == []
+
+    def _timeline(self, policy):
+        config = ExperimentConfig(
+            policy=policy, update_trace="med-unif", seed=7, scale=SCALES["smoke"],
+        )
+        _report, rows = dossier_run(config)
+        return rows
+
+    def test_timeline_plain_policy_has_no_knobs(self):
+        rows = self._timeline("imu")
+        assert len(rows) == 10
+        assert all(row[5] == "" and row[6] == "" for row in rows)
+
+    def test_timeline_captures_unit_knobs(self):
+        rows = self._timeline("unit")
+        assert [float(row[0]) for row in rows] == sorted(float(row[0]) for row in rows)
+        assert all(row[5] != "" and isinstance(row[6], int) for row in rows)
 
 
 class TestSweep:

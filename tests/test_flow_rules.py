@@ -9,8 +9,6 @@ which rules fire — and, just as importantly, which don't.
 from pathlib import Path
 from textwrap import dedent
 
-import pytest
-
 from repro.lint.flow import run_flow
 
 # -- harness ----------------------------------------------------------------
@@ -60,14 +58,14 @@ ENGINE = """\
             return delay
 """
 
-EVENTS = """\
-    "Event fixture."
+LOCKS = """\
+    "LockManager fixture."
 
 
-    class Event:
-        def __init__(self, time: float) -> None:
-            self.time = time
-            self.cancelled = False
+    class LockManager:
+        def __init__(self) -> None:
+            self._held_by = {}
+            self._waiting_on = {}
 """
 
 
@@ -564,84 +562,63 @@ class TestCrossProcessCapture:
 
 
 class TestEngineEscape:
-    def test_event_mutation_via_leaked_alias_is_flagged(self, tmp_path):
+    def test_lock_manager_mutation_via_leaked_alias_is_flagged(self, tmp_path):
         violations = flow_violations(
             tmp_path,
             {
-                "sim/events.py": EVENTS,
+                "db/locks.py": LOCKS,
                 "core/policy.py": """\
                     "policy."
-                    from repro.sim.events import Event
+                    from repro.db.locks import LockManager
 
 
-                    def tweak(entry: Event):
-                        entry.time = 5.0
+                    def tweak(table: LockManager):
+                        table._held_by = {}
                 """,
             },
             select=["SF004"],
         )
         assert rules_fired(violations) == {"SF004"}
-        assert "Event.time" in violations[0].message
-
-    def test_event_construction_outside_sim_is_flagged(self, tmp_path):
-        violations = flow_violations(
-            tmp_path,
-            {
-                "sim/events.py": EVENTS,
-                "db/server.py": """\
-                    "server."
-                    from repro.sim.events import Event
-
-
-                    def fake(now: float):
-                        return Event(now + 1.0)
-                """,
-            },
-            select=["SF004"],
-        )
-        assert rules_fired(violations) == {"SF004"}
-        assert "Simulator.schedule" in violations[0].message
+        assert "LockManager._held_by" in violations[0].message
 
     def test_engine_modules_may_mutate(self, tmp_path):
         violations = flow_violations(
             tmp_path,
             {
-                "sim/events.py": EVENTS,
-                "sim/engine.py": """\
-                    "engine."
-                    from repro.sim.events import Event
+                "db/locks.py": LOCKS
+                + """\
 
 
-                    def cancel(event: Event):
-                        event.cancelled = True
-                """,
+    def reset(table: LockManager):
+        table._waiting_on = {}
+""",
             },
             select=["SF004"],
         )
         assert violations == []
 
     def test_provenance_tracks_through_assignment(self, tmp_path):
-        """The SL005 gap this rule closes: mutation through an alias
-        bound from a constructor, not an annotation."""
+        """Mutation through an alias bound from a constructor, not an
+        annotation, is still tracked."""
         violations = flow_violations(
             tmp_path,
             {
-                "sim/events.py": EVENTS,
+                "db/locks.py": LOCKS,
                 "core/policy.py": """\
                     "policy."
-                    from repro.sim.events import Event
+                    from repro.db.locks import LockManager
 
 
                     def sneak():
-                        entry = Event(0.0)
-                        entry.time = 9.0
+                        table = LockManager()
+                        table._waiting_on = {}
                 """,
             },
             select=["SF004"],
         )
-        # Both the foreign construction and the aliased mutation fire.
+        # Constructing a LockManager is fine; the aliased mutation fires.
         assert rules_fired(violations) == {"SF004"}
-        assert len(violations) == 2
+        assert len(violations) == 1
 
 
 # -- suppression interaction --------------------------------------------------
@@ -652,14 +629,14 @@ class TestFlowSuppression:
         violations = flow_violations(
             tmp_path,
             {
-                "sim/events.py": EVENTS,
+                "db/locks.py": LOCKS,
                 "core/policy.py": """\
                     "policy."
-                    from repro.sim.events import Event
+                    from repro.db.locks import LockManager
 
 
-                    def tweak(entry: Event):
-                        entry.time = 5.0  # simlint: disable=SF004 -- fixture
+                    def tweak(table: LockManager):
+                        table._held_by = {}  # simlint: disable=SF004 -- fixture
                 """,
             },
             select=["SF004"],
@@ -670,15 +647,15 @@ class TestFlowSuppression:
         violations = flow_violations(
             tmp_path,
             {
-                "sim/events.py": EVENTS,
+                "db/locks.py": LOCKS,
                 "core/policy.py": """\
                     "policy."
                     # simlint: disable-file=SF004 -- fixture
-                    from repro.sim.events import Event
+                    from repro.db.locks import LockManager
 
 
-                    def tweak(entry: Event):
-                        entry.time = 5.0
+                    def tweak(table: LockManager):
+                        table._held_by = {}
                 """,
             },
             select=["SF004"],
@@ -689,14 +666,14 @@ class TestFlowSuppression:
         violations = flow_violations(
             tmp_path,
             {
-                "sim/events.py": EVENTS,
+                "db/locks.py": LOCKS,
                 "core/policy.py": """\
                     "policy."
-                    from repro.sim.events import Event
+                    from repro.db.locks import LockManager
 
 
-                    def tweak(entry: Event):
-                        entry.time = 5.0  # simlint: disable=SL005 -- wrong layer
+                    def tweak(table: LockManager):
+                        table._held_by = {}  # simlint: disable=SL003 -- wrong layer
                 """,
             },
             select=["SF004"],

@@ -131,13 +131,13 @@ class TestSeededViolations:
         assert "SF003" in result.stdout
         assert "sweep.py" in result.stdout
 
-    def test_sf004_event_mutation_outside_engine(self, tmp_path):
+    def test_sf004_lock_manager_mutation_outside_locks(self, tmp_path):
         tree = _seed(
             tmp_path,
             Path("core") / "lottery.py",
-            "\n\ndef _leak_event_mutation(entry: 'Event') -> None:\n"
-            "    entry.time = 0.0\n"
-            "\n\nfrom repro.sim.events import Event\n",
+            "\n\ndef _leak_lock_mutation(table: 'LockManager') -> None:\n"
+            "    table._held_by = {}\n"
+            "\n\nfrom repro.db.locks import LockManager\n",
         )
         result = run_cli(str(tree))
         assert result.returncode == 1
@@ -217,9 +217,9 @@ class TestBaselineRatchet:
         _seed(
             tmp_path,
             Path("core") / "lottery.py",
-            "\n\ndef _fresh_leak(entry: 'Event') -> None:\n"
-            "    entry.time = 0.0\n"
-            "\n\nfrom repro.sim.events import Event\n",
+            "\n\ndef _fresh_leak(table: 'LockManager') -> None:\n"
+            "    table._waiting_on = {}\n"
+            "\n\nfrom repro.db.locks import LockManager\n",
         )
         dirty = run_cli(str(sf002_tree), "--baseline", str(baseline_path))
         assert dirty.returncode == 1

@@ -18,7 +18,7 @@ DB = "src/repro/db/fixture.py"
 SIM = "src/repro/sim/fixture.py"
 WORKLOAD = "src/repro/workload/fixture.py"
 EXPERIMENTS = "src/repro/experiments/fixture.py"
-ANALYSIS = "src/repro/analysis/fixture.py"
+OBS = "src/repro/obs/fixture.py"
 
 
 def rules_fired(source, path):
@@ -239,7 +239,7 @@ class TestSL004OutcomeExhaustive:
         src = _OUTCOME_PRELUDE + (
             "WEIGHTS = {Outcome.SUCCESS: 1.0, Outcome.REJECTED: -1.0}\n"
         )
-        found = violations(src, ANALYSIS, "SL004")  # rule applies everywhere
+        found = violations(src, OBS, "SL004")  # rule applies everywhere
         assert len(found) == 1
         assert "mapping" in found[0].message
 
@@ -288,35 +288,6 @@ class TestSL004OutcomeExhaustive:
             "    return 0\n"
         )
         assert violations(src, CORE, "SL004") == []
-
-
-class TestSL005EventMutation:
-    def test_cancelled_assignment_triggers(self):
-        src = "def kill(timer):\n    timer.cancelled = True\n"
-        found = violations(src, CORE, "SL005")
-        assert len(found) == 1
-        assert "Timer.cancel()" in found[0].message
-
-    def test_eventish_time_assignment_triggers(self):
-        src = "def retime(event):\n    event.time = 5.0\n"
-        assert len(violations(src, DB, "SL005")) == 1
-
-    def test_callback_swap_triggers(self):
-        src = "def swap(pending_event, fn):\n    pending_event.callback = fn\n"
-        assert len(violations(src, EXPERIMENTS, "SL005")) == 1
-
-    def test_generic_time_attribute_is_clean(self):
-        src = "def stamp(record):\n    record.time = 5.0\n"
-        # 'record' does not look like an Event; mutation is allowed.
-        assert violations(src, CORE, "SL005") == []
-
-    def test_engine_module_is_exempt(self):
-        src = "def cancel(self):\n    self._event.cancelled = True\n"
-        assert violations(src, "src/repro/sim/engine.py", "SL005") == []
-
-    def test_events_module_is_exempt(self):
-        src = "def reset(event):\n    event.cancelled = False\n"
-        assert violations(src, "src/repro/sim/events.py", "SL005") == []
 
 
 class TestSL006PublicAnnotations:
@@ -384,7 +355,7 @@ class TestSL007BarePrint:
         # SL007 patrols every component, not just the simulation path.
         src = "print('progress')\n"
         assert len(violations(src, EXPERIMENTS, "SL007")) == 1
-        assert len(violations(src, ANALYSIS, "SL007")) == 1
+        assert len(violations(src, OBS, "SL007")) == 1
 
     def test_builtins_print_triggers(self):
         src = "import builtins\nbuiltins.print('hi')\n"
@@ -575,7 +546,6 @@ class TestConfigAndRegistry:
             "SL002",
             "SL003",
             "SL004",
-            "SL005",
             "SL006",
             "SL007",
         ]

@@ -125,7 +125,6 @@ class TestCliContract:
             "SL002",
             "SL003",
             "SL004",
-            "SL005",
             "SL006",
             "SL007",
         ):

@@ -7,6 +7,7 @@ operation order), for every penalty profile.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.usm import TABLE2_PROFILES, PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
@@ -54,6 +55,36 @@ class TestPercentile:
         assert percentile(values, 1.0) == 4.0
         # rank (n-1)*0.9 = 2.7 -> 3.0 + 0.7*(4.0-3.0)
         assert percentile(values, 0.9) == pytest.approx(3.7)
+
+    def test_median_of_odd_list(self):
+        assert percentile([1.0, 2.0, 3.0], 0.5) == 2.0
+
+    def test_interpolation(self):
+        assert percentile([0.0, 10.0], 0.25) == pytest.approx(2.5)
+
+    def test_extremes(self):
+        values = [1.0, 5.0, 9.0]
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 1.0) == 9.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            percentile([], 0.5)
+        with pytest.raises(ValueError):
+            percentile([1.0], 1.5)
+
+    def test_equal_values_stay_in_range(self):
+        # Unclamped interpolation returns 0.00018746298938879117 here,
+        # one ulp above every observed value.
+        values = [0.00018746298938879114] * 39
+        assert percentile(values, 0.9) == values[0]
+
+    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
+    def test_property_bounded_and_monotone(self, values):
+        values = sorted(values)
+        p10 = percentile(values, 0.1)
+        p90 = percentile(values, 0.9)
+        assert values[0] <= p10 <= p90 <= values[-1]
 
     def test_rows_over_real_spans(self):
         _, spans = _run()

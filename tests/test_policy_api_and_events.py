@@ -1,11 +1,10 @@
-"""Coverage for the policy-hook defaults and raw event ordering."""
+"""Coverage for event ordering in the engine and the policy-hook defaults."""
 
 from repro.db.items import ItemTable
 from repro.db.policy_api import ServerPolicy
 from repro.db.server import Server, ServerConfig
 from repro.db.transactions import QueryTransaction
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
 
 
 class MinimalPolicy(ServerPolicy):
@@ -16,6 +15,37 @@ class MinimalPolicy(ServerPolicy):
 
     def should_apply_update(self, item, server):
         return True
+
+
+class TestEventOrdering:
+    """Events are totally ordered by ``(time, priority, seq)``."""
+
+    def test_total_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, lambda: fired.append("later_time"), priority=-5)
+        sim.schedule(1.0, lambda: fired.append("early"), priority=0)
+        sim.schedule(1.0, lambda: fired.append("higher_priority"), priority=-1)
+        sim.schedule(1.0, lambda: fired.append("later_seq"), priority=0)
+        sim.run()
+        assert fired == ["higher_priority", "early", "later_seq", "later_time"]
+
+    def test_cancelled_event_does_not_invoke_callback(self):
+        sim = Simulator()
+        fired = []
+        token = sim.schedule_token(1.0, fired.append, 1)
+        sim.cancel_token(token)
+        sim.run()
+        assert fired == []
+        assert sim.events_fired == 0
+
+    def test_fire_invokes_callback(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_token(1.0, fired.append, 1)
+        sim.run()
+        assert fired == [1]
+        assert sim.events_fired == 1
 
 
 class TestPolicyDefaults:
@@ -48,25 +78,3 @@ class TestPolicyDefaults:
     def test_describe_defaults_to_class_name(self):
         assert MinimalPolicy().describe() == "MinimalPolicy"
 
-
-class TestEventOrdering:
-    def test_total_order(self):
-        early = Event(time=1.0, priority=0, seq=1)
-        later_time = Event(time=2.0, priority=-5, seq=0)
-        same_time_higher_priority = Event(time=1.0, priority=-1, seq=2)
-        same_everything_later_seq = Event(time=1.0, priority=0, seq=3)
-        assert early < later_time
-        assert same_time_higher_priority < early
-        assert early < same_everything_later_seq
-
-    def test_cancelled_event_does_not_invoke_callback(self):
-        fired = []
-        event = Event(time=1.0, callback=lambda: fired.append(1))
-        event.cancelled = True
-        event.fire()
-        assert fired == []
-
-    def test_fire_invokes_callback(self):
-        fired = []
-        Event(time=1.0, callback=lambda: fired.append(1)).fire()
-        assert fired == [1]

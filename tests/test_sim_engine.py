@@ -58,20 +58,24 @@ def test_negative_delay_rejected():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    timer = sim.schedule(1.0, lambda: fired.append("x"))
+    token = sim.schedule_token(1.0, fired.append, "x")
     sim.schedule(2.0, lambda: fired.append("y"))
-    timer.cancel()
-    assert not timer.active
+    sim.cancel_token(token)
+    assert sim.pending == 1
     sim.run()
     assert fired == ["y"]
 
 
 def test_cancel_is_idempotent():
     sim = Simulator()
-    timer = sim.schedule(1.0, lambda: None)
-    timer.cancel()
-    timer.cancel()
-    assert not timer.active
+    token = sim.schedule_token(1.0, lambda _: None, None)
+    sim.schedule(2.0, lambda: None)
+    sim.cancel_token(token)
+    sim.cancel_token(token)  # must not double-count the cancellation
+    assert sim.pending == 1
+    sim.run()
+    assert sim.events_fired == 1
+    assert sim.pending == 0
 
 
 def test_run_until_stops_clock_at_horizon():
@@ -95,13 +99,6 @@ def test_event_at_exact_until_boundary_fires():
     assert fired == ["edge"]
 
 
-def test_step_returns_false_when_drained():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
-
-
 def test_max_events_bounds_execution():
     sim = Simulator()
     fired = []
@@ -113,9 +110,9 @@ def test_max_events_bounds_execution():
 
 def test_events_fired_counts_only_live_events():
     sim = Simulator()
-    timer = sim.schedule(1.0, lambda: None)
+    token = sim.schedule_token(1.0, lambda _: None, None)
     sim.schedule(2.0, lambda: None)
-    timer.cancel()
+    sim.cancel_token(token)
     sim.run()
     assert sim.events_fired == 1
 
@@ -152,10 +149,10 @@ def test_run_is_not_reentrant():
 
 def test_pending_excludes_cancelled_immediately():
     sim = Simulator()
-    timer = sim.schedule(1.0, lambda: None)
+    token = sim.schedule_token(1.0, lambda _: None, None)
     sim.schedule(2.0, lambda: None)
     assert sim.pending == 2
-    timer.cancel()
+    sim.cancel_token(token)
     assert sim.pending == 1
 
 
@@ -171,23 +168,30 @@ def test_pending_decrements_as_events_fire():
 
 def test_cancel_after_fire_is_a_noop():
     sim = Simulator()
-    timer = sim.schedule(1.0, lambda: None)
+    fired = []
+    token = sim.schedule_token(1.0, fired.append, "first")
     sim.schedule(2.0, lambda: None)
     sim.run(until=1.5)
-    assert not timer.active
-    timer.cancel()  # must not corrupt the live-event count
-    assert sim.pending == 1
+    assert fired == ["first"]
+    # The fired event's slot is recycled by the next schedule; the
+    # stale token must cancel neither it nor corrupt the live count.
+    sim.schedule_token(3.0, fired.append, "second")
+    sim.cancel_token(token)
+    assert sim.pending == 2
     sim.run()
-    assert sim.events_fired == 2
+    assert fired == ["first", "second"]
+    assert sim.events_fired == 3
     assert sim.pending == 0
 
 
-def test_peek_time_skips_cancelled():
+def test_peek_key_skips_cancelled():
     sim = Simulator()
-    timer = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    timer.cancel()
-    assert sim.peek_time() == 2.0
+    token = sim.schedule_token(1.0, lambda _: None, None, priority=-1)
+    sim.schedule(2.0, lambda: None, priority=3)
+    sim.cancel_token(token)
+    assert sim.peek_key() == (2.0, 3)
+    sim.run()
+    assert sim.peek_key() is None
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60))
@@ -214,12 +218,13 @@ def test_property_cancelled_subset_never_fires(entries):
     fired = []
     cancelled_count = 0
     for index, (t, cancel) in enumerate(entries):
-        timer = sim.schedule(t, lambda i=index: fired.append(i))
+        token = sim.schedule_token(t, fired.append, index)
         if cancel:
-            timer.cancel()
+            sim.cancel_token(token)
             cancelled_count += 1
     sim.run()
     assert len(fired) == len(entries) - cancelled_count
+    assert not any(cancel for _, cancel in (entries[i] for i in fired))
 
 
 def test_heap_size_bounded_under_heavy_cancellation():
@@ -232,17 +237,17 @@ def test_heap_size_bounded_under_heavy_cancellation():
     included) at roughly twice ``pending`` plus the floor.
     """
     sim = Simulator()
-    live_timers = []
+    live_tokens = []
     keep = 50
     for i in range(20_000):
-        live_timers.append(sim.schedule(1.0 + i * 1e-3, lambda: None))
-        if len(live_timers) > keep:
-            live_timers.pop(0).cancel()
+        live_tokens.append(sim.schedule_token(1.0 + i * 1e-3, lambda _: None, None))
+        if len(live_tokens) > keep:
+            sim.cancel_token(live_tokens.pop(0))
         # Compactor invariant: cancelled entries never exceed
         # max(live, floor), so the raw heap stays O(pending).
         assert sim.heap_size <= 2 * sim.pending + 2 * 64
     assert sim.pending == keep
     assert sim.heap_size <= 2 * keep + 2 * 64
-    # The surviving timers still fire exactly once each.
+    # The surviving events still fire, draining the queue.
     sim.run()
     assert sim.pending == 0
