@@ -50,10 +50,6 @@ class LotteryScheduler:
             self._total_dirty = False
         return self._total_cache
 
-    def weight(self, index: int) -> float:
-        """Current weight of slot ``index``."""
-        return self._weights[index]
-
     def weights(self) -> List[float]:
         """Copy of all weights."""
         return list(self._weights)
@@ -73,10 +69,6 @@ class LotteryScheduler:
         while position <= self._n:
             self._tree[position] += delta
             position += position & (-position)
-
-    def add_weight(self, index: int, delta: float) -> None:
-        """Adjust slot ``index`` by ``delta``, clamping at zero."""
-        self.set_weight(index, max(0.0, self._weights[index] + delta))
 
     def _prefix_sum(self, count: int) -> float:
         total = 0.0
@@ -133,17 +125,33 @@ class LotteryScheduler:
         return index
 
     def rebuild(self, weights: List[float]) -> None:
-        """Replace all weights at once in O(n)."""
-        if len(weights) != self._n:
+        """Replace all weights at once.
+
+        Node ``p`` holds the left-to-right float sum of the slots
+        ``(p - lowbit(p), p]``, exactly as :meth:`set_weight` calls made
+        in slot order on an all-zero tree would leave it.  Its left half
+        is node ``p - lowbit(p)/2``, already built, so each node
+        continues that stored sum over its right half only: the same
+        additions in the same order, hence bit-identical nodes, with no
+        ancestor walks.  An explicit loop, not ``sum()``: from Python
+        3.12 ``sum`` of floats uses compensated summation and would
+        round differently.
+        """
+        n = self._n
+        if len(weights) != n:
             raise ValueError("weight vector length mismatch")
         if any(weight < 0 for weight in weights):
             raise ValueError("weights must be non-negative")
-        self._weights = list(weights)
+        weights = list(weights)
+        tree = [0.0] * (n + 1)
+        # Odd positions cover one slot: its weight summed from zero.
+        tree[1::2] = [0.0 + weight for weight in weights[0::2]]
+        for position in range(2, n + 1, 2):
+            half = (position & -position) >> 1
+            total = tree[position - half]
+            for weight in weights[position - half : position]:
+                total += weight
+            tree[position] = total
+        self._weights = weights
+        self._tree = tree
         self._total_dirty = True
-        self._tree = [0.0] * (self._n + 1)
-        for index, weight in enumerate(weights):
-            if weight:
-                position = index + 1
-                while position <= self._n:
-                    self._tree[position] += weight
-                    position += position & (-position)

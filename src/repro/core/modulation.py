@@ -147,24 +147,17 @@ class UpdateFrequencyModulator:
         Returns the ids of items whose period changed.
         """
         self.relax_threshold()
-        changed: List[int] = []
+        upgraded = self.items.upgrade_degraded(self.c_uu)
         obs = self._obs
-        for item in self.items.degraded_items():
-            before = item.current_period
-            item.upgrade_period(self.c_uu)
-            if item.current_period != before:
-                changed.append(item.item_id)
-                if obs.enabled and self._obs_sim is not None:
-                    obs.modulation_change(
-                        self._obs_sim.now,
-                        item.item_id,
-                        "upgrade",
-                        before,
-                        item.current_period,
-                    )
-        if changed:
+        if obs.enabled and self._obs_sim is not None:
+            now = self._obs_sim.now
+            for item, before in upgraded:
+                obs.modulation_change(
+                    now, item.item_id, "upgrade", before, item.current_period
+                )
+        if upgraded:
             self.upgrade_events += 1
-        return changed
+        return [item.item_id for item, _ in upgraded]
 
     def relax_threshold(self) -> None:
         """Ease the escalation threshold back toward zero.
@@ -178,7 +171,7 @@ class UpdateFrequencyModulator:
 
     def degraded_count(self) -> int:
         """Number of items currently held above their ideal period."""
-        return len(self.items.degraded_items())
+        return self.items.degraded_count()
 
     def victim_distribution(self) -> Optional[List[float]]:
         """Current lottery weights normalized to probabilities (for

@@ -76,9 +76,6 @@ class TicketBook:
         """Raw (unshifted) ticket value of an item."""
         return self._tickets[item_id]
 
-    def tickets(self) -> List[float]:
-        return list(self._tickets)
-
     @property
     def average_update_exec_time(self) -> float:
         """Running mean of observed update execution times (``ue_avg``)."""
@@ -154,8 +151,11 @@ class TicketBook:
         return self._threshold
 
     def _rebuild_weights(self) -> None:
+        tau = self._threshold
+        # The compare, as in :meth:`_set_ticket`: same values as
+        # ``max(0.0, t - tau)`` without a builtin call per ticket.
         self._lottery.rebuild(
-            [max(0.0, t - self._threshold) for t in self._tickets]
+            [w if (w := t - tau) > 0.0 else 0.0 for t in self._tickets]
         )
 
     # ------------------------------------------------------------------

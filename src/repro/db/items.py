@@ -16,7 +16,7 @@ skipped arrival irrelevant (paper Section 1, footnote 2).  The lag
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 @dataclasses.dataclass
@@ -191,7 +191,41 @@ class ItemTable:
 
     def degraded_items(self) -> List[DataItem]:
         """Items whose current period exceeds the ideal period."""
-        return [item for item in self._items if item.is_degraded]
+        return [
+            item for item in self._items if item.current_period > item.ideal_period
+        ]
+
+    def degraded_count(self) -> int:
+        """Number of items whose current period exceeds the ideal period.
+
+        Recounted on every call, so it stays right when code writes
+        ``current_period`` directly."""
+        return len(self.degraded_items())
+
+    def upgrade_degraded(self, shrink: float) -> List[Tuple[DataItem, float]]:
+        """Apply :meth:`DataItem.upgrade_period` to every degraded item in
+        one pass over the table.
+
+        Returns ``(item, period_before)`` for each item whose period
+        changed, in item-id order.  Bit-identical to the per-item call:
+        ``max(pi, pc - shrink * pi)`` keeps ``pi`` on a tie, and so does
+        the compare below.  ``upgrade_period`` stays as the per-item
+        reference the tests check this pass against.
+        """
+        if shrink <= 0:
+            raise ValueError("shrink must be positive")
+        changed: List[Tuple[DataItem, float]] = []
+        for item in self._items:
+            before = item.current_period
+            ideal = item.ideal_period
+            if before > ideal:
+                after = before - shrink * ideal
+                if not after > ideal:
+                    after = ideal
+                if after != before:
+                    item.current_period = after
+                    changed.append((item, before))
+        return changed
 
     def totals(self) -> Dict[str, int]:
         """Aggregate counters across the table."""

@@ -32,6 +32,7 @@ from repro.faults.driver import FaultDriver
 from repro.faults.metrics import degradation_metrics
 from repro.obs.config import ObsConfig
 from repro.obs.export import (
+    FlatTrace,
     write_chrome_trace,
     write_controller_csv,
     write_prometheus,
@@ -331,9 +332,10 @@ def _export_artifacts(
     paths = obs_config.export_paths(config.label(), config.seed)
     if not paths:
         return {}
-    write_trace_jsonl(recorder, paths["trace_jsonl"])
-    write_chrome_trace(recorder, paths["chrome_json"])
-    write_controller_csv(recorder, paths["controller_csv"])
+    flat = FlatTrace(recorder)
+    write_trace_jsonl(flat, paths["trace_jsonl"])
+    write_chrome_trace(flat, paths["chrome_json"])
+    write_controller_csv(flat, paths["controller_csv"])
     kinds = ["trace_jsonl", "chrome_json", "controller_csv"]
     if recorder.metrics is not None:
         write_prometheus(recorder.metrics, paths["prometheus_txt"])  # type: ignore[arg-type]

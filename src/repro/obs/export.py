@@ -32,7 +32,7 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import Histogram, MetricsRegistry, RunMetrics
 
 EventDict = Mapping[str, object]
-EventSource = Union["_trace.TraceRecorder", Iterable[EventDict]]
+EventSource = Union["_trace.TraceRecorder", "FlatTrace", Iterable[EventDict]]
 
 _SEC_TO_US = 1_000_000.0
 
@@ -66,6 +66,30 @@ _LANE_BY_KIND = {
     _trace.FAULT_START: _TID_CONTROLLER,
     _trace.FAULT_END: _TID_CONTROLLER,
 }
+
+
+class FlatTrace:
+    """A recorder's retained events, flattened once.
+
+    Several exporters of one run can share it instead of each
+    flattening the ring again.  It carries the recorder's drop and
+    per-kind counts, so :func:`truncation_header` still writes the
+    ``trace.meta`` header for a ring that wrapped (a bare list of
+    dicts would silently lose it).
+    """
+
+    __slots__ = ("dropped", "counts", "_events")
+
+    def __init__(self, recorder: "_trace.TraceRecorder") -> None:
+        self.dropped = recorder.dropped
+        self.counts = dict(recorder.counts)
+        self._events = recorder.event_dicts()
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def event_dicts(self) -> List[Dict[str, object]]:
+        return self._events
 
 
 def _event_dicts(source: EventSource) -> List[Dict[str, object]]:

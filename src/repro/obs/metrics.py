@@ -18,7 +18,7 @@ ring buffer wraps.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.obs import trace as _trace
 from repro.sim.stats import OnlineStats, TimeSeries
@@ -241,9 +241,15 @@ class RunMetrics:
 
     Passed to :class:`repro.obs.trace.TraceRecorder` as its ``metrics``
     sink; every emitted event lands here exactly once, in order.
+
+    Each event kind has one handler, and each ``(instrument, label
+    value)`` pair is resolved through the registry once, on first use,
+    then reused: the per-event path never freezes a label set.  Kinds
+    without a handler (the ``sched.*`` transitions, lock grants, fleet
+    routing) cost one dict lookup.
     """
 
-    __slots__ = ("registry",)
+    __slots__ = ("registry", "_counters", "_gauges", "_histograms")
 
     #: ``control.window`` fields that are snapshot metadata rather than
     #: USM components; everything else in the event is gauged as a
@@ -255,93 +261,142 @@ class RunMetrics:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        # (instrument name, label value) -> the registry's instrument.
+        self._counters: Dict[Tuple[str, str], Counter] = {}
+        self._gauges: Dict[Tuple[str, str], Gauge] = {}
+        self._histograms: Dict[str, Histogram] = {}
 
     def observe_event(self, event: _trace.TraceEvent) -> None:
-        kind = event.kind
-        reg = self.registry
-        if kind == _trace.QUERY_OUTCOME:
-            # ``event.fields`` on the typed hot-kind events builds a
-            # dict per read, so the two hottest branches fetch field
-            # values without it (the typed attributes when present,
-            # falling back to the dict for hand-built TraceEvents).
-            if isinstance(event, _trace.QueryOutcomeEvent):
-                outcome = str(event.outcome)
-                latency: object = event.latency
-                freshness: object = event.freshness
-                restarts: object = event.restarts
-            else:
-                fields = event.fields
-                outcome = str(fields["outcome"])
-                latency = fields["latency"]
-                freshness = fields["freshness"]
-                restarts = fields["restarts"]
-            reg.counter("repro_query_outcomes_total", {"outcome": outcome}).inc()
-            if outcome != "rejected":
-                if isinstance(latency, (int, float)):
-                    reg.histogram(
-                        "repro_query_latency_seconds", LATENCY_EDGES
-                    ).observe(float(latency))
-                if isinstance(freshness, (int, float)):
-                    reg.histogram(
-                        "repro_query_freshness_ratio", FRESHNESS_EDGES
-                    ).observe(float(freshness))
-                if isinstance(restarts, (int, float)) and restarts:
-                    reg.counter("repro_query_restarts_total").inc(float(restarts))
-            return
-        if kind == _trace.QUERY_ADMIT:
-            # Counts only — never materialize the fields dict.
-            reg.counter("repro_query_admitted_total").inc()
-            return
+        handler = self._HANDLERS.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+
+    # -- resolved instruments -------------------------------------------
+
+    def _counter(self, name: str, label: str = "", value: str = "") -> Counter:
+        inst = self._counters.get((name, value))
+        if inst is None:
+            inst = self.registry.counter(name, {label: value} if label else None)
+            self._counters[(name, value)] = inst
+        return inst
+
+    def _gauge(self, name: str, label: str = "", value: str = "") -> Gauge:
+        inst = self._gauges.get((name, value))
+        if inst is None:
+            inst = self.registry.gauge(name, {label: value} if label else None)
+            self._gauges[(name, value)] = inst
+        return inst
+
+    def _histogram(self, name: str, edges: Tuple[float, ...]) -> Histogram:
+        inst = self._histograms.get(name)
+        if inst is None:
+            inst = self.registry.histogram(name, edges)
+            self._histograms[name] = inst
+        return inst
+
+    # -- per-kind handlers ----------------------------------------------
+    #
+    # Typed events are read through their slots; hand-built
+    # ``TraceEvent``s of the same kind fall back to the fields dict.
+
+    def _query_outcome(self, event: _trace.TraceEvent) -> None:
+        if isinstance(event, _trace.QueryOutcomeEvent):
+            outcome = str(event.outcome)
+            latency: object = event.latency
+            freshness: object = event.freshness
+            restarts: object = event.restarts
+        else:
+            fields = event.fields
+            outcome = str(fields["outcome"])
+            latency = fields["latency"]
+            freshness = fields["freshness"]
+            restarts = fields["restarts"]
+        self._counter("repro_query_outcomes_total", "outcome", outcome).inc()
+        if outcome != "rejected":
+            if isinstance(latency, (int, float)):
+                self._histogram(
+                    "repro_query_latency_seconds", LATENCY_EDGES
+                ).observe(float(latency))
+            if isinstance(freshness, (int, float)):
+                self._histogram(
+                    "repro_query_freshness_ratio", FRESHNESS_EDGES
+                ).observe(float(freshness))
+            if isinstance(restarts, (int, float)) and restarts:
+                self._counter("repro_query_restarts_total").inc(float(restarts))
+
+    def _query_admit(self, event: _trace.TraceEvent) -> None:
+        self._counter("repro_query_admitted_total").inc()
+
+    def _admission_decision(self, event: _trace.TraceEvent) -> None:
+        reason = str(event.fields["reason"])
+        self._counter("repro_admission_decisions_total", "reason", reason).inc()
+
+    def _lock_wait(self, event: _trace.TraceEvent) -> None:
+        self._counter("repro_lock_waits_total").inc()
+
+    def _lock_preempt(self, event: _trace.TraceEvent) -> None:
+        victims = event.fields["victims"]
+        self._counter("repro_lock_preemptions_total").inc()
+        if isinstance(victims, list):
+            self._counter("repro_lock_preempt_victims_total").inc(len(victims))
+
+    def _update_apply(self, event: _trace.TraceEvent) -> None:
+        on_demand = "true" if event.fields["on_demand"] else "false"
+        self._counter("repro_updates_applied_total", "on_demand", on_demand).inc()
+
+    def _update_drop(self, event: _trace.TraceEvent) -> None:
+        self._counter("repro_updates_dropped_total").inc()
+
+    def _modulation_change(self, event: _trace.TraceEvent) -> None:
+        if isinstance(event, _trace.ModulationChangeEvent):
+            direction = str(event.direction)
+        else:
+            direction = str(event.fields["direction"])
+        self._counter(
+            "repro_modulation_changes_total", "direction", direction
+        ).inc()
+
+    def _control_allocate(self, event: _trace.TraceEvent) -> None:
+        dominant = str(event.fields["dominant"])
+        self._counter(
+            "repro_control_allocations_total", "dominant", dominant
+        ).inc()
+
+    def _fault_start(self, event: _trace.TraceEvent) -> None:
+        fault = str(event.fields["fault"])
+        self._counter("repro_fault_windows_total", "fault", fault).inc()
+
+    def _control_window(self, event: _trace.TraceEvent) -> None:
         fields = event.fields
-        if kind == _trace.ADMISSION_DECISION:
-            reg.counter(
-                "repro_admission_decisions_total",
-                {"reason": str(fields["reason"])},
-            ).inc()
-        elif kind == _trace.LOCK_WAIT:
-            reg.counter("repro_lock_waits_total").inc()
-        elif kind == _trace.LOCK_PREEMPT:
-            victims = fields["victims"]
-            reg.counter("repro_lock_preemptions_total").inc()
-            if isinstance(victims, list):
-                reg.counter("repro_lock_preempt_victims_total").inc(len(victims))
-        elif kind == _trace.UPDATE_APPLY:
-            on_demand = "true" if fields["on_demand"] else "false"
-            reg.counter(
-                "repro_updates_applied_total", {"on_demand": on_demand}
-            ).inc()
-        elif kind == _trace.UPDATE_DROP:
-            reg.counter("repro_updates_dropped_total").inc()
-        elif kind == _trace.MODULATION_CHANGE:
-            reg.counter(
-                "repro_modulation_changes_total",
-                {"direction": str(fields["direction"])},
-            ).inc()
-        elif kind == _trace.CONTROL_ALLOCATE:
-            reg.counter(
-                "repro_control_allocations_total",
-                {"dominant": str(fields["dominant"])},
-            ).inc()
-        elif kind == _trace.FAULT_START:
-            reg.counter(
-                "repro_fault_windows_total", {"fault": str(fields["fault"])}
-            ).inc()
-        elif kind == _trace.CONTROL_WINDOW:
-            time = event.time
-            usm = fields.get("usm")
-            if isinstance(usm, (int, float)):
-                reg.gauge("repro_usm").set(time, float(usm))
-            for key in ("c_flex", "update_load", "degraded_items", "ticket_threshold"):
-                value = fields.get(key)
-                if isinstance(value, (int, float)):
-                    reg.gauge(f"repro_{key}").set(time, float(value))
-            for key, value in fields.items():
-                if key in self._WINDOW_META:
-                    continue
-                if isinstance(value, (int, float)):
-                    reg.gauge(
-                        "repro_usm_component", {"component": key}
-                    ).set(time, float(value))
+        time = event.time
+        usm = fields.get("usm")
+        if isinstance(usm, (int, float)):
+            self._gauge("repro_usm").set(time, float(usm))
+        for key in ("c_flex", "update_load", "degraded_items", "ticket_threshold"):
+            value = fields.get(key)
+            if isinstance(value, (int, float)):
+                self._gauge(f"repro_{key}").set(time, float(value))
+        for key, value in fields.items():
+            if key in self._WINDOW_META:
+                continue
+            if isinstance(value, (int, float)):
+                self._gauge("repro_usm_component", "component", key).set(
+                    time, float(value)
+                )
+
+    _HANDLERS: Dict[str, Callable[["RunMetrics", _trace.TraceEvent], None]] = {
+        _trace.QUERY_OUTCOME: _query_outcome,
+        _trace.QUERY_ADMIT: _query_admit,
+        _trace.ADMISSION_DECISION: _admission_decision,
+        _trace.LOCK_WAIT: _lock_wait,
+        _trace.LOCK_PREEMPT: _lock_preempt,
+        _trace.UPDATE_APPLY: _update_apply,
+        _trace.UPDATE_DROP: _update_drop,
+        _trace.MODULATION_CHANGE: _modulation_change,
+        _trace.CONTROL_ALLOCATE: _control_allocate,
+        _trace.FAULT_START: _fault_start,
+        _trace.CONTROL_WINDOW: _control_window,
+    }
 
     def snapshot(self) -> Dict[str, object]:
         return self.registry.snapshot()

@@ -373,19 +373,39 @@ def _failure_cause(wait_fixed: Mapping[str, int]) -> str:
 EventLike = Union[Mapping[str, object], "_trace.TraceEvent"]
 
 
+#: The kinds :func:`build_spans` folds; every other kind is skipped
+#: before its (possibly lazily built) fields are touched.
+_SPAN_KINDS = frozenset(
+    {
+        _trace.QUERY_ADMIT,
+        _trace.SCHED_ENQUEUE,
+        _trace.SCHED_DISPATCH,
+        _trace.SCHED_PARK,
+        _trace.LOCK_WAIT,
+        _trace.LOCK_GRANT,
+        _trace.QUERY_OUTCOME,
+        _trace.ADMISSION_DECISION,
+        _trace.FAULT_START,
+        _trace.FAULT_END,
+        _trace.TRACE_META,
+    }
+)
+
+
 def _iter_event_tuples(
     events: Iterable[EventLike],
 ) -> Iterable[Tuple[float, str, Mapping[str, object]]]:
-    """Normalize trace events / JSONL dicts to ``(t, kind, fields)``."""
+    """Normalize trace events / JSONL dicts to ``(t, kind, fields)``,
+    keeping only the kinds in :data:`_SPAN_KINDS`."""
     for event in events:
         if isinstance(event, _trace.TraceEvent):
-            yield event.time, event.kind, event.fields
+            kind = event.kind
+            if kind in _SPAN_KINDS:
+                yield event.time, kind, event.fields
         else:
-            yield (
-                float(event.get("t", 0.0)),  # type: ignore[arg-type]
-                str(event.get("kind", "")),
-                event,
-            )
+            kind = str(event.get("kind", ""))
+            if kind in _SPAN_KINDS:
+                yield float(event.get("t", 0.0)), kind, event  # type: ignore[arg-type]
 
 
 def build_spans(

@@ -263,6 +263,51 @@ class SchedEvent(TraceEvent):
         }
 
 
+class ModulationChangeEvent(TraceEvent):
+    """``modulation.change`` with typed slots.
+
+    The most numerous kind in a UNIT run: every Upgrade signal emits
+    one per degraded item, so like the query and scheduler kinds it
+    skips the eager fields dict.
+    """
+
+    __slots__ = ("item", "direction", "old_period", "new_period")
+
+    def __init__(
+        self,
+        time: float,
+        item: int,
+        direction: str,
+        old_period: float,
+        new_period: float,
+    ) -> None:
+        self.time = time
+        self.kind = MODULATION_CHANGE
+        self.item = item
+        self.direction = direction
+        self.old_period = old_period
+        self.new_period = new_period
+
+    @property
+    def fields(self) -> Dict[str, object]:  # type: ignore[override]
+        return {
+            "item": self.item,
+            "direction": self.direction,
+            "old_period": self.old_period,
+            "new_period": self.new_period,
+        }
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "t": self.time,
+            "kind": self.kind,
+            "item": self.item,
+            "direction": self.direction,
+            "old_period": self.old_period,
+            "new_period": self.new_period,
+        }
+
+
 class Recorder:
     """Interface shared by :class:`TraceRecorder` and :class:`NullRecorder`.
 
@@ -618,6 +663,19 @@ class TraceRecorder(Recorder):
                 time, txn_id, outcome, arrival, latency, freshness, restarts
             ),
             QUERY_OUTCOME,
+        )
+
+    def modulation_change(
+        self,
+        time: float,
+        item_id: int,
+        direction: str,
+        old_period: float,
+        new_period: float,
+    ) -> None:
+        self._record(
+            ModulationChangeEvent(time, item_id, direction, old_period, new_period),
+            MODULATION_CHANGE,
         )
 
     def __len__(self) -> int:

@@ -18,14 +18,17 @@ class TestWeights:
     def test_set_and_read_weight(self):
         lottery = LotteryScheduler(4)
         lottery.set_weight(2, 3.5)
-        assert lottery.weight(2) == 3.5
+        assert lottery.weights() == [0.0, 0.0, 3.5, 0.0]
         assert lottery.total == pytest.approx(3.5)
 
-    def test_add_weight_clamps_at_zero(self):
+    def test_set_weight_back_to_zero(self):
         lottery = LotteryScheduler(4)
         lottery.set_weight(1, 1.0)
-        lottery.add_weight(1, -5.0)
-        assert lottery.weight(1) == 0.0
+        lottery.set_weight(3, 2.0)
+        lottery.set_weight(1, 0.0)
+        assert lottery.weights() == [0.0, 0.0, 0.0, 2.0]
+        rng = random.Random(0)
+        assert {lottery.sample(rng) for _ in range(50)} == {3}
 
     def test_negative_weight_rejected(self):
         lottery = LotteryScheduler(4)
@@ -112,3 +115,59 @@ class TestSampling:
         draw_rng_a, draw_rng_b = random.Random(1), random.Random(1)
         for _ in range(100):
             assert incremental.sample(draw_rng_a) == rebuilt.sample(draw_rng_b)
+
+
+def _reference_tree(weights):
+    """The Fenwick tree as per-slot ancestor walks build it, in slot order."""
+    n = len(weights)
+    tree = [0.0] * (n + 1)
+    for index, weight in enumerate(weights):
+        if weight:
+            position = index + 1
+            while position <= n:
+                tree[position] += weight
+                position += position & (-position)
+    return tree
+
+
+_WEIGHT = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestRebuild:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_WEIGHT, min_size=1, max_size=300), st.integers(0, 2**32 - 1))
+    def test_property_rebuild_matches_ancestor_walk(self, weights, seed):
+        """Every node is bit-identical to the ancestor-walk build, and the
+        same generator draws the same slots from both trees."""
+        lottery = LotteryScheduler(len(weights))
+        lottery.rebuild(weights)
+        assert [node.hex() for node in lottery._tree] == [
+            node.hex() for node in _reference_tree(weights)
+        ]
+        reference = LotteryScheduler(len(weights))
+        for index, weight in enumerate(weights):
+            reference.set_weight(index, weight)
+        assert [node.hex() for node in reference._tree] == [
+            node.hex() for node in _reference_tree(weights)
+        ]
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        assert [lottery.sample(rng_a) for _ in range(20)] == [
+            reference.sample(rng_b) for _ in range(20)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 64, 100, 511, 1024, 1025])
+    def test_rebuild_sizes_and_zeros(self, n):
+        rng = random.Random(n)
+        weights = [
+            0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-6, 3) for _ in range(n)
+        ]
+        lottery = LotteryScheduler(n)
+        lottery.rebuild(weights)
+        assert [node.hex() for node in lottery._tree] == [
+            node.hex() for node in _reference_tree(weights)
+        ]
+        assert lottery.weights() == weights

@@ -127,6 +127,57 @@ class TestItemTable:
         with pytest.raises(ValueError):
             ItemTable([])
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-3, max_value=1e3),
+                st.floats(min_value=1.0, max_value=200.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from([0.5, 0.1, 1.0, 1e-9, 1e-17, 3.0]),
+    )
+    def test_upgrade_degraded_matches_per_item_upgrade(self, rows, shrink):
+        """The one-pass upgrade equals ``upgrade_period`` on every degraded
+        item, bit for bit, and reports the changed ids in id order."""
+
+        def table():
+            return ItemTable(
+                [
+                    make_item(item_id=i, ideal_period=pi, current_period=pi * stretch)
+                    for i, (pi, stretch) in enumerate(rows)
+                ]
+            )
+
+        fast, slow = table(), table()
+        changed = fast.upgrade_degraded(shrink)
+        expected = []
+        for item in slow.degraded_items():
+            before = item.current_period
+            item.upgrade_period(shrink)
+            if item.current_period != before:
+                expected.append((item.item_id, before))
+        assert [(item.item_id, before) for item, before in changed] == expected
+        assert [item.current_period.hex() for item in fast] == [
+            item.current_period.hex() for item in slow
+        ]
+
+    def test_upgrade_degraded_tie_keeps_ideal(self):
+        table = ItemTable([make_item(ideal_period=10.0, current_period=15.0)])
+        [(item, before)] = table.upgrade_degraded(0.5)
+        assert before == 15.0 and item.current_period == 10.0
+        assert table.upgrade_degraded(0.5) == []
+
+    def test_degraded_count_sees_direct_writes(self):
+        table = ItemTable.uniform(4, ideal_period=5.0, update_exec_time=0.1)
+        assert table.degraded_count() == 0
+        table[2].current_period = 7.5
+        table[3].degrade_period(0.1)
+        assert table.degraded_count() == 2 == len(table.degraded_items())
+        table[2].current_period = 5.0
+        assert table.degraded_count() == 1
+
     def test_degraded_items_and_totals(self):
         table = ItemTable.uniform(3, ideal_period=5.0, update_exec_time=0.1)
         table[1].degrade_period(0.2)

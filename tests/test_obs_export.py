@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.obs.export import (
+    FlatTrace,
     _prom_number,
     chrome_trace_events,
     controller_rows,
@@ -168,6 +169,21 @@ class TestTruncationHeader:
         lines = path.read_text().splitlines()
         assert json.loads(lines[0]) == header
         assert len(lines) == 3  # header + the 2 retained events
+
+    def test_flat_trace_of_wrapped_ring_keeps_header(self, tmp_path):
+        """Writers sharing one :class:`FlatTrace` still see the drops."""
+        rec = TraceRecorder(capacity=2)
+        rec.query_admit(0.1, 1, 1.5, 2)
+        rec.query_outcome(0.4, 1, "success", 0.1, 0.3, 0.9, 0)
+        rec.control_window(1.0, {"S": 0.8}, 0.42, 20, ["LAC"], 1.25, 0.3, 2, -0.5)
+        flat = FlatTrace(rec)
+        assert truncation_header(flat) == truncation_header(rec) is not None
+        assert render_trace_jsonl(flat) == render_trace_jsonl(rec)
+        assert chrome_trace_events(flat) == chrome_trace_events(rec)
+        assert controller_rows(flat) == controller_rows(rec)
+        path = tmp_path / "truncated.jsonl"
+        write_trace_jsonl(flat, path)
+        assert json.loads(path.read_text().splitlines()[0])["kind"] == "trace.meta"
 
     def test_digest_unchanged_for_complete_traces(self):
         """The header must not perturb historical digests."""

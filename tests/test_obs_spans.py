@@ -13,7 +13,10 @@ Three pillars (the PR's acceptance criteria):
    skipped and counted per category.
 """
 
+import ast
 import dataclasses
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,8 @@ from repro.core.usm import PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_grid, run_grid_parallel
+from repro.obs import spans as spans_module
+from repro.obs import trace as trace_module
 from repro.obs.config import ObsConfig
 from repro.obs.spans import (
     COMPONENT_BY_OUTCOME,
@@ -249,6 +254,40 @@ class TestMalformedStreams:
         assert span.lock_items == {9: pytest.approx(0.1)}
         states = [seg.state for seg in span.segments]
         assert states == ["queued", "executing", "lock-wait", "queued", "executing"]
+
+
+class TestKindFilter:
+    def test_filter_matches_the_kinds_build_spans_handles(self):
+        """``_iter_event_tuples`` drops every kind outside ``_SPAN_KINDS``
+        before ``build_spans`` sees it, so the set must name exactly the
+        kinds the builder's ``kind == _trace.X`` chain compares against."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(spans_module.build_spans)))
+        handled = set()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name)
+                and node.left.id == "kind"
+            ):
+                for right in node.comparators:
+                    assert isinstance(right, ast.Attribute)
+                    handled.add(getattr(trace_module, right.attr))
+        assert handled == spans_module._SPAN_KINDS
+
+    def test_ignored_kinds_leave_spans_unchanged(self):
+        events = [
+            TestMalformedStreams.ADMIT,
+            {"t": 1.0, "kind": "modulation.change", "item": 3,
+             "direction": "degrade", "old_period": 1.0, "new_period": 2.0},
+            TestMalformedStreams.ENQ,
+            TestMalformedStreams.RUN,
+            TestMalformedStreams.DONE,
+        ]
+        with_extra = render_spans_jsonl(build_spans(events))
+        without = render_spans_jsonl(
+            build_spans([e for e in events if e["kind"] != "modulation.change"])
+        )
+        assert with_extra == without
 
 
 class TestRunnerIntegration:

@@ -120,3 +120,34 @@ class TestTraceRecorder:
         rec = Recorder()
         rec.query_admit(0.0, 1, 1.0, 1)
         assert rec.enabled is False
+
+
+#: Every hook :class:`TraceRecorder` records as a typed slotted event,
+#: with sample arguments.
+TYPED_HOOKS = [
+    ("query_admit", (0.1, 1, 1.0, 2)),
+    ("query_outcome", (0.3, 1, "success", 0.1, 0.2, 0.95, 0)),
+    ("query_outcome", (0.3, 2, "rejected", 0.1, 0.0, None, 0)),
+    ("sched_enqueue", (0.1, 1, "admit")),
+    ("sched_dispatch", (0.15, 1)),
+    ("sched_park", (0.18, 1)),
+    ("modulation_change", (0.6, 5, "degrade", 2.0, 2.2)),
+    ("modulation_change", (0.7, 5, "upgrade", 2.2, 1.0)),
+]
+
+
+class TestTypedEvents:
+    @pytest.mark.parametrize("hook,args", TYPED_HOOKS)
+    def test_typed_event_matches_generic_emit(self, hook, args):
+        """A typed event's ``fields`` and ``as_dict()`` equal the dict the
+        generic :meth:`Recorder.emit` path builds, key order included."""
+        typed = TraceRecorder()
+        getattr(typed, hook)(*args)
+        generic = TraceRecorder()
+        getattr(Recorder, hook)(generic, *args)
+        [fast] = typed.events()
+        [slow] = generic.events()
+        assert type(fast) is not TraceEvent and type(slow) is TraceEvent
+        assert (fast.time, fast.kind) == (slow.time, slow.kind)
+        assert list(fast.fields.items()) == list(slow.fields.items())
+        assert list(fast.as_dict().items()) == list(slow.as_dict().items())
