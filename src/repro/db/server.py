@@ -246,13 +246,12 @@ class Server:
         arrival.  Each arrival is processed with full per-arrival
         semantics at its true time; between arrivals the clock advances
         via :meth:`Simulator.fire_inline` — no heap traffic — unless
-        something else (a deadline, a completion, a control tick) is
-        due first, in which case the rest of the run falls back to a
-        real event and yields.  ``events_fired`` counts every arrival
-        exactly as the one-event-per-arrival scheme did.
-
-        The caller guarantees every arrival time precedes the run
-        horizon (``Simulator.run``'s ``until`` never bisects a run).
+        the engine refuses: something else (a deadline, a completion, a
+        control tick) is due first, or the next arrival lies past the
+        active ``run``'s ``until`` or ``max_events`` bound.  The rest of
+        the run then falls back to a real event and yields.
+        ``events_fired`` counts every arrival exactly as the
+        one-event-per-arrival scheme did.
         """
         events, index, then = run
         sim = self.sim
@@ -264,12 +263,10 @@ class Server:
             if index >= count:
                 break
             at = events[index][0]
-            head = sim.peek_key()
-            if head is None or head > (at, ARRIVAL_EVENT_PRIORITY):
-                sim.fire_inline(at)
+            if sim.fire_inline(at, ARRIVAL_EVENT_PRIORITY):
                 continue
-            # Something pending outranks the next arrival: let the heap
-            # interleave it and resume the run afterwards.
+            # The engine may not fire the next arrival now: let the heap
+            # order it and resume the run afterwards.
             sim.schedule_token(
                 at, self.source_update_run, (events, index, then),
                 priority=ARRIVAL_EVENT_PRIORITY,

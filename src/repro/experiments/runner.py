@@ -248,9 +248,10 @@ def _feed_arrivals(
 
     Event *firing* order is unchanged: arrivals are the only events at
     their priority, chunk entries carry stream-ordered sequence numbers,
-    and a run yields to any other pending event type due mid-run — so
+    and a run yields to any other pending event due mid-run and to the
+    active ``Simulator.run`` bounds (``until``, ``max_events``) — so
     runs are byte-identical (``events_fired`` included) to the
-    one-event-per-arrival scheme.
+    one-event-per-arrival scheme, however the run is sliced.
     """
     # Pre-merge the streams into segments.  A run collects updates
     # strictly before the next query arrival: an update tying a query's
@@ -405,7 +406,9 @@ class Substrate:
             FaultDriver(config.faults, self.server, self.recorder).install(self.sim)
 
     def run_to(self, until: float) -> None:
-        """Fire every event with time <= ``until`` (idempotent past it)."""
+        """Fire every event with time <= ``until``, inlined update
+        arrivals included, and leave the clock at ``until`` (idempotent
+        past it)."""
         if until > self.sim.now:
             self.sim.run(until=until)
 

@@ -251,14 +251,6 @@ class RunMetrics:
 
     __slots__ = ("registry", "_counters", "_gauges", "_histograms")
 
-    #: ``control.window`` fields that are snapshot metadata rather than
-    #: USM components; everything else in the event is gauged as a
-    #: per-window component trajectory.
-    _WINDOW_META = frozenset(
-        {"usm", "samples", "signals", "c_flex", "update_load",
-         "degraded_items", "ticket_threshold"}
-    )
-
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         # (instrument name, label value) -> the registry's instrument.
@@ -267,7 +259,7 @@ class RunMetrics:
         self._histograms: Dict[str, Histogram] = {}
 
     def observe_event(self, event: _trace.TraceEvent) -> None:
-        handler = self._HANDLERS.get(event.kind)
+        handler = self._HANDLERS.get(event[1])
         if handler is not None:
             handler(self, event)
 
@@ -296,22 +288,11 @@ class RunMetrics:
 
     # -- per-kind handlers ----------------------------------------------
     #
-    # Typed events are read through their slots; hand-built
-    # ``TraceEvent``s of the same kind fall back to the fields dict.
+    # Each handler unpacks the event tuple in ``FIELDS[kind]`` order.
 
     def _query_outcome(self, event: _trace.TraceEvent) -> None:
-        if isinstance(event, _trace.QueryOutcomeEvent):
-            outcome = str(event.outcome)
-            latency: object = event.latency
-            freshness: object = event.freshness
-            restarts: object = event.restarts
-        else:
-            fields = event.fields
-            outcome = str(fields["outcome"])
-            latency = fields["latency"]
-            freshness = fields["freshness"]
-            restarts = fields["restarts"]
-        self._counter("repro_query_outcomes_total", "outcome", outcome).inc()
+        _, _, _, outcome, _, latency, freshness, restarts = event
+        self._counter("repro_query_outcomes_total", "outcome", str(outcome)).inc()
         if outcome != "rejected":
             if isinstance(latency, (int, float)):
                 self._histogram(
@@ -328,57 +309,56 @@ class RunMetrics:
         self._counter("repro_query_admitted_total").inc()
 
     def _admission_decision(self, event: _trace.TraceEvent) -> None:
-        reason = str(event.fields["reason"])
-        self._counter("repro_admission_decisions_total", "reason", reason).inc()
+        _, _, _, _, reason, _, _, _ = event
+        self._counter("repro_admission_decisions_total", "reason", str(reason)).inc()
 
     def _lock_wait(self, event: _trace.TraceEvent) -> None:
         self._counter("repro_lock_waits_total").inc()
 
     def _lock_preempt(self, event: _trace.TraceEvent) -> None:
-        victims = event.fields["victims"]
+        _, _, _, _, _, victims = event
         self._counter("repro_lock_preemptions_total").inc()
         if isinstance(victims, list):
             self._counter("repro_lock_preempt_victims_total").inc(len(victims))
 
     def _update_apply(self, event: _trace.TraceEvent) -> None:
-        on_demand = "true" if event.fields["on_demand"] else "false"
-        self._counter("repro_updates_applied_total", "on_demand", on_demand).inc()
+        _, _, _, _, on_demand, _ = event
+        label = "true" if on_demand else "false"
+        self._counter("repro_updates_applied_total", "on_demand", label).inc()
 
     def _update_drop(self, event: _trace.TraceEvent) -> None:
         self._counter("repro_updates_dropped_total").inc()
 
     def _modulation_change(self, event: _trace.TraceEvent) -> None:
-        if isinstance(event, _trace.ModulationChangeEvent):
-            direction = str(event.direction)
-        else:
-            direction = str(event.fields["direction"])
+        _, _, _, direction, _, _ = event
         self._counter(
-            "repro_modulation_changes_total", "direction", direction
+            "repro_modulation_changes_total", "direction", str(direction)
         ).inc()
 
     def _control_allocate(self, event: _trace.TraceEvent) -> None:
-        dominant = str(event.fields["dominant"])
+        _, _, dominant, _, _, _, _ = event
         self._counter(
-            "repro_control_allocations_total", "dominant", dominant
+            "repro_control_allocations_total", "dominant", str(dominant)
         ).inc()
 
     def _fault_start(self, event: _trace.TraceEvent) -> None:
-        fault = str(event.fields["fault"])
-        self._counter("repro_fault_windows_total", "fault", fault).inc()
+        _, _, _, fault, _ = event
+        self._counter("repro_fault_windows_total", "fault", str(fault)).inc()
 
     def _control_window(self, event: _trace.TraceEvent) -> None:
-        fields = event.fields
-        time = event.time
-        usm = fields.get("usm")
+        (time, _, usm, _, _, c_flex, update_load, degraded_items,
+         ticket_threshold, components) = event
         if isinstance(usm, (int, float)):
             self._gauge("repro_usm").set(time, float(usm))
-        for key in ("c_flex", "update_load", "degraded_items", "ticket_threshold"):
-            value = fields.get(key)
+        for name, value in (
+            ("repro_c_flex", c_flex),
+            ("repro_update_load", update_load),
+            ("repro_degraded_items", degraded_items),
+            ("repro_ticket_threshold", ticket_threshold),
+        ):
             if isinstance(value, (int, float)):
-                self._gauge(f"repro_{key}").set(time, float(value))
-        for key, value in fields.items():
-            if key in self._WINDOW_META:
-                continue
+                self._gauge(name).set(time, float(value))
+        for key, value in components.items():
             if isinstance(value, (int, float)):
                 self._gauge("repro_usm_component", "component", key).set(
                     time, float(value)

@@ -374,7 +374,7 @@ EventLike = Union[Mapping[str, object], "_trace.TraceEvent"]
 
 
 #: The kinds :func:`build_spans` folds; every other kind is skipped
-#: before its (possibly lazily built) fields are touched.
+#: before a flattened dict of it is converted.
 _SPAN_KINDS = frozenset(
     {
         _trace.QUERY_ADMIT,
@@ -392,20 +392,17 @@ _SPAN_KINDS = frozenset(
 )
 
 
-def _iter_event_tuples(
-    events: Iterable[EventLike],
-) -> Iterable[Tuple[float, str, Mapping[str, object]]]:
-    """Normalize trace events / JSONL dicts to ``(t, kind, fields)``,
-    keeping only the kinds in :data:`_SPAN_KINDS`."""
+def _iter_event_tuples(events: Iterable[EventLike]) -> Iterable["_trace.TraceEvent"]:
+    """The event tuples of the kinds in :data:`_SPAN_KINDS`; a flattened
+    dict (a JSONL line) is converted with :func:`~repro.obs.trace.from_dict`."""
+    span_kinds = _SPAN_KINDS
+    from_dict = _trace.from_dict
     for event in events:
-        if isinstance(event, _trace.TraceEvent):
-            kind = event.kind
-            if kind in _SPAN_KINDS:
-                yield event.time, kind, event.fields
-        else:
-            kind = str(event.get("kind", ""))
-            if kind in _SPAN_KINDS:
-                yield float(event.get("t", 0.0)), kind, event  # type: ignore[arg-type]
+        if isinstance(event, tuple):
+            if event[1] in span_kinds:
+                yield event
+        elif event.get("kind") in span_kinds:
+            yield from_dict(event)
 
 
 def build_spans(
@@ -416,10 +413,11 @@ def build_spans(
     """Fold a trace stream into per-query lifecycle spans.
 
     Args:
-        events: Trace events in emit order — :class:`TraceEvent`
-            objects (e.g. ``recorder.events()``) or flattened dicts
-            (e.g. parsed JSONL lines).  A leading ``trace.meta`` header
-            contributes its ``dropped`` count.
+        events: Trace events in emit order — event tuples (e.g.
+            ``recorder.events()``) or flattened dicts (e.g. parsed
+            JSONL lines, converted once with
+            :func:`~repro.obs.trace.from_dict`).  A leading
+            ``trace.meta`` header contributes its ``dropped`` count.
         dropped: Ring-buffer drop count when the caller knows it
             out-of-band (e.g. from a live :class:`TraceRecorder`).
         shard: Fleet shard label stamped on every span (``None`` —
@@ -439,70 +437,68 @@ def build_spans(
     fault_windows: List[Tuple[float, Optional[float], str]] = []
     total_dropped = dropped
 
-    for now, kind, fields in _iter_event_tuples(events):
+    for event in _iter_event_tuples(events):
+        now = event[0]
+        kind = event[1]
         if kind == _trace.QUERY_ADMIT:
-            txn = int(fields["txn"])  # type: ignore[index]
+            _, _, txn, deadline, _ = event
+            txn = int(txn)
             if txn in open_spans:
                 skipped[SKIP_DUPLICATE_ADMIT] += 1
                 continue
-            deadline = fields.get("deadline")
             open_spans[txn] = _OpenSpan(
                 txn,
                 now,
                 float(deadline) if isinstance(deadline, (int, float)) else None,
             )
         elif kind == _trace.SCHED_ENQUEUE:
-            txn = int(fields["txn"])  # type: ignore[index]
-            span = open_spans.get(txn)
+            _, _, txn, cause = event
+            span = open_spans.get(int(txn))
             if span is None:
                 skipped[SKIP_ORPHAN_SCHED] += 1
                 continue
-            cause = fields.get("cause")
             if cause == _trace.ENQUEUE_PREEMPT:
                 span.preemptions += 1
             if span.state == STATE_LOCK_WAIT:
                 span.end_lock_wait(now)
             span.transition(now, STATE_QUEUED)
         elif kind == _trace.SCHED_DISPATCH:
-            txn = int(fields["txn"])  # type: ignore[index]
-            span = open_spans.get(txn)
+            _, _, txn = event
+            span = open_spans.get(int(txn))
             if span is None:
                 skipped[SKIP_ORPHAN_SCHED] += 1
                 continue
             span.transition(now, STATE_EXECUTING)
         elif kind == _trace.SCHED_PARK:
-            txn = int(fields["txn"])  # type: ignore[index]
-            span = open_spans.get(txn)
+            _, _, txn = event
+            span = open_spans.get(int(txn))
             if span is None:
                 skipped[SKIP_ORPHAN_SCHED] += 1
                 continue
             span.transition(now, STATE_REFRESH_WAIT)
         elif kind == _trace.LOCK_WAIT:
-            if fields.get("update"):
+            _, _, txn, item, is_update, _ = event
+            if is_update:
                 continue  # update transactions have no spans
-            txn = int(fields["txn"])  # type: ignore[index]
-            span = open_spans.get(txn)
+            span = open_spans.get(int(txn))
             if span is None:
                 skipped[SKIP_ORPHAN_LOCK] += 1
                 continue
-            item = fields.get("item")
             span.transition(now, STATE_LOCK_WAIT)
             if isinstance(item, int):
                 span.begin_lock_wait(now, item)
         elif kind == _trace.LOCK_GRANT:
-            txn = int(fields["txn"])  # type: ignore[index]
-            span = open_spans.get(txn)
+            _, _, txn, _ = event
+            span = open_spans.get(int(txn))
             if span is None:
                 # Updates are granted locks too; only count queries we
                 # have genuinely lost track of (lock state, no span).
                 continue
             span.end_lock_wait(now)
         elif kind == _trace.QUERY_OUTCOME:
-            txn = int(fields["txn"])  # type: ignore[index]
-            outcome = str(fields.get("outcome", ""))
-            freshness = fields.get("freshness")
-            arrival = fields.get("arrival")
-            restarts = fields.get("restarts", 0)
+            _, _, txn, outcome, arrival, _, freshness, restarts = event
+            txn = int(txn)
+            outcome = str(outcome)
             span = open_spans.pop(txn, None)
             if span is None:
                 if outcome != "rejected":
@@ -567,21 +563,21 @@ def build_spans(
                 )
             )
         elif kind == _trace.ADMISSION_DECISION:
-            if fields.get("admitted") is False:
-                txn = int(fields["txn"])  # type: ignore[index]
-                reason = fields.get("reason")
-                if isinstance(reason, str) and reason:
-                    reject_reasons[txn] = reason
+            _, _, txn, admitted, reason, _, _, _ = event
+            if admitted is False and isinstance(reason, str) and reason:
+                reject_reasons[int(txn)] = reason
         elif kind == _trace.FAULT_START:
-            label = str(fields.get("label", ""))
-            fault_open[label] = now
+            _, _, label, _, _ = event
+            fault_open[str(label)] = now
         elif kind == _trace.FAULT_END:
-            label = str(fields.get("label", ""))
+            _, _, label, _ = event
+            label = str(label)
             start = fault_open.pop(label, None)
             if start is not None:
                 fault_windows.append((start, now, label))
         elif kind == _trace.TRACE_META:
-            meta_dropped = fields.get("dropped")
+            _, _, meta = event
+            meta_dropped = meta.get("dropped")
             if isinstance(meta_dropped, int):
                 total_dropped += meta_dropped
 

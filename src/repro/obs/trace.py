@@ -10,9 +10,21 @@ UNIT control modules is guarded by a single attribute check::
 so the disabled path (the default, via the shared
 :data:`NULL_RECORDER`) costs one attribute load and a false branch —
 nothing is allocated, formatted, or appended.  The enabled path builds
-one slotted :class:`TraceEvent` per occurrence and appends it to a
-bounded ring buffer; when the ring is full the *oldest* events are
-evicted and counted in :attr:`TraceRecorder.dropped`.
+one plain tuple per occurrence and appends it to a bounded ring
+buffer; when the ring is full the *oldest* events are evicted and
+counted in :attr:`TraceRecorder.dropped`.
+
+An event is ``(time, kind, v1, …, vn)``: the values follow the field
+names :data:`FIELDS` lists for the kind, in order.  The kinds whose
+keys are open-ended (``control.allocate``, ``control.window``,
+``fault.start``) and any kind the schema does not name end in one
+trailing mapping slot (:data:`REST`) that flattens in its own order.
+:func:`as_dict` and :func:`from_dict` are the only converters between
+a tuple and its flattened ``{"t": …, "kind": …, **fields}`` form, the
+shape of the JSONL exports.  A tuple of plain values (every
+``query.*``, ``sched.*`` and ``modulation.change`` event) is untracked
+by the garbage collector once a collection has seen it, so the bulk of
+a long trace costs the collector nothing to re-walk.
 
 All timestamps are **simulated** time (the caller passes
 ``Simulator.now``); this module never reads the wall clock — simlint's
@@ -51,7 +63,7 @@ Event kinds (the ``kind`` field of every event):
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 # Event-kind constants (shared with the exporters and the CLI).
 QUERY_ADMIT = "query.admit"
@@ -79,136 +91,90 @@ FLEET_REBALANCE = "fleet.rebalance"
 #: complete traces keep their historical digests byte-for-byte.
 TRACE_META = "trace.meta"
 
-ALL_KINDS: Tuple[str, ...] = (
-    QUERY_ADMIT,
-    QUERY_OUTCOME,
-    SCHED_ENQUEUE,
-    SCHED_DISPATCH,
-    SCHED_PARK,
-    ADMISSION_DECISION,
-    LOCK_WAIT,
-    LOCK_GRANT,
-    LOCK_PREEMPT,
-    UPDATE_APPLY,
-    UPDATE_DROP,
-    MODULATION_CHANGE,
-    CONTROL_ALLOCATE,
-    CONTROL_WINDOW,
-    FAULT_START,
-    FAULT_END,
-    FLEET_ROUTE,
-    FLEET_REBALANCE,
-)
+#: The trailing mapping slot of an open-ended kind: its keys flatten
+#: after the named fields, in the mapping's own order.
+REST = "**"
+
+#: The one schema: the field names of every recordable kind, in the
+#: order an event tuple carries their values after ``(time, kind)``.
+FIELDS: Dict[str, Tuple[str, ...]] = {
+    QUERY_ADMIT: ("txn", "deadline", "items"),
+    QUERY_OUTCOME: ("txn", "outcome", "arrival", "latency", "freshness", "restarts"),
+    SCHED_ENQUEUE: ("txn", "cause"),
+    SCHED_DISPATCH: ("txn",),
+    SCHED_PARK: ("txn",),
+    ADMISSION_DECISION: ("txn", "admitted", "reason", "est", "endangered", "c_flex"),
+    LOCK_WAIT: ("txn", "item", "update", "holders"),
+    LOCK_GRANT: ("txn", "item"),
+    LOCK_PREEMPT: ("txn", "item", "update", "victims"),
+    UPDATE_APPLY: ("item", "txn", "on_demand", "period"),
+    UPDATE_DROP: ("item", "period"),
+    MODULATION_CHANGE: ("item", "direction", "old_period", "new_period"),
+    # REST: cost_<component> per cost.
+    CONTROL_ALLOCATE: ("dominant", "signals", "usm", "samples", REST),
+    # REST: the USM components.
+    CONTROL_WINDOW: (
+        "usm", "samples", "signals", "c_flex", "update_load", "degraded_items",
+        "ticket_threshold", REST,
+    ),
+    # REST: the fault's parameters.
+    FAULT_START: ("label", "fault", REST),
+    FAULT_END: ("label", "fault"),
+    FLEET_ROUTE: ("txn", "shard", "policy", "candidates", "est_freshness", "forced"),
+    FLEET_REBALANCE: (
+        "shard", "flex_factor", "c_flex_before", "c_flex_after", "modulate",
+    ),
+}
+
+ALL_KINDS: Tuple[str, ...] = tuple(FIELDS)
+
+#: The schema of a kind :data:`FIELDS` does not name: one mapping.
+_UNNAMED: Tuple[str, ...] = (REST,)
+
+#: One recorded event: ``(time, kind, *values)`` in ``FIELDS[kind]`` order.
+TraceEvent = Tuple[Any, ...]
 
 #: Default ring capacity: large enough for a full small-scale cell
 #: (~100k events), small enough to stay a bounded memory cost.
 DEFAULT_CAPACITY = 262_144
 
 
-class TraceEvent:
-    """One recorded occurrence, in sim time.
+def _pack(time: float, kind: str, fields: Mapping[str, object]) -> TraceEvent:
+    """The tuple of ``kind`` for flattened ``fields``.
 
-    Slotted: a run can record hundreds of thousands of these, so the
-    per-event layout matters.  ``fields`` is a plain dict of
-    JSON-serializable values; the flattened form (:meth:`as_dict`) is
-    what the exporters consume.
+    A field the schema names but ``fields`` lacks packs as None; a key
+    the schema does not name lands in the trailing mapping of an
+    open-ended kind and is ignored for any other kind.
     """
-
-    __slots__ = ("time", "kind", "fields")
-
-    def __init__(self, time: float, kind: str, fields: Dict[str, object]) -> None:
-        self.time = time
-        self.kind = kind
-        self.fields = fields
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flatten to ``{"t": ..., "kind": ..., **fields}``."""
-        out: Dict[str, object] = {"t": self.time, "kind": self.kind}
-        out.update(self.fields)
-        return out
-
-    def __repr__(self) -> str:
-        return f"TraceEvent(t={self.time:.6f}, kind={self.kind!r}, {self.fields!r})"
+    names = FIELDS.get(kind, _UNNAMED)
+    if names[-1] != REST:
+        return (time, kind, *[fields.get(name) for name in names])
+    rest = dict(fields)
+    values = [rest.pop(name, None) for name in names[:-1]]
+    return (time, kind, *values, rest)
 
 
-class QueryAdmitEvent(TraceEvent):
-    """``query.admit`` with typed slots instead of an eager fields dict.
-
-    Admit and outcome are the two hottest kinds on the enabled path; the
-    per-event dict construction dominated their recording cost.  The
-    ``fields`` property (shadowing the base slot) builds the same dict
-    on demand for exporters, so the flattened form is unchanged.
-    """
-
-    __slots__ = ("txn", "deadline", "n_items")
-
-    def __init__(self, time: float, txn: int, deadline: float, n_items: int) -> None:
-        self.time = time
-        self.kind = QUERY_ADMIT
-        self.txn = txn
-        self.deadline = deadline
-        self.n_items = n_items
-
-    @property
-    def fields(self) -> Dict[str, object]:  # type: ignore[override]
-        return {"txn": self.txn, "deadline": self.deadline, "items": self.n_items}
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "t": self.time,
-            "kind": self.kind,
-            "txn": self.txn,
-            "deadline": self.deadline,
-            "items": self.n_items,
-        }
+def as_dict(event: TraceEvent) -> Dict[str, object]:
+    """Flatten an event to ``{"t": ..., "kind": ..., **fields}``."""
+    kind = event[1]
+    out: Dict[str, object] = {"t": event[0], "kind": kind}
+    names = FIELDS.get(kind, _UNNAMED)
+    if names[-1] != REST:
+        out.update(zip(names, event[2:]))
+    else:
+        out.update(zip(names[:-1], event[2:-1]))
+        out.update(event[-1])
+    return out
 
 
-class QueryOutcomeEvent(TraceEvent):
-    """``query.outcome`` with typed slots; see :class:`QueryAdmitEvent`."""
-
-    __slots__ = ("txn", "outcome", "arrival", "latency", "freshness", "restarts")
-
-    def __init__(
-        self,
-        time: float,
-        txn: int,
-        outcome: str,
-        arrival: float,
-        latency: float,
-        freshness: Optional[float],
-        restarts: int,
-    ) -> None:
-        self.time = time
-        self.kind = QUERY_OUTCOME
-        self.txn = txn
-        self.outcome = outcome
-        self.arrival = arrival
-        self.latency = latency
-        self.freshness = freshness
-        self.restarts = restarts
-
-    @property
-    def fields(self) -> Dict[str, object]:  # type: ignore[override]
-        return {
-            "txn": self.txn,
-            "outcome": self.outcome,
-            "arrival": self.arrival,
-            "latency": self.latency,
-            "freshness": self.freshness,
-            "restarts": self.restarts,
-        }
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "t": self.time,
-            "kind": self.kind,
-            "txn": self.txn,
-            "outcome": self.outcome,
-            "arrival": self.arrival,
-            "latency": self.latency,
-            "freshness": self.freshness,
-            "restarts": self.restarts,
-        }
+def from_dict(flat: Mapping[str, object]) -> TraceEvent:
+    """The event behind a flattened dict (a parsed JSONL line): the
+    inverse of :func:`as_dict`.  A line without ``t`` (the
+    ``trace.meta`` header) packs at time 0.0."""
+    fields = dict(flat)
+    time = float(fields.pop("t", 0.0))  # type: ignore[arg-type]
+    kind = str(fields.pop("kind", ""))
+    return _pack(time, kind, fields)
 
 
 # ``sched.enqueue`` causes — why a query (re)entered the ready queue.
@@ -227,93 +193,14 @@ ENQUEUE_CAUSES: Tuple[str, ...] = (
 )
 
 
-class SchedEvent(TraceEvent):
-    """The three ``sched.*`` kinds with typed slots.
-
-    Scheduler transitions fire on every dispatch round of every query
-    (several per query under contention), so like the admit/outcome
-    events they skip the eager fields dict; ``cause`` is ``None`` for
-    ``sched.dispatch`` / ``sched.park``.
-    """
-
-    __slots__ = ("txn", "cause")
-
-    def __init__(
-        self, time: float, kind: str, txn: int, cause: Optional[str]
-    ) -> None:
-        self.time = time
-        self.kind = kind
-        self.txn = txn
-        self.cause = cause
-
-    @property
-    def fields(self) -> Dict[str, object]:  # type: ignore[override]
-        if self.cause is None:
-            return {"txn": self.txn}
-        return {"txn": self.txn, "cause": self.cause}
-
-    def as_dict(self) -> Dict[str, object]:
-        if self.cause is None:
-            return {"t": self.time, "kind": self.kind, "txn": self.txn}
-        return {
-            "t": self.time,
-            "kind": self.kind,
-            "txn": self.txn,
-            "cause": self.cause,
-        }
-
-
-class ModulationChangeEvent(TraceEvent):
-    """``modulation.change`` with typed slots.
-
-    The most numerous kind in a UNIT run: every Upgrade signal emits
-    one per degraded item, so like the query and scheduler kinds it
-    skips the eager fields dict.
-    """
-
-    __slots__ = ("item", "direction", "old_period", "new_period")
-
-    def __init__(
-        self,
-        time: float,
-        item: int,
-        direction: str,
-        old_period: float,
-        new_period: float,
-    ) -> None:
-        self.time = time
-        self.kind = MODULATION_CHANGE
-        self.item = item
-        self.direction = direction
-        self.old_period = old_period
-        self.new_period = new_period
-
-    @property
-    def fields(self) -> Dict[str, object]:  # type: ignore[override]
-        return {
-            "item": self.item,
-            "direction": self.direction,
-            "old_period": self.old_period,
-            "new_period": self.new_period,
-        }
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "t": self.time,
-            "kind": self.kind,
-            "item": self.item,
-            "direction": self.direction,
-            "old_period": self.old_period,
-            "new_period": self.new_period,
-        }
-
-
 class Recorder:
     """Interface shared by :class:`TraceRecorder` and :class:`NullRecorder`.
 
     Instrumentation sites hold a ``Recorder`` and guard every typed
     call with ``if rec.enabled:`` — the subclass never changes under a
-    running simulation, so the guard is branch-predictable.
+    running simulation, so the guard is branch-predictable.  Each hook
+    builds its event tuple in :data:`FIELDS` order and hands it to
+    :meth:`_record`, which the base class discards.
     """
 
     __slots__ = ()
@@ -321,19 +208,21 @@ class Recorder:
     #: False on the null recorder; instrumentation guards on this.
     enabled: bool = False
 
+    def _record(self, event: TraceEvent) -> None:
+        """Keep one event (discarded here and on the null recorder)."""
+
     # -- generic hook ---------------------------------------------------
 
-    def emit(self, time: float, kind: str, fields: Dict[str, object]) -> None:
-        """Record one event (no-op on the null recorder)."""
+    def emit(self, time: float, kind: str, fields: Mapping[str, object]) -> None:
+        """Record one event given as flattened fields."""
+        self._record(_pack(time, kind, fields))
 
-    # -- typed hooks (all forward to :meth:`emit`) ----------------------
+    # -- typed hooks ----------------------------------------------------
 
     def query_admit(
         self, time: float, txn_id: int, deadline: float, n_items: int
     ) -> None:
-        self.emit(
-            time, QUERY_ADMIT, {"txn": txn_id, "deadline": deadline, "items": n_items}
-        )
+        self._record((time, QUERY_ADMIT, txn_id, deadline, n_items))
 
     def query_outcome(
         self,
@@ -345,27 +234,18 @@ class Recorder:
         freshness: Optional[float],
         restarts: int,
     ) -> None:
-        self.emit(
-            time,
-            QUERY_OUTCOME,
-            {
-                "txn": txn_id,
-                "outcome": outcome,
-                "arrival": arrival,
-                "latency": latency,
-                "freshness": freshness,
-                "restarts": restarts,
-            },
+        self._record(
+            (time, QUERY_OUTCOME, txn_id, outcome, arrival, latency, freshness, restarts)
         )
 
     def sched_enqueue(self, time: float, txn_id: int, cause: str) -> None:
-        self.emit(time, SCHED_ENQUEUE, {"txn": txn_id, "cause": cause})
+        self._record((time, SCHED_ENQUEUE, txn_id, cause))
 
     def sched_dispatch(self, time: float, txn_id: int) -> None:
-        self.emit(time, SCHED_DISPATCH, {"txn": txn_id})
+        self._record((time, SCHED_DISPATCH, txn_id))
 
     def sched_park(self, time: float, txn_id: int) -> None:
-        self.emit(time, SCHED_PARK, {"txn": txn_id})
+        self._record((time, SCHED_PARK, txn_id))
 
     def admission_decision(
         self,
@@ -377,17 +257,8 @@ class Recorder:
         endangered: int,
         c_flex: float,
     ) -> None:
-        self.emit(
-            time,
-            ADMISSION_DECISION,
-            {
-                "txn": txn_id,
-                "admitted": admitted,
-                "reason": reason,
-                "est": est,
-                "endangered": endangered,
-                "c_flex": c_flex,
-            },
+        self._record(
+            (time, ADMISSION_DECISION, txn_id, admitted, reason, est, endangered, c_flex)
         )
 
     def lock_wait(
@@ -398,19 +269,10 @@ class Recorder:
         is_update: bool,
         holders: Sequence[int],
     ) -> None:
-        self.emit(
-            time,
-            LOCK_WAIT,
-            {
-                "txn": txn_id,
-                "item": item_id,
-                "update": is_update,
-                "holders": list(holders),
-            },
-        )
+        self._record((time, LOCK_WAIT, txn_id, item_id, is_update, list(holders)))
 
     def lock_grant(self, time: float, txn_id: int, item_id: int) -> None:
-        self.emit(time, LOCK_GRANT, {"txn": txn_id, "item": item_id})
+        self._record((time, LOCK_GRANT, txn_id, item_id))
 
     def lock_preempt(
         self,
@@ -420,28 +282,15 @@ class Recorder:
         is_update: bool,
         victims: Sequence[int],
     ) -> None:
-        self.emit(
-            time,
-            LOCK_PREEMPT,
-            {
-                "txn": txn_id,
-                "item": item_id,
-                "update": is_update,
-                "victims": list(victims),
-            },
-        )
+        self._record((time, LOCK_PREEMPT, txn_id, item_id, is_update, list(victims)))
 
     def update_apply(
         self, time: float, item_id: int, txn_id: int, on_demand: bool, period: float
     ) -> None:
-        self.emit(
-            time,
-            UPDATE_APPLY,
-            {"item": item_id, "txn": txn_id, "on_demand": on_demand, "period": period},
-        )
+        self._record((time, UPDATE_APPLY, item_id, txn_id, on_demand, period))
 
     def update_drop(self, time: float, item_id: int, period: float) -> None:
-        self.emit(time, UPDATE_DROP, {"item": item_id, "period": period})
+        self._record((time, UPDATE_DROP, item_id, period))
 
     def modulation_change(
         self,
@@ -451,15 +300,8 @@ class Recorder:
         old_period: float,
         new_period: float,
     ) -> None:
-        self.emit(
-            time,
-            MODULATION_CHANGE,
-            {
-                "item": item_id,
-                "direction": direction,
-                "old_period": old_period,
-                "new_period": new_period,
-            },
+        self._record(
+            (time, MODULATION_CHANGE, item_id, direction, old_period, new_period)
         )
 
     def control_allocate(
@@ -471,14 +313,12 @@ class Recorder:
         usm: Optional[float],
         samples: int,
     ) -> None:
-        fields: Dict[str, object] = {
-            "dominant": dominant,
-            "signals": list(signals),
-            "usm": usm,
-            "samples": samples,
-        }
-        fields.update({f"cost_{key}": value for key, value in sorted(costs.items())})
-        self.emit(time, CONTROL_ALLOCATE, fields)
+        self._record(
+            (
+                time, CONTROL_ALLOCATE, dominant, list(signals), usm, samples,
+                {f"cost_{key}": value for key, value in sorted(costs.items())},
+            )
+        )
 
     def control_window(
         self,
@@ -492,19 +332,13 @@ class Recorder:
         degraded_items: int,
         ticket_threshold: float,
     ) -> None:
-        fields: Dict[str, object] = {
-            "usm": usm,
-            "samples": samples,
-            "signals": list(signals),
-            "c_flex": c_flex,
-            "update_load": update_load,
-            "degraded_items": degraded_items,
-            "ticket_threshold": ticket_threshold,
-        }
-        fields.update(
-            {key: value for key, value in sorted(components.items())}
+        self._record(
+            (
+                time, CONTROL_WINDOW, usm, samples, list(signals), c_flex,
+                update_load, degraded_items, ticket_threshold,
+                dict(sorted(components.items())),
+            )
         )
-        self.emit(time, CONTROL_WINDOW, fields)
 
     def fault_start(
         self,
@@ -513,12 +347,10 @@ class Recorder:
         fault: str,
         params: Dict[str, float],
     ) -> None:
-        fields: Dict[str, object] = {"label": label, "fault": fault}
-        fields.update(sorted(params.items()))
-        self.emit(time, FAULT_START, fields)
+        self._record((time, FAULT_START, label, fault, dict(sorted(params.items()))))
 
     def fault_end(self, time: float, label: str, fault: str) -> None:
-        self.emit(time, FAULT_END, {"label": label, "fault": fault})
+        self._record((time, FAULT_END, label, fault))
 
     def fleet_route(
         self,
@@ -530,17 +362,11 @@ class Recorder:
         est_freshness: float,
         forced: bool,
     ) -> None:
-        self.emit(
-            time,
-            FLEET_ROUTE,
-            {
-                "txn": txn_id,
-                "shard": shard,
-                "policy": policy,
-                "candidates": list(candidates),
-                "est_freshness": est_freshness,
-                "forced": forced,
-            },
+        self._record(
+            (
+                time, FLEET_ROUTE, txn_id, shard, policy, list(candidates),
+                est_freshness, forced,
+            )
         )
 
     def fleet_rebalance(
@@ -552,16 +378,11 @@ class Recorder:
         c_flex_after: float,
         modulate: Optional[str],
     ) -> None:
-        self.emit(
-            time,
-            FLEET_REBALANCE,
-            {
-                "shard": shard,
-                "flex_factor": flex_factor,
-                "c_flex_before": c_flex_before,
-                "c_flex_after": c_flex_after,
-                "modulate": modulate,
-            },
+        self._record(
+            (
+                time, FLEET_REBALANCE, shard, flex_factor, c_flex_before,
+                c_flex_after, modulate,
+            )
         )
 
 
@@ -599,7 +420,7 @@ class TraceRecorder(Recorder):
     whole run even when the ring wraps.
     """
 
-    __slots__ = ("_ring", "_capacity", "dropped", "counts", "metrics")
+    __slots__ = ("_ring", "dropped", "counts", "metrics")
 
     enabled = True
 
@@ -610,80 +431,28 @@ class TraceRecorder(Recorder):
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        self._ring: Deque[TraceEvent] = deque()
+        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
         self.counts: Dict[str, int] = {}
         self.metrics = metrics
 
-    def emit(self, time: float, kind: str, fields: Dict[str, object]) -> None:
-        self._record(TraceEvent(time, kind, fields), kind)
-
-    def _record(self, event: TraceEvent, kind: str) -> None:
+    def _record(self, event: TraceEvent) -> None:
         ring = self._ring
-        if len(ring) >= self._capacity:
-            ring.popleft()
-            self.dropped += 1
+        if len(ring) == ring.maxlen:
+            self.dropped += 1  # the append evicts the oldest event
         ring.append(event)
         counts = self.counts
+        kind = event[1]
         counts[kind] = counts.get(kind, 0) + 1
         if self.metrics is not None:
             self.metrics.observe_event(event)
-
-    # The hottest kinds bypass ``emit`` entirely: a typed slotted
-    # event is appended with no fields dict (built lazily only if an
-    # exporter asks).
-
-    def sched_enqueue(self, time: float, txn_id: int, cause: str) -> None:
-        self._record(SchedEvent(time, SCHED_ENQUEUE, txn_id, cause), SCHED_ENQUEUE)
-
-    def sched_dispatch(self, time: float, txn_id: int) -> None:
-        self._record(SchedEvent(time, SCHED_DISPATCH, txn_id, None), SCHED_DISPATCH)
-
-    def sched_park(self, time: float, txn_id: int) -> None:
-        self._record(SchedEvent(time, SCHED_PARK, txn_id, None), SCHED_PARK)
-
-    def query_admit(
-        self, time: float, txn_id: int, deadline: float, n_items: int
-    ) -> None:
-        self._record(QueryAdmitEvent(time, txn_id, deadline, n_items), QUERY_ADMIT)
-
-    def query_outcome(
-        self,
-        time: float,
-        txn_id: int,
-        outcome: str,
-        arrival: float,
-        latency: float,
-        freshness: Optional[float],
-        restarts: int,
-    ) -> None:
-        self._record(
-            QueryOutcomeEvent(
-                time, txn_id, outcome, arrival, latency, freshness, restarts
-            ),
-            QUERY_OUTCOME,
-        )
-
-    def modulation_change(
-        self,
-        time: float,
-        item_id: int,
-        direction: str,
-        old_period: float,
-        new_period: float,
-    ) -> None:
-        self._record(
-            ModulationChangeEvent(time, item_id, direction, old_period, new_period),
-            MODULATION_CHANGE,
-        )
 
     def __len__(self) -> int:
         return len(self._ring)
 
     @property
     def capacity(self) -> int:
-        return self._capacity
+        return self._ring.maxlen  # type: ignore[return-value]
 
     def events(self) -> Iterator[TraceEvent]:
         """The retained events, oldest first."""
@@ -691,7 +460,7 @@ class TraceRecorder(Recorder):
 
     def event_dicts(self) -> List[Dict[str, object]]:
         """All retained events flattened (the exporters' input)."""
-        return [event.as_dict() for event in self._ring]
+        return [as_dict(event) for event in self._ring]
 
     def summary(self) -> Dict[str, object]:
         """Small, picklable digest for reports."""

@@ -74,6 +74,9 @@ class Simulator:
         self._live = 0
         self._cancelled = 0
         self._running = False
+        # The active run's bounds (see :meth:`run`); unbounded outside one.
+        self._until = math.inf
+        self._stop_fired = math.inf
         # The arena: parallel per-slot storage.
         self._cb: List[Optional[Callable[..., Any]]] = []
         self._arg: List[Any] = []
@@ -131,17 +134,21 @@ class Simulator:
         self._free.append(slot)
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries, recycling their slots."""
+        """Rebuild the heap without cancelled entries, recycling their slots.
+
+        In place: a running :meth:`run` loop holds the heap list itself.
+        """
+        heap = self._heap
         flag = self._flag
         kept: List[_HeapEntry] = []
-        for entry in self._heap:
+        for entry in heap:
             slot = entry[3]
             if flag[slot]:
                 self._release(slot)
             else:
                 kept.append(entry)
-        heapq.heapify(kept)
-        self._heap = kept
+        heap[:] = kept
+        heapq.heapify(heap)
         self._cancelled = 0
 
     # ------------------------------------------------------------------
@@ -275,33 +282,41 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def peek_key(self) -> Optional[Tuple[float, int]]:
-        """``(time, priority)`` of the next live event, or None when drained.
-
-        Lets a caller decide whether work it could perform inline (see
-        :meth:`fire_inline`) would fire before anything in the queue.
-        """
+        """``(time, priority)`` of the next live event, or None when drained."""
         self._drop_cancelled()
         if not self._heap:
             return None
         head = self._heap[0]
         return (head[0], head[1])
 
-    def fire_inline(self, at: float) -> None:
-        """Account one event processed outside the heap at time ``at``.
+    def fire_inline(self, at: float, priority: int) -> bool:
+        """Fire one event at ``(at, priority)`` outside the heap, if it may.
 
-        Advances the clock and the fired counter exactly as if a
-        scheduled event had popped, without ever entering the heap.
-        The caller owns the ordering proof: ``at`` must not precede the
-        clock, and nothing pending (see :meth:`peek_key`) may be due to
-        fire before the inlined event would have.  The server's batched
-        update application is the intended user.
+        It may when the heap event it would have been fires no earlier
+        than it would in the loop: no live heap entry is due at or
+        before ``(at, priority)``, ``at`` is within the active run's
+        ``until``, and the run's ``max_events`` budget has room.  Then
+        the clock and the fired counter advance exactly as if that
+        event had popped, and the call returns True; otherwise nothing
+        changes and the caller schedules the event instead.  The
+        server's batched update application is the intended user.
         """
         if at < self.now:
             raise SimulationError(
                 f"cannot fire inline at t={at:.6f} before now={self.now:.6f}"
             )
+        if at > self._until or self._fired >= self._stop_fired:
+            return False
+        heap = self._heap
+        if heap and self._flag[heap[0][3]]:
+            self._drop_cancelled()
+        if heap:
+            due = heap[0][0]
+            if due < at or (due == at and heap[0][1] <= priority):
+                return False
         self.now = at
         self._fired += 1
+        return True
 
     # ------------------------------------------------------------------
     # the loop
@@ -311,9 +326,11 @@ class Simulator:
         """Run the loop until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.
 
-        Events scheduled exactly at ``until`` still fire; the clock is
-        then advanced to ``until`` so post-run bookkeeping sees the full
-        horizon.
+        Both bounds cover the events a callback fires inline (see
+        :meth:`fire_inline`).  Events scheduled exactly at ``until``
+        still fire; unless the ``max_events`` budget stopped the loop,
+        the clock is then advanced to ``until`` so post-run bookkeeping
+        sees the full horizon.
 
         Returns:
             The simulated time when the loop stopped.
@@ -321,9 +338,11 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        fired = 0
-        limit = math.inf if max_events is None else max_events
         horizon = math.inf if until is None else until
+        # On self, not in locals: fire_inline honours them too.
+        self._until = horizon
+        stop = math.inf if max_events is None else self._fired + max_events
+        self._stop_fired = stop
         heap = self._heap
         pop = heapq.heappop
         flag = self._flag
@@ -334,7 +353,7 @@ class Simulator:
         no_arg = _NO_ARG
         try:
             while heap:
-                if fired >= limit:
+                if self._fired >= stop:
                     break
                 head = heap[0]
                 slot = head[3]
@@ -349,7 +368,6 @@ class Simulator:
                 pop(heap)
                 self.now = time
                 self._fired += 1
-                fired += 1
                 self._live -= 1
                 callback = cbs[slot]
                 arg = args[slot]
@@ -365,7 +383,9 @@ class Simulator:
                     callback(arg)  # type: ignore[misc]
         finally:
             self._running = False
-        if until is not None and self.now < until:
+            self._until = math.inf
+            self._stop_fired = math.inf
+        if until is not None and self.now < until and self._fired < stop:
             self.now = until
         return self.now
 

@@ -6,7 +6,9 @@ import pytest
 
 from repro.db.transactions import Outcome
 from repro.experiments.config import SCALES, ExperimentConfig, build_experiment
-from repro.experiments.runner import _drain_window, run_experiment
+from repro.experiments.report import stable_report_digest
+from repro.experiments.runner import Substrate, _drain_window, run_experiment
+from repro.workload.cache import get_workload
 
 SMOKE = SCALES["smoke"]
 
@@ -171,3 +173,47 @@ class TestReportContents:
         text = report.summary()
         assert "UNIT" in text
         assert "USM" in text
+
+
+def _substrate(policy, seed=7):
+    config = ExperimentConfig(
+        policy=policy, update_trace="high-unif", seed=seed, scale=SMOKE
+    )
+    return config, Substrate(config, *get_workload(config))
+
+
+class TestEngineBounds:
+    """``Simulator.run``'s ``until`` and ``max_events`` hold for the
+    update arrivals the server fires inline, not only for heap events."""
+
+    SLICE = 0.37
+
+    @pytest.mark.parametrize("policy", ["imu", "unit", "odu"])
+    def test_sliced_run_stops_at_every_epoch_and_matches_whole(self, policy):
+        config, substrate = _substrate(policy)
+        sim = substrate.sim
+        for index in range(1, int(SMOKE.horizon / self.SLICE) + 1):
+            until = index * self.SLICE
+            substrate.run_to(until)
+            assert sim.now == until, f"slice {index} overshot to {sim.now}"
+        sliced = substrate.finish()
+        whole = run_experiment(config)
+        assert sliced.events_fired == whole.events_fired
+        assert stable_report_digest(sliced) == stable_report_digest(whole)
+
+    @pytest.mark.parametrize("policy", ["imu", "unit"])
+    def test_max_events_caps_inline_fires(self, policy):
+        config, substrate = _substrate(policy)
+        sim = substrate.sim
+        end = substrate.drain_until()
+        steps = []
+        while sim.now < end:
+            before = sim.events_fired
+            sim.run(until=end, max_events=5)
+            steps.append(sim.events_fired - before)
+        assert steps[:-1] == [5] * (len(steps) - 1)
+        assert steps[-1] <= 5
+        stepped = substrate.finish()
+        whole = run_experiment(config)
+        assert stepped.events_fired == whole.events_fired
+        assert stable_report_digest(stepped) == stable_report_digest(whole)

@@ -182,16 +182,16 @@ class TestFaultDriver:
         rec = TraceRecorder()
         FaultDriver(self.scenario(), server, recorder=rec).install(sim)
         sim.run()
-        events = [(e.kind, e.fields["label"]) for e in rec.events()]
+        events = [(e["kind"], e["label"]) for e in rec.event_dicts()]
         assert events == [
             ("fault.start", "server-slowdown-0"),
             ("fault.start", "hotspot-shift-0"),
             ("fault.end", "hotspot-shift-0"),
             ("fault.end", "server-slowdown-0"),
         ]
-        start = next(e for e in rec.events() if e.kind == "fault.start")
-        assert start.fields["fault"] == "server-slowdown"
-        assert start.fields["rate"] == 0.5
+        start = next(e for e in rec.event_dicts() if e["kind"] == "fault.start")
+        assert start["fault"] == "server-slowdown"
+        assert start["rate"] == 0.5
 
     def test_policy_hook_sees_both_edges(self):
         sim, policy, server = make_server()

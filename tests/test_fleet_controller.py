@@ -86,9 +86,9 @@ class TestObsAndValidation:
         coordinator = GlobalCoordinator(eta=0.5, recorder=recorder)
         coordinator.plan([summary(0, dmf=8, success=2), summary(1)])
         coordinator.plan([summary(0), summary(1)])  # identical -> no-ops
-        events = [e for e in recorder.events() if e.kind == FLEET_REBALANCE]
+        events = [e for e in recorder.event_dicts() if e["kind"] == FLEET_REBALANCE]
         assert len(events) == 2  # the first plan's two directives only
-        fields = events[0].as_dict()
+        fields = events[0]
         assert fields["shard"] == 0
         assert fields["flex_factor"] > 1.0
 

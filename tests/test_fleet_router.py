@@ -146,9 +146,9 @@ class TestDeterminismAndObs:
         qt, ut = make_traces([query(1.0, [0]), query(2.0, [1])])
         recorder = TraceRecorder()
         plan = route_queries(qt, ut, part, policy="primary", recorder=recorder)
-        events = [e for e in recorder.events() if e.kind == FLEET_ROUTE]
+        events = [e for e in recorder.event_dicts() if e["kind"] == FLEET_ROUTE]
         assert len(events) == 2
-        first = events[0].as_dict()
+        first = events[0]
         assert first["shard"] == plan.assignments[0]
         assert first["policy"] == "primary"
         assert first["txn"] == 1

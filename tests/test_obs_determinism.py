@@ -15,14 +15,13 @@ import dataclasses
 import json
 
 from repro.core.usm import PenaltyProfile
-from repro.experiments import runner
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_grid, run_grid_parallel
 from repro.obs.config import ObsConfig
 from repro.obs.export import trace_digest
 from repro.obs.metrics import RunMetrics
-from repro.obs.trace import Recorder, TraceRecorder
+from repro.obs.trace import TraceRecorder
 from tests.test_determinism_regression import _stable_report_bytes
 
 SMOKE = SCALES["smoke"]
@@ -160,34 +159,22 @@ class TestArtifactDeterminism:
         assert len(lines) == 101
 
 
-class _DictRecorder(TraceRecorder):
-    """A recorder whose every hook takes the generic path: one
-    dict-built :class:`TraceEvent` per occurrence, no typed events."""
-
-    __slots__ = ()
-
-
-for _name, _hook in vars(Recorder).items():
-    if callable(_hook) and not _name.startswith("_") and _name != "emit":
-        setattr(_DictRecorder, _name, _hook)
-
-
 class TestTypedEventsDoNotPerturb:
-    def test_typed_and_dict_events_same_digest_and_metrics(self, monkeypatch):
+    def test_typed_and_dict_events_same_digest_and_metrics(self):
+        """Re-recording a run's flattened events through the generic
+        :meth:`Recorder.emit` path reproduces its trace, metrics and
+        summary: the typed hooks and the schema agree key for key."""
         config = ExperimentConfig(
             policy="unit", update_trace="med-unif", seed=7, scale=SMOKE,
             obs=ObsConfig(enabled=True, keep_events=True, spans=False),
         )
         typed = _run(config)
-        monkeypatch.setattr(
-            runner,
-            "_build_recorder",
-            lambda obs: _DictRecorder(capacity=obs.capacity, metrics=RunMetrics()),
-        )
-        generic = _run(config)
-        assert _DictRecorder.modulation_change is Recorder.modulation_change
+        generic = TraceRecorder(metrics=RunMetrics())
+        for flat in typed.obs_events:
+            fields = dict(flat)
+            generic.emit(fields.pop("t"), fields.pop("kind"), fields)
         kinds = typed.obs_summary["by_kind"]
         assert kinds["modulation.change"] and kinds["sched.enqueue"]
-        assert trace_digest(typed.obs_events) == trace_digest(generic.obs_events)
-        assert typed.obs_metrics == generic.obs_metrics
-        assert typed.obs_summary == generic.obs_summary
+        assert trace_digest(typed.obs_events) == trace_digest(generic.event_dicts())
+        assert typed.obs_metrics == generic.metrics.registry.snapshot()
+        assert typed.obs_summary == generic.summary()

@@ -12,7 +12,7 @@ from repro.obs.metrics import (
     RunMetrics,
     freeze_labels,
 )
-from repro.obs.trace import TraceEvent, TraceRecorder
+from repro.obs.trace import TraceRecorder
 
 
 class TestFreezeLabels:
@@ -117,7 +117,11 @@ class TestMetricsRegistry:
 
 
 def _event(kind, fields, time=1.0):
-    return TraceEvent(time, kind, fields)
+    """The event the generic :meth:`Recorder.emit` path records."""
+    rec = TraceRecorder()
+    rec.emit(time, kind, fields)
+    [event] = rec.events()
+    return event
 
 
 class TestRunMetricsFolding:

@@ -184,6 +184,61 @@ def test_cancel_after_fire_is_a_noop():
     assert sim.pending == 0
 
 
+def test_fire_inline_refuses_past_until():
+    sim = Simulator()
+    results = []
+    sim.schedule(1.0, lambda: results.extend(
+        [sim.fire_inline(1.5, 0), sim.fire_inline(2.5, 0)]
+    ))
+    sim.run(until=2.0)
+    assert results == [True, False]
+    assert sim.now == 2.0
+    assert sim.events_fired == 2
+
+
+def test_fire_inline_yields_to_heap_entry_due_first():
+    sim = Simulator()
+    results = []
+    sim.schedule(2.0, lambda: None, priority=0)
+    sim.schedule(1.0, lambda: results.extend(
+        [sim.fire_inline(2.0, 0), sim.fire_inline(2.0, -1)]
+    ))
+    sim.run()
+    # An equal (time, priority) key loses to the heap entry, which was
+    # scheduled first; a lower priority at the same time goes ahead.
+    assert results == [False, True]
+    assert sim.events_fired == 3
+
+
+def test_max_events_caps_inline_fires():
+    sim = Simulator()
+    results = []
+
+    def burst():
+        at = 1.0
+        while True:
+            at += 0.1
+            if not sim.fire_inline(at, 0):
+                break
+            results.append(at)
+
+    sim.schedule(1.0, burst)
+    sim.schedule(5.0, lambda: None)
+    sim.run(max_events=3)
+    assert len(results) == 2
+    assert sim.events_fired == 3
+    # The budget stopped the loop, so the clock stays at the last event.
+    assert sim.now == results[-1]
+
+
+def test_fire_inline_outside_run_is_unbounded():
+    sim = Simulator()
+    assert sim.fire_inline(3.0, 0)
+    assert sim.now == 3.0 and sim.events_fired == 1
+    with pytest.raises(SimulationError):
+        sim.fire_inline(2.0, 0)
+
+
 def test_peek_key_skips_cancelled():
     sim = Simulator()
     token = sim.schedule_token(1.0, lambda _: None, None, priority=-1)
@@ -225,6 +280,28 @@ def test_property_cancelled_subset_never_fires(entries):
     sim.run()
     assert len(fired) == len(entries) - cancelled_count
     assert not any(cancel for _, cancel in (entries[i] for i in fired))
+
+
+def test_compaction_inside_a_running_loop():
+    """A callback whose cancellations trigger the compactor must leave
+    the running loop on the live heap: later events still fire and no
+    recycled slot fires a stale entry."""
+    sim = Simulator()
+    fired = []
+
+    def churn():
+        tokens = [
+            sim.schedule_token(5.0, lambda _: fired.append("cancelled"), None)
+            for _ in range(100)
+        ]
+        for token in tokens:
+            sim.cancel_token(token)
+        sim.schedule(2.0, lambda: fired.append("later"))
+
+    sim.schedule(1.0, churn)
+    sim.run()
+    assert fired == ["later"]
+    assert sim.pending == 0 and sim.heap_size == 0
 
 
 def test_heap_size_bounded_under_heavy_cancellation():
