@@ -15,9 +15,10 @@ fleet cells across a sweep grid, while these processes parallelize the
 *coupled* shards inside one fleet run (a stateful epoch protocol the
 pool's fire-and-forget tasks cannot express).
 
-A worker that dies, or replies with an error, surfaces in the parent as
-a :class:`ShardProcessError` naming the shard and the command it was
-serving; the parent checks worker liveness while it waits for a reply.
+A worker that dies, replies with an error, or stays silent past the
+reply deadline surfaces in the parent as a :class:`ShardProcessError`
+naming the shard and the command it was serving; the parent checks
+worker liveness and the deadline while it waits for a reply.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ _CMD_STOP = "stop"
 
 #: Seconds between liveness checks while awaiting a shard's reply.
 _POLL_SECONDS = 0.05
+
+#: Seconds a live worker may take to answer one command before it is
+#: deemed wedged and terminated.  A paper-scale ``finish`` takes seconds;
+#: this leaves two orders of magnitude of headroom for a loaded host.
+_REPLY_DEADLINE_SECONDS = 300.0
 
 
 class ShardProcessError(RuntimeError):
@@ -117,16 +123,24 @@ class ShardProcessPool:
 
     def _recv(self, index: int) -> object:
         """Await shard ``index``'s reply, checking between polls that its
-        worker is still alive (a dead worker must not block forever)."""
+        worker is still alive and within the reply deadline (neither a
+        dead nor a wedged worker may block forever)."""
         conn = self._conns[index]
         proc = self._procs[index]
         command = self._pending[index]
+        deadline = time.monotonic() + _REPLY_DEADLINE_SECONDS
         try:
             while not conn.poll(_POLL_SECONDS):
                 # A worker may exit right after replying: poll once more.
                 if not proc.is_alive() and not conn.poll(0):
                     raise ShardProcessError(
                         index, command, f"worker exited with code {proc.exitcode}"
+                    )
+                if time.monotonic() > deadline:
+                    proc.terminate()
+                    proc.join(timeout=5.0)
+                    raise ShardProcessError(
+                        index, command, f"no reply within {_REPLY_DEADLINE_SECONDS:g} s"
                     )
             status, payload = conn.recv()
         except (EOFError, ConnectionResetError) as exc:

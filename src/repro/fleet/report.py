@@ -39,13 +39,15 @@ def merge_reports(
     base: ExperimentConfig,
     specs: Sequence[ShardSpec],
     reports: Sequence[SimulationReport],
+    wall_seconds: float,
 ) -> SimulationReport:
     """Fold per-shard reports into one fleet-level report.
 
     The merged report reuses :class:`SimulationReport` so every
     existing renderer (tables, dashboards, digests) works on fleets
     unchanged.  ``config`` is the *base* config: the fleet presents as
-    one logical server over the global item space.
+    one logical server over the global item space.  ``wall_seconds``
+    is the whole fleet run's wall time, which no shard report sees.
     """
     if not reports:
         raise ValueError("cannot merge zero reports")
@@ -90,7 +92,7 @@ def merge_reports(
         update_counts_original=original,
         update_counts_executed=executed,
         busy_by_class=busy,
-        wall_seconds=max(r.wall_seconds for r in reports),
+        wall_seconds=wall_seconds,
         events_fired=sum(r.events_fired for r in reports),
         records=records,
     )

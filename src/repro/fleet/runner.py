@@ -65,7 +65,13 @@ class FleetConfig:
 
 
 def run_fleet(fleet: FleetConfig) -> FleetReport:
-    """Run one fleet and merge the shard reports."""
+    """Run one fleet and merge the shard reports.
+
+    The merged report's ``wall_seconds`` times this whole call: the
+    workload fetch, partitioning, routing and spec building as well as
+    the shard runs (each shard report keeps its own timing).
+    """
+    started = time.perf_counter()
     base = fleet.base
     # The fleet shares the single-server workload pipeline (and its
     # cache): trace-shaping fault perturbation happens here, once,
@@ -158,7 +164,7 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
             directives = plan_epoch(raw)
         reports = [run.finish(started=serial_started) for run in runs]
 
-    merged = merge_reports(base, specs, reports)
+    merged = merge_reports(base, specs, reports, time.perf_counter() - started)
     obs_summary = recorder.summary() if recorder is not None else None
     return FleetReport(
         n_shards=fleet.n_shards,

@@ -1,22 +1,28 @@
-"""Rule base class, violation record, and the pluggable rule registry.
+"""Rule base class, violation record, and the one rule registry.
 
 A rule is a small class with a ``rule_id``, a human summary, a component
-scope (which top-level ``repro`` subpackages it patrols), and a
-``check`` method that yields :class:`Violation` records for one parsed
-file.  Rules self-register via the :func:`register` decorator, so adding
-a rule is: write the class, decorate it, import its module from
-``repro.lint.rules``.
+scope (which top-level ``repro`` subpackages it patrols), and one of two
+check methods, both yielding :class:`Violation` records:
+
+* ``check(ctx)`` inspects one parsed file (the SL rules);
+* ``check_program(analysis)`` inspects the whole parsed program through
+  its :class:`~repro.lint.flow.analysis.FlowAnalysis` (the SF rules).
+
+Rules self-register via the :func:`register` decorator, so adding a
+rule is: write the class, decorate it, import its module from
+``repro.lint.rules`` or ``repro.lint.flow.rules``.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, FrozenSet, Iterator, List, Type
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Type
 
 #: Components (top-level ``repro`` subpackages) that constitute the
 #: deterministic simulation path.  Wall-clock reads and ambient RNG in
-#: any of these break seed-reproducibility of the figures.
+#: any of these break seed-reproducibility of the figures, and a wall
+#: value reaching a call or attribute here breaks it too.
 SIMULATION_COMPONENTS: FrozenSet[str] = frozenset(
     {"sim", "db", "core", "workload", "obs"}
 )
@@ -55,13 +61,14 @@ class Rule:
     """Base class for simlint rules.
 
     Class attributes:
-        rule_id: Stable identifier (``SL001`` ...), used in reports and
-            in ``# simlint: disable=`` comments.
+        rule_id: Stable identifier (``SL001``, ``SF002`` ...), used in
+            reports and in ``# simlint: disable=`` comments.
         summary: One-line description shown by ``--list-rules``.
-        components: Subpackage names this rule patrols; empty means the
-            rule applies everywhere.
+        components: Subpackage names a per-file rule patrols; empty
+            means the rule applies everywhere.  Program rules scope
+            themselves inside ``check_program``.
         exempt_files: Posix path suffixes (e.g. ``sim/rng.py``) where
-            the rule is intentionally silent.
+            a per-file rule is intentionally silent.
     """
 
     rule_id: str = ""
@@ -70,9 +77,23 @@ class Rule:
     exempt_files: FrozenSet[str] = frozenset()
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:  # noqa: F821
-        """Yield violations for one parsed file.  Override in subclasses."""
-        raise NotImplementedError
-        yield  # pragma: no cover  (marks this as a generator)
+        """Yield violations for one parsed file (per-file rules override)."""
+        return iter(())
+
+    def check_program(self, analysis: "FlowAnalysis") -> Iterator[Violation]:  # noqa: F821
+        """Yield violations for the whole program (program rules override)."""
+        return iter(())
+
+    @property
+    def is_program_rule(self) -> bool:
+        """True when this rule needs the whole-program analysis."""
+        return type(self).check_program is not Rule.check_program
+
+    def applies_to(self, ctx: "FileContext") -> bool:  # noqa: F821
+        """Whether the per-file ``check`` runs on ``ctx``."""
+        if self.components and ctx.component not in self.components:
+            return False
+        return not (self.exempt_files and ctx.matches_suffix(self.exempt_files))
 
     # -- helpers shared by the concrete rules ---------------------------
 
@@ -127,3 +148,22 @@ def get_rule(rule_id: str) -> Rule:
 def known_rule_ids() -> List[str]:
     """Sorted ids of every registered rule."""
     return sorted(_REGISTRY)
+
+
+def select_rules(
+    select: Optional[Iterable[str]] = None, ignore: Iterable[str] = ()
+) -> List[Rule]:
+    """The active rules under a ``--select``/``--ignore`` pair.
+
+    ``select=None`` means every rule; ``ignore`` applies after it.
+    Naming an unregistered id raises :class:`ValueError`, so a typo
+    cannot silently run nothing.
+    """
+    chosen = set(_REGISTRY) if select is None else set(select)
+    dropped = set(ignore)
+    unknown = sorted((chosen | dropped) - set(_REGISTRY))
+    if unknown:
+        raise ValueError(
+            f"unknown rule id(s) {', '.join(unknown)}; known: {', '.join(known_rule_ids())}"
+        )
+    return [rule for rule in all_rules() if rule.rule_id in chosen - dropped]

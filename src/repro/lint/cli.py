@@ -1,13 +1,11 @@
 """The ``python -m repro.lint`` command line.
 
-Two layers share this entry point:
+One command runs every registered rule — per-file (SL001, SL003, SL004,
+SL006, SL007) and whole-program (SF001-SF004) — over one parse of the
+tree; ``--select`` / ``--ignore`` narrow the set.
 
-* per-file rules (SL001-SL004, SL006, SL007) — the default;
-* whole-program flow rules (SF001-SF004) — ``--flow``.
-
-Exit codes: 0 = clean, 1 = violations found (after baseline filtering,
-when one is given), 2 = usage or I/O error (unknown rule, missing path,
-unparsable file, unreadable baseline).
+Exit codes: 0 = clean, 1 = violations found, 2 = usage or I/O error
+(unknown rule, missing path, unparsable file).
 """
 
 from __future__ import annotations
@@ -19,12 +17,10 @@ from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.base import Violation, all_rules, known_rule_ids
-from repro.lint.config import LintConfig
-from repro.lint.flow import all_flow_rules, known_flow_rule_ids, run_flow
-from repro.lint.flow.baseline import Baseline, BaselineResult
+from repro.lint.base import Rule, Violation, all_rules, known_rule_ids, select_rules
+from repro.lint.engine import lint_paths
 from repro.lint.sarif import to_sarif
-from repro.lint.walker import LintError, lint_paths, suppression_warnings_for_paths
+from repro.lint.walker import LintError, suppression_warnings_for_paths
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
@@ -42,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "simlint: AST-based determinism & USM-accounting checks "
-            "(per-file rules SL001-SL004, SL006, SL007; whole-program flow rules "
-            "SF001-SF004 via --flow; see docs/static-analysis.md)"
+            "(per-file rules SL001, SL003, SL004, SL006, SL007 and whole-program "
+            "rules SF001-SF004, all in one run; see docs/static-analysis.md)"
         ),
     )
     parser.add_argument(
@@ -51,14 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "run the whole-program flow rules (SF001-SF004) instead of "
-            "the per-file rules"
-        ),
     )
     parser.add_argument(
         "--format",
@@ -77,19 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            "ratchet file of accepted findings: only findings NOT in the "
-            "baseline fail the run; stale entries are reported on stderr"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="write the current findings to PATH as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
@@ -99,65 +74,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _list_rules() -> None:
     for rule in all_rules():
-        scope = ", ".join(sorted(rule.components)) if rule.components else "all"
+        if rule.is_program_rule:
+            scope = "program"
+        else:
+            scope = ", ".join(sorted(rule.components)) if rule.components else "all"
         print(f"{rule.rule_id}  [{scope}]  {rule.summary}")
-    for flow_rule in all_flow_rules():
-        print(f"{flow_rule.rule_id}  [flow]  {flow_rule.summary}")
-
-
-def _active_rule_catalog(options: argparse.Namespace) -> List:
-    if options.flow:
-        return [(r.rule_id, r.summary) for r in all_flow_rules()]
-    return [(r.rule_id, r.summary) for r in all_rules()]
 
 
 def _emit(
     options: argparse.Namespace,
+    rules: List[Rule],
     violations: List[Violation],
     files_checked: int,
-    baseline_result: Optional[BaselineResult],
 ) -> None:
-    tool = "simflow" if options.flow else "simlint"
-    reported = baseline_result.new if baseline_result is not None else violations
-    counts = Counter(v.rule_id for v in reported)
+    counts = Counter(v.rule_id for v in violations)
     if options.format == "sarif":
-        print(json.dumps(to_sarif(reported, _active_rule_catalog(options), tool), indent=2))
+        catalog = [(rule.rule_id, rule.summary) for rule in rules]
+        print(json.dumps(to_sarif(violations, catalog, "simlint"), indent=2))
     elif options.format == "json":
         payload = {
-            "ok": not reported,
-            "tool": tool,
+            "ok": not violations,
+            "tool": "simlint",
             "files_checked": files_checked,
-            "violation_count": len(reported),
+            "violation_count": len(violations),
             "counts_by_rule": dict(sorted(counts.items())),
-            "violations": [v.as_dict() for v in reported],
+            "violations": [v.as_dict() for v in violations],
         }
-        if baseline_result is not None:
-            payload["baselined_count"] = len(baseline_result.suppressed)
-            payload["stale_baseline_entries"] = baseline_result.stale
         print(json.dumps(payload, indent=2))
     else:
-        for violation in reported:
+        for violation in violations:
             print(violation.render())
         noun = "file" if files_checked == 1 else "files"
-        suffix = ""
-        if baseline_result is not None and baseline_result.suppressed:
-            suffix = f" ({len(baseline_result.suppressed)} baselined finding(s) hidden)"
-        if reported:
+        if violations:
             by_rule = ", ".join(f"{rule}: {n}" for rule, n in sorted(counts.items()))
             print(
-                f"{tool}: {len(reported)} violation(s) in {files_checked} {noun} "
-                f"({by_rule}){suffix}"
+                f"simlint: {len(violations)} violation(s) in {files_checked} {noun} "
+                f"({by_rule})"
             )
         else:
-            print(f"{tool}: {files_checked} {noun} checked, no violations{suffix}")
-    if baseline_result is not None and baseline_result.stale:
-        for entry in baseline_result.stale:
-            print(
-                f"warning: stale baseline entry {entry['fingerprint']} "
-                f"({entry['rule']} at {entry['path']}) no longer occurs — "
-                "re-run with --write-baseline to shrink the ratchet",
-                file=sys.stderr,
-            )
+            print(f"simlint: {files_checked} {noun} checked, no violations")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -177,62 +132,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ignore = _parse_rule_list(options.ignore) or []
 
     paths = [Path(p) for p in options.paths]
-    if options.flow:
-        known = set(known_flow_rule_ids())
-        unknown = [r for r in (select or []) + ignore if r not in known]
-        if unknown:
-            print(
-                f"error: unknown flow rule(s): {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-        try:
-            violations, files_checked = run_flow(paths, select=select, ignore=ignore)
-        except LintError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    else:
-        try:
-            config = LintConfig.from_rule_ids(select=select, ignore=ignore)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        try:
-            violations, files_checked = lint_paths(paths, config)
-        except LintError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-
-    # Typo'd suppression ids silently disable nothing — warn, both modes.
     try:
-        all_known = set(known_rule_ids()) | set(known_flow_rule_ids())
-        for warning in suppression_warnings_for_paths(paths, all_known):
-            print(f"warning: {warning}", file=sys.stderr)
-    except LintError:
-        pass  # unreadable paths already reported by the lint run itself
+        rules = select_rules(select, ignore)
+        violations, files_checked = lint_paths(paths, select, ignore)
+    except (ValueError, LintError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
-    if options.write_baseline:
-        Baseline.from_violations(violations).write(Path(options.write_baseline))
-        print(
-            f"wrote baseline with {len(violations)} finding(s) to "
-            f"{options.write_baseline}",
-            file=sys.stderr,
-        )
-        return EXIT_CLEAN
+    # Typo'd suppression ids silently disable nothing — warn.
+    for warning in suppression_warnings_for_paths(paths, set(known_rule_ids())):
+        print(f"warning: {warning}", file=sys.stderr)
 
-    baseline_result: Optional[BaselineResult] = None
-    if options.baseline:
-        baseline_path = Path(options.baseline)
-        try:
-            baseline = (
-                Baseline.load(baseline_path) if baseline_path.exists() else Baseline.empty()
-            )
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        baseline_result = baseline.filter(violations)
-
-    _emit(options, violations, files_checked, baseline_result)
-    failing = baseline_result.new if baseline_result is not None else violations
-    return EXIT_VIOLATIONS if failing else EXIT_CLEAN
+    _emit(options, rules, violations, files_checked)
+    return EXIT_VIOLATIONS if violations else EXIT_CLEAN

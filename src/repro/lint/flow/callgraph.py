@@ -49,7 +49,7 @@ class CallGraph:
         for qualname in sorted(self.symbols.functions):
             func = self.symbols.functions[qualname]
             env = self.symbols.local_types(func)
-            for node in ast.walk(func.node):
+            for node in func.nodes:
                 if isinstance(node, ast.Call):
                     target = self.symbols.resolve_call_target(func.module, node.func, env)
                     if target is None:

@@ -1,13 +1,12 @@
-"""Whole-program loading for simflow.
+"""Whole-program loading: the one parse every lint run starts from.
 
-simlint's per-file rules parse one module at a time; the flow rules
-(SF001-SF004) need the *whole* ``repro`` tree in memory at once so they
-can follow a value across module boundaries.  :func:`load_program`
-walks the same file set as :func:`repro.lint.walker.discover_files`,
-parses every module exactly once into the existing
-:class:`~repro.lint.walker.FileContext` (so suppression comments and
-component classification behave identically in both layers), and
-assigns each file its dotted module name.
+:func:`load_program` walks the same file set as
+:func:`repro.lint.walker.discover_files`, parses every module exactly
+once into a :class:`~repro.lint.walker.FileContext` (which carries its
+suppression comments and component), and assigns each file its dotted
+module name.  The per-file rules read those contexts one at a time; the
+program rules (SF001-SF004) follow values across module boundaries
+through the whole :class:`Program`.
 
 Module naming: inside an importable tree the name is anchored at the
 last ``repro`` directory (``src/repro/db/server.py`` →
@@ -89,8 +88,8 @@ def module_name_for(path: Path, root: Optional[Path] = None) -> str:
 def load_program(paths: Iterable[Path]) -> Program:
     """Parse every ``.py`` file under ``paths`` into a :class:`Program`.
 
-    Raises :class:`repro.lint.walker.LintError` on unreadable or
-    unparsable files, exactly like the per-file walker.
+    Raises :class:`repro.lint.walker.LintError` on a missing path or an
+    unreadable or unparsable file.
     """
     modules: Dict[str, ModuleFile] = {}
     path_list = [Path(p) for p in paths]

@@ -1,7 +1,7 @@
-"""Built-in simflow rules (SF001-SF004).
+"""Built-in program rules (SF001-SF004).
 
-Importing this package registers every flow rule with the registry in
-:mod:`repro.lint.flow.base`, mirroring the per-file rules package.
+Importing this package registers every program rule with the one
+registry in :mod:`repro.lint.base`, next to the per-file rules.
 """
 
 from repro.lint.flow.rules import capture, clock, escape, streams

@@ -24,8 +24,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.base import Violation
-from repro.lint.flow.base import FlowAnalysis, FlowRule, register_flow
+from repro.lint.base import Rule, Violation, register
+from repro.lint.flow.analysis import FlowAnalysis
 from repro.lint.flow.symbols import FunctionInfo
 
 #: Pool/executor methods that ship a callable (first argument).
@@ -113,14 +113,14 @@ class _SubmitSite:
         self.payload_names: Set[str] = set()
 
 
-@register_flow
-class CrossProcessCaptureRule(FlowRule):
+@register
+class CrossProcessCaptureRule(Rule):
     """SF003: objects crossing the process-pool boundary stay immutable."""
 
     rule_id = "SF003"
     summary = "pool-shipped callables are module-level; no mutation across the boundary"
 
-    def check(self, analysis: FlowAnalysis) -> Iterator[Violation]:
+    def check_program(self, analysis: FlowAnalysis) -> Iterator[Violation]:
         sites = self._submit_sites(analysis)
         entry_points: Set[str] = set()
         for site in sites:
@@ -133,7 +133,7 @@ class CrossProcessCaptureRule(FlowRule):
     def _submit_sites(self, analysis: FlowAnalysis) -> List[_SubmitSite]:
         sites: List[_SubmitSite] = []
         for func in analysis.callgraph.functions_in_postorder():
-            for node in ast.walk(func.node):
+            for node in func.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 site: Optional[_SubmitSite] = None
@@ -175,7 +175,7 @@ class CrossProcessCaptureRule(FlowRule):
         for expr in site.callable_exprs:
             if isinstance(expr, ast.Lambda):
                 yield self.violation(
-                    mod,
+                    mod.ctx,
                     expr,
                     "lambda shipped to the process pool; workers need a "
                     "module-level function (picklable, no captured parent state)",
@@ -183,7 +183,7 @@ class CrossProcessCaptureRule(FlowRule):
                 continue
             if isinstance(expr, ast.Attribute):
                 yield self.violation(
-                    mod,
+                    mod.ctx,
                     expr,
                     "bound method shipped to the process pool; the receiver "
                     "object is pickled with it — ship a module-level function "
@@ -193,7 +193,7 @@ class CrossProcessCaptureRule(FlowRule):
             if isinstance(expr, ast.Name):
                 if self._is_nested_def(site.func, expr.id):
                     yield self.violation(
-                        mod,
+                        mod.ctx,
                         expr,
                         f"closure '{expr.id}' shipped to the process pool; "
                         "nested functions capture enclosing frames — hoist it "
@@ -207,14 +207,14 @@ class CrossProcessCaptureRule(FlowRule):
                         entry_points.add(resolved)
                     else:
                         yield self.violation(
-                            mod,
+                            mod.ctx,
                             expr,
                             f"method {info.local_name} shipped to the process "
                             "pool; ship a module-level function instead",
                         )
 
     def _is_nested_def(self, func: FunctionInfo, name: str) -> bool:
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and node is not func.node
@@ -232,14 +232,14 @@ class CrossProcessCaptureRule(FlowRule):
             return
         mod = analysis.symbols.modules[site.func.module].module
         submit_line = site.node.lineno
-        for node in ast.walk(site.func.node):
+        for node in site.func.nodes:
             lineno = getattr(node, "lineno", None)
             if lineno is None or lineno < submit_line:
                 continue
             mutated = self._mutated_name(node)
             if mutated is not None and mutated in site.payload_names:
                 yield self.violation(
-                    mod,
+                    mod.ctx,
                     node,
                     f"'{mutated}' is mutated after being shipped to the process "
                     "pool; in-flight tasks pickle lazily, so the workers may "
@@ -283,7 +283,7 @@ class CrossProcessCaptureRule(FlowRule):
             syms = analysis.symbols.modules[func.module]
             global_names = self._declared_globals(func)
             local_names = self._local_bindings(func)
-            for node in ast.walk(func.node):
+            for node in func.nodes:
                 # Rebinding a module global inside a worker-reachable body.
                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                     targets = (
@@ -295,7 +295,7 @@ class CrossProcessCaptureRule(FlowRule):
                             and target.id in global_names
                         ):
                             yield self.violation(
-                                mod,
+                                mod.ctx,
                                 node,
                                 f"worker-reachable '{func.local_name}' rebinds "
                                 f"module global '{target.id}'; each pool process "
@@ -310,7 +310,7 @@ class CrossProcessCaptureRule(FlowRule):
                     and mutated in syms.global_assigns
                 ):
                     yield self.violation(
-                        mod,
+                        mod.ctx,
                         node,
                         f"worker-reachable '{func.local_name}' mutates module "
                         f"global '{mutated}'; each pool process mutates a "
@@ -348,7 +348,7 @@ class CrossProcessCaptureRule(FlowRule):
         if method is None or not mutates_self.get(method.qualname, False):
             return
         yield self.violation(
-            mod,
+            mod.ctx,
             node,
             f"worker-reachable '{func.local_name}' calls "
             f"{f.value.id}.{f.attr}(), which mutates the module-global "
@@ -369,7 +369,7 @@ class CrossProcessCaptureRule(FlowRule):
         for qualname, func in analysis.symbols.functions.items():
             if summaries[qualname] or func.class_name is None:
                 continue
-            for node in ast.walk(func.node):
+            for node in func.nodes:
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -385,7 +385,7 @@ class CrossProcessCaptureRule(FlowRule):
         return summaries
 
     def _mutates_self(self, func: FunctionInfo) -> bool:
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -414,7 +414,7 @@ class CrossProcessCaptureRule(FlowRule):
 
     def _declared_globals(self, func: FunctionInfo) -> Set[str]:
         names: Set[str] = set()
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             if isinstance(node, ast.Global):
                 names.update(node.names)
         return names
@@ -433,7 +433,7 @@ class CrossProcessCaptureRule(FlowRule):
         if args.kwarg:
             names.add(args.kwarg.arg)
         globals_declared = self._declared_globals(func)
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     for sub in ast.walk(target):

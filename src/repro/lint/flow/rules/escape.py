@@ -14,8 +14,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
-from repro.lint.base import Violation
-from repro.lint.flow.base import FlowAnalysis, FlowRule, register_flow
+from repro.lint.base import Rule, Violation, register
+from repro.lint.flow.analysis import FlowAnalysis
 
 #: (class name, owning component, modules allowed to mutate instances).
 _OWNED_TYPES: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
@@ -23,14 +23,14 @@ _OWNED_TYPES: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
 )
 
 
-@register_flow
-class EngineEscapeRule(FlowRule):
+@register
+class EngineEscapeRule(Rule):
     """SF004: LockManager state is mutated only inside db/locks.py."""
 
     rule_id = "SF004"
     summary = "LockManager state is mutated only inside db/locks.py"
 
-    def check(self, analysis: FlowAnalysis) -> Iterator[Violation]:
+    def check_program(self, analysis: FlowAnalysis) -> Iterator[Violation]:
         owned = self._owned_classes(analysis)
         if not owned:
             return
@@ -65,7 +65,7 @@ class EngineEscapeRule(FlowRule):
         env: Dict[str, str],
         owned: Dict[str, Tuple[str, str, FrozenSet[str]]],
     ) -> Iterator[Violation]:
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             targets: List[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = list(node.targets)
@@ -101,7 +101,7 @@ class EngineEscapeRule(FlowRule):
         if self._module_is_exempt(func.module, mutators):
             return
         yield self.violation(
-            mod,
+            mod.ctx,
             target,
             f"assignment to {name}.{target.attr} outside the engine modules "
             f"(receiver tracked as {receiver_type}); {name} state is "

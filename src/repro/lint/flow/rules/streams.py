@@ -26,8 +26,8 @@ import ast
 import dataclasses
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.base import Violation
-from repro.lint.flow.base import FlowAnalysis, FlowRule, register_flow
+from repro.lint.base import Rule, Violation, register
+from repro.lint.flow.analysis import FlowAnalysis
 from repro.lint.flow.symbols import FunctionInfo, SymbolTable
 
 #: How deep a parameter is chased through callers before giving up.
@@ -166,7 +166,7 @@ class _Resolver:
     ) -> Optional[Tuple[str, int]]:
         found: Optional[Tuple[str, int]] = None
         count = 0
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id == name:
@@ -248,14 +248,14 @@ class _Resolver:
         return None
 
 
-@register_flow
-class StreamProvenanceRule(FlowRule):
+@register
+class StreamProvenanceRule(Rule):
     """SF001: stream names resolve to literals; no cross-component dupes."""
 
     rule_id = "SF001"
     summary = "RandomStreams names are literal-resolvable and collision-free"
 
-    def check(self, analysis: FlowAnalysis) -> Iterator[Violation]:
+    def check_program(self, analysis: FlowAnalysis) -> Iterator[Violation]:
         resolver = _Resolver(analysis)
         sites = self._stream_sites(analysis, resolver)
         yield from self._unresolved_violations(analysis, sites)
@@ -272,7 +272,7 @@ class StreamProvenanceRule(FlowRule):
             if func.module.endswith("sim.rng"):
                 continue
             env = analysis.symbols.local_types(func)
-            for node in ast.walk(func.node):
+            for node in func.nodes:
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -301,7 +301,7 @@ class StreamProvenanceRule(FlowRule):
                 continue
             mod = analysis.symbols.modules[site.func.module].module
             yield self.violation(
-                mod,
+                mod.ctx,
                 site.node,
                 f"stream name cannot be resolved to a stable literal "
                 f"({site.failure}); substream seeds derive from the name, so "
@@ -336,7 +336,7 @@ class StreamProvenanceRule(FlowRule):
                 )
                 mod = analysis.symbols.modules[site.func.module].module
                 yield self.violation(
-                    mod,
+                    mod.ctx,
                     site.node,
                     f"stream name {name!r} is shared across components "
                     f"(also reached from {', '.join(others)}); shared names "

@@ -1,4 +1,4 @@
-"""Symbol table and lightweight type resolution for simflow.
+"""Symbol table and lightweight type resolution for the whole-program rules.
 
 Builds, from a loaded :class:`~repro.lint.flow.loader.Program`, the
 facts the interprocedural rules need:
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.lint.flow.loader import ModuleFile, Program
@@ -43,6 +44,12 @@ class FunctionInfo:
     @property
     def is_method(self) -> bool:
         return self.class_name is not None
+
+    @functools.cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the definition in ``ast.walk`` order, walked once
+        and shared by every rule."""
+        return list(ast.walk(self.node))
 
 
 @dataclasses.dataclass
@@ -77,9 +84,9 @@ class ModuleSymbols:
     str_constants: Dict[str, str] = dataclasses.field(default_factory=dict)
 
 
-def _collect_imports(tree: ast.Module) -> Dict[str, str]:
+def _collect_imports(nodes: List[ast.AST]) -> Dict[str, str]:
     imports: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".", 1)[0]
@@ -133,6 +140,8 @@ class SymbolTable:
         self.functions: Dict[str, FunctionInfo] = {}
         #: every ClassInfo keyed by full qualname.
         self.classes: Dict[str, ClassInfo] = {}
+        #: ``local_types`` results by function qualname.
+        self._local_types: Dict[str, Dict[str, str]] = {}
         for mod in program.sorted_modules():
             self._index_module(mod)
         for mod_syms in self.modules.values():
@@ -142,7 +151,7 @@ class SymbolTable:
     # -- indexing -------------------------------------------------------
 
     def _index_module(self, mod: ModuleFile) -> None:
-        syms = ModuleSymbols(module=mod, imports=_collect_imports(mod.ctx.tree))
+        syms = ModuleSymbols(module=mod, imports=_collect_imports(mod.ctx.nodes))
         for stmt in mod.ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info = FunctionInfo(
@@ -210,7 +219,7 @@ class SymbolTable:
         if init is None:
             return
         param_types = self.parameter_types(init)
-        for node in ast.walk(init.node):
+        for node in init.nodes:
             targets: List[ast.expr] = []
             value: Optional[ast.expr] = None
             if isinstance(node, ast.Assign):
@@ -352,12 +361,16 @@ class SymbolTable:
         """Name → class qualname for ``func``'s parameters and locals.
 
         Iterates assignment propagation to a small fixpoint so chains
-        like ``a = RandomStreams(s); b = a`` resolve.
+        like ``a = RandomStreams(s); b = a`` resolve.  Computed once per
+        function; callers must not mutate the result.
         """
+        cached = self._local_types.get(func.qualname)
+        if cached is not None:
+            return cached
         env = self.parameter_types(func)
         for _ in range(3):  # bounded: local chains are short
             changed = False
-            for node in ast.walk(func.node):
+            for node in func.nodes:
                 if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                     continue
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -375,6 +388,7 @@ class SymbolTable:
                         changed = True
             if not changed:
                 break
+        self._local_types[func.qualname] = env
         return env
 
     def resolve_call_target(

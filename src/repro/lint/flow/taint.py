@@ -1,4 +1,4 @@
-"""A small interprocedural taint engine for simflow.
+"""A small interprocedural taint engine for the whole-program rules.
 
 Rules declare *sources* (expressions that introduce a labelled taint,
 e.g. "wall-clock") and the engine answers, for any expression in any
@@ -70,7 +70,6 @@ class TaintEngine:
             qual: FunctionSummary() for qual in symbols.functions
         }
         self._envs: Dict[str, Dict[str, Labels]] = {}
-        self._type_envs: Dict[str, Dict[str, str]] = {}
         self._solve()
 
     # -- public API -----------------------------------------------------
@@ -103,13 +102,6 @@ class TaintEngine:
             if not changed:
                 break
 
-    def _type_env(self, func: FunctionInfo) -> Dict[str, str]:
-        env = self._type_envs.get(func.qualname)
-        if env is None:
-            env = self.symbols.local_types(func)
-            self._type_envs[func.qualname] = env
-        return env
-
     def _params_reach_return(self, func: FunctionInfo) -> bool:
         args = func.node.args
         param_names = {
@@ -121,7 +113,7 @@ class TaintEngine:
             return False
         env: Dict[str, Labels] = {name: {"<arg>"} for name in param_names}
         env = self._propagate_assignments(func, env, with_sources=False)
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             if isinstance(node, ast.Return) and node.value is not None:
                 if "<arg>" in self._expr_labels(func, node.value, env, with_sources=False):
                     return True
@@ -139,7 +131,7 @@ class TaintEngine:
         env = {name: set(labels) for name, labels in env.items()}
         for _ in range(6):  # local chains are short
             changed = False
-            for node in ast.walk(func.node):
+            for node in func.nodes:
                 targets: list = []
                 value: Optional[ast.expr] = None
                 if isinstance(node, ast.Assign):
@@ -188,7 +180,7 @@ class TaintEngine:
 
     def _return_labels(self, func: FunctionInfo, env: Dict[str, Labels]) -> Labels:
         labels: Labels = set()
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             if isinstance(node, ast.Return) and node.value is not None:
                 labels |= self._expr_labels(func, node.value, env)
         return labels
@@ -216,7 +208,7 @@ class TaintEngine:
             for arg in list(expr.args) + [kw.value for kw in expr.keywords]:
                 arg_labels |= self._expr_labels(func, arg, env, with_sources)
             target = self.symbols.resolve_call_target(
-                func.module, expr.func, self._type_env(func)
+                func.module, expr.func, self.symbols.local_types(func)
             )
             if target is not None and target[0] == "func":
                 summary = self.summaries.get(target[1])

@@ -1,24 +1,26 @@
-"""SL001 / SL002: seed-reproducibility rules.
+"""SL001: the ambient-``random`` seed-reproducibility rule.
 
 Every figure in the reproduction must be a pure function of the master
-seed (``RandomStreams`` in :mod:`repro.sim.rng`).  Two things silently
-break that: drawing from the ambient ``random`` module (whose state is
-process-global and perturbed by *any* other consumer) and reading the
-wall clock (which differs on every run).
+seed (``RandomStreams`` in :mod:`repro.sim.rng`).  Drawing from the
+ambient ``random`` module silently breaks that: its state is
+process-global and perturbed by *any* other consumer.  (The other
+hazard, reading the wall clock, is SF002's in
+:mod:`repro.lint.flow.rules.clock`, which shares the import helpers
+below.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, Set, Tuple
+from typing import Dict, Iterable, Iterator, Set, Tuple
 
 from repro.lint.base import SIMULATION_COMPONENTS, Rule, Violation, register
 
 
-def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
+def _module_aliases(nodes: Iterable[ast.AST], module: str) -> Set[str]:
     """Local names bound to ``module`` by ``import`` statements."""
     aliases: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == module:
@@ -28,10 +30,12 @@ def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
     return aliases
 
 
-def _from_imports(tree: ast.Module, module: str) -> Dict[str, Tuple[ast.ImportFrom, str]]:
+def _from_imports(
+    nodes: Iterable[ast.AST], module: str
+) -> Dict[str, Tuple[ast.ImportFrom, str]]:
     """Local names bound by ``from <module> import ...``, with their nodes."""
     bound: Dict[str, Tuple[ast.ImportFrom, str]] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == module and node.level == 0:
             for alias in node.names:
                 bound[alias.asname or alias.name] = (node, alias.name)
@@ -57,8 +61,8 @@ class AmbientRandomRule(Rule):
     exempt_files = frozenset({"sim/rng.py"})
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:  # noqa: F821
-        aliases = _module_aliases(ctx.tree, "random")
-        from_bound = _from_imports(ctx.tree, "random")
+        aliases = _module_aliases(ctx.nodes, "random")
+        from_bound = _from_imports(ctx.nodes, "random")
         flagged_imports: Set[int] = set()
         for _name, (node, original) in from_bound.items():
             if id(node) not in flagged_imports:
@@ -69,7 +73,7 @@ class AmbientRandomRule(Rule):
                     f"'from random import {original}' binds the ambient RNG; "
                     "take an injected random.Random (a RandomStreams substream) instead",
                 )
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -99,105 +103,4 @@ class AmbientRandomRule(Rule):
                     node,
                     f"call to '{func.id}' imported from the ambient random module; "
                     "draw from an injected random.Random substream",
-                )
-
-
-#: ``time``-module attributes that read the host clock.
-_WALL_CLOCK_TIME_ATTRS: FrozenSet[str] = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-        "clock_gettime",
-        "clock_gettime_ns",
-        "localtime",
-        "gmtime",
-        "sleep",
-    }
-)
-
-#: ``datetime.datetime`` / ``datetime.date`` constructors that read it.
-_WALL_CLOCK_DT_ATTRS: FrozenSet[str] = frozenset({"now", "utcnow", "today"})
-_DT_CLASSES: FrozenSet[str] = frozenset({"datetime", "date"})
-
-
-@register
-class WallClockRule(Rule):
-    """SL002: no wall-clock reads in simulation paths.
-
-    Simulated time lives on ``Simulator.now``; anything derived from the
-    host clock (``time.time()``, ``datetime.now()``, ``perf_counter()``)
-    differs between two runs of the same seed and so poisons
-    reproducibility the moment it touches sim state.  Wall-clock timing
-    of *reports* belongs in ``experiments/``, outside this rule's scope.
-    """
-
-    rule_id = "SL002"
-    summary = "no wall-clock reads in sim paths (use Simulator.now)"
-    components = SIMULATION_COMPONENTS
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:  # noqa: F821
-        time_aliases = _module_aliases(ctx.tree, "time")
-        dt_aliases = _module_aliases(ctx.tree, "datetime")
-        time_from = _from_imports(ctx.tree, "time")
-        dt_from = _from_imports(ctx.tree, "datetime")
-        flagged_imports: Set[int] = set()
-
-        for _name, (node, original) in time_from.items():
-            if original in _WALL_CLOCK_TIME_ATTRS and id(node) not in flagged_imports:
-                flagged_imports.add(id(node))
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"'from time import {original}' pulls the wall clock into a "
-                    "simulation path; use the virtual clock (Simulator.now)",
-                )
-
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
-            # time.<attr>()
-            if isinstance(base, ast.Name) and base.id in time_aliases:
-                if func.attr in _WALL_CLOCK_TIME_ATTRS:
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"wall-clock read time.{func.attr}(...) in a simulation path; "
-                        "use the virtual clock (Simulator.now)",
-                    )
-            # datetime.datetime.now() / datetime.date.today()
-            elif (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id in dt_aliases
-                and base.attr in _DT_CLASSES
-                and func.attr in _WALL_CLOCK_DT_ATTRS
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"wall-clock read datetime.{base.attr}.{func.attr}(...) in a "
-                    "simulation path; use the virtual clock (Simulator.now)",
-                )
-            # datetime.now() / date.today() via from-import
-            elif (
-                isinstance(base, ast.Name)
-                and base.id in dt_from
-                and dt_from[base.id][1] in _DT_CLASSES
-                and func.attr in _WALL_CLOCK_DT_ATTRS
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"wall-clock read {base.id}.{func.attr}(...) in a simulation path; "
-                    "use the virtual clock (Simulator.now)",
                 )

@@ -40,14 +40,14 @@ class BarePrintRule(Rule):
             return
         # A module that rebinds `print` (test doubles, shims) opted out
         # of the builtin; respect that and stay quiet.
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.FunctionDef) and node.name == "print":
                 return
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id == "print":
                         return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -219,7 +219,7 @@ class OutcomeExhaustiveRule(Rule):
     # -- match statements ----------------------------------------------
 
     def _check_matches(self, ctx: "FileContext") -> Iterator[Violation]:  # noqa: F821
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Match):
                 continue
             covered: Set[str] = set()
@@ -265,7 +265,7 @@ class OutcomeExhaustiveRule(Rule):
     # -- literal mappings ----------------------------------------------
 
     def _check_dict_literals(self, ctx: "FileContext") -> Iterator[Violation]:  # noqa: F821
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Dict):
                 continue
             members: Set[str] = set()

@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 export shared by the per-file and flow layers.
+"""SARIF 2.1.0 export for one simlint run (per-file and program rules).
 
 Emits the minimal valid subset consumed by code-scanning UIs: one run,
 ``tool.driver`` with the active rule catalog, and one ``result`` per

@@ -1,4 +1,4 @@
-"""File discovery, suppression comments, and the per-file lint driver.
+"""File discovery, suppression comments, and the parsed-file context.
 
 Suppression grammar (anywhere in a comment)::
 
@@ -9,19 +9,20 @@ Suppression grammar (anywhere in a comment)::
     # simlint: disable-file             silence the whole file (use sparingly)
 
 Suppressions should carry a justification in the same comment, e.g.
-``# simlint: disable=SL002 -- wall-clock is report metadata, not sim state``.
+``# simlint: disable=SF003 -- memoized per process, keyed by content hash``.
+An inline comment is the one way to accept a finding.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.base import Rule, Violation
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
+from repro.lint.base import Violation
 
 #: Top-level subpackages a file can belong to; used to classify files
 #: that live outside an importable ``repro`` tree (test fixtures).
@@ -88,8 +89,7 @@ def suppression_warnings(
 
     A typo'd id (``disable=SL09``) silently suppresses nothing, which
     reads as "finding fixed" in review; surface it instead.  ``known_ids``
-    is passed in so this stays layer-agnostic — callers union the SL and
-    SF catalogs.
+    is passed in so the check stays independent of the registry.
     """
     line_disables, file_disables = _parse_suppressions(source)
 
@@ -189,6 +189,12 @@ class FileContext:
             raise LintError(str(path), f"cannot read: {exc}")
         return cls.from_source(source, path, display_path=display_path)
 
+    @functools.cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the module in ``ast.walk`` order, walked once and
+        shared by every rule."""
+        return list(ast.walk(self.tree))
+
     def matches_suffix(self, suffixes: Iterable[str]) -> bool:
         """True when this file's posix path ends with any given suffix."""
         posix = self.path.as_posix()
@@ -199,41 +205,6 @@ class FileContext:
             return True
         rules = self.line_disables.get(violation.line)
         return rules is not None and (_ALL in rules or violation.rule_id in rules)
-
-
-def _rule_applies(rule: Rule, ctx: FileContext) -> bool:
-    if rule.components and ctx.component not in rule.components:
-        return False
-    if rule.exempt_files and ctx.matches_suffix(rule.exempt_files):
-        return False
-    return True
-
-
-def lint_context(ctx: FileContext, config: LintConfig = DEFAULT_CONFIG) -> List[Violation]:
-    """Run every applicable rule over an already-parsed file."""
-    violations: List[Violation] = []
-    for rule in config.rules():
-        if not _rule_applies(rule, ctx):
-            continue
-        for violation in rule.check(ctx):
-            if not ctx.is_suppressed(violation):
-                violations.append(violation)
-    violations.sort()
-    return violations
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: LintConfig = DEFAULT_CONFIG,
-) -> List[Violation]:
-    """Lint a source string (fixture-friendly entry point)."""
-    return lint_context(FileContext.from_source(source, Path(path)), config)
-
-
-def lint_file(path: Path, config: LintConfig = DEFAULT_CONFIG) -> List[Violation]:
-    """Lint one file on disk."""
-    return lint_context(FileContext.from_path(path), config)
 
 
 def discover_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -255,21 +226,3 @@ def discover_files(paths: Iterable[Path]) -> Iterator[Path]:
             if any(part.startswith(".") or part == "__pycache__" for part in parts):
                 continue
             yield candidate
-
-
-def lint_paths(
-    paths: Iterable[Path],
-    config: LintConfig = DEFAULT_CONFIG,
-) -> Tuple[List[Violation], int]:
-    """Lint every python file under ``paths``.
-
-    Returns ``(violations, files_checked)``; violations are sorted by
-    ``(path, line, col, rule)``.
-    """
-    violations: List[Violation] = []
-    files_checked = 0
-    for file_path in discover_files(paths):
-        files_checked += 1
-        violations.extend(lint_file(file_path, config))
-    violations.sort()
-    return violations, files_checked

@@ -31,8 +31,8 @@ and this package is the window into those per-decision signals:
 
 The cardinal rule: observability must never change simulation results.
 Recorders only *observe* (no RNG draws, no extra simulator events), and
-every timestamp is simulated time — simlint's SL002 patrols this
-package like any other simulation component.
+every timestamp is simulated time — simlint's SF002 patrols this
+package for wall-clock reads like any other simulation component.
 """
 
 from repro.obs.config import ObsConfig

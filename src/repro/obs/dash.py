@@ -21,7 +21,7 @@ publishes it to any connected Server-Sent-Events subscriber.
 embedded, so a finished sweep exports as a single HTML artifact (the
 CI ``obs-dash-smoke`` job snapshots it) that renders without a server.
 
-This module lives in a patrolled simulation component (simlint SL002),
+This module lives in a patrolled simulation component (simlint SF002),
 so it never touches the wall clock: blocking uses
 ``threading.Event.wait`` and queue timeouts, and all displayed timings
 come from the reports themselves.

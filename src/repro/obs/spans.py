@@ -33,7 +33,7 @@ events for unknown queries) never raise: the builder skips and counts
 the recorder reports dropped events.
 
 All timestamps are simulated time; this module never reads the wall
-clock (simlint SL002 patrols it like any other simulation component).
+clock (simlint SF002 patrols it like any other simulation component).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ a long trace costs the collector nothing to re-walk.
 
 All timestamps are **simulated** time (the caller passes
 ``Simulator.now``); this module never reads the wall clock — simlint's
-SL002 patrols it like any other simulation component.
+SF002 patrols it like any other simulation component.
 
 Event kinds (the ``kind`` field of every event):
 

@@ -66,3 +66,29 @@ class TestWorkerDeath:
         assert caught.value.shard == 0
         assert caught.value.command == "finish"
         assert "RuntimeError: boom" in str(caught.value)
+
+
+def _wedged_worker(conn, spec):
+    """Alive but silent: swallows every command until told to stop."""
+    while conn.recv()[0] != procs._CMD_STOP:
+        pass
+
+
+class TestWedgedWorker:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched worker reaches the pool only through fork",
+    )
+    def test_silent_worker_hits_the_reply_deadline(self, monkeypatch):
+        monkeypatch.setattr(procs, "_shard_worker", _wedged_worker)
+        monkeypatch.setattr(procs, "_REPLY_DEADLINE_SECONDS", 0.5)
+        fleet = FleetConfig(base=BASE, n_shards=2, workers=1)
+        started = time.monotonic()
+        with pytest.raises(ShardProcessError) as caught:
+            run_fleet(fleet)
+        assert time.monotonic() - started < 30.0
+        error = caught.value
+        assert error.shard == 0
+        assert error.command == "run_to 20.0"
+        assert "shard 0" in str(error) and "run_to 20.0" in str(error)
+        assert "no reply within 0.5 s" in str(error)

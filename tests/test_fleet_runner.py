@@ -10,6 +10,8 @@ These are the acceptance gates of the fleet subsystem:
   shard reports.
 """
 
+import time
+
 import pytest
 
 from repro.core.fixedpoint import fixed_from_float, float_from_fixed
@@ -19,6 +21,7 @@ from repro.experiments.report import stable_report_bytes, stable_report_digest
 from repro.experiments.runner import run_experiment
 from repro.faults.scenario import FaultScenario, ServerSlowdown
 from repro.fleet import FleetConfig, run_fleet
+from repro.fleet import runner as fleet_runner
 from repro.obs.config import ObsConfig
 
 SMOKE = SCALES["smoke"]
@@ -122,6 +125,23 @@ class TestMergeExactness:
         update arrivals must exceed the single-server trace's."""
         single = run_experiment(base_config())
         assert fleet.merged.update_arrivals > single.update_arrivals
+
+
+class TestWallTime:
+    def test_merged_wall_time_covers_the_whole_call(self, monkeypatch):
+        """Routing (and every other pre-shard step) counts toward the
+        fleet's wall time, not just the shard runs."""
+        route = fleet_runner.route_queries
+
+        def slow_route(*args, **kwargs):
+            time.sleep(1.0)
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_runner, "route_queries", slow_route)
+        started = time.perf_counter()
+        fleet = run_fleet(fleet_config(base_config()))
+        elapsed = time.perf_counter() - started
+        assert 1.0 <= fleet.merged.wall_seconds <= elapsed
 
 
 class TestPerShardFaults:

@@ -1,4 +1,4 @@
-"""Per-rule fixtures for the simflow whole-program rules (SF001-SF004).
+"""Per-rule fixtures for the whole-program simlint rules (SF001-SF004).
 
 Each fixture lays out a miniature ``repro`` tree on disk (the loader
 anchors module names at the last ``repro`` directory, so
@@ -9,7 +9,7 @@ which rules fire — and, just as importantly, which don't.
 from pathlib import Path
 from textwrap import dedent
 
-from repro.lint.flow import run_flow
+from repro.lint import lint_paths
 
 # -- harness ----------------------------------------------------------------
 
@@ -26,7 +26,7 @@ def build_tree(tmp_path: Path, files: dict) -> Path:
 
 def flow_violations(tmp_path: Path, files: dict, select=None):
     root = build_tree(tmp_path, files)
-    violations, _files = run_flow([root], select=select)
+    violations, _files = lint_paths([root], select=select)
     return violations
 
 

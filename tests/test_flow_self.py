@@ -1,9 +1,9 @@
-"""The repo permanently flow-lints itself (tier-1).
+"""The repo permanently lints itself with the program rules (tier-1).
 
-``src/repro`` must be simflow-clean (modulo the committed baseline,
-which is empty); a seeded violation of each SF rule must fail loudly
-with an actionable message; and the ``--flow`` CLI honors the exit-code,
-JSON, SARIF, and baseline contracts.
+``src/repro`` must be clean under SF001-SF004; a seeded violation of
+each SF rule must fail the one ``python -m repro.lint`` command loudly
+with an actionable message; and that command honors the exit-code,
+JSON and SARIF contracts.
 """
 
 import json
@@ -15,18 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.flow import run_flow
-from repro.lint.flow.baseline import Baseline, fingerprint
+from repro.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_REPRO = REPO_ROOT / "src" / "repro"
+PROGRAM_RULES = ["SF001", "SF002", "SF003", "SF004"]
 
 
 def run_cli(*args, cwd=REPO_ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", "--flow", *args],
+        [sys.executable, "-m", "repro.lint", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -38,21 +38,24 @@ class TestSelfCheck:
     def test_src_repro_is_flow_clean(self):
         """The whole-program contract holds: literal stream names, no
         clock-domain crossings, pure pool payloads, no engine escapes."""
-        violations, files_checked = run_flow([SRC_REPRO])
+        violations, files_checked = lint_paths([SRC_REPRO], select=PROGRAM_RULES)
         rendered = "\n".join(v.render() for v in violations)
-        assert not violations, f"simflow violations in src/repro:\n{rendered}"
+        assert not violations, f"program-rule violations in src/repro:\n{rendered}"
         assert files_checked > 40  # the whole package was actually walked
 
     def test_cli_exits_zero_on_clean_tree(self):
         result = run_cli(str(SRC_REPRO))
         assert result.returncode == 0, result.stdout + result.stderr
         assert "no violations" in result.stdout
-        assert "simflow" in result.stdout
+        assert "simlint" in result.stdout
 
-    def test_committed_baseline_is_empty(self):
-        """The ratchet starts (and should stay) at zero accepted findings."""
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        assert baseline.entries == []
+    def test_performance_budget(self):
+        """A full self-run of every rule completes in < 15s."""
+        import time as _time
+
+        start = _time.perf_counter()
+        lint_paths([SRC_REPRO])
+        assert _time.perf_counter() - start < 15.0
 
 
 def _seed(tmp_path, relpath, extra):
@@ -161,7 +164,7 @@ class TestCliContract:
         assert result.returncode == 1
         payload = json.loads(result.stdout)
         assert payload["ok"] is False
-        assert payload["tool"] == "simflow"
+        assert payload["tool"] == "simlint"
         assert payload["counts_by_rule"].get("SF002", 0) >= 1
         violation = [v for v in payload["violations"] if v["rule"] == "SF002"][0]
         assert violation["path"].endswith("runner.py")
@@ -173,9 +176,9 @@ class TestCliContract:
         sarif = json.loads(result.stdout)
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "simflow"
+        assert run["tool"]["driver"]["name"] == "simlint"
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == ["SF001", "SF002", "SF003", "SF004"]
+        assert rule_ids == PROGRAM_RULES + ["SL001", "SL003", "SL004", "SL006", "SL007"]
         results = run["results"]
         assert any(r["ruleId"] == "SF002" for r in results)
         loc = results[0]["locations"][0]["physicalLocation"]
@@ -199,62 +202,3 @@ class TestCliContract:
         )
         result = run_cli(str(tree))
         assert "unknown rule 'SF099'" in result.stderr
-
-
-class TestBaselineRatchet:
-    def test_write_then_enforce_round_trip(self, sf002_tree, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        wrote = run_cli(str(sf002_tree), "--write-baseline", str(baseline_path))
-        assert wrote.returncode == 0
-        assert baseline_path.exists()
-
-        # Same tree + baseline: the accepted finding no longer fails.
-        clean = run_cli(str(sf002_tree), "--baseline", str(baseline_path))
-        assert clean.returncode == 0, clean.stdout + clean.stderr
-        assert "baselined finding(s) hidden" in clean.stdout
-
-        # A NEW finding still fails even with the baseline in place.
-        _seed(
-            tmp_path,
-            Path("core") / "lottery.py",
-            "\n\ndef _fresh_leak(table: 'LockManager') -> None:\n"
-            "    table._waiting_on = {}\n"
-            "\n\nfrom repro.db.locks import LockManager\n",
-        )
-        dirty = run_cli(str(sf002_tree), "--baseline", str(baseline_path))
-        assert dirty.returncode == 1
-        assert "SF004" in dirty.stdout
-        assert "SF002" not in dirty.stdout  # still baselined
-
-    def test_stale_entries_are_reported(self, sf002_tree, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        run_cli(str(sf002_tree), "--write-baseline", str(baseline_path))
-        # Fix the finding: the baseline entry goes stale, exit stays 0.
-        runner = sf002_tree / "experiments" / "runner.py"
-        patched = runner.read_text(encoding="utf-8").replace(
-            "sim.schedule(time.perf_counter(), lambda: None)", "pass"
-        )
-        runner.write_text(patched, encoding="utf-8")
-        result = run_cli(str(sf002_tree), "--baseline", str(baseline_path))
-        assert result.returncode == 0
-        assert "stale baseline entry" in result.stderr
-
-    def test_fingerprint_is_line_number_free(self, sf002_tree):
-        violations, _ = run_flow([sf002_tree])
-        (violation,) = [v for v in violations if v.rule_id == "SF002"]
-        shifted = type(violation)(
-            path=violation.path,
-            line=violation.line + 40,
-            col=violation.col,
-            rule_id=violation.rule_id,
-            message=violation.message,
-        )
-        assert fingerprint(shifted) == fingerprint(violation)
-
-    def test_performance_budget(self):
-        """ISSUE acceptance: a full self-run completes in < 15s."""
-        import time as _time
-
-        start = _time.perf_counter()
-        run_flow([SRC_REPRO])
-        assert _time.perf_counter() - start < 15.0

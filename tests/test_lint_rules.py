@@ -1,15 +1,17 @@
-"""Fixture-level tests for each simlint rule (SL001-SL006).
+"""Fixture-level tests for each per-file simlint rule, and for SF002's reads.
 
 Every rule gets snippets that MUST trigger and snippets that must NOT,
 plus tests for suppression comments, rule selection, and the registry.
 Fixture paths are virtual: ``lint_source`` only uses them to decide
-which component a file belongs to.
+which component a file belongs to and its module name.  ``lint_source``
+lints the snippet as a one-module program, so program rules (SF002's
+wall-clock reads) run on it too.
 """
 
 import pytest
 
-from repro.lint import LintConfig, lint_source
-from repro.lint.base import Rule, all_rules, get_rule, known_rule_ids, register
+from repro.lint import lint_source
+from repro.lint.base import Rule, all_rules, get_rule, known_rule_ids, register, select_rules
 from repro.lint.walker import LintError, classify_component
 from pathlib import Path
 
@@ -69,6 +71,8 @@ class TestSL001AmbientRandom:
 
 
 class TestSL002WallClock:
+    """Wall-clock reads in simulation components (SF002 reports them)."""
+
     @pytest.mark.parametrize(
         "snippet",
         [
@@ -82,22 +86,22 @@ class TestSL002WallClock:
         ],
     )
     def test_wall_clock_triggers(self, snippet):
-        assert len(violations(snippet, SIM, "SL002")) >= 1
+        assert len(violations(snippet, SIM, "SF002")) >= 1
 
     def test_virtual_clock_is_clean(self):
         src = (
             "def tick(sim) -> float:\n"
             "    return sim.now + 1.0\n"
         )
-        assert violations(src, SIM, "SL002") == []
+        assert violations(src, SIM, "SF002") == []
 
     def test_experiments_may_measure_wall_time(self):
         src = "import time\nstarted = time.perf_counter()\n"
-        assert violations(src, EXPERIMENTS, "SL002") == []
+        assert violations(src, EXPERIMENTS, "SF002") == []
 
     def test_unrelated_time_attribute_is_clean(self):
         src = "import time\nz = time.struct_time\n"
-        assert violations(src, DB, "SL002") == []
+        assert violations(src, DB, "SF002") == []
 
 
 class TestSL003UnorderedIteration:
@@ -397,32 +401,32 @@ class TestSL007BarePrint:
 
 class TestSuppression:
     def test_line_disable_silences_rule(self):
-        src = "import time\nnow = time.time()  # simlint: disable=SL002\n"
-        assert violations(src, SIM, "SL002") == []
+        src = "import time\nnow = time.time()  # simlint: disable=SF002\n"
+        assert violations(src, SIM, "SF002") == []
 
     def test_line_disable_with_justification(self):
         src = (
             "import time\n"
-            "now = time.time()  # simlint: disable=SL002 -- cache warmup, not sim state\n"
+            "now = time.time()  # simlint: disable=SF002 -- cache warmup, not sim state\n"
         )
-        assert violations(src, SIM, "SL002") == []
+        assert violations(src, SIM, "SF002") == []
 
     def test_line_disable_all_rules(self):
         src = "import time\nnow = time.time()  # simlint: disable\n"
-        assert violations(src, SIM, "SL002") == []
+        assert violations(src, SIM, "SF002") == []
 
     def test_wrong_rule_id_does_not_silence(self):
         src = "import time\nnow = time.time()  # simlint: disable=SL001\n"
-        assert len(violations(src, SIM, "SL002")) == 1
+        assert len(violations(src, SIM, "SF002")) == 1
 
     def test_file_level_disable(self):
         src = (
-            "# simlint: disable-file=SL002\n"
+            "# simlint: disable-file=SF002\n"
             "import time\n"
             "a = time.time()\n"
             "b = time.time()\n"
         )
-        assert violations(src, SIM, "SL002") == []
+        assert violations(src, SIM, "SF002") == []
 
     def test_file_disable_only_named_rule(self):
         src = (
@@ -430,23 +434,25 @@ class TestSuppression:
             "import time\n"
             "a = time.time()\n"
         )
-        assert len(violations(src, SIM, "SL002")) == 1
+        assert len(violations(src, SIM, "SF002")) == 1
 
     def test_sf_ids_parse_in_the_shared_grammar(self):
-        """Flow-rule ids ride the same suppression comments; naming one
-        must neither crash the per-file layer nor silence its rules."""
+        """Program-rule ids ride the same suppression comments; naming one
+        must neither crash the per-file rules nor silence them."""
         src = (
-            "import time\n"
-            "now = time.time()  # simlint: disable=SF002 -- flow-layer id only\n"
+            "import random\n"
+            "x = random.random()  # simlint: disable=SF002 -- program-rule id only\n"
         )
-        assert len(violations(src, SIM, "SL002")) == 1
+        assert len(violations(src, SIM, "SL001")) == 1
 
     def test_mixed_sl_and_sf_ids_on_one_line(self):
         src = (
+            "import random\n"
             "import time\n"
-            "now = time.time()  # simlint: disable=SL002,SF002 -- both layers\n"
+            "x = random.random() + time.time()  # simlint: disable=SL001,SF002 -- both\n"
         )
-        assert violations(src, SIM, "SL002") == []
+        assert violations(src, SIM, "SL001") == []
+        assert violations(src, SIM, "SF002") == []
 
 
 class TestSuppressionWarnings:
@@ -456,7 +462,7 @@ class TestSuppressionWarnings:
         warnings = suppression_warnings(
             "import time\nnow = time.time()  # simlint: disable=SL099\n",
             "mod.py",
-            known_ids={"SL002", "SF002"},
+            known_ids={"SL001", "SF002"},
         )
         assert warnings == ["mod.py:2: suppression names unknown rule 'SL099'"]
 
@@ -464,9 +470,9 @@ class TestSuppressionWarnings:
         from repro.lint.walker import suppression_warnings
 
         warnings = suppression_warnings(
-            "a = 1  # simlint: disable=SL002,SF002\n",
+            "a = 1  # simlint: disable=SL001,SF002\n",
             "mod.py",
-            known_ids={"SL002", "SF002"},
+            known_ids={"SL001", "SF002"},
         )
         assert warnings == []
 
@@ -476,7 +482,7 @@ class TestSuppressionWarnings:
         warnings = suppression_warnings(
             "# simlint: disable-file=XX123\na = 1\n",
             "mod.py",
-            known_ids={"SL002"},
+            known_ids={"SL001"},
         )
         assert warnings == ["mod.py:1: suppression names unknown rule 'XX123'"]
 
@@ -486,13 +492,13 @@ class TestSuppressionWarnings:
         from repro.lint.walker import suppression_warnings
 
         src = '"""\n# simlint: disable=SL001            silence SL001 on this line\n"""\n'
-        assert suppression_warnings(src, "m.py", {"SL002"}) == []
+        assert suppression_warnings(src, "m.py", {"SL001"}) == []
 
     def test_bare_disable_never_warns(self):
         from repro.lint.walker import suppression_warnings
 
         assert (
-            suppression_warnings("a = 1  # simlint: disable\n", "m.py", {"SL002"})
+            suppression_warnings("a = 1  # simlint: disable\n", "m.py", {"SL001"})
             == []
         )
 
@@ -503,15 +509,15 @@ class TestSarifExport:
 
         from repro.lint.sarif import to_sarif
 
-        found = violations("import time\nnow = time.time()\n", SIM, "SL002")
-        sarif = to_sarif(found, [("SL002", "no wall-clock reads")], "simlint")
+        found = violations("import time\nnow = time.time()\n", SIM, "SF002")
+        sarif = to_sarif(found, [("SF002", "no wall-clock reads")], "simlint")
         text = json.dumps(sarif)  # must be JSON-serializable end to end
         assert json.loads(text)["version"] == "2.1.0"
         run = sarif["runs"][0]
         assert run["tool"]["driver"]["name"] == "simlint"
-        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["SL002"]
+        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["SF002"]
         (result,) = run["results"]
-        assert result["ruleId"] == "SL002"
+        assert result["ruleId"] == "SF002"
         assert result["level"] == "error"
         region = result["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 2
@@ -527,23 +533,24 @@ class TestSarifExport:
 class TestConfigAndRegistry:
     def test_select_restricts_rules(self):
         src = "import time\nimport random\na = time.time()\nb = random.random()\n"
-        config = LintConfig.from_rule_ids(select=["SL002"])
-        found = lint_source(src, SIM, config)
-        assert {v.rule_id for v in found} == {"SL002"}
+        found = lint_source(src, SIM, select=["SF002"])
+        assert {v.rule_id for v in found} == {"SF002"}
 
     def test_ignore_drops_rule(self):
         src = "import time\na = time.time()\n"
-        config = LintConfig.from_rule_ids(ignore=["SL002"])
-        assert lint_source(src, SIM, config) == []
+        assert lint_source(src, SIM, ignore=["SF002"]) == []
 
     def test_unknown_rule_id_rejected(self):
         with pytest.raises(ValueError, match="SL999"):
-            LintConfig.from_rule_ids(select=["SL999"])
+            select_rules(select=["SL999"])
 
     def test_all_rules_registered(self):
         assert known_rule_ids() == [
+            "SF001",
+            "SF002",
+            "SF003",
+            "SF004",
             "SL001",
-            "SL002",
             "SL003",
             "SL004",
             "SL006",
@@ -562,12 +569,6 @@ class TestConfigAndRegistry:
 
         with pytest.raises(ValueError, match="duplicate rule id"):
             register(Impostor)
-
-    def test_component_overrides(self):
-        src = "import time\na = time.time()\n"
-        config = LintConfig(component_overrides={"SL002": frozenset({"experiments"})})
-        assert lint_source(src, SIM, config) == []
-        assert len(lint_source(src, EXPERIMENTS, config)) == 1
 
 
 class TestWalkerBasics:

@@ -1,8 +1,8 @@
 """The repo permanently lints itself (tier-1).
 
-``src/repro`` must be simlint-clean; a seeded violation (wall-clock in
-``sim/engine.py``) must fail loudly with an actionable message; and the
-CLI honors its exit-code and output contract.
+``src/repro`` must be simlint-clean under every rule; a seeded violation
+(wall-clock in ``sim/engine.py``) must fail loudly with an actionable
+message; and the CLI honors its exit-code and output contract.
 """
 
 import json
@@ -65,7 +65,7 @@ class TestSeededViolation:
     def test_seeded_wall_clock_fails_with_actionable_message(self, seeded_tree):
         result = run_cli(str(seeded_tree))
         assert result.returncode == 1
-        assert "SL002" in result.stdout
+        assert "SF002" in result.stdout
         assert "engine.py" in result.stdout
         assert "Simulator.now" in result.stdout  # tells the author what to do
 
@@ -74,20 +74,20 @@ class TestSeededViolation:
         assert result.returncode == 1
         payload = json.loads(result.stdout)
         assert payload["ok"] is False
-        assert payload["counts_by_rule"].get("SL002") == 1
-        (violation,) = [v for v in payload["violations"] if v["rule"] == "SL002"]
+        assert payload["counts_by_rule"].get("SF002") == 1
+        (violation,) = [v for v in payload["violations"] if v["rule"] == "SF002"]
         assert violation["path"].endswith("engine.py")
         assert violation["line"] > 0
 
     def test_library_api_finds_seeded_violation(self, seeded_tree):
         violations, _ = lint_paths([seeded_tree])
-        assert [v.rule_id for v in violations] == ["SL002"]
+        assert [v.rule_id for v in violations] == ["SF002"]
 
     def test_suppression_restores_clean_exit(self, seeded_tree):
         engine = seeded_tree / "sim" / "engine.py"
         patched = engine.read_text(encoding="utf-8").replace(
             "return time.time()",
-            "return time.time()  # simlint: disable=SL002 -- test fixture",
+            "return time.time()  # simlint: disable=SF002 -- test fixture",
         )
         engine.write_text(patched, encoding="utf-8")
         assert run_cli(str(seeded_tree)).returncode == 0
@@ -120,15 +120,18 @@ class TestCliContract:
     def test_list_rules(self):
         result = run_cli("--list-rules")
         assert result.returncode == 0
-        for rule_id in (
+        listed = [line.split()[0] for line in result.stdout.splitlines()]
+        assert listed == [
+            "SF001",
+            "SF002",
+            "SF003",
+            "SF004",
             "SL001",
-            "SL002",
             "SL003",
             "SL004",
             "SL006",
             "SL007",
-        ):
-            assert rule_id in result.stdout
+        ]
 
     def test_missing_path_exits_2(self):
         result = run_cli("does/not/exist")
@@ -147,7 +150,7 @@ class TestCliContract:
         assert "names no rules" in result.stderr
 
     def test_select_single_rule(self, seeded_tree):
-        # Selecting an unrelated rule must not report the seeded SL002.
+        # Selecting an unrelated rule must not report the seeded SF002.
         result = run_cli(str(seeded_tree), "--select", "SL001")
         assert result.returncode == 0
 
