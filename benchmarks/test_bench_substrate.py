@@ -1,14 +1,16 @@
 """Performance microbenchmarks of the substrate hot paths.
 
 These are regression guards, not paper artifacts: event loop
-throughput, Fenwick-lottery operations, lock-manager handshakes, and a
+throughput, lottery operations, a Degrade signal, lock-manager handshakes, and a
 full end-to-end simulation per policy.
 """
 
 import random
 
 from repro.core.lottery import LotteryScheduler
+from repro.core.modulation import UpdateFrequencyModulator
 from repro.core.tickets import TicketBook
+from repro.db.items import ItemTable
 from repro.db.locks import LockManager, LockMode
 from repro.db.transactions import QueryTransaction, UpdateTransaction
 from repro.experiments.config import ExperimentConfig, SCALES
@@ -36,7 +38,12 @@ def test_bench_event_loop_throughput(benchmark):
 
 
 def test_bench_lottery_update_and_sample(benchmark):
-    """O(log n) set_weight + sample over 1024 slots (paper's S)."""
+    """Alternating set_weight + sample over 1024 slots (paper's S).
+
+    The worst case for the cumulative table: every draw follows a
+    mutation, so each one rebuilds the table in O(n).  A Degrade signal
+    draws many times between mutations; see the next benchmark.
+    """
     lottery = LotteryScheduler(1024)
     rng = random.Random(0)
     for i in range(1024):
@@ -48,6 +55,35 @@ def test_bench_lottery_update_and_sample(benchmark):
             lottery.sample(rng)
 
     benchmark(churn)
+
+
+def test_bench_degrade_signal(benchmark):
+    """One ``degrade(512)`` on a 1024-item table after a stream of
+    ticket updates, the shape the traffic has: the signal's draws share
+    one cumulative table.  The updates and a period reset run untimed
+    before each round."""
+    n = 1024
+    items = ItemTable.uniform(n, ideal_period=10.0, update_exec_time=1.0)
+    book = TicketBook(n)
+    modulator = UpdateFrequencyModulator(items, book, random.Random(2))
+    rng = random.Random(1)
+    events = [
+        (rng.randrange(n), rng.random() < 0.3, rng.random()) for _ in range(2000)
+    ]
+
+    def ticket_stream():
+        for item in items.rows:
+            item.current_period = item.ideal_period
+        for item_id, is_query, value in events:
+            if is_query:
+                book.on_query_access(item_id, cpu_utilization=value)
+            else:
+                book.on_update(item_id, update_exec_time=value + 0.01)
+
+    victims = benchmark.pedantic(
+        modulator.degrade, args=(512,), setup=ticket_stream, rounds=200
+    )
+    assert len(victims) == 512
 
 
 def test_bench_ticket_book_event_stream(benchmark):

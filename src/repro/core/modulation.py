@@ -8,17 +8,19 @@ disambiguated in DESIGN.md: halve the period, floor at the ideal,
 
 The paper issues one Degrade/Upgrade signal per control decision at
 trace scale (millions of seconds).  At our configurable scale a signal
-applies ``rounds`` lottery picks so the modulator converges within the
-shorter horizon; ``rounds=1`` recovers the paper's literal behaviour.
+runs up to ``rounds`` victim rounds so the modulator converges within
+the shorter horizon; ``rounds=1`` recovers the paper's literal
+behaviour.  A signal ends early when a round finds no uncapped victim
+and escalation does not apply.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.tickets import TicketBook
-from repro.db.items import ItemTable
+from repro.db.items import DataItem, ItemTable
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sim.engine import Simulator
 
@@ -76,25 +78,36 @@ class UpdateFrequencyModulator:
         self._obs_sim = sim
 
     def degrade(self, rounds: int = 1) -> List[int]:
-        """Handle a Degrade Update signal: ``rounds`` lottery picks,
-        each stretching its victim's period by ``(1 + C_du)``.
+        """Handle a Degrade Update signal: up to ``rounds`` rounds, each
+        stretching one lottery-picked victim's period by ``(1 + C_du)``.
 
-        An item already at the stretch cap is resampled (a pick spent
-        on it could not shed any more load); returns the victim item
-        ids (may repeat; empty when no item has positive lottery
-        weight yet).
+        A pick that lands on an item already at the stretch cap is
+        redrawn, up to 8 draws per round.  A round whose 8 draws all
+        land on capped items, or that finds no positive weight, ends
+        the signal unless escalation lowers the ticket threshold (at
+        most once per signal) and a redraw then succeeds.  Returns the
+        victim item ids (may repeat; empty when no item has positive
+        lottery weight yet).
         """
         if rounds <= 0:
             raise ValueError("rounds must be positive")
+        # Bound once per signal.  ``sample`` is looked up on the class
+        # here, so a wrapper installed on ``LotteryScheduler.sample``
+        # still sees every draw.
+        sample = self.tickets.lottery.sample
+        rows = self.items.rows
+        stretch = 1.0 + self.c_du
+        obs = self._obs
+        obs_sim = self._obs_sim if obs.enabled else None
         victims: List[int] = []
         escalated = False
         for _ in range(rounds):
-            victim = self._sample_below_cap()
+            victim = self._sample_below_cap(sample, rows)
             if victim is None:
-                # Everything above the ticket threshold is already fully
-                # degraded (or nothing is above it) yet the controller
-                # still wants to shed — escalate by walking the
-                # threshold down into more protected items.  At most one
+                # Eight draws in a row landed on capped items, or no
+                # item has positive weight, yet the controller still
+                # wants to shed — escalate by walking the threshold
+                # down into more protected items.  At most one
                 # escalation step per signal, so sustained overload is
                 # needed to reach well-protected items.
                 if escalated or not self.escalate:
@@ -105,36 +118,37 @@ class UpdateFrequencyModulator:
                 before = self.tickets.threshold
                 if self.tickets.lower_threshold(self.threshold_step) >= before:
                     break  # already at the minimum ticket: nothing left
-                victim = self._sample_below_cap()
+                victim = self._sample_below_cap(sample, rows)
                 if victim is None:
                     break
-            item = self.items.rows[victim]
+            item = rows[victim]
             before_period = item.current_period
-            item.degrade_period(self.c_du)
+            # ``DataItem.degrade_period``'s float expression, inlined.
+            item.current_period = after_period = before_period * stretch
             victims.append(victim)
-            obs = self._obs
-            if obs.enabled and self._obs_sim is not None:
+            if obs_sim is not None:
                 obs.modulation_change(
-                    self._obs_sim.now,
-                    victim,
-                    "degrade",
-                    before_period,
-                    item.current_period,
+                    obs_sim.now, victim, "degrade", before_period, after_period
                 )
         if victims:
             self.degrade_events += 1
         return victims
 
-    def _sample_below_cap(self, attempts: int = 8) -> Optional[int]:
-        sample = self.tickets.sample_victim
+    def _sample_below_cap(
+        self,
+        sample: Callable[[random.Random], Optional[int]],
+        rows: Sequence[DataItem],
+        attempts: int = 8,
+    ) -> Optional[int]:
+        """Draw until a pick lands below the stretch cap; None after
+        ``attempts`` capped picks in a row or on a zero total weight."""
         rng = self._rng
-        items = self.items.rows
         max_stretch = self.max_stretch
         for _ in range(attempts):
             victim = sample(rng)
             if victim is None:
                 return None
-            item = items[victim]
+            item = rows[victim]
             if item.current_period < max_stretch * item.ideal_period:
                 return victim
         return None

@@ -24,15 +24,14 @@ update period's worth of reads.  Clamping at zero keeps probability
 proportional to tickets for update-dominated items (positive tickets)
 and gives query-dominated items (negative tickets) exactly zero
 probability, which is the selection behaviour the paper's Fig. 3
-depicts.  It also makes every ticket mutation a plain O(log N) Fenwick
-update with no offset rebuilds.
+depicts.  It also makes every ticket mutation a plain O(1) lottery
+weight store with no offset rebuilds.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import List, Optional
+from typing import List
 
 from repro.core.lottery import LotteryScheduler
 from repro.sim.stats import OnlineStats
@@ -65,7 +64,9 @@ class TicketBook:
             raise ValueError("forgetting factor must be in (0, 1]")
         self.forgetting = forgetting
         self._tickets: List[float] = [0.0] * n_items
-        self._lottery = LotteryScheduler(n_items)
+        # Read by the modulator, which binds ``lottery.sample`` once per
+        # Degrade signal; only this book writes its weights.
+        self.lottery = LotteryScheduler(n_items)
         self._threshold = 0.0  # tau: lottery weight = max(0, T - tau)
         self.update_exec_stats = OnlineStats()
 
@@ -115,7 +116,7 @@ class TicketBook:
         weight = value - self._threshold
         if weight <= 0.0:
             weight = 0.0
-        self._lottery.set_weight(item_id, weight)
+        self.lottery.set_weight(item_id, weight)
 
     # ------------------------------------------------------------------
     # adaptive threshold (escalating degradation pressure)
@@ -154,22 +155,10 @@ class TicketBook:
         tau = self._threshold
         # The compare, as in :meth:`_set_ticket`: same values as
         # ``max(0.0, t - tau)`` without a builtin call per ticket.
-        self._lottery.rebuild(
+        self.lottery.rebuild(
             [w if (w := t - tau) > 0.0 else 0.0 for t in self._tickets]
         )
 
-    # ------------------------------------------------------------------
-    # sampling
-    # ------------------------------------------------------------------
-
-    def sample_victim(self, rng: random.Random) -> Optional[int]:
-        """Lottery pick: item id drawn ∝ shifted ticket value.
-
-        Returns None when all shifted tickets are zero (e.g. before any
-        event moved a ticket).
-        """
-        return self._lottery.sample(rng)
-
     def shifted_weights(self) -> List[float]:
         """The current lottery weights (shifted tickets), for tests."""
-        return self._lottery.weights()
+        return self.lottery.weights()

@@ -1,12 +1,18 @@
-"""Tests for the Fenwick-tree lottery scheduler."""
+"""Tests for the cumulative-table lottery scheduler."""
 
 import random
+from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import tickets as tickets_module
 from repro.core.lottery import LotteryScheduler
+from repro.experiments.config import SCALES, ExperimentConfig
+from repro.experiments.runner import run_experiment
+from repro.fleet.runner import FleetConfig, run_fleet
 
 
 class TestWeights:
@@ -117,57 +123,199 @@ class TestSampling:
             assert incremental.sample(draw_rng_a) == rebuilt.sample(draw_rng_b)
 
 
-def _reference_tree(weights):
-    """The Fenwick tree as per-slot ancestor walks build it, in slot order."""
-    n = len(weights)
-    tree = [0.0] * (n + 1)
-    for index, weight in enumerate(weights):
-        if weight:
-            position = index + 1
-            while position <= n:
-                tree[position] += weight
-                position += position & (-position)
-    return tree
+class FenwickLottery:
+    """The Fenwick-tree sampler this scheduler replaced, kept as the
+    draw-for-draw reference: ancestor-walk updates, a descent per draw,
+    and a total summed in descent order."""
+
+    def __init__(self, n):
+        self._n = n
+        self._tree = [0.0] * (n + 1)
+        self._weights = [0.0] * n
+        bit = 1
+        while bit << 1 <= n:
+            bit <<= 1
+        self._top_bit = bit
+
+    def set_weight(self, index, weight):
+        delta = weight - self._weights[index]
+        if delta == 0:
+            return
+        self._weights[index] = weight
+        position = index + 1
+        while position <= self._n:
+            self._tree[position] += delta
+            position += position & (-position)
+
+    def rebuild(self, weights):
+        n = self._n
+        weights = list(weights)
+        tree = [0.0] * (n + 1)
+        tree[1::2] = [0.0 + weight for weight in weights[0::2]]
+        for position in range(2, n + 1, 2):
+            half = (position & -position) >> 1
+            total = tree[position - half]
+            for weight in weights[position - half : position]:
+                total += weight
+            tree[position] = total
+        self._weights = weights
+        self._tree = tree
+
+    def sample(self, rng):
+        tree, n = self._tree, self._n
+        total = 0.0
+        position = n
+        while position > 0:
+            total += tree[position]
+            position -= position & (-position)
+        if total <= 0:
+            return None
+        remaining = rng.random() * total
+        position, bit = 0, self._top_bit
+        while bit:
+            nxt = position + bit
+            if nxt <= n and tree[nxt] < remaining:
+                remaining -= tree[nxt]
+                position = nxt
+            bit >>= 1
+        index = min(position, n - 1)
+        if self._weights[index] <= 0:
+            candidates = [i for i, w in enumerate(self._weights) if w > 0]
+            if not candidates:
+                return None
+            return rng.choice(candidates)
+        return index
 
 
-_WEIGHT = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=1e-6, max_value=1e3),
-    st.floats(min_value=0.0, max_value=1.0),
-)
+def _ticket_weight(rng):
+    """A shifted ticket: zero for a query-dominated item, else the
+    forgetting recurrence's range of update-dominated values."""
+    if rng.random() < 0.3:
+        return 0.0
+    return rng.random() * 10 ** rng.uniform(-3, 1)
+
+
+class TestDrawEquality:
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_bursts_draw_like_fenwick(self, n):
+        """Bursts of ticket updates and rebuilds interleaved with bursts
+        of draws: every draw picks the Fenwick sampler's slot and
+        leaves the generator in the same state."""
+        rng = random.Random(n)
+        lottery, reference = LotteryScheduler(n), FenwickLottery(n)
+        draw_rng, reference_rng = random.Random(1), random.Random(1)
+        draws = 0
+        for burst in range(40):
+            if burst % 8 == 7:
+                weights = [_ticket_weight(rng) for _ in range(n)]
+                lottery.rebuild(weights)
+                reference.rebuild(weights)
+            for _ in range(rng.randrange(1, 3 * n)):
+                index, weight = rng.randrange(n), _ticket_weight(rng)
+                lottery.set_weight(index, weight)
+                reference.set_weight(index, weight)
+            for _ in range(200):
+                assert lottery.sample(draw_rng) == reference.sample(reference_rng)
+                assert draw_rng.getstate() == reference_rng.getstate()
+                draws += 1
+        assert draws == 8000
+
+    def test_sample_is_bisect_over_running_sums(self):
+        rng = random.Random(3)
+        weights = [_ticket_weight(rng) for _ in range(300)]
+        lottery = LotteryScheduler(len(weights))
+        lottery.rebuild(weights)
+        cumulative = list(accumulate(weights))
+        assert lottery.total == cumulative[-1]
+        for seed in range(200):
+            target = random.Random(seed).random() * cumulative[-1]
+            expected = bisect_left(cumulative, target)
+            assert lottery.sample(random.Random(seed)) == expected
 
 
 class TestRebuild:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(_WEIGHT, min_size=1, max_size=300), st.integers(0, 2**32 - 1))
-    def test_property_rebuild_matches_ancestor_walk(self, weights, seed):
-        """Every node is bit-identical to the ancestor-walk build, and the
-        same generator draws the same slots from both trees."""
-        lottery = LotteryScheduler(len(weights))
-        lottery.rebuild(weights)
-        assert [node.hex() for node in lottery._tree] == [
-            node.hex() for node in _reference_tree(weights)
-        ]
-        reference = LotteryScheduler(len(weights))
-        for index, weight in enumerate(weights):
-            reference.set_weight(index, weight)
-        assert [node.hex() for node in reference._tree] == [
-            node.hex() for node in _reference_tree(weights)
-        ]
-        rng_a, rng_b = random.Random(seed), random.Random(seed)
-        assert [lottery.sample(rng_a) for _ in range(20)] == [
-            reference.sample(rng_b) for _ in range(20)
-        ]
-
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 64, 100, 511, 1024, 1025])
     def test_rebuild_sizes_and_zeros(self, n):
+        """Rebuilt weights with zeros and six decades of magnitude, at
+        sizes around powers of two: the total is the running sum and
+        every draw picks the Fenwick reference's slot."""
         rng = random.Random(n)
         weights = [
             0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-6, 3) for _ in range(n)
         ]
-        lottery = LotteryScheduler(n)
+        lottery, reference = LotteryScheduler(n), FenwickLottery(n)
         lottery.rebuild(weights)
-        assert [node.hex() for node in lottery._tree] == [
-            node.hex() for node in _reference_tree(weights)
-        ]
+        reference.rebuild(weights)
         assert lottery.weights() == weights
+        assert lottery.total == list(accumulate(weights))[-1]
+        rng_a, rng_b = random.Random(n + 1), random.Random(n + 1)
+        assert [lottery.sample(rng_a) for _ in range(200)] == [
+            reference.sample(rng_b) for _ in range(200)
+        ]
+
+
+class _ShadowLottery:
+    """Draws from the scheduler and the Fenwick reference under one
+    generator state and counts the draws where they disagree."""
+
+    draws = 0
+    mismatches = 0
+
+    def __init__(self, n):
+        self._lottery = LotteryScheduler(n)
+        self._reference = FenwickLottery(n)
+
+    def weights(self):
+        return self._lottery.weights()
+
+    def set_weight(self, index, weight):
+        self._lottery.set_weight(index, weight)
+        self._reference.set_weight(index, weight)
+
+    def rebuild(self, weights):
+        self._lottery.rebuild(weights)
+        self._reference.rebuild(weights)
+
+    def sample(self, rng):
+        state = rng.getstate()
+        drawn = self._lottery.sample(rng)
+        after = rng.getstate()
+        rng.setstate(state)
+        expected = self._reference.sample(rng)
+        cls = type(self)
+        cls.draws += 1
+        if drawn != expected or rng.getstate() != after:
+            cls.mismatches += 1
+        return drawn
+
+
+class TestShadowRuns:
+    """Whole runs with every ticket book's lottery shadowed by the
+    Fenwick reference."""
+
+    @pytest.fixture
+    def shadow(self, monkeypatch):
+        monkeypatch.setattr(tickets_module, "LotteryScheduler", _ShadowLottery)
+        monkeypatch.setattr(_ShadowLottery, "draws", 0)
+        monkeypatch.setattr(_ShadowLottery, "mismatches", 0)
+        return _ShadowLottery
+
+    @pytest.mark.parametrize("trace", ["med-unif", "high-unif"])
+    def test_unit_cell_draws_like_fenwick(self, shadow, trace):
+        run_experiment(
+            ExperimentConfig(
+                policy="unit", update_trace=trace, seed=7, scale=SCALES["small"]
+            )
+        )
+        assert shadow.draws > 10_000
+        assert shadow.mismatches == 0
+
+    def test_freshness_routed_fleet_draws_like_fenwick(self, shadow):
+        base = ExperimentConfig(
+            policy="unit", update_trace="med-unif", seed=7, scale=SCALES["smoke"]
+        )
+        run_fleet(
+            FleetConfig(base=base, n_shards=2, replication=2, router_policy="freshness")
+        )
+        assert shadow.draws > 0
+        assert shadow.mismatches == 0

@@ -1,12 +1,16 @@
 """Tests for Update Frequency Modulation (paper Section 3.4)."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.core.lottery import LotteryScheduler
 from repro.core.modulation import UpdateFrequencyModulator
 from repro.core.tickets import TicketBook
 from repro.db.items import ItemTable
+from repro.experiments.config import SCALES, ExperimentConfig
+from repro.experiments.runner import run_experiment
 
 
 def make_modulator(n=4, escalate=False, max_stretch=100.0):
@@ -32,6 +36,20 @@ class TestDegrade:
         assert victims == [2]
         assert items[2].current_period == pytest.approx(11.0)
         assert modulator.degrade_events == 1
+
+    def test_degrade_stretch_is_degrade_period(self):
+        """The loop's inlined stretch gives Eq. 9's float, bit for bit."""
+        items, tickets, modulator = make_modulator()
+        tickets.on_update(1, update_exec_time=1.0)
+        tickets.on_update(2, update_exec_time=2.0)
+        reference = ItemTable.uniform(4, ideal_period=10.0, update_exec_time=1.0)
+        for _ in range(20):
+            for victim in modulator.degrade(rounds=2):
+                reference[victim].degrade_period(modulator.c_du)
+        assert [item.current_period.hex() for item in items.rows] == [
+            item.current_period.hex() for item in reference.rows
+        ]
+        assert items[1].is_degraded and items[2].is_degraded
 
     def test_degrade_respects_cap(self):
         items, tickets, modulator = make_modulator(max_stretch=2.0)
@@ -199,3 +217,55 @@ class TestDiagnostics:
         items = ItemTable.uniform(4, ideal_period=10.0, update_exec_time=1.0)
         with pytest.raises(ValueError):
             UpdateFrequencyModulator(items, TicketBook(3), random.Random(0))
+
+
+class TestWorkCounts:
+    """Exact update-modulator work per run, with zero slack: a cheaper
+    draw must not come from drawing less."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        sample, rebuild = LotteryScheduler.sample, LotteryScheduler.rebuild
+        degrade = UpdateFrequencyModulator.degrade
+        upgrade_all = UpdateFrequencyModulator.upgrade_all
+
+        def counted_sample(self, rng):
+            counts["draws"] += 1
+            return sample(self, rng)
+
+        def counted_rebuild(self, weights):
+            counts["rebuilds"] += 1
+            return rebuild(self, weights)
+
+        def counted_degrade(self, rounds=1):
+            victims = degrade(self, rounds)
+            counts["signals"] += 1
+            counts["victims"] += len(victims)
+            return victims
+
+        def counted_upgrade_all(self):
+            counts["upgrades"] += 1
+            return upgrade_all(self)
+
+        monkeypatch.setattr(LotteryScheduler, "sample", counted_sample)
+        monkeypatch.setattr(LotteryScheduler, "rebuild", counted_rebuild)
+        monkeypatch.setattr(UpdateFrequencyModulator, "degrade", counted_degrade)
+        monkeypatch.setattr(UpdateFrequencyModulator, "upgrade_all", counted_upgrade_all)
+        return counts
+
+    @pytest.mark.parametrize(
+        "trace, expected",
+        [
+            ("med-unif", (12_386, 6_639, 38, 282, 48)),
+            ("high-unif", (13_388, 7_421, 38, 278, 63)),
+        ],
+    )
+    def test_small_unit_cell(self, counts, trace, expected):
+        run_experiment(
+            ExperimentConfig(
+                policy="unit", update_trace=trace, seed=7, scale=SCALES["small"]
+            )
+        )
+        keys = ("draws", "victims", "rebuilds", "signals", "upgrades")
+        assert tuple(counts[key] for key in keys) == expected

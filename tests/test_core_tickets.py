@@ -80,13 +80,13 @@ class TestLotteryCoupling:
         book.on_query_access(0, cpu_utilization=0.5)  # ticket -0.5
         book.on_update(1, update_exec_time=1.0)  # ticket +0.5
         rng = random.Random(0)
-        draws = {book.sample_victim(rng) for _ in range(100)}
+        draws = {book.lottery.sample(rng) for _ in range(100)}
         assert draws == {1}
 
     def test_no_positive_ticket_means_no_victim(self):
         book = TicketBook(3)
         book.on_query_access(0, cpu_utilization=0.5)
-        assert book.sample_victim(random.Random(0)) is None
+        assert book.lottery.sample(random.Random(0)) is None
 
     def test_update_dominated_items_proportional(self):
         book = TicketBook(2)
@@ -100,13 +100,13 @@ class TestLotteryCoupling:
         book = TicketBook(2)
         book.on_query_access(0, cpu_utilization=1.0)  # item 0: ticket -1.0
         book.on_query_access(1, cpu_utilization=0.2)  # item 1: ticket -0.2
-        assert book.sample_victim(random.Random(0)) is None
+        assert book.lottery.sample(random.Random(0)) is None
         book.lower_threshold(0.5)  # tau -0.5: item 1 (-0.2) now exposed
-        assert book.sample_victim(random.Random(0)) == 1
+        assert book.lottery.sample(random.Random(0)) == 1
         book.lower_threshold(0.6)  # tau floored at the minimum (-1.0)
         assert book.threshold == pytest.approx(-1.0)
         # Item 0 sits exactly at tau -> weight 0; item 1 remains eligible.
-        draws = {book.sample_victim(random.Random(k)) for k in range(20)}
+        draws = {book.lottery.sample(random.Random(k)) for k in range(20)}
         assert draws == {1}
 
     def test_threshold_floor_is_min_ticket(self):
