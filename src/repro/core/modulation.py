@@ -153,12 +153,12 @@ class UpdateFrequencyModulator:
                 return victim
         return None
 
-    def upgrade_all(self) -> List[int]:
+    def upgrade_all(self) -> int:
         """Handle an Upgrade Update signal: shrink the period of every
         degraded item toward its ideal period (Eq. 10) and relax the
         escalation threshold back toward zero.
 
-        Returns the ids of items whose period changed.
+        Returns the number of items whose period changed.
         """
         self.relax_threshold()
         upgraded = self.items.upgrade_degraded(self.c_uu)
@@ -171,7 +171,7 @@ class UpdateFrequencyModulator:
                 )
         if upgraded:
             self.upgrade_events += 1
-        return [item.item_id for item, _ in upgraded]
+        return len(upgraded)
 
     def relax_threshold(self) -> None:
         """Ease the escalation threshold back toward zero.

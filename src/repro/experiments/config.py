@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.elastic import ElasticConfig
 from repro.core.qmf import QmfConfig
@@ -112,9 +112,10 @@ class ExperimentConfig:
 
     # Fault injection (None = no faults; runs are byte-identical to a
     # config without the field).  Trace-shaping injectors fold into
-    # ``workload_key()`` via the scenario's fingerprint; a slowdown-only
-    # scenario leaves the key unchanged so paired runs share the cached
-    # workload.
+    # ``workload_key()`` via the scenario's fingerprint, never into
+    # ``query_key()`` (they perturb the base query trace after it is
+    # generated); a slowdown-only scenario leaves both keys unchanged so
+    # paired runs share the cached workload.
     faults: Optional[FaultScenario] = None
 
     def __post_init__(self) -> None:
@@ -161,42 +162,60 @@ class ExperimentConfig:
             return ValueDivergenceFreshness(table, scale=self.freshness_value_scale)
         return LagFreshness()
 
+    def query_key(self) -> str:
+        """Content-address of the base query trace this config generates.
+
+        Covers exactly the fields
+        :func:`repro.experiments.runner.build_query_workload` reads, plus
+        the seed.  Update-trace fields and fault scenarios are left out
+        (the base trace is unperturbed), so every cell of a seed's
+        update-volume sweep shares one base query trace.  Floats are
+        canonicalized with ``float.hex()`` (exact bits).
+        """
+        scale = self.scale
+        return _digest(
+            (
+                "query-v1",  # bump when query generation changes shape
+                str(self.seed),
+                scale.horizon.hex(),
+                str(scale.n_items),
+                scale.query_utilization.hex(),
+                scale.mean_query_service.hex(),
+                self.service_cv.hex(),
+                self.zipf_skew.hex(),
+                self.burst_factor.hex(),
+                self.normal_dwell.hex(),
+                self.burst_dwell.hex(),
+                self.freshness_req.hex(),
+                str(self.items_per_query),
+                self.deadline_high_factor.hex(),
+                self.deadline_high_base,
+            )
+        )
+
     def workload_key(self) -> str:
         """Content-address of the workload this config generates.
 
         Two configs with equal keys produce byte-identical query and
-        update traces: the key covers exactly the fields
-        :func:`repro.experiments.runner.build_workload` reads (plus the
-        seed) and nothing else — policy, penalty profile, and freshness
-        metric do not shape the traces, so paired runs share one entry.
-        Floats are canonicalized with ``float.hex()`` (exact bits).
+        update traces: the key hashes :meth:`query_key` with exactly the
+        fields :func:`repro.experiments.runner.build_workload` reads on
+        top of the base query trace — the update trace, its execution
+        time shape, and a trace-shaping fault scenario's fingerprint.
+        Policy, penalty profile, and freshness metric do not shape the
+        traces, so paired runs share one entry.
         """
-        scale = self.scale
         parts = (
-            "workload-v1",  # bump when trace generation changes shape
-            str(self.seed),
+            "workload-v2",  # bump when trace generation changes shape
+            self.query_key(),
             self.update_trace,
-            scale.horizon.hex(),
-            str(scale.n_items),
-            scale.query_utilization.hex(),
-            scale.mean_query_service.hex(),
-            scale.mean_update_exec.hex(),
-            self.service_cv.hex(),
-            self.zipf_skew.hex(),
-            self.burst_factor.hex(),
-            self.normal_dwell.hex(),
-            self.burst_dwell.hex(),
-            self.freshness_req.hex(),
-            str(self.items_per_query),
-            self.deadline_high_factor.hex(),
-            self.deadline_high_base,
+            self.scale.mean_update_exec.hex(),
             self.update_exec_cv.hex(),
         )
         if self.faults is not None:
             fingerprint = self.faults.workload_fingerprint()
             if fingerprint:
                 parts = parts + (fingerprint,)
-        return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+        return _digest(parts)
 
     def unit_config(self) -> UnitConfig:
         """The UNIT knobs for this run (default: paper constants with
@@ -219,6 +238,10 @@ class ExperimentConfig:
 
     def label(self) -> str:
         return f"{self.policy}/{self.update_trace}/{self.profile.name or 'naive'}"
+
+
+def _digest(parts: Tuple[str, ...]) -> str:
+    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
 
 def build_experiment(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.baselines import ImuPolicy, OduPolicy
 from repro.core.elastic import ElasticPolicy
@@ -145,8 +145,12 @@ def make_policy(
     raise ValueError(f"unknown policy {config.policy!r}")
 
 
-def build_workload(config: ExperimentConfig, streams: RandomStreams):
-    """Generate the query trace and the update trace for a config."""
+def build_query_workload(config: ExperimentConfig, streams: RandomStreams) -> QueryTrace:
+    """Generate the base query trace for a config, before any fault.
+
+    Reads exactly the fields :meth:`ExperimentConfig.query_key` covers
+    and draws only from the ``cello-*`` and ``query-*`` substreams.
+    """
     scale = config.scale
     cello = CelloConfig(
         horizon=scale.horizon,
@@ -160,7 +164,7 @@ def build_workload(config: ExperimentConfig, streams: RandomStreams):
         burst_dwell=config.burst_dwell,
     )
     records = generate_cello_trace(cello, streams)
-    query_trace = build_query_trace(
+    return build_query_trace(
         records,
         n_items=scale.n_items,
         streams=streams,
@@ -170,6 +174,23 @@ def build_workload(config: ExperimentConfig, streams: RandomStreams):
         deadline_high_factor=config.deadline_high_factor,
         deadline_high_base=config.deadline_high_base,
     )
+
+
+def build_workload(
+    config: ExperimentConfig,
+    streams: RandomStreams,
+    query_source: Callable[[ExperimentConfig, RandomStreams], QueryTrace] = build_query_workload,
+) -> Tuple[QueryTrace, UpdateTrace]:
+    """Generate the query trace and the update trace for a config.
+
+    ``query_source`` supplies the base query trace; the workload cache
+    passes its query-trace tier, so configs that differ only in update
+    shape share one base.  The update trace and the fault perturbation
+    draw only from ``update-<name>-*`` and ``fault-*`` substreams, which
+    the base never touches, so where the base came from changes no draw.
+    """
+    query_trace = query_source(config, streams)
+    scale = config.scale
     update_trace = build_update_trace(
         STANDARD_UPDATE_TRACES[config.update_trace],
         query_trace.access_counts(),

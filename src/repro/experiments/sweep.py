@@ -20,9 +20,10 @@ tier at the same directory when one is configured.
 Fault scenarios sweep transparently: pass a ``base`` config carrying
 ``faults`` and every grid cell inherits the scenario via
 ``dataclasses.replace``.  Trace-shaping scenarios fold into
-``workload_key()``, so the cache warm-up covers the perturbed traces
-too, and parallel results stay byte-identical to serial ones (see
-tests/test_faults_integration.py).
+``workload_key()`` (never into ``query_key()``: they perturb the
+shared base query trace after generation), so the cache warm-up covers
+the perturbed traces too, and parallel results stay byte-identical to
+serial ones (see tests/test_faults_integration.py).
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ def run_grid(
 
     All runs share the same seed, so every policy sees the *identical*
     workload — the paired-comparison discipline the paper's bar charts
-    imply.  The shared workload is generated once per (trace, seed) via
-    the workload cache, not once per cell.
+    imply.  Through the workload cache the base query trace is generated
+    once per seed and the update trace once per (trace, seed), not once
+    per cell.
 
     ``dashboard`` is an optional live-progress sink (duck-typed:
     ``on_progress(key, report, done, total)``, e.g. a

@@ -20,8 +20,9 @@ the :class:`repro.faults.driver.FaultDriver`.  Correspondingly,
 :meth:`FaultScenario.workload_fingerprint` covers exactly the
 trace-shaping injectors — a slowdown-only scenario hashes to the empty
 fingerprint, so paired runs with and without it share one workload
-cache entry, and a config with no scenario keeps its pre-fault
-``workload_key()`` byte for byte.
+cache entry, and a config with no scenario keeps the
+``workload_key()`` of a config without one, byte for byte.  No scenario
+reaches ``query_key()``: the base query trace is cached unperturbed.
 
 Determinism contract: scenario application draws only from named
 ``RandomStreams`` substreams (``fault-*``), disjoint from every

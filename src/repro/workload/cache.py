@@ -1,22 +1,36 @@
 """Content-addressed memoization of workload generation.
 
 Every figure in the paper is a *paired* comparison: each policy and
-penalty profile runs against the identical seeded workload, yet each
-:func:`repro.experiments.runner.run_experiment` call regenerates the
-cello arrival trace, the query trace, and the update trace from
-scratch.  This module shares that work: traces are memoized under
-``ExperimentConfig.workload_key()`` — a canonical hash of exactly the
-workload-shaping fields plus the seed — in a small in-memory LRU with
-an optional on-disk pickle store (conventionally
-``benchmarks/out/.workload-cache/``) for cross-process reuse.
+penalty profile runs against the identical seeded workload, and every
+update-volume cell of a seed plays one query workload against a
+different update trace.  Yet each
+:func:`repro.experiments.runner.run_experiment` call would regenerate
+the cello arrival trace, the query trace, and the update trace from
+scratch.  This module shares that work in two in-memory LRU tiers:
+
+* **pairs** — ``(query_trace, update_trace)`` under
+  ``ExperimentConfig.workload_key()``, a canonical hash of exactly the
+  workload-shaping fields plus the seed;
+* **base query traces** — the unperturbed query trace under
+  ``ExperimentConfig.query_key()``, the query-shaping subset of those
+  fields.  A pair miss generates only the update trace and the fault
+  perturbation against the cached base, so the cells of an
+  update-volume sweep generate one query trace per seed (the query
+  trace is nearly all of the generation cost).
+
+An optional on-disk pickle store of pairs (conventionally
+``benchmarks/out/.workload-cache/``) adds cross-process reuse.
 
 Sharing is safe on two axes:
 
 * **Determinism** — workload generation draws only from named
   ``RandomStreams`` substreams that are disjoint from every policy
   stream (seeds are derived per stream name), so skipping regeneration
-  perturbs nothing downstream; cached and uncached runs are
-  byte-identical (see ``tests/test_workload_cache.py``).
+  perturbs nothing downstream.  The base query trace's ``cello-*`` and
+  ``query-*`` streams are likewise disjoint from the ``update-*`` and
+  ``fault-*`` ones, so a pair built on a cached base is the pair a
+  fresh generation gives; cached and uncached runs are byte-identical
+  (see ``tests/test_workload_cache.py``).
 * **Aliasing** — traces are immutable specification objects; the
   runner builds a fresh item table and fresh transaction objects per
   run and never writes into a trace.  Callers must uphold that: treat
@@ -35,7 +49,9 @@ import os
 import pickle
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Tuple
+
+from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # import would be circular at runtime (runner -> workload)
     from repro.experiments.config import ExperimentConfig
@@ -64,28 +80,19 @@ def disk_dir_from_env() -> Optional[Path]:
     return Path(raw)
 
 
-def _generate(config: "ExperimentConfig") -> Workload:
-    """Generate the workload for ``config`` from its own seed."""
-    # Imported lazily: the experiments package sits above workload in
-    # the layering and importing it at module load would be circular.
-    from repro.experiments.runner import build_workload
-    from repro.sim.rng import RandomStreams
-
-    return build_workload(config, RandomStreams(config.seed))
-
-
 class WorkloadCache:
-    """An LRU of generated workloads with an optional disk tier.
+    """Two in-memory LRU tiers of generated workloads, plus a disk tier.
 
     Attributes:
-        max_entries: In-memory LRU capacity (a paper-scale trace pair is
-            a few MB; the default keeps a full 3-trace grid plus room).
+        max_entries: Capacity of each in-memory tier (a paper-scale
+            trace pair is a few MB; the default keeps a full 3-trace
+            grid plus room).
         disk_dir: Directory of the pickle store, or None for memory
             only.  When unset, each :meth:`get` consults
             :data:`CACHE_DIR_ENV` instead — so a worker process enables
             the disk tier by exporting the variable.
-        hits / misses / disk_hits: Counters for reporting; ``hits``
-            counts memory hits only.
+        hits / misses / disk_hits: Counters of the pair tier, for
+            reporting; ``hits`` counts memory hits only.
     """
 
     def __init__(
@@ -98,6 +105,7 @@ class WorkloadCache:
         self.max_entries = max_entries
         self.disk_dir = disk_dir
         self._entries: "OrderedDict[str, Workload]" = OrderedDict()
+        self._queries: "OrderedDict[str, QueryTrace]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -106,13 +114,15 @@ class WorkloadCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every in-memory entry and reset the hit/miss counters.
+        """Drop every in-memory entry of both tiers and reset the
+        hit/miss counters.
 
         The disk tier is untouched.  Counters restart so that
         statistics gathered after a ``clear()`` describe only the new
         population, not the evicted one.
         """
         self._entries.clear()
+        self._queries.clear()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -155,19 +165,39 @@ class WorkloadCache:
         except OSError:
             return  # the disk tier is best-effort; memory still holds it
 
-    def _remember(self, key: str, workload: Workload) -> None:
-        entries = self._entries
-        entries[key] = workload
+    def _remember(self, entries: "OrderedDict[str, Any]", key: str, value: Any) -> None:
+        """Store ``value`` as the most recent entry of one tier and
+        evict that tier's oldest beyond :attr:`max_entries`."""
+        entries[key] = value
         entries.move_to_end(key)
         while len(entries) > self.max_entries:
             entries.popitem(last=False)
 
+    def _query_trace(
+        self, config: "ExperimentConfig", streams: RandomStreams
+    ) -> "QueryTrace":
+        """The query tier: the base query trace for ``config``,
+        generated from ``streams`` on a miss."""
+        # Imported lazily: the experiments package sits above workload in
+        # the layering and importing it at module load would be circular.
+        from repro.experiments.runner import build_query_workload
+
+        key = config.query_key()
+        found = self._queries.get(key)
+        if found is None:
+            found = build_query_workload(config, streams)
+        self._remember(self._queries, key, found)
+        return found
+
     def get(self, config: "ExperimentConfig") -> Workload:
         """The (query_trace, update_trace) pair for ``config``.
 
-        Memory hit, then disk hit, then generate-and-store.  The traces
-        returned for equal keys are the *same objects* — treat them as
-        immutable.
+        Memory hit, then disk hit, then generate-and-store.  Generation
+        takes the base query trace from the query tier, so only the
+        update trace and the fault perturbation are new work when a
+        config sharing the :meth:`~ExperimentConfig.query_key` came
+        before.  The traces returned for equal keys are the *same
+        objects* — treat them as immutable.
         """
         key = config.workload_key()
         entries = self._entries
@@ -179,11 +209,13 @@ class WorkloadCache:
         workload = self._load_disk(key)
         if workload is not None:
             self.disk_hits += 1
-            self._remember(key, workload)
+            self._remember(entries, key, workload)
             return workload
         self.misses += 1
-        workload = _generate(config)
-        self._remember(key, workload)
+        from repro.experiments.runner import build_workload  # see _query_trace
+
+        workload = build_workload(config, RandomStreams(config.seed), self._query_trace)
+        self._remember(entries, key, workload)
         self._store_disk(key, workload)
         return workload
 

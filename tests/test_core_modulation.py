@@ -162,13 +162,13 @@ class TestUpgrade:
         tickets.on_update(0, update_exec_time=1.0)
         modulator.degrade(rounds=1)  # period 11.0
         changed = modulator.upgrade_all()
-        assert changed == [0]
+        assert changed == 1
         assert items[0].current_period == pytest.approx(10.0)
         assert modulator.upgrade_events == 1
 
     def test_upgrade_noop_when_nothing_degraded(self):
         _, _, modulator = make_modulator()
-        assert modulator.upgrade_all() == []
+        assert modulator.upgrade_all() == 0
         assert modulator.upgrade_events == 0
 
     def test_upgrade_relaxes_escalation_threshold(self):
