@@ -68,7 +68,8 @@ class UpdateFrequencyModulator:
         self.upgrade_events = 0
         # Observability: the modulator has no clock, so the recorder is
         # paired with the simulator whose virtual time stamps the
-        # modulation.change events.  Disabled by default.
+        # modulation.change events (one per signal that changed an
+        # item).  Disabled by default.
         self._obs: Recorder = NULL_RECORDER
         self._obs_sim: Optional[Simulator] = None
 
@@ -87,7 +88,8 @@ class UpdateFrequencyModulator:
         the signal unless escalation lowers the ticket threshold (at
         most once per signal) and a redraw then succeeds.  Returns the
         victim item ids (may repeat; empty when no item has positive
-        lottery weight yet).
+        lottery weight yet), which one ``modulation.change`` event
+        records when tracing is on.
         """
         if rounds <= 0:
             raise ValueError("rounds must be positive")
@@ -97,8 +99,6 @@ class UpdateFrequencyModulator:
         sample = self.tickets.lottery.sample
         rows = self.items.rows
         stretch = 1.0 + self.c_du
-        obs = self._obs
-        obs_sim = self._obs_sim if obs.enabled else None
         victims: List[int] = []
         escalated = False
         for _ in range(rounds):
@@ -122,16 +122,14 @@ class UpdateFrequencyModulator:
                 if victim is None:
                     break
             item = rows[victim]
-            before_period = item.current_period
             # ``DataItem.degrade_period``'s float expression, inlined.
-            item.current_period = after_period = before_period * stretch
+            item.current_period *= stretch
             victims.append(victim)
-            if obs_sim is not None:
-                obs.modulation_change(
-                    obs_sim.now, victim, "degrade", before_period, after_period
-                )
         if victims:
             self.degrade_events += 1
+            obs = self._obs
+            if obs.enabled and self._obs_sim is not None:
+                obs.modulation_change(self._obs_sim.now, "degrade", tuple(victims))
         return victims
 
     def _sample_below_cap(
@@ -158,19 +156,20 @@ class UpdateFrequencyModulator:
         degraded item toward its ideal period (Eq. 10) and relax the
         escalation threshold back toward zero.
 
-        Returns the number of items whose period changed.
+        Returns the number of items whose period changed; one
+        ``modulation.change`` event records their ids when tracing is on.
         """
         self.relax_threshold()
         upgraded = self.items.upgrade_degraded(self.c_uu)
-        obs = self._obs
-        if obs.enabled and self._obs_sim is not None:
-            now = self._obs_sim.now
-            for item, before in upgraded:
-                obs.modulation_change(
-                    now, item.item_id, "upgrade", before, item.current_period
-                )
         if upgraded:
             self.upgrade_events += 1
+            obs = self._obs
+            if obs.enabled and self._obs_sim is not None:
+                obs.modulation_change(
+                    self._obs_sim.now,
+                    "upgrade",
+                    tuple([item.item_id for item in upgraded]),
+                )
         return len(upgraded)
 
     def relax_threshold(self) -> None:

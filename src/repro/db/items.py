@@ -16,7 +16,7 @@ skipped arrival irrelevant (paper Section 1, footnote 2).  The lag
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 
 @dataclasses.dataclass
@@ -202,19 +202,19 @@ class ItemTable:
         ``current_period`` directly."""
         return len(self.degraded_items())
 
-    def upgrade_degraded(self, shrink: float) -> List[Tuple[DataItem, float]]:
+    def upgrade_degraded(self, shrink: float) -> List[DataItem]:
         """Apply :meth:`DataItem.upgrade_period` to every degraded item in
         one pass over the table.
 
-        Returns ``(item, period_before)`` for each item whose period
-        changed, in item-id order.  Bit-identical to the per-item call:
-        ``max(pi, pc - shrink * pi)`` keeps ``pi`` on a tie, and so does
-        the compare below.  ``upgrade_period`` stays as the per-item
-        reference the tests check this pass against.
+        Returns the items whose period changed, in item-id order.
+        Bit-identical to the per-item call: ``max(pi, pc - shrink * pi)``
+        keeps ``pi`` on a tie, and so does the compare below.
+        ``upgrade_period`` stays as the per-item reference the tests
+        check this pass against.
         """
         if shrink <= 0:
             raise ValueError("shrink must be positive")
-        changed: List[Tuple[DataItem, float]] = []
+        changed: List[DataItem] = []
         for item in self._items:
             before = item.current_period
             ideal = item.ideal_period
@@ -224,7 +224,7 @@ class ItemTable:
                     after = ideal
                 if after != before:
                     item.current_period = after
-                    changed.append((item, before))
+                    changed.append(item)
         return changed
 
     def totals(self) -> Dict[str, int]:

@@ -330,10 +330,10 @@ class RunMetrics:
         self._counter("repro_updates_dropped_total").inc()
 
     def _modulation_change(self, event: _trace.TraceEvent) -> None:
-        _, _, _, direction, _, _ = event
+        _, _, direction, items = event
         self._counter(
             "repro_modulation_changes_total", "direction", str(direction)
-        ).inc()
+        ).inc(len(items))
 
     def _control_allocate(self, event: _trace.TraceEvent) -> None:
         _, _, dominant, _, _, _, _ = event

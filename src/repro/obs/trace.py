@@ -22,9 +22,10 @@ trailing mapping slot (:data:`REST`) that flattens in its own order.
 :func:`as_dict` and :func:`from_dict` are the only converters between
 a tuple and its flattened ``{"t": …, "kind": …, **fields}`` form, the
 shape of the JSONL exports.  A tuple of plain values (every
-``query.*``, ``sched.*`` and ``modulation.change`` event) is untracked
-by the garbage collector once a collection has seen it, so the bulk of
-a long trace costs the collector nothing to re-walk.
+``query.*``, ``sched.*`` and ``modulation.change`` event; the latter
+carries its item ids as a tuple, not a list, for this reason) is
+untracked by the garbage collector once a collection has seen it, so
+the bulk of a long trace costs the collector nothing to re-walk.
 
 All timestamps are **simulated** time (the caller passes
 ``Simulator.now``); this module never reads the wall clock — simlint's
@@ -46,7 +47,8 @@ Event kinds (the ``kind`` field of every event):
 ``lock.preempt``       2PL-HP abort: victims named, requester named
 ``update.apply``       an update transaction committed
 ``update.drop``        a source arrival dropped by the policy
-``modulation.change``  an item's period degraded / upgraded
+``modulation.change``  one Degrade / Upgrade signal: the ids of the
+                       items whose period it changed, in order
 ``control.allocate``   one Adaptive Allocation decision (LBC)
 ``control.window``     controller window snapshot: USM components
                        S / R / F_m / F_s plus the knob values chosen
@@ -109,7 +111,7 @@ FIELDS: Dict[str, Tuple[str, ...]] = {
     LOCK_PREEMPT: ("txn", "item", "update", "victims"),
     UPDATE_APPLY: ("item", "txn", "on_demand", "period"),
     UPDATE_DROP: ("item", "period"),
-    MODULATION_CHANGE: ("item", "direction", "old_period", "new_period"),
+    MODULATION_CHANGE: ("direction", "items"),
     # REST: cost_<component> per cost.
     CONTROL_ALLOCATE: ("dominant", "signals", "usm", "samples", REST),
     # REST: the USM components.
@@ -293,16 +295,9 @@ class Recorder:
         self._record((time, UPDATE_DROP, item_id, period))
 
     def modulation_change(
-        self,
-        time: float,
-        item_id: int,
-        direction: str,
-        old_period: float,
-        new_period: float,
+        self, time: float, direction: str, items: Tuple[int, ...]
     ) -> None:
-        self._record(
-            (time, MODULATION_CHANGE, item_id, direction, old_period, new_period)
-        )
+        self._record((time, MODULATION_CHANGE, direction, items))
 
     def control_allocate(
         self,

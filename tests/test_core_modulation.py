@@ -8,9 +8,13 @@ import pytest
 from repro.core.lottery import LotteryScheduler
 from repro.core.modulation import UpdateFrequencyModulator
 from repro.core.tickets import TicketBook
-from repro.db.items import ItemTable
+from repro.db.items import DataItem, ItemTable
 from repro.experiments.config import SCALES, ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import Substrate, run_experiment
+from repro.obs.config import ObsConfig
+from repro.obs.trace import TraceRecorder
+from repro.sim.engine import Simulator
+from repro.workload.cache import get_workload
 
 
 def make_modulator(n=4, escalate=False, max_stretch=100.0):
@@ -219,40 +223,65 @@ class TestDiagnostics:
             UpdateFrequencyModulator(items, TicketBook(3), random.Random(0))
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    """Count the modulator's draws, rebuilds and signals during a test."""
+    counts = Counter()
+    sample, rebuild = LotteryScheduler.sample, LotteryScheduler.rebuild
+    degrade = UpdateFrequencyModulator.degrade
+    upgrade_all = UpdateFrequencyModulator.upgrade_all
+
+    def counted_sample(self, rng):
+        counts["draws"] += 1
+        return sample(self, rng)
+
+    def counted_rebuild(self, weights):
+        counts["rebuilds"] += 1
+        return rebuild(self, weights)
+
+    def counted_degrade(self, rounds=1):
+        victims = degrade(self, rounds)
+        counts["signals"] += 1
+        counts["victims"] += len(victims)
+        counts["degrades_changed"] += bool(victims)
+        return victims
+
+    def counted_upgrade_all(self):
+        upgraded = upgrade_all(self)
+        counts["upgrades"] += 1
+        counts["upgraded"] += upgraded
+        counts["upgrades_changed"] += upgraded > 0
+        return upgraded
+
+    monkeypatch.setattr(LotteryScheduler, "sample", counted_sample)
+    monkeypatch.setattr(LotteryScheduler, "rebuild", counted_rebuild)
+    monkeypatch.setattr(UpdateFrequencyModulator, "degrade", counted_degrade)
+    monkeypatch.setattr(UpdateFrequencyModulator, "upgrade_all", counted_upgrade_all)
+    return counts
+
+
+def _observed_small_cell(trace):
+    """A small UNIT cell with the whole trace kept, run through a
+    ``Substrate`` so its final item table stays readable."""
+    config = ExperimentConfig(
+        policy="unit",
+        update_trace=trace,
+        seed=7,
+        scale=SCALES["small"],
+        obs=ObsConfig(keep_events=True, spans=False),
+    )
+    substrate = Substrate(config, *get_workload(config))
+    report = substrate.finish()
+    assert report.obs_summary["dropped"] == 0
+    signals = [
+        event for event in report.obs_events if event["kind"] == "modulation.change"
+    ]
+    return substrate, report, signals
+
+
 class TestWorkCounts:
     """Exact update-modulator work per run, with zero slack: a cheaper
     draw must not come from drawing less."""
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = Counter()
-        sample, rebuild = LotteryScheduler.sample, LotteryScheduler.rebuild
-        degrade = UpdateFrequencyModulator.degrade
-        upgrade_all = UpdateFrequencyModulator.upgrade_all
-
-        def counted_sample(self, rng):
-            counts["draws"] += 1
-            return sample(self, rng)
-
-        def counted_rebuild(self, weights):
-            counts["rebuilds"] += 1
-            return rebuild(self, weights)
-
-        def counted_degrade(self, rounds=1):
-            victims = degrade(self, rounds)
-            counts["signals"] += 1
-            counts["victims"] += len(victims)
-            return victims
-
-        def counted_upgrade_all(self):
-            counts["upgrades"] += 1
-            return upgrade_all(self)
-
-        monkeypatch.setattr(LotteryScheduler, "sample", counted_sample)
-        monkeypatch.setattr(LotteryScheduler, "rebuild", counted_rebuild)
-        monkeypatch.setattr(UpdateFrequencyModulator, "degrade", counted_degrade)
-        monkeypatch.setattr(UpdateFrequencyModulator, "upgrade_all", counted_upgrade_all)
-        return counts
 
     @pytest.mark.parametrize(
         "trace, expected",
@@ -269,3 +298,67 @@ class TestWorkCounts:
         )
         keys = ("draws", "victims", "rebuilds", "signals", "upgrades")
         assert tuple(counts[key] for key in keys) == expected
+
+
+class TestSignalEvents:
+    """One ``modulation.change`` event per Degrade/Upgrade signal that
+    changed an item, carrying every item it changed."""
+
+    @pytest.mark.parametrize(
+        "trace, victims, upgraded",
+        [("med-unif", 6_639, 4_476), ("high-unif", 7_421, 6_818)],
+    )
+    def test_one_event_per_signal(self, counts, trace, victims, upgraded):
+        _, report, signals = _observed_small_cell(trace)
+        by_direction = {"degrade": [], "upgrade": []}
+        for event in signals:
+            by_direction[event["direction"]].append(event["items"])
+        for items in by_direction["degrade"] + by_direction["upgrade"]:
+            assert type(items) is tuple and items
+        assert len(by_direction["degrade"]) == counts["degrades_changed"]
+        assert len(by_direction["upgrade"]) == counts["upgrades_changed"]
+        total = {key: sum(map(len, value)) for key, value in by_direction.items()}
+        assert total == {"degrade": victims, "upgrade": upgraded}
+        assert (counts["victims"], counts["upgraded"]) == (victims, upgraded)
+        for direction in by_direction:
+            metric = f"repro_modulation_changes_total{{direction={direction}}}"
+            assert report.obs_metrics[metric]["value"] == total[direction]
+
+    def test_signal_that_changes_nothing_records_nothing(self):
+        _, tickets, modulator = make_modulator()
+        rec = TraceRecorder()
+        modulator.bind_observer(rec, Simulator())
+        assert modulator.degrade(rounds=3) == []
+        assert modulator.upgrade_all() == 0
+        assert len(rec) == 0
+        tickets.on_update(2, update_exec_time=1.0)
+        assert modulator.degrade(rounds=3) == [2, 2, 2]
+        assert modulator.upgrade_all() == 1
+        assert list(rec.events()) == [
+            (0.0, "modulation.change", "degrade", (2, 2, 2)),
+            (0.0, "modulation.change", "upgrade", (2,)),
+        ]
+
+    def test_replay_rebuilds_every_period(self):
+        """The signals carry no periods, yet replaying them from the
+        ideal periods with the modulator's own arithmetic rebuilds the
+        run's final periods bit for bit."""
+        substrate, _, signals = _observed_small_cell("med-unif")
+        modulator = substrate.policy.modulator
+        stretch = 1.0 + modulator.c_du
+        replay = ItemTable(
+            [
+                DataItem(item.item_id, item.ideal_period, item.update_exec_time)
+                for item in substrate.items
+            ]
+        )
+        for event in signals:
+            if event["direction"] == "degrade":
+                for item_id in event["items"]:
+                    replay[item_id].current_period *= stretch
+            else:
+                upgraded = replay.upgrade_degraded(modulator.c_uu)
+                assert tuple(item.item_id for item in upgraded) == event["items"]
+        final = [item.current_period.hex() for item in substrate.items]
+        assert [item.current_period.hex() for item in replay] == final
+        assert substrate.items.degraded_count() > 0

@@ -157,16 +157,17 @@ class TestItemTable:
             before = item.current_period
             item.upgrade_period(shrink)
             if item.current_period != before:
-                expected.append((item.item_id, before))
-        assert [(item.item_id, before) for item, before in changed] == expected
+                expected.append(item.item_id)
+        assert [item.item_id for item in changed] == expected
+        assert all(item is fast[item.item_id] for item in changed)
         assert [item.current_period.hex() for item in fast] == [
             item.current_period.hex() for item in slow
         ]
 
     def test_upgrade_degraded_tie_keeps_ideal(self):
         table = ItemTable([make_item(ideal_period=10.0, current_period=15.0)])
-        [(item, before)] = table.upgrade_degraded(0.5)
-        assert before == 15.0 and item.current_period == 10.0
+        [item] = table.upgrade_degraded(0.5)
+        assert item is table[0] and item.current_period == 10.0
         assert table.upgrade_degraded(0.5) == []
 
     def test_degraded_count_sees_direct_writes(self):

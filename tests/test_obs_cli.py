@@ -30,6 +30,16 @@ class TestSummary:
         assert "control.window" in out
         assert "0.100s .. 2.000s" in out
 
+    def test_modulation_signal_line(self, tmp_path, capsys):
+        rec = TraceRecorder()
+        rec.modulation_change(0.5, "upgrade", (1, 4, 9))
+        path = tmp_path / "modulation.jsonl"
+        write_trace_jsonl(rec, path)
+        assert main(["summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 events" in out
+        assert "modulation.change" in out
+
     def test_bad_json_exits(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"t": 1}\nnot json\n')

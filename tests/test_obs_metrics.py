@@ -243,11 +243,10 @@ class TestRunMetricsFolding:
         )
         rm.observe_event(_event("update.drop", {"item": 2, "period": 2.0}))
         rm.observe_event(
-            _event(
-                "modulation.change",
-                {"item": 2, "direction": "degrade", "old_period": 2.0,
-                 "new_period": 2.4},
-            )
+            _event("modulation.change", {"direction": "degrade", "items": (2, 4, 2)})
+        )
+        rm.observe_event(
+            _event("modulation.change", {"direction": "upgrade", "items": [4]})
         )
         rm.observe_event(
             _event(
@@ -262,8 +261,12 @@ class TestRunMetricsFolding:
         assert snap["repro_lock_waits_total"]["value"] == 1.0
         assert snap["repro_updates_applied_total{on_demand=true}"]["value"] == 1.0
         assert snap["repro_updates_dropped_total"]["value"] == 1.0
+        # One event per signal, counted per item it changed.
         assert (
-            snap["repro_modulation_changes_total{direction=degrade}"]["value"] == 1.0
+            snap["repro_modulation_changes_total{direction=degrade}"]["value"] == 3.0
+        )
+        assert (
+            snap["repro_modulation_changes_total{direction=upgrade}"]["value"] == 1.0
         )
         assert snap["repro_control_allocations_total{dominant=R}"]["value"] == 1.0
 

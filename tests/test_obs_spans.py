@@ -277,8 +277,9 @@ class TestKindFilter:
     def test_ignored_kinds_leave_spans_unchanged(self):
         events = [
             TestMalformedStreams.ADMIT,
-            {"t": 1.0, "kind": "modulation.change", "item": 3,
-             "direction": "degrade", "old_period": 1.0, "new_period": 2.0},
+            # A parsed JSONL line: the signal's item ids arrive as a list.
+            {"t": 1.0, "kind": "modulation.change", "direction": "degrade",
+             "items": [3, 1, 3]},
             TestMalformedStreams.ENQ,
             TestMalformedStreams.RUN,
             TestMalformedStreams.DONE,

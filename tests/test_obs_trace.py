@@ -1,6 +1,7 @@
 """Trace recorder: the event schema, ring bounds, null path."""
 
 import gc
+import json
 import platform
 
 import pytest
@@ -75,7 +76,7 @@ class TestTraceRecorder:
         rec.lock_preempt(0.2, 2, 5, True, [1])
         rec.update_apply(0.4, 5, 7, False, 2.0)
         rec.update_drop(0.5, 5, 2.0)
-        rec.modulation_change(0.6, 5, "degrade", 2.0, 2.2)
+        rec.modulation_change(0.6, "degrade", (5, 2, 5))
         rec.control_allocate(1.0, {"R": 0.1}, "R", ["LAC"], 0.4, 20)
         rec.control_window(1.0, {"S": 0.8}, 0.4, 20, ["LAC"], 1.1, 0.3, 2, -0.5)
         rec.fault_start(2.0, "server-slowdown-0", "server-slowdown", {"rate": 0.5})
@@ -151,12 +152,12 @@ HOOKS = [
      {"t": 0.15, "kind": "sched.dispatch", "txn": 1}),
     ("sched_park", (0.18, 1),
      {"t": 0.18, "kind": "sched.park", "txn": 1}),
-    ("modulation_change", (0.6, 5, "degrade", 2.0, 2.2),
-     {"t": 0.6, "kind": "modulation.change", "item": 5, "direction": "degrade",
-      "old_period": 2.0, "new_period": 2.2}),
-    ("modulation_change", (0.7, 5, "upgrade", 2.2, 1.0),
-     {"t": 0.7, "kind": "modulation.change", "item": 5, "direction": "upgrade",
-      "old_period": 2.2, "new_period": 1.0}),
+    ("modulation_change", (0.6, "degrade", (5, 2, 5)),
+     {"t": 0.6, "kind": "modulation.change", "direction": "degrade",
+      "items": (5, 2, 5)}),
+    ("modulation_change", (0.7, "upgrade", (2, 5)),
+     {"t": 0.7, "kind": "modulation.change", "direction": "upgrade",
+      "items": (2, 5)}),
     ("admission_decision", (0.1, 1, False, "est", 0.4, 2, 1.0),
      {"t": 0.1, "kind": "admission.decision", "txn": 1, "admitted": False,
       "reason": "est", "est": 0.4, "endangered": 2, "c_flex": 1.0}),
@@ -219,6 +220,17 @@ class TestTypedEvents:
         generic = TraceRecorder()
         generic.emit(expected["t"], expected["kind"], fields)
         assert list(generic.events()) == [event]
+
+    def test_modulation_items_round_trip_through_jsonl(self):
+        """A JSONL line carries a signal's item ids as a list; parsing it
+        back gives the same event with ``items`` as that list."""
+        rec = TraceRecorder()
+        rec.modulation_change(0.6, "degrade", (5, 2, 5))
+        [event] = rec.events()
+        line = json.dumps(as_dict(event), sort_keys=True, separators=(",", ":"))
+        assert line == '{"direction":"degrade","items":[5,2,5],"kind":"modulation.change","t":0.6}'
+        parsed = from_dict(json.loads(line))
+        assert parsed == (0.6, "modulation.change", "degrade", [5, 2, 5])
 
     def test_unnamed_kind_keeps_its_fields_in_order(self):
         rec = TraceRecorder()
