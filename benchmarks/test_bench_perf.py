@@ -111,7 +111,11 @@ def test_bench_null_recorder_overhead(bench_scale, bench_seed):
     (no ``obs`` config at all) and the explicit null-recorder run are
     timed *interleaved* round by round and compared min-to-min — the
     only stable way to resolve a 2% budget.  The enabled-recorder run
-    is measured too, recorded for the docs but not gated.
+    is measured too, recorded for the docs but not gated, in a second
+    interleaved loop against its own plain runs: the recorded baseline
+    and enabled throughputs come from the same stretch of host time, so
+    their ratio is read from one record (``events_per_sec`` and
+    ``overhead_pct`` come from the gated trials).
     """
     import dataclasses
     import time
@@ -153,8 +157,10 @@ def test_bench_null_recorder_overhead(bench_scale, bench_seed):
 
     events = report.events_fired
 
-    enabled_best = float("inf")
-    for _ in range(3):
+    baseline_best = enabled_best = float("inf")
+    for _ in range(7):
+        elapsed, _unused = timed(plain)
+        baseline_best = min(baseline_best, elapsed)
         elapsed, enabled_report = timed(enabled)
         enabled_best = min(enabled_best, elapsed)
 
@@ -163,7 +169,7 @@ def test_bench_null_recorder_overhead(bench_scale, bench_seed):
         {
             "seed": bench_seed,
             "events": events,
-            "baseline_events_per_sec": round(events / plain_best, 1),
+            "baseline_events_per_sec": round(events / baseline_best, 1),
             "events_per_sec": round(events / null_best, 1),
             "enabled_events_per_sec": round(
                 enabled_report.events_fired / enabled_best, 1

@@ -16,6 +16,13 @@ low — "let me try, I don't mind a slow page").  Expect mirror-image
 outcome mixes from the same server: traders collect rejections and
 almost no misses; browsers are always admitted and absorb the misses.
 
+The example builds its :class:`~repro.db.server.Server` by hand rather
+than through the experiment harness's ``Substrate``: a substrate is
+assembled from one ``ExperimentConfig`` with a single system-wide
+profile and a plain ``UsmAccumulator``, so it cannot attach a
+``PenaltyProfile`` to each query or score the run with a
+``MixedUsmAccumulator``.
+
 Run:
     python examples/user_classes.py
 """

@@ -35,7 +35,6 @@ from repro.obs.export import (
     FlatTrace,
     write_chrome_trace,
     write_controller_csv,
-    write_prometheus,
     write_trace_jsonl,
 )
 from repro.obs.metrics import RunMetrics
@@ -346,7 +345,7 @@ def _export_artifacts(
     config: ExperimentConfig,
     span_result: Optional["SpanBuildResult"] = None,
 ) -> Dict[str, str]:
-    """Write the configured trace/metrics artifacts for one cell.
+    """Write the configured trace artifacts for one cell.
 
     Paths are derived per cell (label + seed) so parallel sweep workers
     never collide.  Returns ``{artifact_kind: written_path}``.
@@ -359,9 +358,6 @@ def _export_artifacts(
     write_chrome_trace(flat, paths["chrome_json"])
     write_controller_csv(flat, paths["controller_csv"])
     kinds = ["trace_jsonl", "chrome_json", "controller_csv"]
-    if recorder.metrics is not None:
-        write_prometheus(recorder.metrics, paths["prometheus_txt"])  # type: ignore[arg-type]
-        kinds.append("prometheus_txt")
     if span_result is not None:
         write_spans_jsonl(span_result, paths["spans_jsonl"])
         kinds.append("spans_jsonl")

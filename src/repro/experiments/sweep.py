@@ -33,7 +33,7 @@ import dataclasses
 import multiprocessing
 import multiprocessing.pool
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.usm import PenaltyProfile
 from repro.experiments.config import ExperimentConfig, ExperimentScale
@@ -44,38 +44,6 @@ from repro.workload.cache import CACHE_DIR_ENV, default_cache
 _log = get_logger(__name__)
 
 SweepKey = Tuple[str, str, str]  # (policy, trace, profile-name)
-
-#: Called after each finished cell with (key, report, done, total).
-#: Under the parallel executor, calls arrive in *completion* order.
-ProgressCallback = Callable[[SweepKey, SimulationReport, int, int], None]
-
-
-def _chain_dashboard(
-    dashboard: Optional[object],
-    progress_callback: Optional[ProgressCallback],
-) -> Optional[ProgressCallback]:
-    """Fold a dashboard's ``on_progress`` in front of a progress callback.
-
-    ``dashboard`` is duck-typed (anything with
-    ``on_progress(key, report, done, total)`` — normally a
-    :class:`repro.obs.dash.DashboardState`), so the sweep layer has no
-    import edge into the dashboard stack.
-    """
-    if dashboard is None:
-        return progress_callback
-    feed = dashboard.on_progress  # type: ignore[attr-defined]
-    if progress_callback is None:
-        return feed
-
-    inner = progress_callback
-
-    def chained(
-        key: SweepKey, report: SimulationReport, done: int, total: int
-    ) -> None:
-        feed(key, report, done, total)
-        inner(key, report, done, total)
-
-    return chained
 
 #: Environment override for the worker count (int; > 1 enables the pool
 #: from :func:`run_grid` as well).
@@ -150,6 +118,20 @@ def _run_keyed(
     return key, run_experiment(config)
 
 
+def _run_serial(
+    configs: List[Tuple[SweepKey, ExperimentConfig]], progress: bool
+) -> Dict[SweepKey, SimulationReport]:
+    """Run the cells one after another in this process, in grid order."""
+    results: Dict[SweepKey, SimulationReport] = {}
+    total = len(configs)
+    for done, (key, config) in enumerate(configs, start=1):
+        report = run_experiment(config)
+        results[key] = report
+        if progress:
+            _log_progress(key, report, done, total)
+    return results
+
+
 def run_grid(
     policies: Iterable[str],
     traces: Iterable[str],
@@ -158,8 +140,6 @@ def run_grid(
     seed: int = 7,
     base: Optional[ExperimentConfig] = None,
     progress: bool = False,
-    progress_callback: Optional[ProgressCallback] = None,
-    dashboard: Optional[object] = None,
 ) -> Dict[SweepKey, SimulationReport]:
     """Run every combination and return reports keyed by
     ``(policy, trace, profile.name)``.
@@ -168,19 +148,11 @@ def run_grid(
     workload — the paired-comparison discipline the paper's bar charts
     imply.  Through the workload cache the base query trace is generated
     once per seed and the update trace once per (trace, seed), not once
-    per cell.
-
-    ``dashboard`` is an optional live-progress sink (duck-typed:
-    ``on_progress(key, report, done, total)``, e.g. a
-    :class:`repro.obs.dash.DashboardState`); it is fed before the
-    ``progress_callback`` after every finished cell.
+    per cell.  With ``progress`` each finished cell logs one INFO line.
 
     With ``REPRO_SWEEP_WORKERS`` set above 1 the grid is delegated to
     :func:`run_grid_parallel`; results are identical either way.
     """
-    if progress and progress_callback is None:
-        progress_callback = _log_progress
-    progress_callback = _chain_dashboard(dashboard, progress_callback)
     env_workers = _env_workers()
     if env_workers is not None and env_workers > 1:
         return run_grid_parallel(
@@ -191,17 +163,11 @@ def run_grid(
             seed=seed,
             base=base,
             workers=env_workers,
-            progress_callback=progress_callback,
+            progress=progress,
         )
-    configs = _grid_configs(policies, traces, profiles, scale, seed, base)
-    results: Dict[SweepKey, SimulationReport] = {}
-    total = len(configs)
-    for done, (key, config) in enumerate(configs, start=1):
-        report = run_experiment(config)
-        results[key] = report
-        if progress_callback is not None:
-            progress_callback(key, report, done, total)
-    return results
+    return _run_serial(
+        _grid_configs(policies, traces, profiles, scale, seed, base), progress
+    )
 
 
 # ----------------------------------------------------------------------
@@ -253,38 +219,26 @@ def run_grid_parallel(
     seed: int = 7,
     base: Optional[ExperimentConfig] = None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    progress_callback: Optional[ProgressCallback] = None,
-    cache_dir: Optional[str] = None,
-    dashboard: Optional[object] = None,
+    progress: bool = False,
 ) -> Dict[SweepKey, SimulationReport]:
     """The :func:`run_grid` grid over a persistent process pool.
 
     Each cell is an independent seeded simulation, so parallel results
     are identical to serial ones — and the returned dict preserves the
-    serial entry order regardless of completion order.
+    serial entry order regardless of completion order.  Cells are
+    dispatched in batches of roughly a quarter of each worker's share;
+    ``REPRO_WORKLOAD_CACHE`` names the on-disk workload store the
+    workers share.
 
     Args:
         workers: Pool size; defaults to ``REPRO_SWEEP_WORKERS``, then
             the CPU count, capped by the number of cells.
-        chunksize: Cells per dispatch batch; defaults to roughly four
-            batches per worker, floored at 1.
-        progress_callback: Invoked with ``(key, report, done, total)``
-            after each finished cell, in completion order.
-        cache_dir: Directory for the on-disk workload store; when given,
-            ``REPRO_WORKLOAD_CACHE`` is exported for this process and
-            its workers (existing environment settings are used
-            otherwise).
-        dashboard: Optional live-progress sink (duck-typed
-            ``on_progress``; see :func:`run_grid`), fed in completion
-            order from the parent process.
+        progress: Log one INFO line per finished cell, in completion
+            order.
     """
-    progress_callback = _chain_dashboard(dashboard, progress_callback)
     configs = _grid_configs(policies, traces, profiles, scale, seed, base)
     if not configs:
         return {}
-    if cache_dir is not None:
-        os.environ[CACHE_DIR_ENV] = str(cache_dir)
     requested = workers if workers is not None else _env_workers()
     if requested is None:
         requested = multiprocessing.cpu_count()
@@ -297,23 +251,16 @@ def run_grid_parallel(
     default_cache().warm(config for _, config in configs)
 
     if n_workers <= 1:
-        results_serial: Dict[SweepKey, SimulationReport] = {}
-        for done, (key, config) in enumerate(configs, start=1):
-            report = run_experiment(config)
-            results_serial[key] = report
-            if progress_callback is not None:
-                progress_callback(key, report, done, total)
-        return results_serial
+        return _run_serial(configs, progress)
 
-    if chunksize is None:
-        chunksize = max(1, total // (n_workers * 4))
     pool = _get_pool(n_workers, os.environ.get(CACHE_DIR_ENV, ""))
+    batch = max(1, total // (n_workers * 4))
     collected: Dict[SweepKey, SimulationReport] = {}
     for done, (key, report) in enumerate(
-        pool.imap_unordered(_run_keyed, configs, chunksize=chunksize), start=1
+        pool.imap_unordered(_run_keyed, configs, batch), start=1
     ):
         collected[key] = report
-        if progress_callback is not None:
-            progress_callback(key, report, done, total)
+        if progress:
+            _log_progress(key, report, done, total)
     # Deterministic assembly: serial grid order, not completion order.
     return {key: collected[key] for key, _ in configs}

@@ -19,8 +19,7 @@ and this package is the window into those per-decision signals:
 
 ``repro.obs.export``
     Exporters: JSONL trace dump, Chrome trace-event JSON (loadable in
-    Perfetto), controller-window CSV, and a Prometheus-style text
-    snapshot.
+    Perfetto), and controller-window CSV.
 
 ``repro.obs.logging_setup``
     Quiet-by-default ``logging`` configuration shared by every CLI.
@@ -39,11 +38,9 @@ from repro.obs.config import ObsConfig
 from repro.obs.export import (
     chrome_trace_events,
     controller_rows,
-    render_prometheus,
     trace_digest,
     write_chrome_trace,
     write_controller_csv,
-    write_prometheus,
     write_trace_jsonl,
 )
 from repro.obs.logging_setup import configure_logging, get_logger
@@ -72,10 +69,8 @@ __all__ = [
     "configure_logging",
     "controller_rows",
     "get_logger",
-    "render_prometheus",
     "trace_digest",
     "write_chrome_trace",
     "write_controller_csv",
-    "write_prometheus",
     "write_trace_jsonl",
 ]

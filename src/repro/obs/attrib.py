@@ -3,9 +3,7 @@
 The analysis layer over :mod:`repro.obs.spans`: given one run's spans
 it answers *where the deadline slack went* (queue wait vs lock wait vs
 refresh wait vs service) and *which Eq. 5 component lost USM points to
-which cause*; given a sweep's spans it breaks both down per load level
-(the update-trace volume prefix: ``low`` / ``med`` / ``high``), which
-is where query-at-a-time collapse becomes visible.
+which cause*.
 
 **Reconciliation contract.**  :func:`usm_loss_ledger` applies a
 :class:`~repro.core.usm.PenaltyProfile` to span outcome counts with the
@@ -27,14 +25,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.fixedpoint import fixed_from_float, float_from_fixed
 from repro.core.usm import PenaltyProfile
 from repro.db.transactions import Outcome
-from repro.obs.logging_setup import get_logger
-from repro.obs.spans import (
-    COMPONENT_BY_OUTCOME,
-    WAIT_STATES,
-    QuerySpan,
-)
-
-_log = get_logger(__name__)
+from repro.obs.spans import WAIT_STATES, QuerySpan
 
 #: The percentiles every table reports.
 PERCENTILES: Tuple[float, ...] = (0.50, 0.90, 0.99)
@@ -218,74 +209,6 @@ def attrib_report(
         "percentiles": latency_slack_percentiles(spans),
         "ledger": usm_loss_ledger(spans, profile),
     }
-
-
-# ----------------------------------------------------------------------
-# sweep-level aggregation (per load level)
-# ----------------------------------------------------------------------
-
-
-#: Recognized update-trace volume prefixes (the standard traces are
-#: named ``<volume>-<skew>``; see workload.updates.VOLUME_UTILIZATION).
-RECOGNIZED_LOAD_LEVELS: Tuple[str, ...] = ("low", "med", "high")
-
-#: Bucket for trace names without a recognized volume prefix.
-OTHER_LOAD_LEVEL = "other"
-
-# Unrecognized names already warned about (warn once per name, so a
-# sweep over many cells of one custom scenario logs a single line).
-_warned_levels: set = set()
-
-
-def load_level(trace_name: str) -> str:
-    """The load-level bucket of an update-trace name.
-
-    The standard traces are named ``<volume>-<skew>`` (``med-unif``,
-    ``high-skew`` …); the volume prefix is the load level.  Names
-    without a recognized volume prefix (custom scenario names, ad-hoc
-    traces) all pool into the explicit ``"other"`` bucket — a warning
-    is logged once per distinct name so misnamed traces don't silently
-    vanish into spurious one-cell levels.
-    """
-    prefix = trace_name.split("-", 1)[0]
-    if prefix in RECOGNIZED_LOAD_LEVELS:
-        return prefix
-    if trace_name not in _warned_levels:
-        _warned_levels.add(trace_name)
-        _log.warning(
-            "update-trace name %r has no recognized volume prefix %s; "
-            "pooling it into the %r load bucket",
-            trace_name,
-            RECOGNIZED_LOAD_LEVELS,
-            OTHER_LOAD_LEVEL,
-        )
-    return OTHER_LOAD_LEVEL
-
-
-def aggregate_by_load(
-    cells: Mapping[Tuple[str, str, str], Sequence[QuerySpan]],
-    profile: PenaltyProfile,
-) -> Dict[str, Dict[str, object]]:
-    """Pool sweep cells by load level and attribute each pool.
-
-    ``cells`` maps sweep keys ``(policy, trace, profile_name)`` to that
-    cell's spans (e.g. from :func:`repro.obs.spans.build_spans` over
-    each report's events).  Returns ``{level: attribution}`` in sorted
-    level order; each attribution is an :func:`attrib_report` over the
-    pooled spans plus the contributing cell keys.
-    """
-    pools: Dict[str, List[QuerySpan]] = {}
-    members: Dict[str, List[Tuple[str, str, str]]] = {}
-    for key in sorted(cells):
-        level = load_level(key[1])
-        pools.setdefault(level, []).extend(cells[key])
-        members.setdefault(level, []).append(key)
-    out: Dict[str, Dict[str, object]] = {}
-    for level in sorted(pools):
-        report = attrib_report(pools[level], profile)
-        report["cells"] = ["/".join(key) for key in members[level]]
-        out[level] = report
-    return out
 
 
 # ----------------------------------------------------------------------

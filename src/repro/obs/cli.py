@@ -9,8 +9,8 @@ Subcommands::
     digest      SHA-256 of the canonical JSONL bytes
     spans       fold a trace into query-lifecycle spans (JSONL out)
     attrib      wait-time attribution + USM-loss ledger tables
-    dash        run a sweep with the live dashboard and export the
-                page as a static HTML artifact (used by CI)
+    dash        run a sweep and export its page as a static HTML
+                artifact (used by CI)
     smoke       run one instrumented cell end to end and export
                 every artifact (used by CI)
 
@@ -214,7 +214,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     from repro.experiments.config import SCALES, ExperimentConfig
     from repro.experiments.sweep import run_grid
     from repro.obs.config import ObsConfig
-    from repro.obs.dash import DashboardServer, DashboardState, render_static_html
+    from repro.obs.dash import render_dashboard
 
     policies = [name.strip() for name in args.policies.split(",") if name.strip()]
     traces = [name.strip() for name in args.traces.split(",") if name.strip()]
@@ -226,36 +226,19 @@ def _cmd_dash(args: argparse.Namespace) -> int:
         scale=scale,
         obs=ObsConfig(enabled=True, keep_events=True, metrics=False),
     )
-    state = DashboardState(
-        title=f"{args.scale} sweep: {','.join(policies)} × {','.join(traces)}"
-    )
-    server: Optional[DashboardServer] = None
-    if args.serve:
-        server = DashboardServer(state, port=args.port).start()
-        print(f"dashboard live at {server.url}")
-    run_grid(
+    reports = run_grid(
         policies,
         traces,
         [PenaltyProfile.naive()],
         scale,
         seed=args.seed,
         base=base,
-        dashboard=state,
     )
+    title = f"{args.scale} sweep: {','.join(policies)} × {','.join(traces)}"
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_static_html(state), encoding="utf-8")
+    out.write_text(render_dashboard(title, reports), encoding="utf-8")
     print(f"wrote static dashboard to {out}")
-    if server is not None:
-        if args.hold:
-            print("sweep complete; serving until interrupted (Ctrl-C)")
-            import threading
-
-            try:
-                threading.Event().wait()
-            except KeyboardInterrupt:
-                pass
-        server.stop()
     return 0
 
 
@@ -342,9 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--json", help="also write the full report as JSON here")
     p.set_defaults(func=_cmd_attrib)
 
-    p = sub.add_parser(
-        "dash", help="run a sweep with the live dashboard, export static HTML"
-    )
+    p = sub.add_parser("dash", help="run a sweep, export its static HTML page")
     p.add_argument("--scale", default="smoke", help="scale preset (default: smoke)")
     p.add_argument(
         "--policies", default="unit,odu", help="comma-separated policy names"
@@ -354,15 +335,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="static HTML output path")
-    p.add_argument(
-        "--serve", action="store_true", help="serve the live dashboard too"
-    )
-    p.add_argument("--port", type=int, default=0, help="port for --serve (0=auto)")
-    p.add_argument(
-        "--hold",
-        action="store_true",
-        help="with --serve: keep serving after the sweep until Ctrl-C",
-    )
     p.set_defaults(func=_cmd_dash)
 
     p = sub.add_parser(

@@ -39,9 +39,9 @@ class ObsConfig:
             digest to ``SimulationReport.obs_spans``.
         out_dir: Directory for per-cell exports.  When set, the runner
             writes ``<stem>.trace.jsonl``, ``<stem>.chrome.json``,
-            ``<stem>.controller.csv``, ``<stem>.prom.txt``, and (with
-            ``spans``) ``<stem>.spans.jsonl`` where ``<stem>`` is the
-            sanitized cell label + seed.
+            ``<stem>.controller.csv`` and (with ``spans``)
+            ``<stem>.spans.jsonl`` where ``<stem>`` is the sanitized
+            cell label + seed.
     """
 
     enabled: bool = True
@@ -62,6 +62,5 @@ class ObsConfig:
             "trace_jsonl": base / f"{stem}.trace.jsonl",
             "chrome_json": base / f"{stem}.chrome.json",
             "controller_csv": base / f"{stem}.controller.csv",
-            "prometheus_txt": base / f"{stem}.prom.txt",
             "spans_jsonl": base / f"{stem}.spans.jsonl",
         }

@@ -1,65 +1,30 @@
-"""Live sweep dashboard: stdlib HTTP + SSE, one self-contained page.
+"""Static sweep page: one self-contained HTML file per finished grid.
 
-``run_grid`` / ``run_grid_parallel`` accept a ``dashboard`` object and
-call :meth:`DashboardState.on_progress` after every finished cell (the
-same signature as a progress callback).  The state folds each
-:class:`~repro.experiments.runner.SimulationReport` into a JSON-able
+:func:`render_dashboard` folds the reports that
+:func:`repro.experiments.sweep.run_grid` returns into a JSON-able
 snapshot — per-cell USM, outcome ratios, throughput, runner phase
 timings, the controller's windowed-USM series for sparklines, and the
 span wait-state breakdown when the report carries its events — and
-publishes it to any connected Server-Sent-Events subscriber.
-
-:class:`DashboardServer` serves three routes on a background thread:
-
-=============  ========================================================
-``/``          the dashboard page (self-contained HTML, no CDN)
-``/state``     the current snapshot as JSON
-``/events``    SSE stream: one ``data:`` frame per finished cell
-=============  ========================================================
-
-:func:`render_static_html` bakes the same page with the snapshot
-embedded, so a finished sweep exports as a single HTML artifact (the
-CI ``obs-dash-smoke`` job snapshots it) that renders without a server.
+bakes it into a page that renders without a server or a CDN (the CI
+``obs-dash-smoke`` job uploads it).  Cells appear in the grid order of
+the reports dict, so serial and pooled sweeps give the same page apart
+from wall-clock figures.
 
 This module lives in a patrolled simulation component (simlint SF002),
-so it never touches the wall clock: blocking uses
-``threading.Event.wait`` and queue timeouts, and all displayed timings
-come from the reports themselves.
+so it never touches the wall clock: all displayed timings come from
+the reports themselves.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.experiments.report import json_sanitize
 from repro.experiments.runner import SimulationReport
-from repro.obs.logging_setup import get_logger
-
-_log = get_logger(__name__)
 
 #: Cap per-cell sparkline series (points are downsampled, never cut).
 _SPARK_POINTS = 60
-
-#: SSE keep-alive interval, seconds (queue timeout, not a clock read).
-_SSE_PING_SECONDS = 15.0
-
-#: Per-subscriber frame-queue bound.  Frames are *full-state* snapshots
-#: (not deltas), so when a slow or stuck client falls behind, the oldest
-#: queued frame is stale and can be dropped losslessly — the newest one
-#: supersedes it.  Without the bound a dead-but-not-yet-detected client
-#: accumulates one frame per finished cell for the whole sweep.
-_SUBSCRIBER_QUEUE_FRAMES = 64
-
-#: Socket send timeout for SSE handler threads, seconds.  A client that
-#: stops reading (suspended laptop, wedged proxy) eventually blocks the
-#: handler's ``wfile.write`` forever; the timeout turns that into an
-#: ``OSError`` so the handler unsubscribes and exits instead of pinning
-#: its queue (and thread) for the rest of the sweep.
-_SSE_SEND_TIMEOUT_SECONDS = 20.0
 
 
 def _downsample(series: List[float], limit: int = _SPARK_POINTS) -> List[float]:
@@ -117,243 +82,23 @@ def _cell_payload(
     return payload
 
 
-class DashboardState:
-    """Thread-safe sweep progress; the model behind every route.
-
-    Use an instance as the ``dashboard`` argument of
-    :func:`repro.experiments.sweep.run_grid` — the sweep calls
-    :meth:`on_progress` from whatever thread runs the cells; HTTP
-    handler threads read snapshots concurrently.
-    """
-
-    def __init__(self, title: str = "repro sweep") -> None:
-        self.title = title
-        self._lock = threading.Lock()
-        self._cells: List[Dict[str, object]] = []
-        self._done = 0
-        self._total = 0
-        self._subscribers: List["queue.Queue[Optional[str]]"] = []
-
-    # -- sweep side -----------------------------------------------------
-
-    def on_progress(
-        self,
-        key: Tuple[str, str, str],
-        report: SimulationReport,
-        done: int,
-        total: int,
-    ) -> None:
-        """Fold one finished cell in and notify SSE subscribers."""
-        payload = _cell_payload(key, report)
-        with self._lock:
-            self._cells.append(payload)
-            self._done = done
-            self._total = total
-        self._publish()
-
-    # -- reader side ----------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """The current state as a JSON-able dict."""
-        with self._lock:
-            return {
-                "title": self.title,
-                "done": self._done,
-                "total": self._total,
-                "complete": self._total > 0 and self._done >= self._total,
-                "cells": list(self._cells),
-            }
-
-    def snapshot_json(self) -> str:
-        return json.dumps(
-            json_sanitize(self.snapshot()), sort_keys=True, separators=(",", ":")
-        )
-
-    # -- SSE plumbing ---------------------------------------------------
-
-    def subscribe(self) -> "queue.Queue[Optional[str]]":
-        subscriber: "queue.Queue[Optional[str]]" = queue.Queue(
-            maxsize=_SUBSCRIBER_QUEUE_FRAMES
-        )
-        with self._lock:
-            self._subscribers.append(subscriber)
-        return subscriber
-
-    def unsubscribe(self, subscriber: "queue.Queue[Optional[str]]") -> None:
-        with self._lock:
-            if subscriber in self._subscribers:
-                self._subscribers.remove(subscriber)
-
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
-
-    @staticmethod
-    def _offer(
-        subscriber: "queue.Queue[Optional[str]]", frame: Optional[str]
-    ) -> None:
-        """Enqueue a frame, evicting the stalest one when full.
-
-        Frames are complete snapshots, so drop-oldest is lossless for
-        any reader that eventually catches up — and it means a stuck
-        subscriber can never make ``on_progress`` (the sweep thread)
-        block or grow without bound.
-        """
-        while True:
-            try:
-                subscriber.put_nowait(frame)
-                return
-            except queue.Full:
-                try:
-                    subscriber.get_nowait()
-                except queue.Empty:  # raced with the consumer: retry put
-                    continue
-
-    def _publish(self) -> None:
-        frame = self.snapshot_json()
-        with self._lock:
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            self._offer(subscriber, frame)
-
-    def close(self) -> None:
-        """Tell every subscriber the stream is over."""
-        with self._lock:
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            self._offer(subscriber, None)
-
-
-def _make_handler(state: DashboardState) -> type:
-    class _Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-            _log.debug("dash: %s", format % args)
-
-        def _send(self, status: int, content_type: str, body: bytes) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            path = self.path.split("?", 1)[0]
-            if path == "/":
-                page = render_page(state.snapshot_json(), live=True)
-                self._send(200, "text/html; charset=utf-8", page.encode("utf-8"))
-            elif path == "/state":
-                self._send(
-                    200,
-                    "application/json",
-                    state.snapshot_json().encode("utf-8"),
-                )
-            elif path == "/events":
-                self._serve_events()
-            else:
-                self._send(404, "text/plain; charset=utf-8", b"not found\n")
-
-        def _serve_events(self) -> None:
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-store")
-            self.end_headers()
-            # A client that stops *reading* (without closing) would
-            # otherwise block a send forever, pinning this handler and
-            # its subscriber queue for the rest of the sweep.
-            self.connection.settimeout(_SSE_SEND_TIMEOUT_SECONDS)
-            subscriber = state.subscribe()
-            try:
-                # Replay the current state so late joiners render now.
-                self._frame(state.snapshot_json())
-                while True:
-                    try:
-                        frame = subscriber.get(timeout=_SSE_PING_SECONDS)
-                    except queue.Empty:
-                        self.wfile.write(b": ping\n\n")
-                        self.wfile.flush()
-                        continue
-                    if frame is None:
-                        break
-                    self._frame(frame)
-            except OSError:
-                # Client went away (broken pipe / reset) or stopped
-                # reading (send timeout): release the subscription
-                # either way so long sweeps don't accumulate dead
-                # queues.  BrokenPipeError, ConnectionResetError, and
-                # socket.timeout are all OSError subclasses.
-                pass
-            finally:
-                state.unsubscribe(subscriber)
-
-        def _frame(self, payload: str) -> None:
-            self.wfile.write(b"data: " + payload.encode("utf-8") + b"\n\n")
-            self.wfile.flush()
-
-    return _Handler
-
-
-class DashboardServer:
-    """Background-thread HTTP server for a :class:`DashboardState`."""
-
-    def __init__(
-        self,
-        state: DashboardState,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.state = state
-        self._httpd = ThreadingHTTPServer((host, port), _make_handler(state))
-        self._httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return str(self._httpd.server_address[0])
-
-    @property
-    def port(self) -> int:
-        return int(self._httpd.server_address[1])
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/"
-
-    def start(self) -> "DashboardServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="obs-dash",
-            daemon=True,
-        )
-        self._thread.start()
-        _log.info("dashboard serving at %s", self.url)
-        return self
-
-    def stop(self) -> None:
-        self.state.close()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-
-def render_static_html(state: DashboardState) -> str:
-    """The dashboard page with the snapshot baked in (no server)."""
-    return render_page(state.snapshot_json(), live=False)
-
-
-def render_page(state_json: str, live: bool) -> str:
-    """Assemble the self-contained page around a state snapshot."""
-    # "</" would close the script element mid-JSON.
-    safe_state = state_json.replace("</", "<\\/")
-    return (
-        _PAGE_TEMPLATE.replace("__LIVE__", "true" if live else "false").replace(
-            "__STATE__", safe_state
-        )
+def render_dashboard(
+    title: str, reports: Mapping[Tuple[str, str, str], SimulationReport]
+) -> str:
+    """The sweep page for a finished grid, keyed as ``run_grid`` keys it."""
+    cells = [_cell_payload(key, report) for key, report in reports.items()]
+    snapshot = {
+        "title": title,
+        "done": len(cells),
+        "total": len(cells),
+        "complete": bool(cells),
+        "cells": cells,
+    }
+    state_json = json.dumps(
+        json_sanitize(snapshot), sort_keys=True, separators=(",", ":")
     )
+    # "</" would close the script element mid-JSON.
+    return _PAGE_TEMPLATE.replace("__STATE__", state_json.replace("</", "<\\/"))
 
 
 _PAGE_TEMPLATE = """<!DOCTYPE html>
@@ -375,8 +120,7 @@ _PAGE_TEMPLATE = """<!DOCTYPE html>
   .sub { color: var(--dim); font-size: 12px; }
   .progress { height: 8px; background: var(--line); border-radius: 4px;
               margin-top: 10px; overflow: hidden; }
-  .progress > div { height: 100%; background: var(--accent);
-                    transition: width .3s; }
+  .progress > div { height: 100%; background: var(--accent); }
   main { padding: 16px 22px; }
   table { border-collapse: collapse; width: 100%; }
   th { text-align: left; color: var(--dim); font-weight: 500;
@@ -409,7 +153,7 @@ _PAGE_TEMPLATE = """<!DOCTYPE html>
 <body>
 <header>
   <h1 id="title">repro sweep</h1>
-  <div class="sub" id="status">waiting for cells…</div>
+  <div class="sub" id="status"></div>
   <div class="progress"><div id="pbar" style="width:0%"></div></div>
 </header>
 <main>
@@ -429,8 +173,7 @@ _PAGE_TEMPLATE = """<!DOCTYPE html>
 </main>
 <script>
 "use strict";
-const LIVE = __LIVE__;
-let STATE = __STATE__;
+const STATE = __STATE__;
 
 const OUT_COLORS = {success:"var(--good)", rejected:"var(--accent)",
                     dmf:"var(--bad)", dsf:"var(--warn)"};
@@ -464,19 +207,17 @@ function spark(series, w, h) {
 }
 
 function render() {
-  const s = STATE || {cells: [], done: 0, total: 0};
+  const s = STATE;
   document.getElementById("title").textContent = s.title || "repro sweep";
   const pct = s.total ? (100 * s.done / s.total) : 0;
   document.getElementById("pbar").style.width = pct + "%";
   document.getElementById("status").textContent =
-    s.total ? (s.done + " / " + s.total + " cells" +
-               (s.complete ? " — complete" : " — running…")) :
-              "waiting for cells…";
+    s.done + " / " + s.total + " cells";
 
   const cells = s.cells || [];
   const host = document.getElementById("cells");
   if (!cells.length) {
-    host.innerHTML = '<div class="empty">no finished cells yet</div>';
+    host.innerHTML = '<div class="empty">no cells</div>';
     document.getElementById("agg").hidden = true;
     return;
   }
@@ -526,11 +267,6 @@ function render() {
 }
 
 render();
-if (LIVE && window.EventSource) {
-  const source = new EventSource("/events");
-  source.onmessage = (msg) => { STATE = JSON.parse(msg.data); render(); };
-  source.onerror = () => { /* sweep over or server gone: keep last state */ };
-}
 </script>
 </body>
 </html>

@@ -1,6 +1,6 @@
-"""Exporters for recorded traces and metrics.
+"""Exporters for recorded traces.
 
-Four output formats, all deterministic byte-for-byte for a given
+Three output formats, all deterministic byte-for-byte for a given
 event sequence (keys sorted, compact separators, no wall-clock or
 environment leakage):
 
@@ -14,8 +14,6 @@ environment leakage):
 * **Controller CSV** — one row per ``control.window`` snapshot: the USM
   components, the aggregate USM, and the knob values the controller
   chose.  The artifact to diff when calibrating the feedback loop.
-* **Prometheus text** — a point-in-time snapshot of the metrics
-  registry in the standard exposition format.
 """
 
 from __future__ import annotations
@@ -24,15 +22,13 @@ import csv
 import hashlib
 import io
 import json
-import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.obs import trace as _trace
-from repro.obs.metrics import Histogram, MetricsRegistry, RunMetrics
 
 EventDict = Mapping[str, object]
-EventSource = Union["_trace.TraceRecorder", "FlatTrace", Iterable[EventDict]]
+TraceSource = Union["_trace.TraceRecorder", "FlatTrace", Iterable[EventDict]]
 
 _SEC_TO_US = 1_000_000.0
 
@@ -92,7 +88,7 @@ class FlatTrace:
         return self._events
 
 
-def _event_dicts(source: EventSource) -> List[Dict[str, object]]:
+def _event_dicts(source: TraceSource) -> List[Dict[str, object]]:
     if hasattr(source, "event_dicts"):
         return source.event_dicts()  # type: ignore[union-attr]
     return [dict(event) for event in source]
@@ -102,7 +98,7 @@ def _dump_line(event: EventDict) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
-def truncation_header(source: EventSource) -> Optional[Dict[str, object]]:
+def truncation_header(source: TraceSource) -> Optional[Dict[str, object]]:
     """``trace.meta`` header when the ring buffer dropped events.
 
     None for complete traces (the common case), so their JSONL bytes —
@@ -125,7 +121,7 @@ def truncation_header(source: EventSource) -> Optional[Dict[str, object]]:
     return header
 
 
-def render_trace_jsonl(source: EventSource) -> str:
+def render_trace_jsonl(source: TraceSource) -> str:
     """The full JSONL text for a trace (one event per line).
 
     When the source recorder reports dropped events, a ``trace.meta``
@@ -139,7 +135,7 @@ def render_trace_jsonl(source: EventSource) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_trace_jsonl(source: EventSource, path: Union[str, Path]) -> int:
+def write_trace_jsonl(source: TraceSource, path: Union[str, Path]) -> int:
     """Write the JSONL trace dump; returns the number of events."""
     events = _event_dicts(source)
     target = Path(path)
@@ -155,14 +151,14 @@ def write_trace_jsonl(source: EventSource, path: Union[str, Path]) -> int:
     return len(events)
 
 
-def trace_digest(source: EventSource) -> str:
+def trace_digest(source: TraceSource) -> str:
     """SHA-256 of the canonical JSONL bytes — the determinism contract."""
     return hashlib.sha256(
         render_trace_jsonl(source).encode("utf-8")
     ).hexdigest()
 
 
-def chrome_trace_events(source: EventSource) -> List[Dict[str, object]]:
+def chrome_trace_events(source: TraceSource) -> List[Dict[str, object]]:
     """Translate a trace into Chrome trace-event dicts (Perfetto-ready).
 
     Query outcomes become complete ("X") slices spanning arrival to
@@ -258,7 +254,7 @@ def chrome_trace_events(source: EventSource) -> List[Dict[str, object]]:
     return out
 
 
-def write_chrome_trace(source: EventSource, path: Union[str, Path]) -> int:
+def write_chrome_trace(source: TraceSource, path: Union[str, Path]) -> int:
     """Write a Chrome trace-event JSON file; returns the event count."""
     events = chrome_trace_events(source)
     target = Path(path)
@@ -271,7 +267,7 @@ def write_chrome_trace(source: EventSource, path: Union[str, Path]) -> int:
     return len(events)
 
 
-def controller_rows(source: EventSource) -> List[Dict[str, object]]:
+def controller_rows(source: TraceSource) -> List[Dict[str, object]]:
     """``control.window`` snapshots as flat rows (one per window)."""
     rows: List[Dict[str, object]] = []
     for event in _event_dicts(source):
@@ -289,7 +285,7 @@ def controller_rows(source: EventSource) -> List[Dict[str, object]]:
     return rows
 
 
-def write_controller_csv(source: EventSource, path: Union[str, Path]) -> int:
+def write_controller_csv(source: TraceSource, path: Union[str, Path]) -> int:
     """Write the controller-window CSV; returns the row count."""
     rows = controller_rows(source)
     columns: List[str] = ["t"]
@@ -308,120 +304,3 @@ def write_controller_csv(source: EventSource, path: Union[str, Path]) -> int:
         writer.writerow(row)
     target.write_text(buffer.getvalue(), encoding="utf-8")
     return len(rows)
-
-
-#: Quantiles published for every histogram (as ``<name>_quantile`` lines).
-PROM_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-
-def _prom_number(value: float) -> str:
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if math.isnan(value):
-        return "NaN"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _prom_escape(value: object) -> str:
-    """Escape a label value per the text exposition format (backslash,
-    double-quote, and newline are the only escapable characters)."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _prom_labels(labels: Sequence, extra: str = "") -> str:
-    parts = [f'{key}="{_prom_escape(value)}"' for key, value in labels]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def histogram_quantile(hist: Histogram, fraction: float) -> Optional[float]:
-    """Estimate a quantile from fixed buckets, Prometheus-style.
-
-    Linear interpolation inside the bucket that crosses the rank
-    ``fraction * count``; the lower bound of the first bucket is the
-    observed minimum (we record real values, not the non-negative
-    quantities Prometheus assumes).  A rank landing in the overflow
-    (+Inf) bucket falls back to the highest finite edge — the estimate
-    Prometheus itself reports.  Returns None for an empty histogram.
-    """
-    count = hist.stats.count
-    if count == 0:
-        return None
-    rank = fraction * count
-    running = 0
-    for index, bucket_count in enumerate(hist.bucket_counts):
-        previous = running
-        running += bucket_count
-        if running < rank or bucket_count == 0:
-            continue
-        if index >= len(hist.edges):  # overflow bucket
-            return hist.edges[-1]
-        upper = hist.edges[index]
-        if index == 0:
-            lower = min(hist.stats.minimum, upper)
-        else:
-            lower = hist.edges[index - 1]
-        if math.isinf(upper):  # defensive: an explicit +Inf edge
-            return lower
-        return lower + (upper - lower) * (rank - previous) / bucket_count
-    return hist.edges[-1]  # pragma: no cover - ranks always land above
-
-
-def render_prometheus(
-    metrics: Union[MetricsRegistry, RunMetrics],
-    help_text: Optional[Mapping[str, str]] = None,
-) -> str:
-    """The registry as Prometheus text exposition format."""
-    registry = metrics.registry if isinstance(metrics, RunMetrics) else metrics
-    help_text = help_text or {}
-    lines: List[str] = []
-    typed: set = set()
-    for inst in registry.instruments():
-        if inst.name not in typed:
-            typed.add(inst.name)
-            if inst.name in help_text:
-                lines.append(f"# HELP {inst.name} {help_text[inst.name]}")
-            lines.append(f"# TYPE {inst.name} {inst.kind}")
-        if isinstance(inst, Histogram):
-            cumulative = inst.cumulative()
-            for edge, count in zip(inst.edges, cumulative):
-                le = _prom_labels(inst.labels, f'le="{_prom_number(edge)}"')
-                lines.append(f"{inst.name}_bucket{le} {count}")
-            inf_labels = _prom_labels(inst.labels, 'le="+Inf"')
-            lines.append(f"{inst.name}_bucket{inf_labels} {cumulative[-1]}")
-            plain = _prom_labels(inst.labels)
-            lines.append(f"{inst.name}_sum{plain} {_prom_number(inst.total)}")
-            lines.append(f"{inst.name}_count{plain} {inst.stats.count}")
-            for fraction in PROM_QUANTILES:
-                estimate = histogram_quantile(inst, fraction)
-                if estimate is None:
-                    continue
-                q_labels = _prom_labels(
-                    inst.labels, f'quantile="{_prom_number(fraction)}"'
-                )
-                lines.append(
-                    f"{inst.name}_quantile{q_labels} {_prom_number(estimate)}"
-                )
-        else:
-            plain = _prom_labels(inst.labels)
-            lines.append(f"{inst.name}{plain} {_prom_number(inst.value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus(
-    metrics: Union[MetricsRegistry, RunMetrics], path: Union[str, Path]
-) -> int:
-    """Write the Prometheus snapshot; returns the number of lines."""
-    text = render_prometheus(metrics)
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="utf-8")
-    return text.count("\n")

@@ -18,7 +18,7 @@ ring buffer wraps.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.obs import trace as _trace
 from repro.sim.stats import OnlineStats, TimeSeries
@@ -143,15 +143,6 @@ class Histogram:
         self.bucket_counts[bisect.bisect_left(self.edges, value)] += 1
         self.stats.add(value)
         self.total += value
-
-    def cumulative(self) -> List[int]:
-        """Cumulative counts per ``le`` edge (Prometheus semantics)."""
-        out: List[int] = []
-        running = 0
-        for count in self.bucket_counts:
-            running += count
-            out.append(running)
-        return out
 
     def as_dict(self) -> Dict[str, object]:
         stats = self.stats

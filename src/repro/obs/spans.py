@@ -38,7 +38,6 @@ clock (simlint SF002 patrols it like any other simulation component).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -257,10 +256,6 @@ class SpanBuildResult:
         self.skipped = skipped
         self.dropped = dropped
         self.partial = partial
-
-    @property
-    def total_skipped(self) -> int:
-        return sum(self.skipped.values())
 
     def summary(self) -> Dict[str, object]:
         return {
@@ -632,7 +627,3 @@ def write_spans_jsonl(result: SpanBuildResult, path: Union[str, Path]) -> int:
     target.write_text(render_spans_jsonl(result), encoding="utf-8")
     return len(result.spans)
 
-
-def spans_digest(result: SpanBuildResult) -> str:
-    """SHA-256 of the canonical span JSONL (determinism contract)."""
-    return hashlib.sha256(render_spans_jsonl(result).encode("utf-8")).hexdigest()

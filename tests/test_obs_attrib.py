@@ -13,11 +13,9 @@ from repro.core.usm import TABLE2_PROFILES, PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.obs.attrib import (
-    aggregate_by_load,
     attrib_report,
     latency_slack_percentiles,
     ledger_table,
-    load_level,
     percentile,
     percentile_table,
     usm_loss_ledger,
@@ -133,67 +131,6 @@ class TestLedgerReconciliation:
                 ledger["counts"][component]
             ), component
         assert ledger["causes"]["S"] == {}
-
-
-class TestAggregateByLoad:
-    def test_load_level_prefix(self):
-        assert load_level("med-unif") == "med"
-        assert load_level("low-skew") == "low"
-        assert load_level("high-neg") == "high"
-
-    def test_unrecognized_prefix_routes_to_other(self):
-        """Regression: custom scenario names used to become their own
-        spurious buckets (or collide: 'medium-x' pooled as 'medium');
-        they must all land in the explicit 'other' bucket."""
-        assert load_level("custom") == "other"
-        assert load_level("medium-crazy") == "other"
-        assert load_level("") == "other"
-
-    def test_unrecognized_name_warns_once(self, caplog, monkeypatch):
-        import logging
-
-        from repro.obs import attrib
-
-        attrib._warned_levels.discard("oddball-trace")
-        # A CLI test may have run configure_logging, which turns off
-        # propagation on the "repro" logger; caplog's handler lives on
-        # the root logger, so restore propagation for this test.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        with caplog.at_level(logging.WARNING, logger=attrib._log.name):
-            assert load_level("oddball-trace") == "other"
-            assert load_level("oddball-trace") == "other"
-        warnings = [
-            rec for rec in caplog.records if "oddball-trace" in rec.getMessage()
-        ]
-        assert len(warnings) == 1
-
-    def test_other_bucket_pools_in_aggregate(self):
-        _, low = _run(trace="low-unif")
-        cells = {
-            ("unit", "low-unif", "naive"): low,
-            ("unit", "scenario-x", "naive"): low,
-            ("unit", "scenario-y", "naive"): low,
-        }
-        pooled = aggregate_by_load(cells, PenaltyProfile.naive())
-        assert sorted(pooled) == ["low", "other"]
-        assert pooled["other"]["cells"] == [
-            "unit/scenario-x/naive",
-            "unit/scenario-y/naive",
-        ]
-        assert pooled["other"]["ledger"]["total"] == 2 * len(low)
-
-    def test_pools_by_trace_prefix(self):
-        _, low = _run(trace="low-unif")
-        _, med = _run(trace="med-unif")
-        cells = {
-            ("unit", "low-unif", "naive"): low,
-            ("unit", "med-unif", "naive"): med,
-        }
-        pooled = aggregate_by_load(cells, PenaltyProfile.naive())
-        assert sorted(pooled) == ["low", "med"]
-        assert pooled["low"]["cells"] == ["unit/low-unif/naive"]
-        assert pooled["low"]["ledger"]["total"] == len(low)
-        assert pooled["med"]["ledger"]["total"] == len(med)
 
 
 class TestRendering:

@@ -189,8 +189,15 @@ class TestDashCommand:
         )
         assert "wrote static dashboard" in capsys.readouterr().out
         html = out.read_text()
-        assert "const LIVE = false" in html
+        assert "EventSource" not in html
         assert "low-unif" in html
+
+    def test_no_serving_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["dash", "--help"])
+        help_text = capsys.readouterr().out
+        for option in ("--serve", "--port", "--hold"):
+            assert option not in help_text
 
 
 class TestSmoke:
@@ -201,4 +208,6 @@ class TestSmoke:
         assert "events recorded" in out
         suffixes = {p.name.rsplit(".", 2)[-2] + "." + p.suffix.lstrip(".")
                     for p in out_dir.iterdir()}
-        assert {"trace.jsonl", "chrome.json", "controller.csv", "prom.txt"} <= suffixes
+        assert suffixes == {
+            "trace.jsonl", "chrome.json", "controller.csv", "spans.jsonl"
+        }

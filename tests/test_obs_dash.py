@@ -1,28 +1,31 @@
-"""Dashboard contracts: state model, HTTP/SSE server, static export.
-
-The server tests bind to an ephemeral localhost port and use stdlib
-``urllib`` only; nothing here talks to the network proper.
-"""
+"""Static sweep page contracts: cell payloads, the embedded snapshot,
+and serial/pooled sweeps rendering the same page."""
 
 import json
-import urllib.request
 
 import pytest
 
 from repro.core.usm import PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweep import run_grid
+from repro.experiments.sweep import WORKERS_ENV, run_grid
 from repro.obs.config import ObsConfig
-from repro.obs.dash import (
-    DashboardServer,
-    DashboardState,
-    _downsample,
-    render_static_html,
-)
+from repro.obs.dash import _downsample, render_dashboard
+
+from tests.test_sweep_and_cli_tools import _progress_lines
 
 SMOKE = SCALES["smoke"]
 OBS_KEEP = ObsConfig(enabled=True, keep_events=True, metrics=False)
+
+#: Wall-clock figures: the only payload fields two runs may disagree on.
+WALL_FIELDS = ("wall_seconds", "throughput", "phase_seconds")
+
+
+def embedded_state(html):
+    marker = "const STATE = "
+    start = html.index(marker) + len(marker)
+    end = html.index(";\n", start)
+    return json.loads(html[start:end].replace("<\\/", "</"))
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +39,14 @@ def report():
 
 
 @pytest.fixture()
-def fed_state(report):
-    state = DashboardState(title="test sweep")
-    state.on_progress(("unit", "med-unif", "naive"), report, 1, 2)
-    state.on_progress(("unit", "low-unif", "naive"), report, 2, 2)
-    return state
+def page(report):
+    return render_dashboard(
+        "test sweep",
+        {
+            ("unit", "med-unif", "naive"): report,
+            ("unit", "low-unif", "naive"): report,
+        },
+    )
 
 
 class TestDownsample:
@@ -56,8 +62,8 @@ class TestDownsample:
 
 
 class TestDashboardState:
-    def test_snapshot_shape(self, fed_state):
-        snap = fed_state.snapshot()
+    def test_snapshot_shape(self, page):
+        snap = embedded_state(page)
         assert snap["title"] == "test sweep"
         assert snap["done"] == 2 and snap["total"] == 2
         assert snap["complete"] is True
@@ -70,19 +76,13 @@ class TestDashboardState:
         assert "waits" in cell
         assert not cell["spans_partial"]
 
-    def test_snapshot_json_is_valid_json(self, fed_state):
-        parsed = json.loads(fed_state.snapshot_json())
+    def test_snapshot_json_is_valid_json(self, page):
+        parsed = embedded_state(page)
         assert parsed["done"] == 2
-
-    def test_sse_subscribers_receive_frames_and_close(self, report):
-        state = DashboardState()
-        subscriber = state.subscribe()
-        state.on_progress(("unit", "med-unif", "naive"), report, 1, 1)
-        frame = subscriber.get(timeout=1)
-        assert json.loads(frame)["done"] == 1
-        state.close()
-        assert subscriber.get(timeout=1) is None
-        state.unsubscribe(subscriber)
+        assert [cell["key"] for cell in parsed["cells"]] == [
+            "unit/med-unif/naive",
+            "unit/low-unif/naive",
+        ]
 
     def test_runs_without_kept_events(self):
         """metrics/keep_events off: the cell payload degrades gracefully."""
@@ -91,127 +91,32 @@ class TestDashboardState:
                 policy="unit", update_trace="med-unif", seed=7, scale=SMOKE,
             )
         )
-        state = DashboardState()
-        state.on_progress(("unit", "med-unif", "naive"), plain, 1, 1)
-        cell = state.snapshot()["cells"][0]
+        html = render_dashboard("plain", {("unit", "med-unif", "naive"): plain})
+        cell = embedded_state(html)["cells"][0]
         assert "waits" not in cell
         assert "usm_series" not in cell
 
 
 class TestStaticExport:
-    def test_placeholders_substituted(self, fed_state):
-        html = render_static_html(fed_state)
-        assert "__STATE__" not in html and "__LIVE__" not in html
-        assert "const LIVE = false" in html
-        assert "test sweep" in html
+    def test_placeholders_substituted(self, page):
+        assert "__STATE__" not in page
+        assert "EventSource" not in page
+        assert "test sweep" in page
 
-    def test_embedded_state_parses(self, fed_state):
-        html = render_static_html(fed_state)
-        marker = "let STATE = "
-        start = html.index(marker) + len(marker)
-        end = html.index(";\n", start)
-        parsed = json.loads(html[start:end].replace("<\\/", "</"))
-        assert len(parsed["cells"]) == 2
+    def test_embedded_state_parses(self, page):
+        assert len(embedded_state(page)["cells"]) == 2
+
+    def test_empty_grid_renders(self):
+        snap = embedded_state(render_dashboard("empty", {}))
+        assert snap["cells"] == [] and snap["complete"] is False
 
 
-class TestDashboardServer:
-    def test_routes(self, fed_state):
-        server = DashboardServer(fed_state, port=0).start()
-        try:
-            html = urllib.request.urlopen(server.url + "/", timeout=5).read()
-            assert b"const LIVE = true" in html
-            snap = json.loads(
-                urllib.request.urlopen(server.url + "/state", timeout=5).read()
-            )
-            assert snap["done"] == 2
-            stream = urllib.request.urlopen(server.url + "/events", timeout=5)
-            line = stream.readline().decode("utf-8")
-            assert line.startswith("data: ")
-            assert json.loads(line[len("data: "):])["total"] == 2
-            stream.close()
-            missing = urllib.request.urlopen(
-                server.url + "/nope", timeout=5
-            )
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 404
-        finally:
-            server.stop()
-
-    def test_stop_is_idempotent(self, fed_state):
-        server = DashboardServer(fed_state, port=0).start()
-        server.stop()
-        server.stop()
-
-    def test_dropped_connection_releases_subscriber(self, report):
-        """Regression: a client that connects to /events and then drops
-        the connection must not leave its subscriber queue registered —
-        long sweeps would otherwise accumulate one dead queue (and one
-        blocked handler thread) per disconnect."""
-        import socket
-        import time
-
-        state = DashboardState(title="drop test")
-        server = DashboardServer(state, port=0).start()
-        try:
-            conn = socket.create_connection((server.host, server.port), timeout=5)
-            conn.sendall(b"GET /events HTTP/1.1\r\nHost: x\r\n\r\n")
-            # Wait for the replayed initial frame: subscription is live.
-            conn.settimeout(5)
-            received = b""
-            while b"data: " not in received:
-                chunk = conn.recv(65536)
-                assert chunk, "stream closed before the initial frame"
-                received += chunk
-            assert state.subscriber_count == 1
-            # Drop the connection abruptly (no clean shutdown), then
-            # publish frames until the handler's next write notices.
-            conn.close()
-            deadline = time.monotonic() + 10.0
-            while state.subscriber_count and time.monotonic() < deadline:
-                state.on_progress(("unit", "med-unif", "naive"), report, 1, 2)
-                time.sleep(0.05)
-            assert state.subscriber_count == 0
-        finally:
-            server.stop()
-
-
-class TestSubscriberQueueBound:
-    def test_publish_to_stuck_subscriber_drops_oldest(self, report):
-        """A subscriber that never drains must stay bounded, and the
-        newest frame must survive the eviction (frames are full-state
-        snapshots, so dropping stale ones is lossless)."""
-        from repro.obs.dash import _SUBSCRIBER_QUEUE_FRAMES
-
-        state = DashboardState()
-        subscriber = state.subscribe()
-        total = _SUBSCRIBER_QUEUE_FRAMES + 25
-        for done in range(1, total + 1):
-            state.on_progress(("unit", "med-unif", "naive"), report, done, total)
-        assert subscriber.qsize() <= _SUBSCRIBER_QUEUE_FRAMES
-        last = None
-        while not subscriber.empty():
-            last = subscriber.get_nowait()
-        assert json.loads(last)["done"] == total
-        state.unsubscribe(subscriber)
-
-    def test_close_reaches_stuck_subscriber(self, report):
-        """The end-of-stream sentinel must land even on a full queue."""
-        from repro.obs.dash import _SUBSCRIBER_QUEUE_FRAMES
-
-        state = DashboardState()
-        subscriber = state.subscribe()
-        for done in range(_SUBSCRIBER_QUEUE_FRAMES + 5):
-            state.on_progress(("unit", "med-unif", "naive"), report, done + 1, 999)
-        state.close()
-        frames = []
-        while not subscriber.empty():
-            frames.append(subscriber.get_nowait())
-        assert frames[-1] is None
+def _strip_wall(cell):
+    return {key: value for key, value in cell.items() if key not in WALL_FIELDS}
 
 
 class TestSweepIntegration:
     def test_run_grid_feeds_dashboard(self):
-        state = DashboardState(title="grid")
         base = ExperimentConfig(
             policy="unit", update_trace="low-unif", seed=5, scale=SMOKE,
             obs=OBS_KEEP,
@@ -223,29 +128,58 @@ class TestSweepIntegration:
             SMOKE,
             seed=5,
             base=base,
-            dashboard=state,
         )
-        snap = state.snapshot()
+        html = render_dashboard("grid", reports)
+        snap = embedded_state(html)
         assert snap["complete"]
         assert len(snap["cells"]) == len(reports) == 1
-        html = render_static_html(state)
         assert "low-unif" in html
 
-    def test_dashboard_chains_with_progress_callback(self):
-        state = DashboardState()
-        seen = []
+    def test_dashboard_chains_with_progress_callback(self, caplog, monkeypatch):
+        """A progress-logging sweep still feeds the page every cell."""
         base = ExperimentConfig(
             policy="unit", update_trace="low-unif", seed=5, scale=SMOKE,
         )
-        run_grid(
-            ("unit",),
-            ("low-unif",),
-            (PenaltyProfile.naive(),),
-            SMOKE,
-            seed=5,
-            base=base,
-            dashboard=state,
-            progress_callback=lambda key, report, done, total: seen.append(key),
+        reports = {}
+        lines = _progress_lines(caplog, monkeypatch, lambda: reports.update(
+            run_grid(
+                ("unit",),
+                ("low-unif",),
+                (PenaltyProfile.naive(),),
+                SMOKE,
+                seed=5,
+                base=base,
+                progress=True,
+            )
+        ))
+        assert len(lines) == 1 and "unit" in lines[0] and "low-unif" in lines[0]
+        assert embedded_state(render_dashboard("grid", reports))["done"] == 1
+
+    def test_serial_and_pooled_pages_agree(self, monkeypatch):
+        """The CI grid, serial and through a 2-worker pool: same cells in
+        grid order, same payloads apart from wall-clock figures."""
+        policies, traces = ("unit", "odu"), ("low-unif", "med-unif")
+        base = ExperimentConfig(
+            policy="unit", update_trace="low-unif", seed=7, scale=SMOKE,
+            obs=OBS_KEEP,
         )
-        assert seen == [("unit", "low-unif", "naive")]
-        assert state.snapshot()["done"] == 1
+        pages = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            reports = run_grid(
+                policies, traces, (PenaltyProfile.naive(),), SMOKE,
+                seed=7, base=base,
+            )
+            pages.append(embedded_state(render_dashboard("ci grid", reports)))
+        serial, pooled = pages
+        grid_order = [
+            f"{policy}/{trace}/naive" for trace in traces for policy in policies
+        ]
+        assert [cell["key"] for cell in serial["cells"]] == grid_order
+        assert [cell["key"] for cell in pooled["cells"]] == grid_order
+        assert [_strip_wall(cell) for cell in serial["cells"]] == [
+            _strip_wall(cell) for cell in pooled["cells"]
+        ]
+        assert {k: v for k, v in serial.items() if k != "cells"} == {
+            k: v for k, v in pooled.items() if k != "cells"
+        }

@@ -137,8 +137,7 @@ class TestArtifactDeterminism:
         first = run_into(tmp_path / "a")
         second = run_into(tmp_path / "b")
         assert set(first) == {
-            "trace_jsonl", "chrome_json", "controller_csv", "prometheus_txt",
-            "spans_jsonl",
+            "trace_jsonl", "chrome_json", "controller_csv", "spans_jsonl",
         }
         for kind in first:
             with open(first[kind], "rb") as fa, open(second[kind], "rb") as fb:

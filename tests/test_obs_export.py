@@ -1,26 +1,19 @@
-"""Exporters: JSONL, Chrome trace, controller CSV, Prometheus text."""
+"""Exporters: JSONL, Chrome trace, controller CSV."""
 
 import csv
 import json
 
-import pytest
-
 from repro.obs.export import (
     FlatTrace,
-    _prom_number,
     chrome_trace_events,
     controller_rows,
-    histogram_quantile,
-    render_prometheus,
     render_trace_jsonl,
     trace_digest,
     truncation_header,
     write_chrome_trace,
     write_controller_csv,
-    write_prometheus,
     write_trace_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry, RunMetrics
 from repro.obs.trace import TraceRecorder
 
 
@@ -200,123 +193,3 @@ class TestTruncationHeader:
             e.get("name") != "trace.meta" for e in chrome_trace_events(events)
         )
 
-
-class TestPrometheus:
-    def test_counter_and_gauge_lines(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_x_total", {"k": "v"}).inc(3)
-        reg.gauge("repro_g").set(1.0, 0.5)
-        text = render_prometheus(reg)
-        assert "# TYPE repro_x_total counter" in text
-        assert 'repro_x_total{k="v"} 3' in text
-        assert "# TYPE repro_g gauge" in text
-        assert "repro_g 0.5" in text
-
-    def test_histogram_exposition(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_h", (1.0, 2.0))
-        for v in (0.5, 1.5, 5.0):
-            h.observe(v)
-        text = render_prometheus(reg)
-        assert 'repro_h_bucket{le="1"} 1' in text
-        assert 'repro_h_bucket{le="2"} 2' in text
-        assert 'repro_h_bucket{le="+Inf"} 3' in text
-        assert "repro_h_sum 7" in text
-        assert "repro_h_count 3" in text
-
-    def test_accepts_run_metrics_wrapper(self, tmp_path):
-        rm = RunMetrics()
-        rm.registry.counter("repro_c_total").inc()
-        assert "repro_c_total 1" in render_prometheus(rm)
-        path = tmp_path / "prom.txt"
-        assert write_prometheus(rm, path) > 0
-        assert path.read_text().endswith("\n")
-
-    def test_type_line_once_per_family(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_f_total", {"a": "1"}).inc()
-        reg.counter("repro_f_total", {"a": "2"}).inc()
-        text = render_prometheus(reg)
-        assert text.count("# TYPE repro_f_total counter") == 1
-
-    def test_help_text(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_c_total").inc()
-        text = render_prometheus(reg, help_text={"repro_c_total": "a counter"})
-        assert "# HELP repro_c_total a counter" in text
-
-
-class TestPrometheusQuantiles:
-    def test_quantile_lines_emitted(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_h", (0.1, 0.5, 1.0))
-        for v in (0.05, 0.2, 0.3, 0.7, 2.5):
-            h.observe(v)
-        text = render_prometheus(reg)
-        assert 'repro_h_quantile{quantile="0.5"} 0.4' in text
-        # p90 rank 4.5 lands in the overflow bucket: highest finite edge.
-        assert 'repro_h_quantile{quantile="0.9"} 1' in text
-        assert 'repro_h_quantile{quantile="0.99"} 1' in text
-
-    def test_linear_interpolation_inside_bucket(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_h", (10.0, 20.0))
-        for v in (12.0, 13.0, 14.0, 15.0):
-            h.observe(v)
-        # All 4 in (10, 20]; p50 rank 2 -> 10 + 10 * 2/4 = 15.
-        assert histogram_quantile(h, 0.5) == pytest.approx(15.0)
-
-    def test_first_bucket_lower_bound_is_observed_min(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_h", (10.0,))
-        h.observe(4.0)
-        h.observe(6.0)
-        # rank 1 in the first bucket: interpolate from min(4) to edge(10).
-        assert histogram_quantile(h, 0.5) == pytest.approx(7.0)
-
-    def test_empty_histogram_no_quantiles(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_h", (1.0,))
-        assert histogram_quantile(h, 0.5) is None
-        assert "_quantile" not in render_prometheus(reg)
-
-    def test_all_overflow_reports_highest_edge(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_h", (1.0, 2.0))
-        h.observe(99.0)
-        assert histogram_quantile(h, 0.5) == 2.0
-
-
-class TestPrometheusEscaping:
-    def test_label_value_escaping(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_e_total", {"k": 'a"b\\c\nd'}).inc()
-        text = render_prometheus(reg)
-        assert 'repro_e_total{k="a\\"b\\\\c\\nd"} 1' in text
-        # One physical line: the newline must not split the exposition.
-        assert all(
-            line.startswith(("#", "repro_e_total"))
-            for line in text.strip().splitlines()
-        )
-
-    def test_infinite_and_nan_values(self):
-        reg = MetricsRegistry()
-        reg.gauge("repro_pos").set(0.0, float("inf"))
-        reg.gauge("repro_neg").set(0.0, float("-inf"))
-        text = render_prometheus(reg)
-        assert "repro_pos +Inf" in text
-        assert "repro_neg -Inf" in text
-        assert _prom_number(float("nan")) == "NaN"
-
-    def test_infinite_bucket_edge_renders_plus_inf(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_h", (1.0, float("inf")))
-        h.observe(0.5)
-        h.observe(99.0)
-        text = render_prometheus(reg)
-        # The explicit inf edge and the implicit overflow bucket both
-        # render as +Inf; counts stay cumulative.
-        assert text.count('le="+Inf"') == 2
-        # Quantiles never report an infinite estimate.
-        q = histogram_quantile(h, 0.99)
-        assert q is not None and q == 1.0

@@ -20,6 +20,22 @@ GRID_KWARGS = dict(
 )
 
 
+def _progress_lines(caplog, monkeypatch, run):
+    """The ``[sweep]`` INFO lines logged while ``run()`` executes."""
+    import logging
+
+    from repro.experiments import sweep
+
+    # configure_logging (run by CLI tests) turns off propagation on the
+    # "repro" logger; caplog listens on the root logger.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    with caplog.at_level(logging.INFO, logger=sweep._log.name):
+        run()
+    return [
+        rec.getMessage() for rec in caplog.records if "[sweep]" in rec.getMessage()
+    ]
+
+
 class TestParallelSweep:
     def test_matches_serial_results(self):
         kwargs = dict(
@@ -61,25 +77,20 @@ class TestExecutorDeterminism:
                 parallel[key]
             )
 
-    def test_serial_progress_callback_fires_per_cell(self):
-        calls = []
-        run_grid(
-            progress_callback=lambda key, report, done, total: calls.append(
-                (key, done, total)
-            ),
-            **GRID_KWARGS,
-        )
-        assert len(calls) == 4
-        assert calls[-1][1:] == (4, 4)
+    def test_serial_progress_callback_fires_per_cell(self, caplog, monkeypatch):
+        lines = _progress_lines(caplog, monkeypatch, lambda: run_grid(
+            progress=True, **GRID_KWARGS
+        ))
+        assert len(lines) == 4
+        assert [line.split()[1] for line in lines] == ["1/4", "2/4", "3/4", "4/4"]
 
-    def test_parallel_progress_callback_fires_per_cell(self):
-        calls = []
-        run_grid_parallel(
-            workers=2,
-            progress_callback=lambda key, report, done, total: calls.append(done),
-            **GRID_KWARGS,
-        )
-        assert sorted(calls) == [1, 2, 3, 4]
+    def test_parallel_progress_callback_fires_per_cell(self, caplog, monkeypatch):
+        lines = _progress_lines(caplog, monkeypatch, lambda: run_grid_parallel(
+            workers=2, progress=True, **GRID_KWARGS
+        ))
+        assert sorted(line.split()[1] for line in lines) == [
+            "1/4", "2/4", "3/4", "4/4"
+        ]
 
     def test_env_override_routes_run_grid_through_pool(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
