@@ -64,7 +64,7 @@ class UniformVictimUnit(UnitPolicy):
                 victim = rng.randrange(len(items))
                 item = items[victim]
                 if item.current_period < modulator.max_stretch * item.ideal_period:
-                    item.degrade_period(modulator.c_du)
+                    items.degrade(victim, modulator.c_du)
                     victims.append(victim)
             return victims
 

@@ -73,7 +73,7 @@ def test_bench_degrade_signal(benchmark):
 
     def ticket_stream():
         for item in items.rows:
-            item.current_period = item.ideal_period
+            items.set_period(item.item_id, item.ideal_period)
         for item_id, is_query, value in events:
             if is_query:
                 book.on_query_access(item_id, cpu_utilization=value)

@@ -43,8 +43,8 @@ class UpdateFrequencyModulator:
     ) -> None:
         if len(items) != len(tickets):
             raise ValueError("item table and ticket book sizes differ")
-        if c_du <= 0:
-            raise ValueError("c_du must be positive")
+        if not 1.0 + c_du > 1.0:
+            raise ValueError("c_du must stretch the period (1 + c_du > 1)")
         if c_uu <= 0:
             raise ValueError("c_uu must be positive")
         if max_stretch <= 1:
@@ -100,6 +100,7 @@ class UpdateFrequencyModulator:
         rows = self.items.rows
         stretch = 1.0 + self.c_du
         victims: List[int] = []
+        newly_degraded = 0
         escalated = False
         for _ in range(rounds):
             victim = self._sample_below_cap(sample, rows)
@@ -122,10 +123,15 @@ class UpdateFrequencyModulator:
                 if victim is None:
                     break
             item = rows[victim]
-            # ``DataItem.degrade_period``'s float expression, inlined.
-            item.current_period *= stretch
+            # ``ItemTable.degrade``'s float expression and count, inlined:
+            # a stretch by ``1 + C_du > 1`` always lifts ``pc`` above ``pi``.
+            period = item.current_period
+            if not period > item.ideal_period:
+                newly_degraded += 1
+            item.current_period = period * stretch
             victims.append(victim)
         if victims:
+            self.items.note_degraded(newly_degraded)
             self.degrade_events += 1
             obs = self._obs
             if obs.enabled and self._obs_sim is not None:

@@ -29,6 +29,9 @@ class DataItem:
         update_exec_time: ``ue_j`` — CPU cost of applying one update.
         current_period: ``pc_j`` — modulated application period;
             starts equal to ``ideal_period`` and never drops below it.
+            Once the item is in an :class:`ItemTable`, write it through
+            the table (``degrade``, ``upgrade_degraded``, ``set_period``)
+            so the table's degraded count stays exact.
     """
 
     item_id: int
@@ -117,33 +120,6 @@ class DataItem:
         """Count one query touching this item (for Figure 3 analysis)."""
         self.query_accesses += 1
 
-    def degrade_period(self, factor: float) -> float:
-        """Stretch ``pc_j`` by ``(1 + factor)`` (paper Eq. 9).  Returns the new period."""
-        if factor <= 0:
-            raise ValueError("degrade factor must be positive")
-        self.current_period *= 1.0 + factor
-        return self.current_period
-
-    def upgrade_period(self, shrink: float) -> float:
-        """Shrink ``pc_j`` toward ``pi_j`` (paper Eq. 10 as disambiguated
-        in DESIGN.md): ``pc_j <- max(pi_j, pc_j - shrink * pi_j)``.
-
-        The subtraction is in units of the *ideal* period, so a mildly
-        degraded item snaps back within a couple of Upgrade signals
-        ("quickly converge to the original update period") while a
-        deeply degraded one recovers gradually.  Returns the new period.
-        """
-        if shrink <= 0:
-            raise ValueError("shrink must be positive")
-        self.current_period = max(
-            self.ideal_period, self.current_period - shrink * self.ideal_period
-        )
-        return self.current_period
-
-    def reset_period(self) -> None:
-        """Restore the ideal period (used by tests and ablations)."""
-        self.current_period = self.ideal_period
-
 
 class ItemTable:
     """The database ``D = {d_1 .. d_S}`` as a dense, indexable table."""
@@ -160,6 +136,10 @@ class ItemTable:
         # directly skips the ``__getitem__`` method-call overhead.  Ids
         # are dense 0..S-1, so ``rows[item_id]`` is always valid.
         self.rows: List[DataItem] = items
+        # Items held above their ideal period, kept exact by every
+        # period writer below (and by the update modulator's inlined
+        # stretch, through ``note_degraded``).
+        self._degraded = len(self.degraded_items())
 
     @classmethod
     def uniform(
@@ -196,25 +176,52 @@ class ItemTable:
         ]
 
     def degraded_count(self) -> int:
-        """Number of items whose current period exceeds the ideal period.
+        """Number of items whose current period exceeds the ideal period."""
+        return self._degraded
 
-        Recounted on every call, so it stays right when code writes
-        ``current_period`` directly."""
-        return len(self.degraded_items())
+    def note_degraded(self, count: int) -> None:
+        """Count ``count`` items that just left their ideal period by an
+        inlined Eq. 9 stretch (the update modulator's degrade loop)."""
+        self._degraded += count
+
+    def degrade(self, item_id: int, factor: float) -> float:
+        """Stretch ``pc_j`` by ``(1 + factor)`` (paper Eq. 9).  Returns
+        the new period."""
+        if not 1.0 + factor > 1.0:
+            raise ValueError("degrade factor must stretch the period")
+        item = self._items[item_id]
+        before = item.current_period
+        if not before > item.ideal_period:
+            self._degraded += 1
+        item.current_period = before * (1.0 + factor)
+        return item.current_period
+
+    def set_period(self, item_id: int, period: float) -> None:
+        """Set ``pc_j`` to ``period`` (at least ``pi_j``), e.g. to reset
+        an item to its ideal period."""
+        item = self._items[item_id]
+        ideal = item.ideal_period
+        if period < ideal:
+            raise ValueError("current_period cannot be below ideal_period")
+        self._degraded += (period > ideal) - (item.current_period > ideal)
+        item.current_period = period
 
     def upgrade_degraded(self, shrink: float) -> List[DataItem]:
-        """Apply :meth:`DataItem.upgrade_period` to every degraded item in
-        one pass over the table.
+        """Shrink ``pc_j`` toward ``pi_j`` for every degraded item in one
+        pass over the table (paper Eq. 10 as disambiguated in
+        DESIGN.md): ``pc_j <- max(pi_j, pc_j - shrink * pi_j)``.
 
-        Returns the items whose period changed, in item-id order.
-        Bit-identical to the per-item call: ``max(pi, pc - shrink * pi)``
-        keeps ``pi`` on a tie, and so does the compare below.
-        ``upgrade_period`` stays as the per-item reference the tests
-        check this pass against.
+        The subtraction is in units of the *ideal* period, so a mildly
+        degraded item snaps back within a couple of Upgrade signals
+        ("quickly converge to the original update period") while a
+        deeply degraded one recovers gradually.  ``max`` keeps ``pi_j``
+        on a tie, and so does the compare below.  Returns the items
+        whose period changed, in item-id order.
         """
         if shrink <= 0:
             raise ValueError("shrink must be positive")
         changed: List[DataItem] = []
+        restored = 0
         for item in self._items:
             before = item.current_period
             ideal = item.ideal_period
@@ -222,9 +229,11 @@ class ItemTable:
                 after = before - shrink * ideal
                 if not after > ideal:
                     after = ideal
+                    restored += 1
                 if after != before:
                     item.current_period = after
                     changed.append(item)
+        self._degraded -= restored
         return changed
 
     def totals(self) -> Dict[str, int]:

@@ -300,7 +300,3 @@ class ReadyQueue:
         endangered-candidate walk."""
         for entry in self._queries.entries_after((query.deadline, query.txn_id)):
             yield entry[2]  # type: ignore[misc]
-
-    def compact(self) -> None:
-        """Kept for API compatibility: removal is physical now, so there
-        are no dead entries to drop."""

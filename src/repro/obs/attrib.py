@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.fixedpoint import fixed_from_float, float_from_fixed
+from repro.core.fixedpoint import float_from_fixed
 from repro.core.usm import PenaltyProfile
 from repro.db.transactions import Outcome
 from repro.obs.spans import WAIT_STATES, QuerySpan
@@ -77,7 +77,8 @@ def latency_slack_percentiles(
 ) -> Dict[str, Dict[str, Optional[float]]]:
     """Latency and deadline-slack percentile rows over completed spans.
 
-    Rejection spans (no lifecycle) are excluded; slack is
+    Rejection spans (no lifecycle) are excluded; latency is the span's
+    exact admit → end duration, correctly rounded; slack is
     ``deadline − outcome_time`` (negative means the deadline passed —
     only deadline misses land there under firm deadlines).
     """
@@ -99,9 +100,10 @@ def latency_slack_percentiles(
 def wait_breakdown(spans: Iterable[QuerySpan]) -> Dict[str, object]:
     """Where the lifecycle time of a span set went, by wait state.
 
-    Totals are exact fixed-point sums over every segment (converted to
-    floats once at the end); ``share`` is each state's fraction of the
-    total spanned time.  Also counts preemptions, restarts, and the
+    Totals are exact fixed-point sums of the spans' per-state sums
+    (:attr:`QuerySpan.wait_fixed`, which are sums over every segment),
+    converted to floats once at the end; ``share`` is each state's
+    fraction of the total spanned time.  Also counts preemptions, restarts, and the
     spans themselves (rejections separately — they carry no time).
     """
     totals_fixed: Dict[str, int] = {state: 0 for state in WAIT_STATES}
@@ -116,9 +118,8 @@ def wait_breakdown(spans: Iterable[QuerySpan]) -> Dict[str, object]:
         completed += 1
         preemptions += span.preemptions
         restarts += span.restarts
-        for segment in span.segments:
-            dur = fixed_from_float(segment.end) - fixed_from_float(segment.start)
-            totals_fixed[segment.state] = totals_fixed.get(segment.state, 0) + dur
+        for state, dur in zip(WAIT_STATES, span.wait_fixed):
+            totals_fixed[state] += dur
     grand = sum(totals_fixed.values())
     totals = {state: float_from_fixed(fx) for state, fx in totals_fixed.items()}
     shares = {

@@ -8,9 +8,11 @@ import pytest
 from repro.core.lottery import LotteryScheduler
 from repro.core.modulation import UpdateFrequencyModulator
 from repro.core.tickets import TicketBook
+from repro.core.unit import UnitPolicy
 from repro.db.items import DataItem, ItemTable
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import Substrate, run_experiment
+from repro.faults.scenarios import canned
 from repro.obs.config import ObsConfig
 from repro.obs.trace import TraceRecorder
 from repro.sim.engine import Simulator
@@ -49,11 +51,12 @@ class TestDegrade:
         reference = ItemTable.uniform(4, ideal_period=10.0, update_exec_time=1.0)
         for _ in range(20):
             for victim in modulator.degrade(rounds=2):
-                reference[victim].degrade_period(modulator.c_du)
+                reference.degrade(victim, modulator.c_du)
         assert [item.current_period.hex() for item in items.rows] == [
             item.current_period.hex() for item in reference.rows
         ]
         assert items[1].is_degraded and items[2].is_degraded
+        assert items.degraded_count() == 2 == reference.degraded_count()
 
     def test_degrade_respects_cap(self):
         items, tickets, modulator = make_modulator(max_stretch=2.0)
@@ -345,7 +348,6 @@ class TestSignalEvents:
         run's final periods bit for bit."""
         substrate, _, signals = _observed_small_cell("med-unif")
         modulator = substrate.policy.modulator
-        stretch = 1.0 + modulator.c_du
         replay = ItemTable(
             [
                 DataItem(item.item_id, item.ideal_period, item.update_exec_time)
@@ -355,10 +357,46 @@ class TestSignalEvents:
         for event in signals:
             if event["direction"] == "degrade":
                 for item_id in event["items"]:
-                    replay[item_id].current_period *= stretch
+                    replay.degrade(item_id, modulator.c_du)
             else:
                 upgraded = replay.upgrade_degraded(modulator.c_uu)
                 assert tuple(item.item_id for item in upgraded) == event["items"]
         final = [item.current_period.hex() for item in substrate.items]
         assert [item.current_period.hex() for item in replay] == final
         assert substrate.items.degraded_count() > 0
+        assert replay.degraded_count() == substrate.items.degraded_count()
+
+
+class TestDegradedCountInvariant:
+    """The table's maintained degraded count equals a recount after
+    every control tick of a whole run (escalation on, the default)."""
+
+    @pytest.mark.parametrize(
+        "trace, fault",
+        [("med-unif", None), ("high-unif", None), ("med-unif", "update-storm")],
+    )
+    def test_count_equals_recount_every_tick(self, monkeypatch, trace, fault):
+        small = SCALES["small"]
+        ticks = []
+        control_tick = UnitPolicy._control_tick
+
+        def checked_tick(self):
+            control_tick(self)
+            items = self.modulator.items
+            assert items.degraded_count() == len(items.degraded_items())
+            ticks.append((items.degraded_count(), self.tickets.threshold))
+
+        monkeypatch.setattr(UnitPolicy, "_control_tick", checked_tick)
+        report = run_experiment(
+            ExperimentConfig(
+                policy="unit",
+                update_trace=trace,
+                seed=7,
+                scale=small,
+                faults=None if fault is None else canned(fault, small.horizon, small.n_items),
+            )
+        )
+        assert report.queries_submitted > 0
+        assert len(ticks) > 100
+        assert max(count for count, _ in ticks) > 0
+        assert min(threshold for _, threshold in ticks) < 0.0  # escalated

@@ -259,7 +259,7 @@ class TestUnit:
         policy = self.make_unit()
         sim, server = build(policy, period=1.0)
         item = server.items[0]
-        item.current_period = 2.0  # pretend UM degraded it
+        server.items.set_period(0, 2.0)  # pretend UM degraded it
         feed_updates(sim, server, 0, [0.0, 1.0, 2.0, 3.0, 4.0])
         sim.run(until=4.5)
         # Arrivals at 0,1,2,3,4 with pc=2: applied at 0,2,4 -> 3 applied.

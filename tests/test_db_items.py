@@ -12,6 +12,18 @@ def make_item(**kwargs):
     return DataItem(**defaults)
 
 
+def one_item_table(**kwargs):
+    return ItemTable([make_item(**kwargs)])
+
+
+def upgrade_period(item, shrink):
+    """Eq. 10 on one item, the per-item reference for the table's pass:
+    ``pc_j <- max(pi_j, pc_j - shrink * pi_j)``."""
+    item.current_period = max(
+        item.ideal_period, item.current_period - shrink * item.ideal_period
+    )
+
+
 class TestDataItem:
     def test_initial_state_is_fresh(self):
         item = make_item()
@@ -68,31 +80,35 @@ class TestDataItem:
         assert item.applied_seq == second
 
     def test_degrade_stretches_period(self):
-        item = make_item()
-        new_period = item.degrade_period(0.1)
+        table = one_item_table()
+        new_period = table.degrade(0, 0.1)
         assert new_period == pytest.approx(11.0)
-        assert item.is_degraded
+        assert table[0].is_degraded
+        assert table.degraded_count() == 1
 
     def test_upgrade_subtracts_in_ideal_units_with_floor(self):
-        item = make_item()
-        item.degrade_period(0.1)  # 11.0
-        item.upgrade_period(0.5)  # -5.0 -> floored at 10.0
-        assert item.current_period == pytest.approx(10.0)
-        assert not item.is_degraded
+        table = one_item_table()
+        table.degrade(0, 0.1)  # 11.0
+        table.upgrade_degraded(0.5)  # -5.0 -> floored at 10.0
+        assert table[0].current_period == pytest.approx(10.0)
+        assert not table[0].is_degraded
+        assert table.degraded_count() == 0
 
     def test_deep_degradation_recovers_gradually(self):
-        item = make_item()
+        table = one_item_table()
         for _ in range(30):
-            item.degrade_period(0.1)
-        deep = item.current_period
-        item.upgrade_period(0.5)
-        assert item.current_period == pytest.approx(deep - 5.0)
+            table.degrade(0, 0.1)
+        deep = table[0].current_period
+        table.upgrade_degraded(0.5)
+        assert table[0].current_period == pytest.approx(deep - 5.0)
+        assert table.degraded_count() == 1
 
     def test_reset_period(self):
-        item = make_item()
-        item.degrade_period(0.5)
-        item.reset_period()
-        assert item.current_period == item.ideal_period
+        table = one_item_table()
+        table.degrade(0, 0.5)
+        table.set_period(0, table[0].ideal_period)
+        assert table[0].current_period == table[0].ideal_period
+        assert table.degraded_count() == 0
 
     @given(st.lists(st.sampled_from(["drop", "apply"]), min_size=1, max_size=60))
     def test_property_lag_never_negative_and_bounded_by_drops(self, ops):
@@ -139,7 +155,7 @@ class TestItemTable:
         st.sampled_from([0.5, 0.1, 1.0, 1e-9, 1e-17, 3.0]),
     )
     def test_upgrade_degraded_matches_per_item_upgrade(self, rows, shrink):
-        """The one-pass upgrade equals ``upgrade_period`` on every degraded
+        """The one-pass upgrade equals Eq. 10 applied to every degraded
         item, bit for bit, and reports the changed ids in id order."""
 
         def table():
@@ -152,10 +168,11 @@ class TestItemTable:
 
         fast, slow = table(), table()
         changed = fast.upgrade_degraded(shrink)
+        assert fast.degraded_count() == len(fast.degraded_items())
         expected = []
         for item in slow.degraded_items():
             before = item.current_period
-            item.upgrade_period(shrink)
+            upgrade_period(item, shrink)
             if item.current_period != before:
                 expected.append(item.item_id)
         assert [item.item_id for item in changed] == expected
@@ -170,18 +187,26 @@ class TestItemTable:
         assert item is table[0] and item.current_period == 10.0
         assert table.upgrade_degraded(0.5) == []
 
-    def test_degraded_count_sees_direct_writes(self):
+    def test_degraded_count_follows_period_writes(self):
         table = ItemTable.uniform(4, ideal_period=5.0, update_exec_time=0.1)
         assert table.degraded_count() == 0
-        table[2].current_period = 7.5
-        table[3].degrade_period(0.1)
+        table.set_period(2, 7.5)
+        table.degrade(3, 0.1)
         assert table.degraded_count() == 2 == len(table.degraded_items())
-        table[2].current_period = 5.0
-        assert table.degraded_count() == 1
+        table.set_period(2, 5.0)
+        table.set_period(3, 6.0)  # still above the ideal period
+        assert table.degraded_count() == 1 == len(table.degraded_items())
+        with pytest.raises(ValueError):
+            table.set_period(1, 4.0)
+        with pytest.raises(ValueError):
+            table.degrade(1, 1e-20)  # 1 + factor rounds to 1
+        table.upgrade_degraded(10.0)
+        assert table.degraded_count() == 0 == len(table.degraded_items())
+        assert one_item_table(current_period=15.0).degraded_count() == 1
 
     def test_degraded_items_and_totals(self):
         table = ItemTable.uniform(3, ideal_period=5.0, update_exec_time=0.1)
-        table[1].degrade_period(0.2)
+        table.degrade(1, 0.2)
         assert [item.item_id for item in table.degraded_items()] == [1]
         table[0].record_arrival(1.0)
         table[0].record_drop()

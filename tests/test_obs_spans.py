@@ -63,7 +63,8 @@ class TestExactSegmentation:
         checked = 0
         for span in result.spans:
             if span.admit is None:
-                assert span.segments == []
+                assert span.segments == ()
+                assert span.duration_fixed == 0 and not any(span.wait_fixed)
                 continue
             total = sum(
                 fixed_from_float(seg.end) - fixed_from_float(seg.start)
@@ -71,6 +72,13 @@ class TestExactSegmentation:
             )
             expected = fixed_from_float(span.end) - fixed_from_float(span.admit)
             assert total == expected, span
+            assert span.duration_fixed == expected
+            per_state = dict.fromkeys(WAIT_STATES, 0)
+            for seg in span.segments:
+                per_state[seg.state] += (
+                    fixed_from_float(seg.end) - fixed_from_float(seg.start)
+                )
+            assert span.wait_fixed == tuple(per_state.values())
             checked += 1
         assert checked > 0
 
@@ -180,7 +188,7 @@ class TestMalformedStreams:
         (span,) = result.spans
         assert span.admit is None
         assert span.usm_component == "R"
-        assert span.segments == []
+        assert span.segments == ()
 
     def test_orphan_sched_events_skipped_with_count(self):
         result = build_spans([self.ENQ, self.RUN])
