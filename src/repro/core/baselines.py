@@ -34,6 +34,8 @@ class RefreshingPolicy(Protocol):
 class ImuPolicy(ServerPolicy):
     """Immediate Update: apply everything, admit everything."""
 
+    reads_profile = False
+
     def admit_query(self, query: QueryTransaction, server: "Server") -> bool:
         return True
 
@@ -58,6 +60,8 @@ class OduPolicy(ServerPolicy):
     (each stale access issues its own update) is ``dedup=False``, the
     default.
     """
+
+    reads_profile = False
 
     def __init__(self, dedup: bool = False) -> None:
         self.dedup = dedup

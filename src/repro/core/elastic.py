@@ -68,6 +68,8 @@ class ElasticConfig:
 class ElasticPolicy(ServerPolicy):
     """Uniform, utilization-driven period stretching for all items."""
 
+    reads_profile = False
+
     def __init__(self, config: Optional[ElasticConfig] = None) -> None:
         self.config = config or ElasticConfig()
         self.stretch = 1.0

@@ -86,6 +86,8 @@ _QUOTA_MAX = 1e6
 class QmfPolicy(ServerPolicy):
     """Feedback control of miss ratio and perceived freshness."""
 
+    reads_profile = False
+
     def __init__(self, config: Optional[QmfConfig] = None) -> None:
         self.config = config or QmfConfig()
         self.backlog_quota = self.config.initial_backlog_quota

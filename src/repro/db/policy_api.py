@@ -28,6 +28,11 @@ class ServerPolicy(abc.ABC):
     points have no-op defaults.
     """
 
+    #: Whether the policy reads the run's penalty profile.  A policy
+    #: that never does behaves identically under every profile, so the
+    #: sweep runner simulates it once and rescores its outcome counts.
+    reads_profile = True
+
     def bind(self, server: "Server") -> None:
         """Called once before the simulation starts.
 

@@ -12,6 +12,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 
@@ -21,16 +22,8 @@ from repro.obs.logging_setup import (
     configure_logging,
     verbosity_from_args,
 )
-from repro.experiments.figures import (
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    render_figure3,
-    render_figure4,
-    render_figure5,
-    render_figure6,
-)
+from repro.experiments import figures as fig
+from repro.experiments.sweep import run_cells
 from repro.experiments.tables import render_table1, render_table2, table1
 from repro.workload.updates import STANDARD_UPDATE_TRACES
 
@@ -195,28 +188,29 @@ def main(argv=None) -> int:
         return 0
 
     targets = TARGETS[:-2] if args.target == "all" else (args.target,)
+    # Each figure: its cells, their reader and its renderer.  The cells
+    # of every requested figure go through one runner call, which
+    # simulates each distinct cell once.
+    figures = {
+        "fig3": (fig.figure3_cells, fig.read_figure3, fig.render_figure3),
+        "fig4": (
+            functools.partial(fig.figure4_cells, replications=args.replications),
+            fig.read_figure4,
+            fig.render_figure4,
+        ),
+        "fig5": (fig.figure5_cells, fig.read_figure5, fig.render_figure5),
+        "fig6": (fig.figure6_cells, fig.read_figure6, fig.render_figure6),
+    }
+    cells = {t: figures[t][0](scale, seed=args.seed) for t in targets if t in figures}
+    reports = iter(run_cells(sum(cells.values(), []), progress=args.progress))
     for target in targets:
         if target == "table1":
             print(render_table1(table1(scale, seed=args.seed)))
         elif target == "table2":
             print(render_table2())
-        elif target == "fig3":
-            print(render_figure3(figure3(scale, seed=args.seed)))
-        elif target == "fig4":
-            print(
-                render_figure4(
-                    figure4(
-                        scale,
-                        seed=args.seed,
-                        progress=args.progress,
-                        replications=args.replications,
-                    )
-                )
-            )
-        elif target == "fig5":
-            print(render_figure5(figure5(scale, seed=args.seed, progress=args.progress)))
-        elif target == "fig6":
-            print(render_figure6(figure6(scale, seed=args.seed, progress=args.progress)))
+        else:
+            _, read, render = figures[target]
+            print(render(read([next(reports) for _ in cells[target]])))
         print()
     return 0
 

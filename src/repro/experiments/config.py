@@ -11,19 +11,28 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Type
 
-from repro.core.elastic import ElasticConfig
-from repro.core.qmf import QmfConfig
-from repro.core.unit import UnitConfig
+from repro.core.baselines import ImuPolicy, OduPolicy
+from repro.core.elastic import ElasticConfig, ElasticPolicy
+from repro.core.qmf import QmfConfig, QmfPolicy
+from repro.core.unit import UnitConfig, UnitPolicy
 from repro.core.usm import PenaltyProfile
+from repro.db.policy_api import ServerPolicy
 from repro.faults.scenario import FaultScenario
 from repro.obs.config import ObsConfig
 from repro.workload.updates import STANDARD_UPDATE_TRACES
 
 # "elastic" is the related-work baseline (Buttazzo-style uniform period
 # stretching); the paper's own comparison set is the first four.
-POLICIES = ("unit", "imu", "odu", "qmf", "elastic")
+POLICY_CLASSES: Dict[str, Type[ServerPolicy]] = {
+    "unit": UnitPolicy,
+    "imu": ImuPolicy,
+    "odu": OduPolicy,
+    "qmf": QmfPolicy,
+    "elastic": ElasticPolicy,
+}
+POLICIES = tuple(POLICY_CLASSES)
 
 
 @dataclasses.dataclass(frozen=True)

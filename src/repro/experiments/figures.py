@@ -1,9 +1,12 @@
 """Reproduction of Figures 3–6 (paper Section 4).
 
-Every function returns structured data plus a ``render_*`` companion
-that prints the same rows/series the paper's figure reports.  Absolute
-numbers differ from the paper (our substrate is a simulator at a
-different scale); the assertions of shape — who wins, by roughly what
+Each figure is a list of cells (``figureN_cells``) plus a reader over
+their reports (``read_figureN``), so that several figures can run as one
+:func:`repro.experiments.sweep.run_cells` call, which simulates each
+distinct cell once; ``figureN`` is the one-call form.  A ``render_*``
+companion prints the same rows/series the paper's figure reports.
+Absolute numbers differ from the paper (our substrate is a simulator at
+a different scale); the assertions of shape — who wins, by roughly what
 factor, where the crossovers fall — live in the test suite and in
 EXPERIMENTS.md.
 """
@@ -11,22 +14,20 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.core.usm import TABLE2_PROFILES, PenaltyProfile
 from repro.db.transactions import Outcome
 from repro.experiments.config import ExperimentConfig, ExperimentScale
 from repro.experiments.report import ascii_table, decile_histogram
-from repro.experiments.runner import SimulationReport, run_experiment
-from repro.experiments.sweep import run_grid
-from repro.obs.logging_setup import get_logger
+from repro.experiments.runner import SimulationReport
+from repro.experiments.sweep import grid_cells, run_cells
 from repro.workload.correlation import pearson
-
-_log = get_logger(__name__)
 
 ALL_POLICIES = ("imu", "odu", "qmf", "unit")
 VOLUMES = ("low", "med", "high")
 CORRELATIONS = ("unif", "pos", "neg")
+NAIVE = PenaltyProfile.naive()
 
 
 # ----------------------------------------------------------------------
@@ -65,6 +66,22 @@ class Figure3Case:
         )
 
 
+def figure3_cells(scale: ExperimentScale, seed: int = 7) -> List[ExperimentConfig]:
+    return grid_cells(["unit"], ["med-unif", "med-neg"], [NAIVE], scale, seed=seed)
+
+
+def read_figure3(reports: Sequence[SimulationReport]) -> Dict[str, Figure3Case]:
+    return {
+        report.config.update_trace: Figure3Case(
+            trace=report.config.update_trace,
+            query_access_counts=report.query_access_counts,
+            update_counts_original=report.update_counts_original,
+            update_counts_executed=report.update_counts_executed,
+        )
+        for report in reports
+    }
+
+
 def figure3(scale: ExperimentScale, seed: int = 7) -> Dict[str, Figure3Case]:
     """Run UNIT on med-unif and med-neg and collect the distributions.
 
@@ -73,19 +90,7 @@ def figure3(scale: ExperimentScale, seed: int = 7) -> Dict[str, Figure3Case]:
     updates are dropped, concentrated on hot-updated/cold-queried items
     (Fig. 3(c)).
     """
-    cases: Dict[str, Figure3Case] = {}
-    for trace in ("med-unif", "med-neg"):
-        config = ExperimentConfig(
-            policy="unit", update_trace=trace, seed=seed, scale=scale
-        )
-        report = run_experiment(config)
-        cases[trace] = Figure3Case(
-            trace=trace,
-            query_access_counts=report.query_access_counts,
-            update_counts_original=report.update_counts_original,
-            update_counts_executed=report.update_counts_executed,
-        )
-    return cases
+    return read_figure3(run_cells(figure3_cells(scale, seed=seed)))
 
 
 def render_figure3(cases: Dict[str, Figure3Case], buckets: int = 10) -> str:
@@ -126,6 +131,32 @@ def render_figure3(cases: Dict[str, Figure3Case], buckets: int = 10) -> str:
 # ----------------------------------------------------------------------
 
 
+FIGURE4_TRACES = tuple(f"{volume}-{corr}" for corr in CORRELATIONS for volume in VOLUMES)
+
+
+def figure4_cells(
+    scale: ExperimentScale, seed: int = 7, replications: int = 1
+) -> List[ExperimentConfig]:
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    return [
+        cell
+        for rep in range(replications)
+        for cell in grid_cells(ALL_POLICIES, FIGURE4_TRACES, [NAIVE], scale, seed=seed + rep)
+    ]
+
+
+def read_figure4(reports: Sequence[SimulationReport]) -> Dict[str, Dict[str, float]]:
+    replications = len({report.config.seed for report in reports})
+    result: Dict[str, Dict[str, float]] = {
+        trace: {policy: 0.0 for policy in ALL_POLICIES} for trace in FIGURE4_TRACES
+    }
+    for report in reports:
+        config = report.config
+        result[config.update_trace][config.policy] += report.usm / replications
+    return result
+
+
 def figure4(
     scale: ExperimentScale,
     seed: int = 7,
@@ -139,24 +170,8 @@ def figure4(
     the mean over seeds ``seed .. seed + replications - 1`` (each seed
     is a fresh workload; every policy still sees the identical one).
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    traces = [f"{volume}-{corr}" for corr in CORRELATIONS for volume in VOLUMES]
-    result: Dict[str, Dict[str, float]] = {
-        trace: {policy: 0.0 for policy in ALL_POLICIES} for trace in traces
-    }
-    for replication in range(replications):
-        reports = run_grid(
-            ALL_POLICIES,
-            traces,
-            [PenaltyProfile.naive()],
-            scale,
-            seed=seed + replication,
-            progress=progress,
-        )
-        for (policy, trace, _), report in reports.items():
-            result[trace][policy] += report.usm / replications
-    return result
+    cells = figure4_cells(scale, seed=seed, replications=replications)
+    return read_figure4(run_cells(cells, progress=progress))
 
 
 def render_figure4(data: Dict[str, Dict[str, float]]) -> str:
@@ -186,6 +201,21 @@ def render_figure4(data: Dict[str, Dict[str, float]]) -> str:
 # ----------------------------------------------------------------------
 
 
+def figure5_cells(
+    scale: ExperimentScale, seed: int = 7, trace: str = "med-unif"
+) -> List[ExperimentConfig]:
+    return grid_cells(ALL_POLICIES, [trace], TABLE2_PROFILES.values(), scale, seed=seed)
+
+
+def read_figure5(reports: Sequence[SimulationReport]) -> Dict[str, Dict[str, float]]:
+    key_by_name = {profile.name: key for key, profile in TABLE2_PROFILES.items()}
+    result: Dict[str, Dict[str, float]] = {}
+    for report in reports:
+        key = key_by_name[report.config.profile.name]
+        result.setdefault(key, {})[report.config.policy] = report.usm
+    return result
+
+
 def figure5(
     scale: ExperimentScale,
     seed: int = 7,
@@ -197,16 +227,8 @@ def figure5(
     Profile keys are the Table 2 entries: ``lt1-*`` for panel (a)
     (penalties < 1), ``gt1-*`` for panel (b) (penalties > 1).
     """
-    profiles = list(TABLE2_PROFILES.values())
-    reports = run_grid(
-        ALL_POLICIES, [trace], profiles, scale, seed=seed, progress=progress
-    )
-    result: Dict[str, Dict[str, float]] = {}
-    key_by_name = {profile.name: key for key, profile in TABLE2_PROFILES.items()}
-    for (policy, _, profile_name), report in reports.items():
-        key = key_by_name[profile_name]
-        result.setdefault(key, {})[policy] = report.usm
-    return result
+    cells = figure5_cells(scale, seed=seed, trace=trace)
+    return read_figure5(run_cells(cells, progress=progress))
 
 
 def render_figure5(data: Dict[str, Dict[str, float]]) -> str:
@@ -260,6 +282,30 @@ class RatioBar:
         )
 
 
+def figure6_cells(
+    scale: ExperimentScale, seed: int = 7, trace: str = "med-unif"
+) -> List[ExperimentConfig]:
+    lt1 = [TABLE2_PROFILES[key] for key in ("lt1-high-cr", "lt1-high-cfm", "lt1-high-cfs")]
+    return grid_cells(("imu", "odu", "qmf"), [trace], [NAIVE], scale, seed=seed) + (
+        grid_cells(["unit"], [trace], lt1, scale, seed=seed)
+    )
+
+
+def read_figure6(reports: Sequence[SimulationReport]) -> Dict[str, List[RatioBar]]:
+    return {
+        "baselines": [
+            RatioBar.from_report(report.config.policy.upper(), report)
+            for report in reports
+            if report.config.policy != "unit"
+        ],
+        "unit": [
+            RatioBar.from_report(f"UNIT {report.config.profile.name}", report)
+            for report in reports
+            if report.config.policy == "unit"
+        ],
+    }
+
+
 def figure6(
     scale: ExperimentScale,
     seed: int = 7,
@@ -269,34 +315,8 @@ def figure6(
     """Outcome ratios: panel (a) the weight-insensitive baselines,
     panel (b) UNIT under the three penalties-<1 profiles of Fig. 5(a).
     """
-    naive = PenaltyProfile.naive()
-    panel_a: List[RatioBar] = []
-    for policy in ("imu", "odu", "qmf"):
-        report = run_experiment(
-            ExperimentConfig(
-                policy=policy, update_trace=trace, profile=naive, seed=seed, scale=scale
-            )
-        )
-        panel_a.append(RatioBar.from_report(policy.upper(), report))
-        if progress:
-            _log.info("[fig6] %s done (%.1fs)", policy, report.wall_seconds)
-
-    panel_b: List[RatioBar] = []
-    for key in ("lt1-high-cr", "lt1-high-cfm", "lt1-high-cfs"):
-        profile = TABLE2_PROFILES[key]
-        report = run_experiment(
-            ExperimentConfig(
-                policy="unit",
-                update_trace=trace,
-                profile=profile,
-                seed=seed,
-                scale=scale,
-            )
-        )
-        panel_b.append(RatioBar.from_report(f"UNIT {profile.name}", report))
-        if progress:
-            _log.info("[fig6] unit/%s done (%.1fs)", key, report.wall_seconds)
-    return {"baselines": panel_a, "unit": panel_b}
+    cells = figure6_cells(scale, seed=seed, trace=trace)
+    return read_figure6(run_cells(cells, progress=progress))
 
 
 def render_figure6(data: Dict[str, List[RatioBar]]) -> str:

@@ -6,17 +6,11 @@ import dataclasses
 from typing import Dict, List
 
 from repro.core.usm import TABLE2_PROFILES, PenaltyProfile
-from repro.experiments.config import ExperimentScale
+from repro.experiments.config import ExperimentConfig, ExperimentScale
 from repro.experiments.report import ascii_table
-from repro.sim.rng import RandomStreams
-from repro.workload.cello import CelloConfig, generate_cello_trace
+from repro.workload.cache import get_workload
 from repro.workload.correlation import pearson
-from repro.workload.queries import build_query_trace
-from repro.workload.updates import (
-    STANDARD_UPDATE_TRACES,
-    UpdateTrace,
-    build_update_trace,
-)
+from repro.workload.updates import STANDARD_UPDATE_TRACES, UpdateTrace
 
 
 @dataclasses.dataclass
@@ -35,23 +29,10 @@ class Table1Row:
 def table1(scale: ExperimentScale, seed: int = 7) -> List[Table1Row]:
     """Regenerate Table 1 at the given scale.
 
-    Builds the query trace once (all update traces correlate against
-    the same query histogram, as in the paper) and the nine update
-    traces, reporting achieved utilization and spatial correlation.
+    Takes the nine update traces of the experiments' workloads at
+    ``seed`` (all correlate against the same base query trace, as in the
+    paper) and reports achieved utilization and spatial correlation.
     """
-    streams = RandomStreams(seed)
-    cello = CelloConfig(
-        horizon=scale.horizon,
-        n_items=scale.n_items,
-        query_utilization=scale.query_utilization,
-        mean_service=scale.mean_query_service,
-    )
-    records = generate_cello_trace(cello, streams)
-    query_trace = build_query_trace(
-        records, n_items=scale.n_items, streams=streams, horizon=scale.horizon
-    )
-    access_counts = query_trace.access_counts()
-
     rows: List[Table1Row] = []
     for name in sorted(
         STANDARD_UPDATE_TRACES,
@@ -61,13 +42,10 @@ def table1(scale: ExperimentScale, seed: int = 7) -> List[Table1Row]:
         ),
     ):
         spec = STANDARD_UPDATE_TRACES[name]
-        trace = build_update_trace(
-            spec,
-            access_counts,
-            horizon=scale.horizon,
-            streams=streams,
-            mean_exec=scale.mean_update_exec,
+        query_trace, trace = get_workload(
+            ExperimentConfig(update_trace=name, seed=seed, scale=scale)
         )
+        access_counts = query_trace.access_counts()
         rows.append(
             Table1Row(
                 name=spec.name,
@@ -137,7 +115,7 @@ def render_table2() -> str:
 
 def validate_update_trace(trace: UpdateTrace, tolerance: float = 0.10) -> bool:
     """True when the trace's CPU demand is within ``tolerance`` of its
-    target utilization (used by tests and the Table 1 bench)."""
+    target utilization (used by tests)."""
     target = trace.target_utilization
     if target <= 0:
         return trace.utilization() == 0

@@ -20,9 +20,11 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.usm import PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.report import ascii_table, bar_chart, json_sanitize
-from repro.experiments.runner import SimulationReport, run_experiment
+from repro.experiments.runner import SimulationReport
+from repro.experiments.sweep import run_grid
 from repro.faults.scenario import FaultScenario
 from repro.faults.scenarios import canned
 
@@ -57,18 +59,18 @@ def run_suite(
     policies: Sequence[str] = SUITE_POLICIES,
 ) -> List[SuiteResult]:
     """Run every policy against the same scenario/seed/workload."""
-    results: List[SuiteResult] = []
-    for policy in policies:
-        config = ExperimentConfig(
-            policy=policy,
-            update_trace=update_trace,
-            seed=seed,
-            scale=SCALES[scale],
-            keep_records=True,
-            faults=scenario,
-        )
-        results.append(SuiteResult(policy=policy, report=run_experiment(config)))
-    return results
+    reports = run_grid(
+        policies,
+        [update_trace],
+        [PenaltyProfile.naive()],
+        SCALES[scale],
+        seed=seed,
+        base=ExperimentConfig(keep_records=True, faults=scenario),
+    )
+    return [
+        SuiteResult(policy=policy, report=report)
+        for (policy, _, _), report in reports.items()
+    ]
 
 
 def _fmt_opt(value: object) -> object:

@@ -8,8 +8,8 @@ recorded as unresolved so rules can choose how pessimistic to be.
 
 Callables that are merely *referenced* (passed as arguments, stored in
 variables) also get edges when the reference is a program function —
-this is what lets SF003 treat ``pool.imap_unordered(_run_keyed, ...)``
-as an entry into ``_run_keyed``.
+this is what lets SF003 treat ``pool.imap(_run_one, ...)``
+as an entry into ``_run_one``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Command-line workload generator.
 
-Build the synthetic cello99a-like query trace and any of the nine
-standard update traces, save them as a bundle, or print summaries of an
-existing bundle:
+Build the experiments' workload at a scale and seed (the synthetic
+cello99a-like query trace and any of the nine standard update traces),
+save it as a bundle, or print summaries of an existing bundle:
 
     python -m repro.workload generate --scale small --seed 7 \
         --traces med-unif med-neg --out bundle.json
@@ -14,46 +14,30 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.config import SCALES
+from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.report import ascii_table
 from repro.obs.logging_setup import (
     add_verbosity_flags,
     configure_logging,
     verbosity_from_args,
 )
-from repro.sim.rng import RandomStreams
-from repro.workload.cello import CelloConfig, generate_cello_trace
+from repro.workload.cache import get_workload
 from repro.workload.correlation import pearson
-from repro.workload.queries import build_query_trace
 from repro.workload.traces import load_trace_bundle, save_trace_bundle
-from repro.workload.updates import STANDARD_UPDATE_TRACES, build_update_trace
+from repro.workload.updates import STANDARD_UPDATE_TRACES
 
 
 def _generate(args) -> int:
-    scale = SCALES[args.scale]
-    streams = RandomStreams(args.seed)
-    cello = CelloConfig(
-        horizon=scale.horizon,
-        n_items=scale.n_items,
-        query_utilization=scale.query_utilization,
-        mean_service=scale.mean_query_service,
-    )
-    records = generate_cello_trace(cello, streams)
-    query_trace = build_query_trace(
-        records, n_items=scale.n_items, streams=streams, horizon=scale.horizon
-    )
+    """Save the experiments' workload at ``--scale``/``--seed``: the
+    base query trace and the named update traces."""
     update_traces = {}
     for name in args.traces:
         if name not in STANDARD_UPDATE_TRACES:
             print(f"unknown update trace {name!r}", file=sys.stderr)
             return 2
-        update_traces[name] = build_update_trace(
-            STANDARD_UPDATE_TRACES[name],
-            query_trace.access_counts(),
-            horizon=scale.horizon,
-            streams=streams,
-            mean_exec=scale.mean_update_exec,
-        )
+        config = ExperimentConfig(update_trace=name, seed=args.seed, scale=SCALES[args.scale])
+        query_trace, update_trace = get_workload(config)
+        update_traces[name] = update_trace
     save_trace_bundle(args.out, query_trace, update_traces)
     print(
         f"wrote {args.out}: {len(query_trace.queries)} queries, "

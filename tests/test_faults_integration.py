@@ -14,7 +14,7 @@ import dataclasses
 from repro.core.usm import PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweep import run_grid, run_grid_parallel
+from repro.experiments.sweep import WORKERS_ENV, run_grid
 from repro.faults import (
     FaultScenario,
     FlashCrowd,
@@ -84,7 +84,7 @@ class TestScenarioDeterminism:
             run_experiment(config(faults=slow))
         ) != _stable_report_bytes(run_experiment(config()))
 
-    def test_parallel_sweep_byte_identical_to_serial(self):
+    def test_parallel_sweep_byte_identical_to_serial(self, monkeypatch):
         kwargs = dict(
             policies=("unit", "imu"),
             traces=("med-unif",),
@@ -94,7 +94,8 @@ class TestScenarioDeterminism:
             base=config(faults=combined_scenario()),
         )
         serial = run_grid(**kwargs)
-        parallel = run_grid_parallel(workers=2, **kwargs)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        parallel = run_grid(**kwargs)
         assert list(serial) == list(parallel)
         for key in serial:
             assert _stable_report_bytes(serial[key]) == _stable_report_bytes(

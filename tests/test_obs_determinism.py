@@ -17,7 +17,7 @@ import json
 from repro.core.usm import PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweep import run_grid, run_grid_parallel
+from repro.experiments.sweep import WORKERS_ENV, run_grid
 from repro.obs.config import ObsConfig
 from repro.obs.export import trace_digest
 from repro.obs.metrics import RunMetrics
@@ -54,7 +54,7 @@ class TestTraceDeterminism:
             _run(other).obs_events
         )
 
-    def test_serial_vs_parallel_sweep_identical_traces(self):
+    def test_serial_vs_parallel_sweep_identical_traces(self, monkeypatch):
         kwargs = dict(
             policies=("unit", "odu"),
             traces=("low-unif", "med-unif"),
@@ -67,7 +67,8 @@ class TestTraceDeterminism:
             ),
         )
         serial = run_grid(**kwargs)
-        parallel = run_grid_parallel(workers=2, **kwargs)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        parallel = run_grid(**kwargs)
         assert list(serial) == list(parallel)
         for key in serial:
             assert trace_digest(serial[key].obs_events) == trace_digest(

@@ -25,13 +25,14 @@ from repro.core.fixedpoint import fixed_from_float
 from repro.core.usm import PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweep import run_grid, run_grid_parallel
+from repro.experiments.sweep import WORKERS_ENV, run_grid
 from repro.obs import spans as spans_module
 from repro.obs import trace as trace_module
 from repro.obs.config import ObsConfig
 from repro.obs.spans import (
     COMPONENT_BY_OUTCOME,
     SKIP_DUPLICATE_ADMIT,
+    SKIP_MALFORMED,
     SKIP_ORPHAN_OUTCOME,
     SKIP_ORPHAN_SCHED,
     SKIP_UNFINISHED,
@@ -137,7 +138,7 @@ class TestSpanDeterminism:
         _, second = _spans_for(8)
         assert render_spans_jsonl(first) != render_spans_jsonl(second)
 
-    def test_serial_vs_parallel_sweep_identical_spans(self):
+    def test_serial_vs_parallel_sweep_identical_spans(self, monkeypatch):
         kwargs = dict(
             policies=("unit", "odu"),
             traces=("low-unif", "med-unif"),
@@ -150,7 +151,8 @@ class TestSpanDeterminism:
             ),
         )
         serial = run_grid(**kwargs)
-        parallel = run_grid_parallel(workers=2, **kwargs)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        parallel = run_grid(**kwargs)
         for key in serial:
             assert render_spans_jsonl(build_spans(serial[key].obs_events)) == (
                 render_spans_jsonl(build_spans(parallel[key].obs_events))
@@ -202,6 +204,28 @@ class TestMalformedStreams:
         assert len(result.spans) == 1
         assert result.skipped[SKIP_DUPLICATE_ADMIT] == 1
         assert result.spans[0].admit == 1.0
+
+    @pytest.mark.parametrize("shape", ["dicts", "tuples"])
+    def test_late_first_sched_event_skipped_as_malformed(self, shape):
+        """The admit's same-instant enqueue is missing, so the segments
+        cannot telescope to end - admit: skip and count, never raise."""
+        events = [self.ADMIT, self.RUN, self.DONE]
+        if shape == "tuples":
+            events = [trace_module.from_dict(event) for event in events]
+        result = build_spans(events)
+        assert result.spans == []
+        assert result.skipped[SKIP_MALFORMED] == 1
+        assert result.partial
+
+    def test_malformed_query_does_not_hide_well_formed_ones(self):
+        other = [
+            {"t": 2.0, "kind": "query.admit", "txn": 2, "deadline": 3.0},
+            {"t": 2.0, "kind": "sched.enqueue", "txn": 2, "cause": "admit"},
+            dict(self.DONE, txn=2, t=2.5),
+        ]
+        result = build_spans([self.ADMIT, self.RUN, self.DONE] + other)
+        assert [span.txn for span in result.spans] == [2]
+        assert result.summary()["skipped"] == {SKIP_MALFORMED: 1}
 
     def test_unfinished_span_counted_not_emitted(self):
         result = build_spans([self.ADMIT, self.ENQ])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.usm import PenaltyProfile
 from repro.experiments.config import SCALES
-from repro.experiments.sweep import WORKERS_ENV, run_grid, run_grid_parallel
+from repro.experiments.sweep import WORKERS_ENV, run_grid
 from repro.workload.__main__ import main as workload_main
 
 from tests.test_determinism_regression import _stable_report_bytes
@@ -18,6 +18,12 @@ GRID_KWARGS = dict(
     scale=SMOKE,
     seed=5,
 )
+
+
+def _pooled(monkeypatch, workers="2", **kwargs):
+    """``run_grid`` with ``REPRO_SWEEP_WORKERS`` set to ``workers``."""
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    return run_grid(**kwargs)
 
 
 def _progress_lines(caplog, monkeypatch, run):
@@ -37,7 +43,7 @@ def _progress_lines(caplog, monkeypatch, run):
 
 
 class TestParallelSweep:
-    def test_matches_serial_results(self):
+    def test_matches_serial_results(self, monkeypatch):
         kwargs = dict(
             policies=("imu", "odu"),
             traces=("low-unif",),
@@ -46,31 +52,34 @@ class TestParallelSweep:
             seed=5,
         )
         serial = run_grid(**kwargs)
-        parallel = run_grid_parallel(workers=2, **kwargs)
+        parallel = _pooled(monkeypatch, **kwargs)
         assert set(serial) == set(parallel)
         for key in serial:
             assert serial[key].usm == parallel[key].usm
             assert serial[key].outcome_counts == parallel[key].outcome_counts
 
-    def test_single_worker_fallback(self):
-        reports = run_grid_parallel(
+    def test_single_worker_fallback(self, monkeypatch):
+        reports = _pooled(
+            monkeypatch,
+            workers="1",
             policies=("imu",),
             traces=("low-unif",),
             profiles=(PenaltyProfile.naive(),),
             scale=SMOKE,
             seed=5,
-            workers=1,
         )
         assert len(reports) == 1
 
-    def test_empty_grid(self):
-        assert run_grid_parallel((), (), (), SMOKE) == {}
+    def test_empty_grid(self, monkeypatch):
+        assert _pooled(
+            monkeypatch, policies=(), traces=(), profiles=(), scale=SMOKE
+        ) == {}
 
 
 class TestExecutorDeterminism:
-    def test_parallel_reports_byte_identical_to_serial(self):
+    def test_parallel_reports_byte_identical_to_serial(self, monkeypatch):
         serial = run_grid(**GRID_KWARGS)
-        parallel = run_grid_parallel(workers=2, **GRID_KWARGS)
+        parallel = _pooled(monkeypatch, **GRID_KWARGS)
         assert list(serial) == list(parallel)  # entry order, not just keys
         for key in serial:
             assert _stable_report_bytes(serial[key]) == _stable_report_bytes(
@@ -85,8 +94,8 @@ class TestExecutorDeterminism:
         assert [line.split()[1] for line in lines] == ["1/4", "2/4", "3/4", "4/4"]
 
     def test_parallel_progress_callback_fires_per_cell(self, caplog, monkeypatch):
-        lines = _progress_lines(caplog, monkeypatch, lambda: run_grid_parallel(
-            workers=2, progress=True, **GRID_KWARGS
+        lines = _progress_lines(caplog, monkeypatch, lambda: _pooled(
+            monkeypatch, progress=True, **GRID_KWARGS
         ))
         assert sorted(line.split()[1] for line in lines) == [
             "1/4", "2/4", "3/4", "4/4"
