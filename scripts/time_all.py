@@ -29,7 +29,6 @@ from pathlib import Path
 def _run(src: str, scale: str, seed: int, stdout: Path) -> float:
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("REPRO_SWEEP_WORKERS", None)
-    env.pop("REPRO_WORKLOAD_CACHE", None)
     command = [sys.executable, "-m", "repro.experiments", "all"]
     command += ["--scale", scale, "--seed", str(seed)]
     started = time.perf_counter()

@@ -15,31 +15,31 @@ gives.  A cell whose run reads the profile outside the policy (span
 attribution with observability on; degradation metrics of a faulted run
 that keeps its records) never shares.  Sharing is scoped to one call.
 
-With ``REPRO_SWEEP_WORKERS`` set to an integer > 1 the distinct
-simulations fan out over a persistent process pool (``imap``: results
-come back in order), so the reports are bit-identical to the serial
-ones, order included.  The parent warms the workload cache before dispatch
-(fork-started workers inherit it) and each worker's initializer points
-the on-disk tier at the parent's directory when one is configured.  A
-``base`` config carrying ``faults`` sweeps a fault scenario: every cell
-inherits it, and trace-shaping scenarios fold into ``workload_key()``,
-so the warm-up covers the perturbed traces too.
+The distinct simulations go through :func:`fan_out`, the one way to
+run independent tasks in parallel (``python -m repro.fleet figure``
+runs its fleet cells through it too).  With ``REPRO_SWEEP_WORKERS`` set
+to an integer > 1 it opens a process pool for the one call (``imap``:
+results come back in order), so the reports are bit-identical to the
+serial ones, order included.  The parent warms the workload cache
+before it opens the pool, so the fork-started workers inherit every
+workload of the call and generate none.  A ``base`` config carrying
+``faults`` sweeps a fault scenario: every cell inherits it, and
+trace-shaping scenarios fold into ``workload_key()``, so the warm-up
+covers the perturbed traces too.
 """
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import multiprocessing
-import multiprocessing.pool
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.usm import PenaltyProfile, UsmAccumulator
 from repro.experiments.config import POLICY_CLASSES, ExperimentConfig, ExperimentScale
 from repro.experiments.runner import SimulationReport, run_experiment
 from repro.obs.logging_setup import get_logger
-from repro.workload.cache import CACHE_DIR_ENV, default_cache
+from repro.workload.cache import default_cache
 
 _log = get_logger(__name__)
 
@@ -47,6 +47,9 @@ SweepKey = Tuple[str, str, str]  # (policy, trace, profile-name)
 
 #: Environment override for the worker count (int; > 1 enables the pool).
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
+
+_Task = TypeVar("_Task")
+_Result = TypeVar("_Result")
 
 
 def _env_workers() -> int:
@@ -62,12 +65,10 @@ def _sweep_key(config: ExperimentConfig) -> SweepKey:
     return (config.policy, config.update_trace, config.profile.name or "naive")
 
 
-def _log_progress(
-    config: ExperimentConfig, report: SimulationReport, done: int, total: int
-) -> None:
+def _log_progress(report: SimulationReport, done: int, total: int) -> None:
     _log.info(
         "[sweep] %d/%d %-5s %-9s %-15s USM=%+.4f (%.1fs)",
-        done, total, *_sweep_key(config), report.usm, report.wall_seconds,
+        done, total, *_sweep_key(report.config), report.usm, report.wall_seconds,
     )
 
 
@@ -140,7 +141,11 @@ def run_cells(
             simulations.append(cell)
             forms.append(form)
         serving.append(index)
-    reports = _simulate(simulations, progress)
+    reports: List[SimulationReport] = []
+    for done, report in enumerate(fan_out(_run_one, simulations, simulations), start=1):
+        reports.append(report)
+        if progress:
+            _log_progress(report, done, len(simulations))
     results: List[SimulationReport] = []
     served = set()
     for cell, index in zip(cells, serving):
@@ -176,70 +181,39 @@ def run_grid(
     }
 
 
-def _simulate(
-    configs: List[ExperimentConfig], progress: bool
-) -> List[SimulationReport]:
-    """Run every config, serially or over the pool; reports in order."""
-    total = len(configs)
-    workers = min(_env_workers(), total)
-    runs: Iterable[SimulationReport] = map(run_experiment, configs)
-    if workers > 1:
-        # Generate each distinct workload once, up front: fork-started
-        # workers inherit the warm in-memory cache, and when a disk tier
-        # is configured the warm run also populates it for spawn-started
-        # ones.
-        default_cache().warm(configs)
-        pool = _get_pool(workers, os.environ.get(CACHE_DIR_ENV, ""))
-        runs = pool.imap(_run_one, configs, max(1, total // (workers * 4)))
-    reports = []
-    for done, report in enumerate(runs, start=1):
-        reports.append(report)
-        if progress:
-            _log_progress(report.config, report, done, total)
-    return reports
-
-
 def _run_one(config: ExperimentConfig) -> SimulationReport:
     """A pool task (module-level, so workers resolve it by name)."""
     return run_experiment(config)
 
 
-# ----------------------------------------------------------------------
-# persistent process pool
-# ----------------------------------------------------------------------
+def fan_out(
+    function: Callable[[_Task], _Result],
+    tasks: Sequence[_Task],
+    workloads: Iterable[ExperimentConfig],
+) -> Iterator[_Result]:
+    """``function`` over ``tasks``, results in task order.
 
-_POOL: Optional[multiprocessing.pool.Pool] = None
-_POOL_STATE: Optional[Tuple[int, str]] = None  # (workers, cache dir)
-
-
-def _worker_init(cache_env: str) -> None:
-    """Worker initializer: point the workload cache's disk tier at the
-    parent's directory so every process shares one store."""
-    if cache_env:
-        os.environ[CACHE_DIR_ENV] = cache_env
-
-
-def shutdown_pool() -> None:
-    """Terminate the persistent sweep pool (idempotent)."""
-    global _POOL, _POOL_STATE
-    if _POOL is not None:
-        _POOL.terminate()
-        _POOL.join()
-        _POOL = None
-        _POOL_STATE = None
+    Serial in this process unless ``REPRO_SWEEP_WORKERS`` > 1 and there
+    is more than one task.  Then the parent first generates every
+    workload of ``workloads`` into the default cache and only then opens
+    a fork-started pool, so the workers inherit this call's workloads;
+    the pool is closed when the iteration ends.  ``function`` must be
+    module-level: workers resolve it by name.
+    """
+    workers = min(_env_workers(), len(tasks))
+    if workers <= 1:
+        yield from map(function, tasks)
+        return
+    default_cache().warm(workloads)
+    with fork_context().Pool(workers) as pool:
+        yield from pool.imap(function, tasks, max(1, len(tasks) // (workers * 4)))
 
 
-atexit.register(shutdown_pool)
-
-
-def _get_pool(workers: int, cache_env: str) -> multiprocessing.pool.Pool:
-    """The persistent pool, recreated only when its shape changes."""
-    global _POOL, _POOL_STATE
-    state = (workers, cache_env)
-    if _POOL is None or _POOL_STATE != state:
-        shutdown_pool()
-        _POOL = multiprocessing.Pool(
-            workers, initializer=_worker_init, initargs=(cache_env,)
-        )
-        _POOL_STATE = state
-    return _POOL
+def fork_context() -> multiprocessing.context.BaseContext:
+    """The ``fork`` start method, which carries the parent's warm module
+    state (the workload cache) into the workers; the platform default
+    where fork does not exist."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return multiprocessing.get_context()

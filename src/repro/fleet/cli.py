@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -24,6 +23,7 @@ from repro.db.transactions import Outcome
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.report import ascii_table, stable_report_digest
 from repro.experiments.runner import run_experiment
+from repro.experiments.sweep import fan_out
 from repro.fleet.report import FleetReport
 from repro.fleet.router import ROUTER_POLICIES
 from repro.fleet.runner import FleetConfig, run_fleet
@@ -91,6 +91,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _smoke_fleet(args: argparse.Namespace, trace: str, workers: int = 0) -> FleetConfig:
+    """A fresh smoke fleet: 2 shards, 2-way replication, freshness routing."""
+    return FleetConfig(
+        base=_base_config(args, trace),
+        n_shards=2,
+        replication=2,
+        router_policy="freshness",
+        workers=workers,
+    )
+
+
 def _cmd_smoke(args: argparse.Namespace) -> int:
     """The CI gate: equivalence, determinism, and a paired mini-sweep."""
     failures: List[str] = []
@@ -107,26 +118,14 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
     artifact: Dict[str, object] = {"scale": args.scale, "seed": args.seed, "cells": {}}
     for trace in ("low-unif", "med-unif"):
-        cell_base = _base_config(args, trace)
-        fleet = FleetConfig(
-            base=cell_base, n_shards=2, replication=2, router_policy="freshness"
-        )
-        first = run_fleet(fleet)
-        second = run_fleet(dataclasses_replace_fleet(fleet))
+        first = run_fleet(_smoke_fleet(args, trace))
+        second = run_fleet(_smoke_fleet(args, trace))
         repeat_ok = first.digest == second.digest
         if not repeat_ok:
             failures.append(f"2-shard repeat determinism broke on {trace}")
         serial_vs_procs_ok = True
         if args.processes:
-            procs = run_fleet(
-                FleetConfig(
-                    base=cell_base,
-                    n_shards=2,
-                    replication=2,
-                    router_policy="freshness",
-                    workers=1,
-                )
-            )
+            procs = run_fleet(_smoke_fleet(args, trace, workers=1))
             serial_vs_procs_ok = procs.digest == first.digest
             if not serial_vs_procs_ok:
                 failures.append(f"serial-vs-process fleets diverged on {trace}")
@@ -147,63 +146,35 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def dataclasses_replace_fleet(fleet: FleetConfig) -> FleetConfig:
-    """A fresh, equal FleetConfig (guards against in-place mutation)."""
-    import dataclasses
-
-    return dataclasses.replace(fleet, base=dataclasses.replace(fleet.base))
-
-
-def _figure_cells(args: argparse.Namespace) -> List[Tuple[Tuple[str, str], FleetConfig]]:
-    cells: List[Tuple[Tuple[str, str], FleetConfig]] = []
-    for trace in FIGURE_TRACES:
-        for label, shards, replication, router in FIGURE_VARIANTS:
-            base = _base_config(args, trace)
-            cells.append(
-                (
-                    (trace, label),
-                    FleetConfig(
-                        base=base,
-                        n_shards=shards,
-                        replication=replication,
-                        router_policy=router,
-                        replica_lag=args.replica_lag,
-                        sync_period=args.sync_period,
-                    ),
-                )
-            )
-    return cells
+def _figure_cells(args: argparse.Namespace) -> Dict[Tuple[str, str], FleetConfig]:
+    """The figure's fleets keyed by ``(trace, variant label)``, in grid order."""
+    return {
+        (trace, label): FleetConfig(
+            base=_base_config(args, trace),
+            n_shards=shards,
+            replication=replication,
+            router_policy=router,
+            replica_lag=args.replica_lag,
+            sync_period=args.sync_period,
+        )
+        for trace in FIGURE_TRACES
+        for label, shards, replication, router in FIGURE_VARIANTS
+    }
 
 
-def _run_figure_cell(
-    cell: Tuple[Tuple[str, str], FleetConfig]
-) -> Tuple[Tuple[str, str], Dict[str, object]]:
-    """Module-level worker for the sweep pool (must be picklable)."""
-    key, fleet = cell
-    return key, _cell_metrics(run_fleet(fleet))
+def _run_figure_cell(fleet: FleetConfig) -> Dict[str, object]:
+    """One figure cell (module-level: :func:`fan_out` ships it to workers)."""
+    return _cell_metrics(run_fleet(fleet))
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import _get_pool
-    from repro.workload.cache import CACHE_DIR_ENV, default_cache
-
     cells = _figure_cells(args)
-    results: Dict[Tuple[str, str], Dict[str, object]] = {}
-    if args.workers and args.workers > 1:
-        # Fleet cells ride the same persistent pool the single-server
-        # sweeps use; each cell runs its shards serially in the worker.
-        default_cache().warm(fleet.base for _, fleet in cells)
-        pool = _get_pool(
-            min(args.workers, len(cells)), os.environ.get(CACHE_DIR_ENV, "")
-        )
-        for key, metrics in pool.imap_unordered(_run_figure_cell, cells):
-            results[key] = metrics
-    else:
-        for cell in cells:
-            key, metrics = _run_figure_cell(cell)
-            results[key] = metrics
-    # Deterministic assembly: grid order, not completion order.
-    results = {key: results[key] for key, _ in cells}
+    fleets = list(cells.values())
+    # Each cell runs its shards serially (in a sweep worker when
+    # REPRO_SWEEP_WORKERS > 1).
+    results = dict(
+        zip(cells, fan_out(_run_figure_cell, fleets, (fleet.base for fleet in fleets)))
+    )
 
     rows = []
     for (trace, label), metrics in results.items():
@@ -273,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure_p = sub.add_parser("figure", help="1-vs-4-shard routing sweep")
     _add_common(figure_p)
-    figure_p.add_argument("--workers", type=int, default=0)
     figure_p.set_defaults(func=_cmd_figure)
     return parser
 

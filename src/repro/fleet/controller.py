@@ -20,7 +20,7 @@ single-server runner.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.trace import Recorder
 
@@ -33,15 +33,6 @@ class EpochSummary:
     time: float
     deltas: Dict[str, int]  # outcome value -> count this epoch
     c_flex: Optional[float]  # None for non-UNIT policies
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, object]) -> "EpochSummary":
-        return cls(
-            shard_id=int(raw["shard"]),  # type: ignore[arg-type]
-            time=float(raw["time"]),  # type: ignore[arg-type]
-            deltas=dict(raw["deltas"]),  # type: ignore[arg-type]
-            c_flex=raw.get("c_flex"),  # type: ignore[arg-type]
-        )
 
     @property
     def total(self) -> int:

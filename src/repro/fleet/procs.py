@@ -3,17 +3,18 @@
 One long-lived worker process per shard, driven over a
 :class:`multiprocessing.Pipe` in lockstep epochs:
 
-    init(spec) -> [apply(directive)? -> run_to(t) -> summary]* -> finish
+    init(spec) -> [step(t, directive) -> summary]* -> finish
 
-A shard's trajectory is a pure function of its spec and the directive
-sequence it receives, and the coordinator computes directives from the
-summaries alone — so the process-parallel fleet is byte-identical to
-the serial in-process loop (the equivalence the fleet test suite locks
-in).  Workers complement the sweep pool in
-:mod:`repro.experiments.sweep`: the pool parallelizes *independent*
-fleet cells across a sweep grid, while these processes parallelize the
-*coupled* shards inside one fleet run (a stateful epoch protocol the
-pool's fire-and-forget tasks cannot express).
+Each epoch is one :meth:`ShardRun.step`, the call a serial fleet makes
+in process.  A shard's trajectory is a pure function of its spec and
+the directive sequence it receives, and the coordinator computes
+directives from the summaries alone — so the process-parallel fleet is
+byte-identical to the serial one (the equivalence the fleet test suite
+locks in).  Workers complement :func:`repro.experiments.sweep.fan_out`:
+the fan-out parallelizes *independent* fleet cells across a sweep
+grid, while these processes parallelize the *coupled* shards inside one
+fleet run (a stateful epoch protocol the pool's fire-and-forget tasks
+cannot express).
 
 A worker that dies, replies with an error, or stays silent past the
 reply deadline surfaces in the parent as a :class:`ShardProcessError`
@@ -26,10 +27,11 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.runner import SimulationReport
-from repro.fleet.controller import Directive
+from repro.experiments.sweep import fork_context
+from repro.fleet.controller import Directive, EpochSummary
 from repro.fleet.substrate import ShardRun, ShardSpec
 
 _CMD_RUN_TO = "run_to"
@@ -66,10 +68,7 @@ def _shard_worker(
             command = message[0]
             if command == _CMD_RUN_TO:
                 _, until, directive = message
-                if directive is not None:
-                    run.apply_directive(directive)
-                run.run_to(until)
-                conn.send(("ok", run.epoch_summary()))
+                conn.send(("ok", run.step(until, directive)))
             elif command == _CMD_FINISH:
                 conn.send(("ok", run.finish(started=started)))
                 break
@@ -91,12 +90,7 @@ class ShardProcessPool:
     """One process per shard, stepped in lockstep epochs."""
 
     def __init__(self, specs: Sequence[ShardSpec]) -> None:
-        # fork keeps the parent's warm module state (same reasoning as
-        # the sweep pool); fall back to the platform default elsewhere.
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            ctx = multiprocessing.get_context()
+        ctx = fork_context()
         self._conns: List["multiprocessing.connection.Connection"] = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
         #: The command each shard is serving, for error messages.
@@ -153,7 +147,7 @@ class ShardProcessPool:
 
     def run_epoch(
         self, until: float, directives: Optional[Sequence[Optional[Directive]]] = None
-    ) -> List[Dict[str, object]]:
+    ) -> List[EpochSummary]:
         """Advance every shard to ``until``; returns epoch summaries.
 
         All shards run concurrently (commands are sent before any reply

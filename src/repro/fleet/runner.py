@@ -9,11 +9,12 @@ byte-identical to one continuous run — so epoch slicing never perturbs
 a shard's trajectory, and a no-op directive stream (the 1-shard case)
 reproduces the single-server runner exactly.
 
-Shards execute either serially in-process (``workers=0``, the
-reference order) or as one OS process each (:mod:`repro.fleet.procs`);
-both paths see identical specs and identical directive sequences, so
-their merged reports are byte-identical — a property the test suite
-asserts rather than assumes.
+One epoch loop steps every shard with :meth:`ShardRun.step`, either
+serially in-process (``workers=0``, the reference order) or in one OS
+process per shard (:mod:`repro.fleet.procs`); both see identical specs
+and identical directive sequences, so their merged reports are
+byte-identical — a property the test suite asserts rather than
+assumes.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import time
 from typing import Dict, List, Optional
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import SimulationReport
 from repro.faults.scenario import FaultScenario
 from repro.fleet.controller import Directive, EpochSummary, GlobalCoordinator
 from repro.fleet.partition import build_partition
+from repro.fleet.procs import ShardProcessPool
 from repro.fleet.report import FleetReport, merge_reports
 from repro.fleet.router import route_queries
-from repro.fleet.substrate import ShardRun, ShardSpec, build_shard_specs
+from repro.fleet.substrate import ShardRun, build_shard_specs
 from repro.obs.trace import TraceRecorder
 from repro.workload.cache import get_workload
 
@@ -112,13 +113,13 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
     horizon = base.scale.horizon
     epochs = max(1, math.ceil(horizon / fleet.sync_period))
 
-    def plan_epoch(raw_summaries: List[Dict[str, object]]) -> Optional[List[Optional[Directive]]]:
+    no_directives: List[Optional[Directive]] = [None] * len(specs)
+
+    def plan_epoch(summaries: List[EpochSummary]) -> List[Optional[Directive]]:
         if not fleet.coordinate:
-            return None
-        summaries = [EpochSummary.from_dict(raw) for raw in raw_summaries]
-        planned = coordinator.plan(summaries)
+            return no_directives
         directives: List[Optional[Directive]] = []
-        for directive in planned:
+        for directive in coordinator.plan(summaries):
             if directive.is_noop:
                 directives.append(None)
             else:
@@ -133,36 +134,30 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
                 )
         return directives
 
-    if fleet.workers and fleet.n_shards > 1:
-        from repro.fleet.procs import ShardProcessPool
-
-        pool = ShardProcessPool(specs)
-        try:
-            directives: Optional[List[Optional[Directive]]] = None
-            for epoch in range(1, epochs + 1):
-                until = min(horizon, epoch * fleet.sync_period)
-                raw = pool.run_epoch(until, directives)
-                directives = plan_epoch(raw)
-            reports = pool.finish()
-        finally:
-            pool.close()
-    else:
-        # Wall timing stays in locals here (and in the process worker):
-        # the substrate object itself must never hold a wall-clock
-        # value, only the sanctioned `wall_seconds` report field does.
-        serial_started = time.perf_counter()
-        runs = [ShardRun(spec) for spec in specs]
-        directives = None
+    # One epoch loop; serial and process shards differ only in how each
+    # epoch is stepped and how the shards finish.  Wall timing stays in
+    # locals here (and in the process worker): the substrate object
+    # itself must never hold a wall-clock value, only the sanctioned
+    # `wall_seconds` report field does.
+    pool = ShardProcessPool(specs) if fleet.workers and fleet.n_shards > 1 else None
+    serial_started = time.perf_counter()
+    runs = [ShardRun(spec) for spec in specs] if pool is None else []
+    try:
+        directives = no_directives
         for epoch in range(1, epochs + 1):
             until = min(horizon, epoch * fleet.sync_period)
-            raw = []
-            for index, run in enumerate(runs):
-                if directives is not None and directives[index] is not None:
-                    run.apply_directive(directives[index])  # type: ignore[arg-type]
-                run.run_to(until)
-                raw.append(run.epoch_summary())
-            directives = plan_epoch(raw)
-        reports = [run.finish(started=serial_started) for run in runs]
+            if pool is None:
+                summaries = [run.step(until, d) for run, d in zip(runs, directives)]
+            else:
+                summaries = pool.run_epoch(until, directives)
+            directives = plan_epoch(summaries)
+        if pool is None:
+            reports = [run.finish(started=serial_started) for run in runs]
+        else:
+            reports = pool.finish()
+    finally:
+        if pool is not None:
+            pool.close()
 
     merged = merge_reports(base, specs, reports, time.perf_counter() - started)
     obs_summary = recorder.summary() if recorder is not None else None
@@ -178,3 +173,4 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
         epochs=epochs,
         obs_summary=obs_summary,
     )
+

@@ -26,6 +26,7 @@ from repro.core.unit import UnitPolicy
 from repro.db.transactions import Outcome
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import Substrate
+from repro.fleet.controller import Directive, EpochSummary
 from repro.obs.spans import build_spans  # noqa: F401  (perfbench patches this name)
 from repro.sim.rng import derive_seed
 from repro.workload.queries import QuerySpec, QueryTrace
@@ -33,7 +34,6 @@ from repro.workload.updates import ItemUpdateSpec, UpdateTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.faults.scenario import FaultScenario
-    from repro.fleet.controller import Directive
     from repro.fleet.partition import Partition
     from repro.fleet.router import RoutingPlan
 
@@ -63,7 +63,15 @@ class ShardRun(Substrate):
         )
         self._epoch_counts: Dict[Outcome, int] = {o: 0 for o in Outcome}
 
-    def epoch_summary(self) -> Dict[str, object]:
+    def step(self, until: float, directive: Optional[Directive]) -> EpochSummary:
+        """One epoch: apply ``directive`` (if any), run to ``until`` and
+        summarize.  Serial and process-parallel fleets both step here."""
+        if directive is not None:
+            self.apply_directive(directive)
+        self.run_to(until)
+        return self.epoch_summary()
+
+    def epoch_summary(self) -> EpochSummary:
         """Outcome deltas since the previous summary, plus knob state."""
         counts = self.server.outcome_counts
         deltas = {
@@ -73,14 +81,11 @@ class ShardRun(Substrate):
         c_flex: Optional[float] = None
         if isinstance(self.policy, UnitPolicy) and self.policy.admission is not None:
             c_flex = self.policy.admission.c_flex
-        return {
-            "shard": self.spec.shard_id,
-            "time": self.sim.now,
-            "deltas": deltas,
-            "c_flex": c_flex,
-        }
+        return EpochSummary(
+            shard_id=self.spec.shard_id, time=self.sim.now, deltas=deltas, c_flex=c_flex
+        )
 
-    def apply_directive(self, directive: "Directive") -> bool:
+    def apply_directive(self, directive: Directive) -> bool:
         """Apply a coordinator directive; returns True if anything changed.
 
         Only the UNIT policy exposes the knobs; baseline policies

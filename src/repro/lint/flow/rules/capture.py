@@ -171,8 +171,11 @@ class CrossProcessCaptureRule(Rule):
         site: _SubmitSite,
         entry_points: Set[str],
     ) -> Iterator[Violation]:
-        mod = analysis.symbols.modules[site.func.module].module
+        shipped: List[Tuple[FunctionInfo, ast.expr]] = []
         for expr in site.callable_exprs:
+            shipped.extend(self._callable_sources(analysis, site.func, expr, set()))
+        for func, expr in shipped:
+            mod = analysis.symbols.modules[func.module].module
             if isinstance(expr, ast.Lambda):
                 yield self.violation(
                     mod.ctx,
@@ -191,7 +194,7 @@ class CrossProcessCaptureRule(Rule):
                 )
                 continue
             if isinstance(expr, ast.Name):
-                if self._is_nested_def(site.func, expr.id):
+                if self._is_nested_def(func, expr.id):
                     yield self.violation(
                         mod.ctx,
                         expr,
@@ -200,7 +203,7 @@ class CrossProcessCaptureRule(Rule):
                         "to module level and pass state as arguments",
                     )
                     continue
-                resolved = analysis.symbols.resolve_name(site.func.module, expr.id)
+                resolved = analysis.symbols.resolve_name(func.module, expr.id)
                 if resolved is not None and resolved in analysis.symbols.functions:
                     info = analysis.symbols.functions[resolved]
                     if info.class_name is None:
@@ -212,6 +215,44 @@ class CrossProcessCaptureRule(Rule):
                             f"method {info.local_name} shipped to the process "
                             "pool; ship a module-level function instead",
                         )
+
+    def _callable_sources(
+        self,
+        analysis: FlowAnalysis,
+        func: FunctionInfo,
+        expr: ast.expr,
+        seen: Set[str],
+    ) -> Iterator[Tuple[FunctionInfo, ast.expr]]:
+        """The expressions that reach ``expr`` in ``func``: itself, or,
+        when it names a parameter of ``func`` (a fan-out helper), the
+        argument every resolved call site passes for that parameter."""
+        params = self._positional_params(func)
+        names = params + [arg.arg for arg in func.node.args.kwonlyargs]
+        if not isinstance(expr, ast.Name) or expr.id not in names:
+            yield func, expr
+            return
+        if func.qualname in seen:
+            return
+        seen = seen | {func.qualname}
+        for site in analysis.callgraph.call_sites_of(func.qualname):
+            call = site.node
+            index = params.index(expr.id) if expr.id in params else len(call.args)
+            passed: Optional[ast.expr] = None
+            if index < len(call.args) and not isinstance(call.args[index], ast.Starred):
+                passed = call.args[index]
+            for kw in call.keywords:
+                if kw.arg == expr.id:
+                    passed = kw.value
+            if passed is not None:
+                caller = analysis.symbols.functions[site.caller]
+                yield from self._callable_sources(analysis, caller, passed, seen)
+
+    def _positional_params(self, func: FunctionInfo) -> List[str]:
+        args = func.node.args
+        names = [arg.arg for arg in args.posonlyargs + args.args]
+        if func.is_method and names and names[0] in ("self", "cls"):
+            names = names[1:]
+        return names
 
     def _is_nested_def(self, func: FunctionInfo, name: str) -> bool:
         for node in func.nodes:

@@ -1,9 +1,16 @@
 """Tests for the 2PL-HP lock manager."""
 
+import collections
+import itertools
+
 from hypothesis import given, strategies as st
 
+from repro.db import locks
 from repro.db.locks import LockManager, LockMode, LockStatus
 from repro.db.transactions import QueryTransaction, UpdateTransaction
+from repro.experiments.config import POLICIES, SCALES, ExperimentConfig
+from repro.experiments.runner import run_experiment
+from repro.faults.scenarios import canned
 
 
 def query(txn_id, deadline=10.0):
@@ -180,3 +187,38 @@ def test_property_wait_edges_point_to_higher_priority(periods):
             for other in waiter_ids[:position]
         )
         assert outranked_by_holder or outranked_by_earlier_waiter
+
+
+class TestServerNeverWaits:
+    def test_simulated_runs_never_block(self, monkeypatch):
+        """On the one CPU the requester is always the top-priority ready
+        transaction, so every request is granted or preempts lower-priority
+        holders, and none waits (see the module docstring of db/locks.py).
+        Conflicts do occur in this grid, so the check is not vacuous."""
+        statuses = collections.Counter()
+        request = LockManager.request
+
+        def counting(self, *args, **kwargs):
+            result = request(self, *args, **kwargs)
+            statuses[result.status] += 1
+            return result
+
+        monkeypatch.setattr(locks.LockManager, "request", counting)
+        smoke = SCALES["smoke"]
+        for policy, trace, items, fault in itertools.product(
+            POLICIES, ("high-unif", "med-neg"), (1, 3), (None, "update-storm", "pile-up")
+        ):
+            faults = None if fault is None else canned(fault, smoke.horizon, smoke.n_items)
+            run_experiment(
+                ExperimentConfig(
+                    policy=policy,
+                    update_trace=trace,
+                    items_per_query=items,
+                    seed=5,
+                    scale=smoke,
+                    faults=faults,
+                )
+            )
+        assert statuses[LockStatus.BLOCKED] == 0
+        assert statuses[LockStatus.CONFLICT] > 0
+        assert statuses[LockStatus.GRANTED] > 0

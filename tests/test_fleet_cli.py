@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments.sweep import WORKERS_ENV
 from repro.fleet.cli import build_parser, main
 
 
@@ -65,3 +66,18 @@ class TestSmokeCommand:
         assert set(payload["cells"]) == {"low-unif", "med-unif"}
         for cell in payload["cells"].values():
             assert cell["n_shards"] == 2
+
+
+class TestFigureCommand:
+    def test_pooled_figure_matches_serial(self, tmp_path, capsys, monkeypatch):
+        """The figure's cells go through the sweep fan-out: under
+        REPRO_SWEEP_WORKERS=2 its JSON is byte-identical to a serial run."""
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            out = tmp_path / f"figure-{workers}.json"
+            assert main(["figure", "--scale", "smoke", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["cells"]) == 9

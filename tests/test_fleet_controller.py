@@ -1,5 +1,7 @@
 """Tests for the global fleet coordinator."""
 
+import pickle
+
 import pytest
 
 from repro.fleet.controller import Directive, EpochSummary, GlobalCoordinator
@@ -92,17 +94,18 @@ class TestObsAndValidation:
         assert fields["shard"] == 0
         assert fields["flex_factor"] > 1.0
 
-    def test_from_dict_roundtrip(self):
-        raw = {
-            "shard": 3,
-            "time": 40.0,
-            "deltas": {"success": 5, "rejected": 1, "dmf": 2, "dsf": 0},
-            "c_flex": 1.5,
-        }
-        parsed = EpochSummary.from_dict(raw)
-        assert parsed.shard_id == 3
-        assert parsed.miss_ratio == pytest.approx(2 / 8)
-        assert parsed.reject_ratio == pytest.approx(1 / 8)
+    def test_summary_pickle_roundtrip(self):
+        """A shard worker sends its EpochSummary over the pipe as is."""
+        sent = EpochSummary(
+            shard_id=3,
+            time=40.0,
+            deltas={"success": 5, "rejected": 1, "dmf": 2, "dsf": 0},
+            c_flex=1.5,
+        )
+        received = pickle.loads(pickle.dumps(sent))
+        assert received == sent
+        assert received.miss_ratio == pytest.approx(2 / 8)
+        assert received.reject_ratio == pytest.approx(1 / 8)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,8 @@ class TestMultiShardDeterminism:
                                        router_policy="least-loaded", workers=1))
         assert stable_report_bytes(serial.merged) == stable_report_bytes(procs.merged)
         assert serial.shard_digests() == procs.shard_digests()
+        assert serial.rebalances == procs.rebalances
+        assert serial.routing == procs.routing
 
     def test_epoch_length_does_not_change_trajectory_without_coordination(self):
         """With the coordinator off, epoch slicing is pure bookkeeping:

@@ -535,6 +535,52 @@ class TestCrossProcessCapture:
         assert rules_fired(violations) == {"SF003"}
         assert "_COUNTER" in violations[0].message
 
+    def test_callables_reaching_a_fan_out_parameter_are_checked(self, tmp_path):
+        """A helper that ships its ``function`` parameter to the pool is
+        checked at its callers: a lambda passed in is flagged where it is
+        written, and a module-level function passed in is an entry point
+        whose global mutation is flagged."""
+        violations = flow_violations(
+            tmp_path,
+            {
+                "experiments/sweep.py": """\
+                    "sweep."
+                    from multiprocessing import Pool
+
+                    _COUNTER = 0
+
+
+                    def fan_out(function, tasks):
+                        with Pool(2) as pool:
+                            yield from pool.imap(function, tasks)
+
+
+                    def _run_one(config):
+                        global _COUNTER
+                        _COUNTER += 1
+                        return config
+
+
+                    def run(configs):
+                        return list(fan_out(_run_one, configs))
+                """,
+                "fleet/cli.py": """\
+                    "cli."
+                    from repro.experiments.sweep import fan_out
+
+
+                    def figure(cells):
+                        return list(fan_out(function=lambda c: c, tasks=cells))
+                """,
+            },
+            select=["SF003"],
+        )
+        assert rules_fired(violations) == {"SF003"}
+        messages = sorted((v.path.rpartition("/")[2], v.message) for v in violations)
+        assert [path for path, _ in messages] == ["cli.py", "sweep.py"]
+        assert "lambda" in messages[0][1]
+        assert "_COUNTER" in messages[1][1]
+
     def test_non_pool_receiver_is_ignored(self, tmp_path):
         """`.map` on something that isn't pool-ish is not a submission."""
         violations = flow_violations(

@@ -126,8 +126,8 @@ class TestSeededViolations:
             tmp_path,
             Path("experiments") / "sweep.py",
             "\n\ndef _leak_lambda_to_pool(configs):\n"
-            "    pool = _get_pool(2, '')\n"
-            "    return pool.map(lambda c: c, configs)\n",
+            "    with fork_context().Pool(2) as pool:\n"
+            "        return pool.map(lambda c: c, configs)\n",
         )
         result = run_cli(str(tree))
         assert result.returncode == 1

@@ -1,10 +1,14 @@
 """Tests for the parallel sweep and the workload CLI."""
 
+import os
+
 import pytest
 
 from repro.core.usm import PenaltyProfile
+from repro.experiments import runner
 from repro.experiments.config import SCALES
-from repro.experiments.sweep import WORKERS_ENV, run_grid
+from repro.experiments.sweep import WORKERS_ENV, grid_cells, run_cells, run_grid
+from repro.workload.cache import default_cache
 from repro.workload.__main__ import main as workload_main
 
 from tests.test_determinism_regression import _stable_report_bytes
@@ -116,6 +120,33 @@ class TestExecutorDeterminism:
         monkeypatch.setenv(WORKERS_ENV, "lots")
         reports = run_grid(**GRID_KWARGS)
         assert len(reports) == 4
+
+
+class TestPerCallPool:
+    def test_pooled_calls_generate_workloads_only_in_the_parent(
+        self, tmp_path, monkeypatch
+    ):
+        """Each pooled call warms the cache and only then forks its
+        workers, so over consecutive calls on different traces every
+        workload is generated exactly once, in this process."""
+        log = tmp_path / "generations"
+        original = runner.build_workload
+
+        def recording(*args, **kwargs):
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_workload", recording)
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        default_cache().clear()
+        traces = ("low-unif", "med-neg", "high-unif")
+        for trace in traces:
+            cells = grid_cells(
+                ("unit", "imu", "odu"), (trace,), (PenaltyProfile.naive(),), SMOKE, seed=5
+            )
+            assert len(run_cells(cells)) == 3
+        assert log.read_text().split() == [str(os.getpid())] * len(traces)
 
 
 class TestWorkloadCli:

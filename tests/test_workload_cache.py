@@ -18,7 +18,7 @@ from repro.experiments.runner import build_query_workload, build_workload, run_e
 from repro.experiments.sweep import WORKERS_ENV, run_grid
 from repro.faults.scenario import FaultScenario, FlashCrowd, HotspotShift, UpdateStorm
 from repro.sim.rng import RandomStreams
-from repro.workload.cache import CACHE_DIR_ENV, WorkloadCache, default_cache
+from repro.workload.cache import WorkloadCache, default_cache
 from repro.workload.updates import STANDARD_UPDATE_TRACES, build_update_trace
 
 from tests.test_determinism_regression import _stable_report_bytes
@@ -56,17 +56,15 @@ class TestWorkloadKey:
 
 
 class TestCacheBehavior:
-    def test_hit_returns_the_same_objects(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    def test_hit_returns_the_same_objects(self):
         cache = WorkloadCache()
         first = cache.get(_config())
         second = cache.get(_config(policy="imu"))  # same workload key
         assert second[0] is first[0]
         assert second[1] is first[1]
-        assert (cache.hits, cache.misses, cache.disk_hits) == (1, 1, 0)
+        assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_lru_bound_is_enforced(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    def test_lru_bound_is_enforced(self):
         cache = WorkloadCache(max_entries=1)
         cache.get(_config())
         cache.get(_config(update_trace="med-pos"))  # evicts the first
@@ -74,77 +72,23 @@ class TestCacheBehavior:
         cache.get(_config())  # regenerated, not remembered
         assert cache.misses == 3
 
-    def test_disk_tier_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        writer = WorkloadCache()
-        query_trace, update_trace = writer.get(_config())
-        reader = WorkloadCache()  # fresh memory: must come from disk
-        query_loaded, update_loaded = reader.get(_config())
-        assert (reader.disk_hits, reader.misses) == (1, 0)
-        assert len(query_loaded.queries) == len(query_trace.queries)
-        assert query_loaded.queries[0].arrival == query_trace.queries[0].arrival
-        assert [item.period for item in update_loaded.items] == [
-            item.period for item in update_trace.items
-        ]
-
-    def test_corrupt_disk_entry_regenerates(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        WorkloadCache().get(_config())
-        for path in tmp_path.iterdir():
-            path.write_bytes(b"not a pickle")
-        fresh = WorkloadCache()
-        fresh.get(_config())
-        assert (fresh.disk_hits, fresh.misses) == (0, 1)
-
-    def test_truncated_disk_entry_regenerates(self, tmp_path, monkeypatch):
-        """A pickle cut off mid-stream (partial write, full disk) must
-        be treated as a miss, not crash the run."""
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        WorkloadCache().get(_config())
-        for path in tmp_path.iterdir():
-            data = path.read_bytes()
-            path.write_bytes(data[: len(data) // 2])
-        fresh = WorkloadCache()
-        query_trace, update_trace = fresh.get(_config())
-        assert (fresh.disk_hits, fresh.misses) == (0, 1)
-        assert query_trace.queries and update_trace.items
-
-    def test_disabled_env_values_mean_memory_only(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, "off")
-        cache = WorkloadCache()
-        cache.get(_config())
-        assert cache._disk_path("x") is None
-
-    def test_env_value_whitespace_is_stripped(self, tmp_path, monkeypatch):
-        """A padded path (trailing newline from `export FOO=$(...)`) must
-        resolve to the same directory, and padded disable tokens must
-        still disable."""
-        monkeypatch.setenv(CACHE_DIR_ENV, f"  {tmp_path}\n")
-        writer = WorkloadCache()
-        writer.get(_config())
-        assert any(tmp_path.iterdir())  # spilled into the *unpadded* dir
-        monkeypatch.setenv(CACHE_DIR_ENV, " off \n")
-        assert WorkloadCache()._disk_path("x") is None
-
-    def test_clear_resets_counters(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    def test_clear_resets_counters(self):
         cache = WorkloadCache()
         cache.get(_config())
         cache.get(_config())
         assert (cache.hits, cache.misses) == (1, 1)
         cache.clear()
-        assert (cache.hits, cache.misses, cache.disk_hits) == (0, 0, 0)
+        assert (cache.hits, cache.misses) == (0, 0)
         assert len(cache) == 0
 
 
 class TestCrossProcessEquivalence:
-    def test_fresh_caches_generate_identical_workloads(self, monkeypatch):
+    def test_fresh_caches_generate_identical_workloads(self):
         """The contract behind the SF003 suppression on ``get_workload``:
         each sweep-pool worker holds its *own* module-global cache, so
         sharing is only sound because generation is a pure function of
         the config.  Two caches standing in for two worker processes
         must produce identical traces."""
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         query_a, update_a = WorkloadCache().get(_config())
         query_b, update_b = WorkloadCache().get(_config())
         assert [q.arrival for q in query_a.queries] == [
@@ -156,11 +100,10 @@ class TestCrossProcessEquivalence:
 
 
 class TestCachedRunsAreByteIdentical:
-    def test_warm_cache_changes_nothing(self, monkeypatch):
+    def test_warm_cache_changes_nothing(self):
         """The regression gate for the whole scheme: a report computed
         from a cache hit is byte-for-byte the report computed from a
         freshly generated workload."""
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         cache = default_cache()
         cache.clear()
         cold = _stable_report_bytes(run_experiment(_config()))  # miss
@@ -294,7 +237,6 @@ class TestKeyCoverage:
 
 class TestQueryTier:
     def test_update_only_differences_share_one_query_trace(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         counts = _count_generations(monkeypatch)
         cache = WorkloadCache()
         plain, _ = cache.get(_config())
@@ -320,10 +262,9 @@ class TestQueryTier:
         ],
         ids=["plain", "high-unif", "exec-cv", "flash-crowd", "hotspot", "storm"],
     )
-    def test_cached_pairs_pickle_like_fresh_generation(self, overrides, monkeypatch):
+    def test_cached_pairs_pickle_like_fresh_generation(self, overrides):
         """Each pair is built on a base another config generated first,
         yet pickles to the bytes of a from-scratch generation."""
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         cache = WorkloadCache()
         cache.get(_config(update_trace="low-unif"))  # fills the query tier
         config = _config(**overrides)
@@ -331,10 +272,7 @@ class TestQueryTier:
         assert pickle.dumps(cache.get(config)) == pickle.dumps(fresh)
 
     @pytest.mark.parametrize("faults", [FLASH_CROWD, HOTSPOT_SHIFT], ids=["crowd", "shift"])
-    def test_trace_shaping_fault_leaves_the_cached_base_unperturbed(
-        self, faults, monkeypatch
-    ):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    def test_trace_shaping_fault_leaves_the_cached_base_unperturbed(self, faults):
         cache = WorkloadCache()
         perturbed, _ = cache.get(_config(faults=faults))
         base = cache._queries[_config().query_key()]
@@ -347,8 +285,7 @@ class TestQueryTier:
         plain, _ = cache.get(_config())
         assert plain is base
 
-    def test_clear_empties_both_tiers(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    def test_clear_empties_both_tiers(self):
         cache = WorkloadCache()
         cache.get(_config())
         cache.clear()
@@ -356,7 +293,6 @@ class TestQueryTier:
         assert not cache._queries
 
     def test_lru_bound_holds_on_both_tiers(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         counts = _count_generations(monkeypatch)
         cache = WorkloadCache(max_entries=1)
         cache.get(_config())
@@ -388,7 +324,6 @@ class TestGenerationCounts:
         """Exact work counts, zero slack: the 2-policy x 3-trace grid
         builds one base query trace for its seed and one update trace
         per update trace; the second policy of each trace hits."""
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         counts = _count_generations(monkeypatch)
         cache = default_cache()
