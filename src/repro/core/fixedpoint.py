@@ -10,21 +10,15 @@ reads without the rounding drift a running *float* sum would collect.
 
 from __future__ import annotations
 
-import functools
-
 #: The scale factor: ``fixed == value * FIXED_ONE`` exactly.
 FIXED_ONE = 1 << 1074
 
 
-@functools.lru_cache(maxsize=65536)
 def fixed_from_float(value: float) -> int:
     """Exact integer mirror of a finite float (units of 2**-1074).
 
-    Memoized: the ready queue converts ``remaining`` on every push, and
-    update transactions reuse a handful of distinct per-item execution
-    times, so the ~1074-bit shift is paid once per distinct float.
-    (``hash(-0.0) == hash(0.0)`` collides in the cache, but both map to
-    the mirror 0, so the shared entry is correct.)
+    Pure and stateless: nothing is kept between calls, so converting a
+    stream of distinct floats retains no memory.
     """
     numerator, denominator = value.as_integer_ratio()
     # ``denominator`` is a power of two for every finite float.

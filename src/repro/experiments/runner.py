@@ -37,8 +37,10 @@ from repro.obs.export import (
     write_controller_csv,
     write_trace_jsonl,
 )
+from repro.obs.attrib import AttribAccumulator
 from repro.obs.metrics import RunMetrics
-from repro.obs.spans import SpanBuildResult, build_spans, write_spans_jsonl
+from repro.obs.spans import build_spans  # noqa: F401  (perfbench patches this name)
+from repro.obs.spans import SpanBuildResult, SpanFold, write_spans_jsonl
 from repro.obs.trace import Recorder, TraceRecorder
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -331,14 +333,6 @@ def _feed_arrivals(
     pump()
 
 
-def _build_recorder(obs_config: Optional[ObsConfig]) -> Optional[TraceRecorder]:
-    """A live recorder when observability is requested, else None."""
-    if obs_config is None or not obs_config.enabled:
-        return None
-    metrics = RunMetrics() if obs_config.metrics else None
-    return TraceRecorder(capacity=obs_config.capacity, metrics=metrics)
-
-
 def _export_artifacts(
     recorder: TraceRecorder,
     obs_config: ObsConfig,
@@ -391,7 +385,27 @@ class Substrate:
         self.query_trace = query_trace
         self.update_trace = update_trace
         self.shard = shard
-        self.recorder = _build_recorder(config.obs)
+        # The metrics registry and the span fold are sinks of the
+        # recorder, so both see every event however small the ring.
+        # Each span goes into the attribution as it closes; the fold
+        # keeps the spans themselves only for the spans JSONL.
+        self.recorder: Optional[TraceRecorder] = None
+        self.metrics: Optional[RunMetrics] = None
+        self.span_fold: Optional[SpanFold] = None
+        self.attrib: Optional[AttribAccumulator] = None
+        obs = config.obs
+        if obs is not None and obs.enabled:
+            sinks = []
+            if obs.metrics:
+                self.metrics = RunMetrics()
+                sinks.append(self.metrics.observe_event)
+            if obs.spans:
+                self.attrib = AttribAccumulator()
+                self.span_fold = SpanFold(
+                    keep=obs.out_dir is not None, on_close=self.attrib.add, shard=shard
+                )
+                sinks.append(self.span_fold.observe)
+            self.recorder = TraceRecorder(capacity=obs.capacity, sinks=sinks)
         self.sim = Simulator()
         self.items = item_table_from_trace(update_trace)
         self.policy = make_policy(
@@ -470,20 +484,15 @@ class Substrate:
         obs_spans: Optional[Dict[str, object]] = None
         if recorder is not None and config.obs is not None:
             obs_summary = recorder.summary()
-            if recorder.metrics is not None:
-                obs_metrics = recorder.metrics.registry.snapshot()  # type: ignore[attr-defined]
+            if self.metrics is not None:
+                obs_metrics = self.metrics.snapshot()
             if config.obs.keep_events:
                 obs_events = recorder.event_dicts()
             span_result: Optional[SpanBuildResult] = None
-            if config.obs.spans:
-                # Imported lazily: attrib pulls the USM layer.
-                from repro.obs.attrib import attrib_report
-
-                span_result = build_spans(
-                    recorder.events(), dropped=recorder.dropped, shard=self.shard
-                )
+            if self.span_fold is not None and self.attrib is not None:
+                span_result = self.span_fold.result()
                 obs_spans = {"summary": span_result.summary()}
-                obs_spans.update(attrib_report(span_result.spans, config.profile))
+                obs_spans.update(self.attrib.report(config.profile))
             obs_artifacts = _export_artifacts(
                 recorder, config.obs, config, span_result=span_result
             )

@@ -3,7 +3,10 @@
 The analysis layer over :mod:`repro.obs.spans`: given one run's spans
 it answers *where the deadline slack went* (queue wait vs lock wait vs
 refresh wait vs service) and *which Eq. 5 component lost USM points to
-which cause*.
+which cause*.  One :class:`AttribAccumulator` folds the spans one at a
+time: an observed run feeds it live from its
+:class:`~repro.obs.spans.SpanFold`, and :func:`attrib_report` folds a
+span list (the ``obs attrib`` CLI).
 
 **Reconciliation contract.**  :func:`usm_loss_ledger` applies a
 :class:`~repro.core.usm.PenaltyProfile` to span outcome counts with the
@@ -14,18 +17,22 @@ values equal the report's ``components`` dict float-for-float — an
 exact cross-check between the span pipeline and the USM accounting,
 asserted in tests.
 
-Everything here is pure post-processing: no wall clock, no I/O, no
-randomness — deterministic output for a deterministic span set.
+Everything here is pure: no wall clock, no I/O, no randomness —
+deterministic output for a deterministic span sequence.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.fixedpoint import float_from_fixed
 from repro.core.usm import PenaltyProfile
 from repro.db.transactions import Outcome
 from repro.obs.spans import WAIT_STATES, QuerySpan
+
+#: The Eq. 5 components, in ledger order.
+_COMPONENTS: Tuple[str, ...] = ("S", "R", "F_m", "F_s")
 
 #: The percentiles every table reports.
 PERCENTILES: Tuple[float, ...] = (0.50, 0.90, 0.99)
@@ -59,80 +66,203 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     return min(max(value, sorted_values[0]), sorted_values[-1])
 
 
-def _percentile_row(values: List[float]) -> Dict[str, Optional[float]]:
-    """p50/p90/p99 (plus count) of a value list; Nones when empty."""
+def _percentile_row(values: Sequence[float]) -> Dict[str, Optional[float]]:
+    """p50/p90/p99 (plus count) of a value sequence; Nones when empty."""
     row: Dict[str, Optional[float]] = {"count": float(len(values))}
     if not values:
         for fraction in PERCENTILES:
             row[f"p{int(fraction * 100)}"] = None
         return row
-    values = sorted(values)
+    ordered = sorted(values)
     for fraction in PERCENTILES:
-        row[f"p{int(fraction * 100)}"] = percentile(values, fraction)
+        row[f"p{int(fraction * 100)}"] = percentile(ordered, fraction)
     return row
+
+
+class AttribAccumulator:
+    """One run's attribution, folded one span at a time.
+
+    :meth:`add` takes the fields of one finalized span (the
+    :data:`~repro.obs.spans.SpanSink` signature, so a live
+    :class:`~repro.obs.spans.SpanFold` feeds it without building a
+    span object); :meth:`add_span` takes a :class:`QuerySpan`.  It
+    keeps exact fixed-point wait totals, counters, per-cause counts and
+    the latency and slack samples the percentiles need, nothing else:
+
+    * :meth:`waits` — where the lifecycle time went, by wait state:
+      exact fixed-point sums of the spans' per-state totals, converted
+      to floats once at the end; ``share`` is each state's fraction of
+      the total spanned time.  Also counts preemptions, restarts, and
+      the spans themselves (rejections separately — they carry no time).
+    * :meth:`percentiles` — latency and deadline-slack rows over
+      completed spans (rejections carry no lifecycle).  Latency is the
+      exact admit → end duration, correctly rounded; slack is
+      ``deadline − outcome_time`` (negative means the deadline passed —
+      only deadline misses land there under firm deadlines).
+    * :meth:`ledger` — the Eq. 5 decomposition attributed span by span
+      (see :func:`usm_loss_ledger`).
+    """
+
+    __slots__ = (
+        "totals_fixed",
+        "completed",
+        "rejected",
+        "preemptions",
+        "restarts",
+        "latencies",
+        "slacks",
+        "counts",
+        "causes",
+    )
+
+    def __init__(self) -> None:
+        self.totals_fixed = [0] * len(WAIT_STATES)
+        self.completed = 0
+        self.rejected = 0
+        self.preemptions = 0
+        self.restarts = 0
+        self.latencies = array("d")
+        self.slacks = array("d")
+        self.counts: Dict[str, int] = {component: 0 for component in _COMPONENTS}
+        self.causes: Dict[str, Dict[str, int]] = {component: {} for component in _COMPONENTS}
+
+    def add(
+        self,
+        admit: Optional[float],
+        end: float,
+        deadline: Optional[float],
+        wait_fixed: Tuple[int, ...],
+        preemptions: int,
+        restarts: int,
+        component: str,
+        cause: Optional[str],
+    ) -> None:
+        """Fold one finalized span given as its fields."""
+        counts = self.counts
+        counts[component] = counts.get(component, 0) + 1
+        if cause is not None:
+            bucket = self.causes.setdefault(component, {})
+            bucket[cause] = bucket.get(cause, 0) + 1
+        if admit is None:
+            self.rejected += 1
+            return
+        self.completed += 1
+        self.preemptions += preemptions
+        self.restarts += restarts
+        totals = self.totals_fixed
+        for index, dur in enumerate(wait_fixed):
+            totals[index] += dur
+        self.latencies.append(float_from_fixed(sum(wait_fixed)))
+        if deadline is not None:
+            self.slacks.append(deadline - end)
+
+    def add_span(self, span: QuerySpan) -> None:
+        """Fold one :class:`QuerySpan`."""
+        self.add(
+            span.admit,
+            span.end,
+            span.deadline,
+            span.wait_fixed,
+            span.preemptions,
+            span.restarts,
+            span.usm_component,
+            span.cause,
+        )
+
+    def waits(self) -> Dict[str, object]:
+        totals_fixed = self.totals_fixed
+        grand = sum(totals_fixed)
+        return {
+            "totals": {
+                state: float_from_fixed(fx) for state, fx in zip(WAIT_STATES, totals_fixed)
+            },
+            "shares": {
+                state: (fx / grand if grand else 0.0)
+                for state, fx in zip(WAIT_STATES, totals_fixed)
+            },
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "preemptions": self.preemptions,
+            "restarts": self.restarts,
+        }
+
+    def percentiles(self) -> Dict[str, Dict[str, Optional[float]]]:
+        return {
+            "latency": _percentile_row(self.latencies),
+            "slack": _percentile_row(self.slacks),
+        }
+
+    def ledger(self, profile: PenaltyProfile) -> Dict[str, object]:
+        weights = {
+            "S": profile.gain,
+            "R": profile.c_r,
+            "F_m": profile.c_fm,
+            "F_s": profile.c_fs,
+        }
+        counts = self.counts
+        total = sum(counts.values())
+        components: Dict[str, float] = {}
+        ratios: Dict[str, float] = {}
+        for component, weight in weights.items():
+            ratio = counts[component] / total if total else 0.0
+            ratios[component] = ratio
+            components[component] = ratio * weight
+        # Mirror UsmAccumulator.average_usm exactly: sum the per-outcome
+        # contributions (gain positive, penalties negative) in Outcome
+        # order, then divide once — NOT S − R − F_m − F_s over the
+        # components, which rounds differently in the last ulp.
+        contributions = {
+            "S": profile.contribution(Outcome.SUCCESS),
+            "R": profile.contribution(Outcome.REJECTED),
+            "F_m": profile.contribution(Outcome.DEADLINE_MISS),
+            "F_s": profile.contribution(Outcome.DATA_STALE),
+        }
+        usm = (
+            sum(contributions[c] * counts[c] for c in weights) / total
+            if total
+            else 0.0
+        )
+        return {
+            "total": total,
+            "counts": dict(counts),
+            "ratios": ratios,
+            "components": components,
+            "causes": {
+                component: dict(sorted(bucket.items()))
+                for component, bucket in self.causes.items()
+            },
+            "usm": usm,
+            "profile": profile.describe(),
+        }
+
+    def report(self, profile: PenaltyProfile) -> Dict[str, object]:
+        """The full attribution: breakdown + percentiles + ledger."""
+        return {
+            "waits": self.waits(),
+            "percentiles": self.percentiles(),
+            "ledger": self.ledger(profile),
+        }
+
+
+def _fold(spans: Iterable[QuerySpan]) -> AttribAccumulator:
+    accumulator = AttribAccumulator()
+    for span in spans:
+        accumulator.add_span(span)
+    return accumulator
+
+
+def wait_breakdown(spans: Iterable[QuerySpan]) -> Dict[str, object]:
+    """Where the lifecycle time of a span set went, by wait state
+    (:meth:`AttribAccumulator.waits`)."""
+    return _fold(spans).waits()
 
 
 def latency_slack_percentiles(
     spans: Iterable[QuerySpan],
 ) -> Dict[str, Dict[str, Optional[float]]]:
-    """Latency and deadline-slack percentile rows over completed spans.
-
-    Rejection spans (no lifecycle) are excluded; latency is the span's
-    exact admit → end duration, correctly rounded; slack is
-    ``deadline − outcome_time`` (negative means the deadline passed —
-    only deadline misses land there under firm deadlines).
-    """
-    latencies: List[float] = []
-    slacks: List[float] = []
-    for span in spans:
-        if span.admit is None:
-            continue
-        latencies.append(span.duration)
-        slack = span.slack
-        if slack is not None:
-            slacks.append(slack)
-    return {
-        "latency": _percentile_row(latencies),
-        "slack": _percentile_row(slacks),
-    }
-
-
-def wait_breakdown(spans: Iterable[QuerySpan]) -> Dict[str, object]:
-    """Where the lifecycle time of a span set went, by wait state.
-
-    Totals are exact fixed-point sums of the spans' per-state sums
-    (:attr:`QuerySpan.wait_fixed`, which are sums over every segment),
-    converted to floats once at the end; ``share`` is each state's
-    fraction of the total spanned time.  Also counts preemptions, restarts, and the
-    spans themselves (rejections separately — they carry no time).
-    """
-    totals_fixed: Dict[str, int] = {state: 0 for state in WAIT_STATES}
-    completed = 0
-    rejected = 0
-    preemptions = 0
-    restarts = 0
-    for span in spans:
-        if span.admit is None:
-            rejected += 1
-            continue
-        completed += 1
-        preemptions += span.preemptions
-        restarts += span.restarts
-        for state, dur in zip(WAIT_STATES, span.wait_fixed):
-            totals_fixed[state] += dur
-    grand = sum(totals_fixed.values())
-    totals = {state: float_from_fixed(fx) for state, fx in totals_fixed.items()}
-    shares = {
-        state: (fx / grand if grand else 0.0) for state, fx in totals_fixed.items()
-    }
-    return {
-        "totals": totals,
-        "shares": shares,
-        "completed": completed,
-        "rejected": rejected,
-        "preemptions": preemptions,
-        "restarts": restarts,
-    }
+    """Latency and deadline-slack percentile rows over completed spans
+    (:meth:`AttribAccumulator.percentiles`)."""
+    return _fold(spans).percentiles()
 
 
 def usm_loss_ledger(
@@ -149,67 +279,15 @@ def usm_loss_ledger(
     span counts (admission reasons for R, dominant wait states for
     F_m, ``stale-read`` for F_s).
     """
-    weights = {
-        "S": profile.gain,
-        "R": profile.c_r,
-        "F_m": profile.c_fm,
-        "F_s": profile.c_fs,
-    }
-    counts: Dict[str, int] = {component: 0 for component in weights}
-    causes: Dict[str, Dict[str, int]] = {component: {} for component in weights}
-    total = 0
-    for span in spans:
-        total += 1
-        component = span.usm_component
-        counts[component] = counts.get(component, 0) + 1
-        if span.cause is not None:
-            bucket = causes.setdefault(component, {})
-            bucket[span.cause] = bucket.get(span.cause, 0) + 1
-    components: Dict[str, float] = {}
-    ratios: Dict[str, float] = {}
-    for component, weight in weights.items():
-        ratio = counts[component] / total if total else 0.0
-        ratios[component] = ratio
-        components[component] = ratio * weight
-    # Mirror UsmAccumulator.average_usm exactly: sum the per-outcome
-    # contributions (gain positive, penalties negative) in Outcome
-    # order, then divide once — NOT S − R − F_m − F_s over the
-    # components, which rounds differently in the last ulp.
-    contributions = {
-        "S": profile.contribution(Outcome.SUCCESS),
-        "R": profile.contribution(Outcome.REJECTED),
-        "F_m": profile.contribution(Outcome.DEADLINE_MISS),
-        "F_s": profile.contribution(Outcome.DATA_STALE),
-    }
-    usm = (
-        sum(contributions[c] * counts[c] for c in weights) / total
-        if total
-        else 0.0
-    )
-    return {
-        "total": total,
-        "counts": counts,
-        "ratios": ratios,
-        "components": components,
-        "causes": {
-            component: dict(sorted(bucket.items()))
-            for component, bucket in causes.items()
-        },
-        "usm": usm,
-        "profile": profile.describe(),
-    }
+    return _fold(spans).ledger(profile)
 
 
 def attrib_report(
-    spans: Sequence[QuerySpan],
+    spans: Iterable[QuerySpan],
     profile: PenaltyProfile,
 ) -> Dict[str, object]:
     """One run's full attribution: breakdown + percentiles + ledger."""
-    return {
-        "waits": wait_breakdown(spans),
-        "percentiles": latency_slack_percentiles(spans),
-        "ledger": usm_loss_ledger(spans, profile),
-    }
+    return _fold(spans).report(profile)
 
 
 # ----------------------------------------------------------------------

@@ -30,13 +30,19 @@ class ObsConfig:
         enabled: Master switch; when False the run uses the shared
             null recorder and none of the other fields matter.
         capacity: Trace ring-buffer size (events); oldest events are
-            evicted (and counted) beyond this.
+            evicted (and counted) beyond this.  The ring feeds only the
+            exports and ``keep_events``.
         metrics: Also fold events into a metrics registry.
         keep_events: Attach the flattened event dicts to the
             ``SimulationReport`` (for tests/CLI use; large).
-        spans: Fold the trace into query-lifecycle spans after the run
-            (:mod:`repro.obs.spans`) and attach the wait-attribution
-            digest to ``SimulationReport.obs_spans``.
+        spans: Fold every recorded event into query-lifecycle spans as
+            the run records (:class:`repro.obs.spans.SpanFold`, a sink
+            of the recorder, so the spans are complete whatever
+            ``capacity`` is), feed each span to the attribution
+            accumulator as it closes, and attach the span summary and
+            wait-attribution digest to ``SimulationReport.obs_spans``.
+            The span objects are kept only when ``out_dir`` asks for
+            the spans JSONL.
         out_dir: Directory for per-cell exports.  When set, the runner
             writes ``<stem>.trace.jsonl``, ``<stem>.chrome.json``,
             ``<stem>.controller.csv`` and (with ``spans``)

@@ -3,8 +3,9 @@
 :func:`render_dashboard` folds the reports that
 :func:`repro.experiments.sweep.run_grid` returns into a JSON-able
 snapshot — per-cell USM, outcome ratios, throughput, runner phase
-timings, the controller's windowed-USM series for sparklines, and the
-span wait-state breakdown when the report carries its events — and
+timings, the controller's windowed-USM series for sparklines when the
+report carries its events, and the span wait-state breakdown of its
+``obs_spans`` — and
 bakes it into a page that renders without a server or a CDN (the CI
 ``obs-dash-smoke`` job uploads it).  Cells appear in the grid order of
 the reports dict, so serial and pooled sweeps give the same page apart
@@ -68,17 +69,14 @@ def _cell_payload(
         ]
         if usm_series:
             payload["usm_series"] = _downsample(usm_series)
-        # Span wait-state breakdown (shares of lifecycle time).  Import
-        # here to keep the dashboard usable without the span stack.
-        from repro.obs.attrib import wait_breakdown
-        from repro.obs.spans import build_spans
-
-        result = build_spans(events)
-        breakdown = wait_breakdown(result.spans)
-        payload["waits"] = breakdown["shares"]
-        payload["preemptions"] = breakdown["preemptions"]
-        payload["restarts"] = breakdown["restarts"]
-        payload["spans_partial"] = result.partial
+    spans = report.obs_spans
+    if spans:
+        # The run's span wait-state breakdown (shares of lifecycle time).
+        breakdown = spans["waits"]
+        payload["waits"] = breakdown["shares"]  # type: ignore[index]
+        payload["preemptions"] = breakdown["preemptions"]  # type: ignore[index]
+        payload["restarts"] = breakdown["restarts"]  # type: ignore[index]
+        payload["spans_partial"] = spans["summary"]["partial"]  # type: ignore[index]
     return payload
 
 

@@ -1,7 +1,9 @@
 """Query-lifecycle spans: per-query wait-state segmentation.
 
 The trace stream (:mod:`repro.obs.trace`) records *point* events.  This
-module folds them into one **span** per query — the full lifecycle
+module folds them (:class:`SpanFold`, live as a recorder sink or
+offline through :func:`build_spans`) into one **span** per query — the
+full lifecycle
 ``admitted → queued → lock-wait → executing → (preempted)* → outcome``
 — with every simulated instant between admission and outcome assigned
 to exactly one wait state:
@@ -50,7 +52,18 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.fixedpoint import fixed_from_float, float_from_fixed
 from repro.obs import trace as _trace
@@ -284,10 +297,13 @@ class QuerySpan:
 
 
 class SpanBuildResult:
-    """Output of :func:`build_spans`.
+    """Output of :func:`build_spans` and :meth:`SpanFold.result`.
 
     Attributes:
-        spans: Finalized spans in outcome order (the trace's own order).
+        spans: Finalized spans in outcome order (the trace's own order);
+            empty when the fold kept none (``SpanFold(keep=False)``).
+        count: How many spans the fold finalized (``len(spans)`` when
+            it kept them).
         skipped: Per-category counts of events/queries the builder had
             to skip (see the ``SKIP_*`` constants); all zero on a
             well-formed complete stream.
@@ -297,7 +313,7 @@ class SpanBuildResult:
             may be missing and skip counts are expected to be non-zero.
     """
 
-    __slots__ = ("spans", "skipped", "dropped", "partial")
+    __slots__ = ("spans", "count", "skipped", "dropped", "partial")
 
     def __init__(
         self,
@@ -305,15 +321,17 @@ class SpanBuildResult:
         skipped: Dict[str, int],
         dropped: int,
         partial: bool,
+        count: Optional[int] = None,
     ) -> None:
         self.spans = spans
+        self.count = len(spans) if count is None else count
         self.skipped = skipped
         self.dropped = dropped
         self.partial = partial
 
     def summary(self) -> Dict[str, object]:
         return {
-            "spans": len(self.spans),
+            "spans": self.count,
             "skipped": {k: v for k, v in sorted(self.skipped.items()) if v},
             "dropped": self.dropped,
             "partial": self.partial,
@@ -439,8 +457,8 @@ def _failure_cause(wait_fixed: Mapping[str, int]) -> str:
 EventLike = Union[Mapping[str, object], "_trace.TraceEvent"]
 
 
-#: The kinds :func:`build_spans` folds; every other kind is skipped
-#: before a flattened dict of it is converted.
+#: The kinds :class:`SpanFold` folds; it ignores every other kind, and
+#: :func:`build_spans` skips them before a flattened dict is converted.
 _SPAN_KINDS = frozenset(
     {
         _trace.QUERY_ADMIT,
@@ -471,12 +489,261 @@ def _iter_event_tuples(events: Iterable[EventLike]) -> Iterable["_trace.TraceEve
             yield from_dict(event)
 
 
+#: What :class:`SpanFold` hands ``on_close`` for each finalized span:
+#: ``(admit, end, deadline, wait_fixed, preemptions, restarts,
+#: usm_component, cause)``, the fields the attribution layer folds
+#: (:meth:`repro.obs.attrib.AttribAccumulator.add`).
+SpanSink = Callable[
+    [Optional[float], float, Optional[float], Tuple[int, ...], int, int, str, Optional[str]],
+    None,
+]
+
+
+class SpanFold:
+    """The span builder: one in-order fold over trace events.
+
+    Two drivers feed it one event at a time through :meth:`observe`: a
+    live :class:`~repro.obs.trace.TraceRecorder`, which hands it every
+    event as it is recorded (so the spans are complete whatever the
+    ring capacity), and :func:`build_spans`, which replays a recorded
+    stream.
+
+    Each finalized span goes to ``on_close`` (see :data:`SpanSink`)
+    and, when ``keep`` is set, is built as a :class:`QuerySpan` and
+    appended to :attr:`spans`; with ``keep`` off no span object is
+    built at all.  ``shard`` labels the kept spans of a fleet shard.
+    """
+
+    __slots__ = (
+        "spans",
+        "on_close",
+        "shard",
+        "count",
+        "skipped",
+        "dropped",
+        "_open",
+        "_reject_reasons",
+        "_fault_open",
+        "_fault_windows",
+    )
+
+    def __init__(
+        self,
+        keep: bool = True,
+        on_close: Optional[SpanSink] = None,
+        shard: Optional[int] = None,
+        dropped: int = 0,
+    ) -> None:
+        self.spans: Optional[List[QuerySpan]] = [] if keep else None
+        self.on_close = on_close
+        self.shard = shard
+        self.count = 0
+        self.skipped: Dict[str, int] = {category: 0 for category in SKIP_CATEGORIES}
+        self.dropped = dropped
+        self._open: Dict[int, _OpenSpan] = {}
+        # txn -> admission rejection reason (attribution for R spans).
+        self._reject_reasons: Dict[int, str] = {}
+        # Fault windows: label -> start while open; (start, end, label)
+        # once closed.
+        self._fault_open: Dict[str, float] = {}
+        self._fault_windows: List[Tuple[float, Optional[float], str]] = []
+
+    def observe(self, event: "_trace.TraceEvent") -> None:
+        """Fold one event (any kind; those outside :data:`_SPAN_KINDS`
+        are ignored)."""
+        kind = event[1]
+        if kind not in _SPAN_KINDS:
+            return
+        now = event[0]
+        open_spans = self._open
+        skipped = self.skipped
+        if kind == _trace.QUERY_ADMIT:
+            _, _, txn, deadline, _ = event
+            txn = int(txn)
+            if txn in open_spans:
+                skipped[SKIP_DUPLICATE_ADMIT] += 1
+                return
+            open_spans[txn] = _OpenSpan(
+                txn,
+                now,
+                float(deadline) if isinstance(deadline, (int, float)) else None,
+            )
+        elif kind == _trace.SCHED_ENQUEUE:
+            _, _, txn, cause = event
+            span = open_spans.get(int(txn))
+            if span is None:
+                skipped[SKIP_ORPHAN_SCHED] += 1
+                return
+            if cause == _trace.ENQUEUE_PREEMPT:
+                span.preemptions += 1
+            if span.state == STATE_LOCK_WAIT:
+                span.end_lock_wait(now)
+            span.transition(now, STATE_QUEUED)
+        elif kind == _trace.SCHED_DISPATCH:
+            _, _, txn = event
+            span = open_spans.get(int(txn))
+            if span is None:
+                skipped[SKIP_ORPHAN_SCHED] += 1
+                return
+            span.transition(now, STATE_EXECUTING)
+        elif kind == _trace.SCHED_PARK:
+            _, _, txn = event
+            span = open_spans.get(int(txn))
+            if span is None:
+                skipped[SKIP_ORPHAN_SCHED] += 1
+                return
+            span.transition(now, STATE_REFRESH_WAIT)
+        elif kind == _trace.LOCK_WAIT:
+            _, _, txn, item, is_update, _ = event
+            if is_update:
+                return  # update transactions have no spans
+            span = open_spans.get(int(txn))
+            if span is None:
+                skipped[SKIP_ORPHAN_LOCK] += 1
+                return
+            span.transition(now, STATE_LOCK_WAIT)
+            if isinstance(item, int):
+                span.begin_lock_wait(now, item)
+        elif kind == _trace.LOCK_GRANT:
+            _, _, txn, _ = event
+            span = open_spans.get(int(txn))
+            if span is None:
+                # Updates are granted locks too; only count queries we
+                # have genuinely lost track of (lock state, no span).
+                return
+            span.end_lock_wait(now)
+        elif kind == _trace.QUERY_OUTCOME:
+            _, _, txn, outcome, arrival, _, freshness, restarts = event
+            txn = int(txn)
+            outcome = str(outcome)
+            span = open_spans.pop(txn, None)
+            if span is None:
+                if outcome != "rejected":
+                    skipped[SKIP_ORPHAN_OUTCOME] += 1
+                    return
+                # Rejection spans: no lifecycle, just the verdict.
+                self._finalized(
+                    txn, arrival, None, now, outcome, None, None, 0, 0, (),
+                    _NO_WAITS, _NO_LOCKS, "R", self._reject_reasons.pop(txn, "admission"),
+                )
+                return
+            wait_fixed = span.finalize(now)
+            if wait_fixed is None:
+                skipped[SKIP_MALFORMED] += 1
+                return
+            cause: Optional[str]
+            if outcome == "success":
+                cause = None
+            elif outcome == "dmf":
+                cause = _failure_cause(span.wait_fixed)
+            elif outcome == "dsf":
+                cause = "stale-read"
+            else:
+                cause = outcome
+            self._finalized(
+                txn,
+                arrival,
+                span.admit,
+                now,
+                outcome,
+                span.deadline,
+                freshness,
+                int(restarts) if isinstance(restarts, (int, float)) else 0,
+                span.preemptions,
+                span.path,
+                wait_fixed,
+                span.lock_fixed or _NO_LOCKS,
+                COMPONENT_BY_OUTCOME.get(outcome, "S"),
+                cause,
+            )
+        elif kind == _trace.ADMISSION_DECISION:
+            _, _, txn, admitted, reason, _, _, _ = event
+            if admitted is False and isinstance(reason, str) and reason:
+                self._reject_reasons[int(txn)] = reason
+        elif kind == _trace.FAULT_START:
+            _, _, label, _, _ = event
+            self._fault_open[str(label)] = now
+        elif kind == _trace.FAULT_END:
+            _, _, label, _ = event
+            label = str(label)
+            start = self._fault_open.pop(label, None)
+            if start is not None:
+                self._fault_windows.append((start, now, label))
+        elif kind == _trace.TRACE_META:
+            _, _, meta = event
+            meta_dropped = meta.get("dropped")
+            if isinstance(meta_dropped, int):
+                self.dropped += meta_dropped
+
+    def _finalized(
+        self,
+        txn: int,
+        arrival: object,
+        admit: Optional[float],
+        end: float,
+        outcome: str,
+        deadline: Optional[float],
+        freshness: object,
+        restarts: int,
+        preemptions: int,
+        path: Sequence[Union[str, float]],
+        wait_fixed: Tuple[int, ...],
+        lock_fixed: Mapping[int, int],
+        component: str,
+        cause: Optional[str],
+    ) -> None:
+        """Hand one finalized span to ``on_close`` and, if kept, build it."""
+        self.count += 1
+        if self.on_close is not None:
+            self.on_close(admit, end, deadline, wait_fixed, preemptions, restarts, component, cause)
+        if self.spans is None:
+            return
+        faults: Tuple[str, ...] = ()
+        if outcome != "success":
+            faults = _overlapping_faults(self._fault_windows, self._fault_open, admit, end)
+        self.spans.append(
+            QuerySpan(
+                txn=txn,
+                arrival=float(arrival) if isinstance(arrival, (int, float)) else None,
+                admit=admit,
+                end=end,
+                outcome=outcome,
+                deadline=deadline,
+                freshness=float(freshness) if isinstance(freshness, (int, float)) else None,
+                restarts=restarts,
+                preemptions=preemptions,
+                path=tuple(path),
+                wait_fixed=wait_fixed,
+                lock_fixed=lock_fixed,
+                usm_component=component,
+                cause=cause,
+                faults=faults,
+                shard=self.shard,
+            )
+        )
+
+    def result(self) -> SpanBuildResult:
+        """The fold so far; a query still open counts as unfinished."""
+        skipped = dict(self.skipped)
+        skipped[SKIP_UNFINISHED] = len(self._open)
+        return SpanBuildResult(
+            spans=self.spans if self.spans is not None else [],
+            skipped=skipped,
+            dropped=self.dropped,
+            partial=self.dropped > 0 or skipped[SKIP_MALFORMED] > 0,
+            count=self.count,
+        )
+
+
 def build_spans(
     events: Iterable[EventLike],
     dropped: int = 0,
     shard: Optional[int] = None,
 ) -> SpanBuildResult:
-    """Fold a trace stream into per-query lifecycle spans.
+    """Fold a recorded trace stream into per-query lifecycle spans.
+
+    The offline driver of :class:`SpanFold` (the ``obs attrib`` CLI,
+    JSONL replays, the tests).
 
     Args:
         events: Trace events in emit order — event tuples (e.g.
@@ -493,170 +760,11 @@ def build_spans(
     Returns:
         A :class:`SpanBuildResult`; never raises on malformed input.
     """
-    open_spans: Dict[int, _OpenSpan] = {}
-    spans: List[QuerySpan] = []
-    skipped: Dict[str, int] = {category: 0 for category in SKIP_CATEGORIES}
-    # txn -> admission rejection reason (attribution for R spans).
-    reject_reasons: Dict[int, str] = {}
-    # Fault windows: label -> (start, end-or-None, fault type).
-    fault_open: Dict[str, float] = {}
-    fault_windows: List[Tuple[float, Optional[float], str]] = []
-    total_dropped = dropped
-
+    fold = SpanFold(shard=shard, dropped=dropped)
+    observe = fold.observe
     for event in _iter_event_tuples(events):
-        now = event[0]
-        kind = event[1]
-        if kind == _trace.QUERY_ADMIT:
-            _, _, txn, deadline, _ = event
-            txn = int(txn)
-            if txn in open_spans:
-                skipped[SKIP_DUPLICATE_ADMIT] += 1
-                continue
-            open_spans[txn] = _OpenSpan(
-                txn,
-                now,
-                float(deadline) if isinstance(deadline, (int, float)) else None,
-            )
-        elif kind == _trace.SCHED_ENQUEUE:
-            _, _, txn, cause = event
-            span = open_spans.get(int(txn))
-            if span is None:
-                skipped[SKIP_ORPHAN_SCHED] += 1
-                continue
-            if cause == _trace.ENQUEUE_PREEMPT:
-                span.preemptions += 1
-            if span.state == STATE_LOCK_WAIT:
-                span.end_lock_wait(now)
-            span.transition(now, STATE_QUEUED)
-        elif kind == _trace.SCHED_DISPATCH:
-            _, _, txn = event
-            span = open_spans.get(int(txn))
-            if span is None:
-                skipped[SKIP_ORPHAN_SCHED] += 1
-                continue
-            span.transition(now, STATE_EXECUTING)
-        elif kind == _trace.SCHED_PARK:
-            _, _, txn = event
-            span = open_spans.get(int(txn))
-            if span is None:
-                skipped[SKIP_ORPHAN_SCHED] += 1
-                continue
-            span.transition(now, STATE_REFRESH_WAIT)
-        elif kind == _trace.LOCK_WAIT:
-            _, _, txn, item, is_update, _ = event
-            if is_update:
-                continue  # update transactions have no spans
-            span = open_spans.get(int(txn))
-            if span is None:
-                skipped[SKIP_ORPHAN_LOCK] += 1
-                continue
-            span.transition(now, STATE_LOCK_WAIT)
-            if isinstance(item, int):
-                span.begin_lock_wait(now, item)
-        elif kind == _trace.LOCK_GRANT:
-            _, _, txn, _ = event
-            span = open_spans.get(int(txn))
-            if span is None:
-                # Updates are granted locks too; only count queries we
-                # have genuinely lost track of (lock state, no span).
-                continue
-            span.end_lock_wait(now)
-        elif kind == _trace.QUERY_OUTCOME:
-            _, _, txn, outcome, arrival, _, freshness, restarts = event
-            txn = int(txn)
-            outcome = str(outcome)
-            span = open_spans.pop(txn, None)
-            if span is None:
-                if outcome != "rejected":
-                    skipped[SKIP_ORPHAN_OUTCOME] += 1
-                    continue
-                # Rejection spans: no lifecycle, just the verdict.
-                spans.append(
-                    QuerySpan(
-                        txn=txn,
-                        arrival=float(arrival) if isinstance(arrival, (int, float)) else None,
-                        admit=None,
-                        end=now,
-                        outcome=outcome,
-                        deadline=None,
-                        freshness=None,
-                        restarts=0,
-                        preemptions=0,
-                        path=(),
-                        wait_fixed=_NO_WAITS,
-                        lock_fixed=_NO_LOCKS,
-                        usm_component="R",
-                        cause=reject_reasons.pop(txn, "admission"),
-                        faults=_overlapping_faults(fault_windows, fault_open, now, now),
-                        shard=shard,
-                    )
-                )
-                continue
-            wait_fixed = span.finalize(now)
-            if wait_fixed is None:
-                skipped[SKIP_MALFORMED] += 1
-                continue
-            component = COMPONENT_BY_OUTCOME.get(outcome, "S")
-            cause: Optional[str]
-            if outcome == "success":
-                cause = None
-            elif outcome == "dmf":
-                cause = _failure_cause(span.wait_fixed)
-            elif outcome == "dsf":
-                cause = "stale-read"
-            else:
-                cause = outcome
-            faults: Tuple[str, ...] = ()
-            if outcome != "success":
-                faults = _overlapping_faults(
-                    fault_windows, fault_open, span.admit, now
-                )
-            spans.append(
-                QuerySpan(
-                    txn=txn,
-                    arrival=float(arrival) if isinstance(arrival, (int, float)) else None,
-                    admit=span.admit,
-                    end=now,
-                    outcome=outcome,
-                    deadline=span.deadline,
-                    freshness=float(freshness) if isinstance(freshness, (int, float)) else None,
-                    restarts=int(restarts) if isinstance(restarts, (int, float)) else 0,
-                    preemptions=span.preemptions,
-                    path=tuple(span.path),
-                    wait_fixed=wait_fixed,
-                    lock_fixed=span.lock_fixed or _NO_LOCKS,
-                    usm_component=component,
-                    cause=cause,
-                    faults=faults,
-                    shard=shard,
-                )
-            )
-        elif kind == _trace.ADMISSION_DECISION:
-            _, _, txn, admitted, reason, _, _, _ = event
-            if admitted is False and isinstance(reason, str) and reason:
-                reject_reasons[int(txn)] = reason
-        elif kind == _trace.FAULT_START:
-            _, _, label, _, _ = event
-            fault_open[str(label)] = now
-        elif kind == _trace.FAULT_END:
-            _, _, label, _ = event
-            label = str(label)
-            start = fault_open.pop(label, None)
-            if start is not None:
-                fault_windows.append((start, now, label))
-        elif kind == _trace.TRACE_META:
-            _, _, meta = event
-            meta_dropped = meta.get("dropped")
-            if isinstance(meta_dropped, int):
-                total_dropped += meta_dropped
-
-    skipped[SKIP_UNFINISHED] = len(open_spans)
-    return SpanBuildResult(
-        spans=spans,
-        skipped=skipped,
-        dropped=total_dropped,
-        partial=total_dropped > 0 or skipped[SKIP_MALFORMED] > 0,
-    )
+        observe(event)
+    return fold.result()
 
 
 def _overlapping_faults(

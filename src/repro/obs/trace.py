@@ -65,7 +65,7 @@ Event kinds (the ``kind`` field of every event):
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 # Event-kind constants (shared with the exporters and the CLI).
 QUERY_ADMIT = "query.admit"
@@ -409,27 +409,28 @@ class TraceRecorder(Recorder):
 
     Events land in a ring buffer of ``capacity`` slots: when full, the
     oldest event is evicted and counted in :attr:`dropped` (the *tail*
-    of a run is usually the interesting part for debugging).  An
-    optional :class:`~repro.obs.metrics.RunMetrics` sink folds every
-    event into its registry as it is recorded, so metrics cover the
-    whole run even when the ring wraps.
+    of a run is usually the interesting part for debugging).  Each of
+    the optional ``sinks`` is a callable that receives every event as
+    it is recorded, in order, so a fold over the stream (the metrics
+    registry, :class:`~repro.obs.spans.SpanFold`) covers the whole run
+    even when the ring wraps.
     """
 
-    __slots__ = ("_ring", "dropped", "counts", "metrics")
+    __slots__ = ("_ring", "dropped", "counts", "sinks")
 
     enabled = True
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
-        metrics: Optional["RunMetricsLike"] = None,
+        sinks: Sequence[Callable[[TraceEvent], None]] = (),
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
         self.counts: Dict[str, int] = {}
-        self.metrics = metrics
+        self.sinks = tuple(sinks)
 
     def _record(self, event: TraceEvent) -> None:
         ring = self._ring
@@ -439,8 +440,8 @@ class TraceRecorder(Recorder):
         counts = self.counts
         kind = event[1]
         counts[kind] = counts.get(kind, 0) + 1
-        if self.metrics is not None:
-            self.metrics.observe_event(event)
+        for sink in self.sinks:
+            sink(event)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -465,16 +466,3 @@ class TraceRecorder(Recorder):
             "dropped": self.dropped,
             "by_kind": dict(sorted(self.counts.items())),
         }
-
-
-class RunMetricsLike:
-    """Structural stand-in for :class:`repro.obs.metrics.RunMetrics`.
-
-    Kept here (rather than importing the metrics module) so the trace
-    layer has zero dependencies and the type reads in both directions.
-    """
-
-    __slots__ = ()
-
-    def observe_event(self, event: TraceEvent) -> None:  # pragma: no cover
-        raise NotImplementedError

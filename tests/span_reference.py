@@ -5,8 +5,9 @@ builder is checked against (``tests/test_obs_span_reference.py``).
 Every conversion here goes through ``fixed_from_float`` again where the
 old code did: per segment close, per finalize, per ``wait_breakdown``
 segment and per ``QuerySpan.duration`` read.  Input-shape handling
-(``_iter_event_tuples``), the result container and the ledger are
-shared with the current code.
+(``_iter_event_tuples``), the result container and the percentile
+rows are shared with the current code; the USM-loss ledger is the loop
+the attribution layer had before it folded spans one at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.fixedpoint import fixed_from_float, float_from_fixed
 from repro.core.usm import PenaltyProfile
+from repro.db.transactions import Outcome
 from repro.obs import trace as _trace
-from repro.obs.attrib import _percentile_row, usm_loss_ledger
+from repro.obs.attrib import _percentile_row
 from repro.obs.spans import (
     COMPONENT_BY_OUTCOME,
     SKIP_CATEGORIES,
@@ -538,6 +540,71 @@ def wait_breakdown(spans: Iterable[QuerySpan]) -> Dict[str, object]:
         "rejected": rejected,
         "preemptions": preemptions,
         "restarts": restarts,
+    }
+
+
+def usm_loss_ledger(
+    spans: Iterable[QuerySpan],
+    profile: PenaltyProfile,
+) -> Dict[str, object]:
+    """The Eq. 5 decomposition attributed span by span.
+
+    For each component (``S`` / ``R`` / ``F_m`` / ``F_s``): the span
+    count, the outcome ratio, the component value (gain for S, loss
+    otherwise — computed with the same ``count / total * weight``
+    order as :meth:`UsmAccumulator.components`, so a complete span set
+    reconciles float-for-float with the report), and the per-cause
+    span counts (admission reasons for R, dominant wait states for
+    F_m, ``stale-read`` for F_s).
+    """
+    weights = {
+        "S": profile.gain,
+        "R": profile.c_r,
+        "F_m": profile.c_fm,
+        "F_s": profile.c_fs,
+    }
+    counts: Dict[str, int] = {component: 0 for component in weights}
+    causes: Dict[str, Dict[str, int]] = {component: {} for component in weights}
+    total = 0
+    for span in spans:
+        total += 1
+        component = span.usm_component
+        counts[component] = counts.get(component, 0) + 1
+        if span.cause is not None:
+            bucket = causes.setdefault(component, {})
+            bucket[span.cause] = bucket.get(span.cause, 0) + 1
+    components: Dict[str, float] = {}
+    ratios: Dict[str, float] = {}
+    for component, weight in weights.items():
+        ratio = counts[component] / total if total else 0.0
+        ratios[component] = ratio
+        components[component] = ratio * weight
+    # Mirror UsmAccumulator.average_usm exactly: sum the per-outcome
+    # contributions (gain positive, penalties negative) in Outcome
+    # order, then divide once — NOT S − R − F_m − F_s over the
+    # components, which rounds differently in the last ulp.
+    contributions = {
+        "S": profile.contribution(Outcome.SUCCESS),
+        "R": profile.contribution(Outcome.REJECTED),
+        "F_m": profile.contribution(Outcome.DEADLINE_MISS),
+        "F_s": profile.contribution(Outcome.DATA_STALE),
+    }
+    usm = (
+        sum(contributions[c] * counts[c] for c in weights) / total
+        if total
+        else 0.0
+    )
+    return {
+        "total": total,
+        "counts": counts,
+        "ratios": ratios,
+        "components": components,
+        "causes": {
+            component: dict(sorted(bucket.items()))
+            for component, bucket in causes.items()
+        },
+        "usm": usm,
+        "profile": profile.describe(),
     }
 
 

@@ -169,12 +169,13 @@ class TestTypedEventsDoNotPerturb:
             obs=ObsConfig(enabled=True, keep_events=True, spans=False),
         )
         typed = _run(config)
-        generic = TraceRecorder(metrics=RunMetrics())
+        metrics = RunMetrics()
+        generic = TraceRecorder(sinks=[metrics.observe_event])
         for flat in typed.obs_events:
             fields = dict(flat)
             generic.emit(fields.pop("t"), fields.pop("kind"), fields)
         kinds = typed.obs_summary["by_kind"]
         assert kinds["modulation.change"] and kinds["sched.enqueue"]
         assert trace_digest(typed.obs_events) == trace_digest(generic.event_dicts())
-        assert typed.obs_metrics == generic.metrics.registry.snapshot()
+        assert typed.obs_metrics == metrics.snapshot()
         assert typed.obs_summary == generic.summary()

@@ -271,7 +271,7 @@ class TestRunMetricsFolding:
 
     def test_recorder_drives_sink(self):
         rm = RunMetrics()
-        rec = TraceRecorder(capacity=4, metrics=rm)
+        rec = TraceRecorder(capacity=4, sinks=[rm.observe_event])
         rec.query_admit(0.1, 1, 1.0, 2)
         rec.query_admit(0.2, 2, 1.0, 2)
         assert rm.snapshot()["repro_query_admitted_total"]["value"] == 2.0

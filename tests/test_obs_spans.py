@@ -288,16 +288,20 @@ class TestMalformedStreams:
 
 class TestKindFilter:
     def test_filter_matches_the_kinds_build_spans_handles(self):
-        """``_iter_event_tuples`` drops every kind outside ``_SPAN_KINDS``
-        before ``build_spans`` sees it, so the set must name exactly the
-        kinds the builder's ``kind == _trace.X`` chain compares against."""
-        tree = ast.parse(textwrap.dedent(inspect.getsource(spans_module.build_spans)))
+        """``SpanFold.observe`` (which ``build_spans`` drives) ignores
+        every kind outside ``_SPAN_KINDS``, and ``_iter_event_tuples``
+        drops them before the fold sees them, so the set must name
+        exactly the kinds the fold's ``kind == _trace.X`` chain compares
+        against."""
+        source = inspect.getsource(spans_module.SpanFold.observe)
+        tree = ast.parse(textwrap.dedent(source))
         handled = set()
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Compare)
                 and isinstance(node.left, ast.Name)
                 and node.left.id == "kind"
+                and all(isinstance(op, ast.Eq) for op in node.ops)
             ):
                 for right in node.comparators:
                     assert isinstance(right, ast.Attribute)

@@ -118,15 +118,14 @@ class TestTraceRecorder:
 
     def test_metrics_sink_sees_every_event(self):
         seen = []
-
-        class Sink:
-            def observe_event(self, event):
-                seen.append(event[1])
-
-        rec = TraceRecorder(capacity=1, metrics=Sink())
+        kinds = []
+        rec = TraceRecorder(
+            capacity=1, sinks=[seen.append, lambda event: kinds.append(event[1])]
+        )
         rec.update_drop(0.0, 1, 1.0)
         rec.update_drop(0.1, 2, 1.0)  # evicts the first from the ring
-        assert seen == ["update.drop", "update.drop"]
+        assert kinds == ["update.drop", "update.drop"]
+        assert seen == [(0.0, "update.drop", 1, 1.0), (0.1, "update.drop", 2, 1.0)]
 
     def test_base_recorder_emit_is_noop(self):
         # The Recorder base class is safe to use directly (emit discards).
