@@ -206,7 +206,7 @@ def test_bench_span_build_throughput(bench_scale, bench_seed):
     )
     config = dataclasses.replace(
         config,
-        obs=ObsConfig(enabled=True, keep_events=True, metrics=False, spans=False),
+        obs=ObsConfig(enabled=True, keep_events=True, spans=False),
     )
     default_cache().warm([config])
     report = run_experiment(config)

@@ -1,6 +1,6 @@
 """Traced allocations of one observed run: its peak and what it leaves.
 
-Runs one cell with observability on (trace, metrics and spans, the
+Runs one cell with observability on (trace and spans, the
 default :class:`~repro.obs.config.ObsConfig`) under ``tracemalloc`` and
 prints one JSON object: the peak of traced memory above the start of
 the run, what is still allocated once the report is built, and how much

@@ -38,7 +38,6 @@ from repro.obs.export import (
     write_trace_jsonl,
 )
 from repro.obs.attrib import AttribAccumulator
-from repro.obs.metrics import RunMetrics
 from repro.obs.spans import build_spans  # noqa: F401  (perfbench patches this name)
 from repro.obs.spans import SpanBuildResult, SpanFold, write_spans_jsonl
 from repro.obs.trace import Recorder, TraceRecorder
@@ -87,7 +86,6 @@ class SimulationReport:
     # deliberately excludes every field below plus wall timings).
     phase_seconds: Optional[Dict[str, float]] = None
     obs_summary: Optional[Dict[str, object]] = None
-    obs_metrics: Optional[Dict[str, object]] = None
     obs_events: Optional[List[Dict[str, object]]] = None
     obs_artifacts: Optional[Dict[str, str]] = None
     # Query-lifecycle span attribution (repro.obs.spans/attrib): the
@@ -385,20 +383,16 @@ class Substrate:
         self.query_trace = query_trace
         self.update_trace = update_trace
         self.shard = shard
-        # The metrics registry and the span fold are sinks of the
-        # recorder, so both see every event however small the ring.
-        # Each span goes into the attribution as it closes; the fold
-        # keeps the spans themselves only for the spans JSONL.
+        # The span fold is a sink of the recorder, so it sees every
+        # event however small the ring.  Each span goes into the
+        # attribution as it closes; the fold keeps the spans themselves
+        # only for the spans JSONL.
         self.recorder: Optional[TraceRecorder] = None
-        self.metrics: Optional[RunMetrics] = None
         self.span_fold: Optional[SpanFold] = None
         self.attrib: Optional[AttribAccumulator] = None
         obs = config.obs
         if obs is not None and obs.enabled:
             sinks = []
-            if obs.metrics:
-                self.metrics = RunMetrics()
-                sinks.append(self.metrics.observe_event)
             if obs.spans:
                 self.attrib = AttribAccumulator()
                 self.span_fold = SpanFold(
@@ -478,14 +472,11 @@ class Substrate:
 
         recorder = self.recorder
         obs_summary: Optional[Dict[str, object]] = None
-        obs_metrics: Optional[Dict[str, object]] = None
         obs_events: Optional[List[Dict[str, object]]] = None
         obs_artifacts: Optional[Dict[str, str]] = None
         obs_spans: Optional[Dict[str, object]] = None
         if recorder is not None and config.obs is not None:
             obs_summary = recorder.summary()
-            if self.metrics is not None:
-                obs_metrics = self.metrics.snapshot()
             if config.obs.keep_events:
                 obs_events = recorder.event_dicts()
             span_result: Optional[SpanBuildResult] = None
@@ -533,7 +524,6 @@ class Substrate:
             degradation=degradation,
             phase_seconds=phase_seconds,
             obs_summary=obs_summary,
-            obs_metrics=obs_metrics,
             obs_events=obs_events,
             obs_artifacts=obs_artifacts,
             obs_spans=obs_spans,

@@ -10,12 +10,10 @@ and this package is the window into those per-decision signals:
     modulation changes, controller window snapshots), recorded in
     **sim time** and stored in a bounded ring buffer.  The shared
     :data:`~repro.obs.trace.NULL_RECORDER` makes the disabled path a
-    single attribute check on every instrumentation site.
-
-``repro.obs.metrics``
-    A metrics registry (counters, gauges, histograms with fixed bucket
-    edges, keyed by name + frozen label tuples) built on the
-    :mod:`repro.sim.stats` machinery.
+    single attribute check on every instrumentation site.  Each event
+    also goes to the recorder's sinks; an observed run has one, the
+    span fold of :mod:`repro.obs.spans`, which sees every event
+    however small the ring.
 
 ``repro.obs.export``
     Exporters: JSONL trace dump, Chrome trace-event JSON (loadable in
@@ -44,7 +42,6 @@ from repro.obs.export import (
     write_trace_jsonl,
 )
 from repro.obs.logging_setup import configure_logging, get_logger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, RunMetrics
 from repro.obs.trace import (
     NULL_RECORDER,
     NullRecorder,
@@ -54,15 +51,10 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_RECORDER",
     "NullRecorder",
     "ObsConfig",
     "Recorder",
-    "RunMetrics",
     "TraceEvent",
     "TraceRecorder",
     "chrome_trace_events",

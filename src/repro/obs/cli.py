@@ -224,7 +224,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
         update_trace=traces[0],
         seed=args.seed,
         scale=scale,
-        obs=ObsConfig(enabled=True, keep_events=True, metrics=False),
+        obs=ObsConfig(enabled=True, keep_events=True),
     )
     reports = run_grid(
         policies,

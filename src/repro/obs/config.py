@@ -32,7 +32,9 @@ class ObsConfig:
         capacity: Trace ring-buffer size (events); oldest events are
             evicted (and counted) beyond this.  The ring feeds only the
             exports and ``keep_events``.
-        metrics: Also fold events into a metrics registry.
+        metrics: Ignored; no instance stores it.  Accepted only because
+            the benchmark's ``observed_unit`` workload still passes
+            ``metrics=True``; the next benchmark change removes it.
         keep_events: Attach the flattened event dicts to the
             ``SimulationReport`` (for tests/CLI use; large).
         spans: Fold every recorded event into query-lifecycle spans as
@@ -52,7 +54,7 @@ class ObsConfig:
 
     enabled: bool = True
     capacity: int = 262_144
-    metrics: bool = True
+    metrics: dataclasses.InitVar[bool] = True
     keep_events: bool = False
     spans: bool = True
     out_dir: Optional[str] = None

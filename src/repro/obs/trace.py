@@ -411,9 +411,9 @@ class TraceRecorder(Recorder):
     oldest event is evicted and counted in :attr:`dropped` (the *tail*
     of a run is usually the interesting part for debugging).  Each of
     the optional ``sinks`` is a callable that receives every event as
-    it is recorded, in order, so a fold over the stream (the metrics
-    registry, :class:`~repro.obs.spans.SpanFold`) covers the whole run
-    even when the ring wraps.
+    it is recorded, in order, so a fold over the stream (such as
+    :class:`~repro.obs.spans.SpanFold`) covers the whole run even when
+    the ring wraps.
     """
 
     __slots__ = ("_ring", "dropped", "counts", "sinks")

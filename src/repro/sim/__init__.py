@@ -9,12 +9,11 @@ random streams (:mod:`repro.sim.rng`), and small statistics helpers
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import OnlineStats, TimeSeries, WindowedCounts
+from repro.sim.stats import OnlineStats, WindowedCounts
 
 __all__ = [
     "OnlineStats",
     "RandomStreams",
     "Simulator",
-    "TimeSeries",
     "WindowedCounts",
 ]

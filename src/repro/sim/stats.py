@@ -1,15 +1,14 @@
 """Small statistics helpers shared by the simulator and the policies.
 
 Everything here is incremental/online so that simulations never retain
-per-event history unless the caller explicitly asks for a
-:class:`TimeSeries`.
+per-event history.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Optional, Tuple
 
 
 class OnlineStats:
@@ -81,46 +80,6 @@ class OnlineStats:
             "min": None if empty else self._min,
             "max": None if empty else self._max,
         }
-
-
-class TimeSeries:
-    """An explicit ``(time, value)`` record, for figures and debugging."""
-
-    __slots__ = ("name", "_times", "_values")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
-
-    def append(self, time: float, value: float) -> None:
-        if self._times and time < self._times[-1]:
-            raise ValueError("time went backwards")
-        self._times.append(time)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> Tuple[float, ...]:
-        return tuple(self._times)
-
-    @property
-    def values(self) -> Tuple[float, ...]:
-        return tuple(self._values)
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        """Most recent point, or None when empty."""
-        if not self._times:
-            return None
-        return self._times[-1], self._values[-1]
-
-    def mean(self) -> float:
-        """Unweighted mean of recorded values; 0.0 when empty."""
-        if not self._values:
-            return 0.0
-        return sum(self._values) / len(self._values)
 
 
 class WindowedCounts:

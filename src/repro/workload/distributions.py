@@ -128,22 +128,6 @@ class BurstyArrivalProcess:
             times.append(arrival)
 
 
-def weighted_choice(weights: List[float], rng: random.Random) -> int:
-    """Index drawn proportionally to ``weights`` (linear scan).
-
-    For the hot path (trace generation over 1024 items) callers should
-    precompute a cumulative table; this helper is for small cases.
-    """
-    total = sum(weights)
-    target = rng.random() * total
-    acc = 0.0
-    for index, weight in enumerate(weights):
-        acc += weight
-        if target < acc:
-            return index
-    return len(weights) - 1
-
-
 class CumulativeSampler:
     """O(log n) categorical sampling from a fixed weight vector."""
 

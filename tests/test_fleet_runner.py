@@ -173,7 +173,7 @@ class TestPerShardFaults:
 
 class TestObservability:
     def test_fleet_trace_events(self):
-        obs = ObsConfig(enabled=True, keep_events=True, metrics=False)
+        obs = ObsConfig(enabled=True, keep_events=True)
         fleet = run_fleet(
             fleet_config(base_config(obs=obs), n_shards=2, replication=2,
                          router_policy="freshness")
@@ -210,7 +210,7 @@ class TestObservability:
         assert "shard" not in plain.spans[0].as_dict()
 
     def test_multi_shard_spans_built_per_shard(self):
-        obs = ObsConfig(enabled=True, keep_events=False, metrics=False, spans=True)
+        obs = ObsConfig(enabled=True, keep_events=False, spans=True)
         fleet = run_fleet(fleet_config(base_config(obs=obs), n_shards=2))
         for report in fleet.shard_reports:
             assert report.obs_spans is not None

@@ -35,7 +35,7 @@ TARGETS: Dict[str, str] = {
     "faults": "faults/driver.py",
     "fleet": "fleet/runner.py",
     "lint": "lint/sarif.py",
-    "obs": "obs/metrics.py",
+    "obs": "obs/export.py",
     "sim": "sim/stats.py",
     "workload": "workload/queries.py",
 }

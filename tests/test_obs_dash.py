@@ -15,7 +15,7 @@ from repro.obs.dash import _downsample, render_dashboard
 from tests.test_sweep_and_cli_tools import _progress_lines
 
 SMOKE = SCALES["smoke"]
-OBS_KEEP = ObsConfig(enabled=True, keep_events=True, metrics=False)
+OBS_KEEP = ObsConfig(enabled=True, keep_events=True)
 
 #: Wall-clock figures: the only payload fields two runs may disagree on.
 WALL_FIELDS = ("wall_seconds", "throughput", "phase_seconds")
@@ -85,7 +85,7 @@ class TestDashboardState:
         ]
 
     def test_runs_without_kept_events(self):
-        """metrics/keep_events off: the cell payload degrades gracefully."""
+        """Observability off: the cell payload degrades gracefully."""
         plain = run_experiment(
             ExperimentConfig(
                 policy="unit", update_trace="med-unif", seed=7, scale=SMOKE,

@@ -20,7 +20,6 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import WORKERS_ENV, run_grid
 from repro.obs.config import ObsConfig
 from repro.obs.export import trace_digest
-from repro.obs.metrics import RunMetrics
 from repro.obs.trace import TraceRecorder
 from tests.test_determinism_regression import _stable_report_bytes
 
@@ -160,22 +159,20 @@ class TestArtifactDeterminism:
 
 
 class TestTypedEventsDoNotPerturb:
-    def test_typed_and_dict_events_same_digest_and_metrics(self):
+    def test_typed_and_dict_events_same_digest_and_summary(self):
         """Re-recording a run's flattened events through the generic
-        :meth:`Recorder.emit` path reproduces its trace, metrics and
-        summary: the typed hooks and the schema agree key for key."""
+        :meth:`Recorder.emit` path reproduces its trace and summary:
+        the typed hooks and the schema agree key for key."""
         config = ExperimentConfig(
             policy="unit", update_trace="med-unif", seed=7, scale=SMOKE,
             obs=ObsConfig(enabled=True, keep_events=True, spans=False),
         )
         typed = _run(config)
-        metrics = RunMetrics()
-        generic = TraceRecorder(sinks=[metrics.observe_event])
+        generic = TraceRecorder()
         for flat in typed.obs_events:
             fields = dict(flat)
             generic.emit(fields.pop("t"), fields.pop("kind"), fields)
         kinds = typed.obs_summary["by_kind"]
         assert kinds["modulation.change"] and kinds["sched.enqueue"]
         assert trace_digest(typed.obs_events) == trace_digest(generic.event_dicts())
-        assert typed.obs_metrics == metrics.snapshot()
         assert typed.obs_summary == generic.summary()

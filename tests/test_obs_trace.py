@@ -116,7 +116,7 @@ class TestTraceRecorder:
         assert summary["dropped"] == 1
         assert summary["by_kind"] == {"query.admit": 1, "update.drop": 2}
 
-    def test_metrics_sink_sees_every_event(self):
+    def test_sinks_see_every_event(self):
         seen = []
         kinds = []
         rec = TraceRecorder(

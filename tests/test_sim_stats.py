@@ -6,7 +6,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import OnlineStats, TimeSeries, WindowedCounts
+from repro.sim.stats import OnlineStats, WindowedCounts
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -42,29 +42,6 @@ class TestOnlineStats:
         stats = OnlineStats()
         stats.extend([1.0, 2.0, 3.0, 4.0])
         assert stats.stdev == pytest.approx(math.sqrt(stats.variance))
-
-
-class TestTimeSeries:
-    def test_append_and_read(self):
-        ts = TimeSeries("x")
-        ts.append(1.0, 10.0)
-        ts.append(2.0, 20.0)
-        assert ts.times == (1.0, 2.0)
-        assert ts.values == (10.0, 20.0)
-        assert ts.last() == (2.0, 20.0)
-        assert ts.mean() == 15.0
-        assert len(ts) == 2
-
-    def test_empty_series(self):
-        ts = TimeSeries()
-        assert ts.last() is None
-        assert ts.mean() == 0.0
-
-    def test_rejects_time_regression(self):
-        ts = TimeSeries()
-        ts.append(2.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.append(1.0, 1.0)
 
 
 class TestWindowedCounts:

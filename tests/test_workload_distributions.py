@@ -12,7 +12,6 @@ from repro.workload.distributions import (
     exponential,
     lognormal_from_mean_cv,
     shuffled_zipf_weights,
-    weighted_choice,
     zipf_weights,
 )
 
@@ -137,11 +136,6 @@ class TestBurstyProcess:
 
 
 class TestSamplers:
-    def test_weighted_choice_respects_zero_weights(self):
-        rng = random.Random(0)
-        draws = {weighted_choice([0.0, 1.0, 0.0], rng) for _ in range(50)}
-        assert draws == {1}
-
     def test_cumulative_sampler_matches_distribution(self):
         sampler = CumulativeSampler([1.0, 3.0])
         rng = random.Random(11)
