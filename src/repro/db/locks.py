@@ -5,27 +5,27 @@ Abbott & Garcia-Molina).  The rule: when a transaction requests a lock
 that conflicts with locks held by *strictly lower-priority*
 transactions only, the holders are aborted (restarted) and the
 requester proceeds; if any conflicting holder has higher priority, the
-requester waits.  Because wait-for edges therefore always point from
-lower to higher priority — and priority keys are a strict total order —
-no deadlock can form.
+requester would wait.
 
 Priorities are the transactions' ``priority_key()`` tuples (class rank,
 deadline, id): updates above queries, EDF within a class.
 
-In this server the wait branch is never taken.  There is one CPU, and
-the server requests locks only for the transaction it is about to put
-on it: the head of the ready queue, which outranks the running
-transaction it preempts.  The ready queue orders by the same key, so
-the requester is the top-priority ready transaction.  Every other lock
-holder is either that preempted transaction or a ready one behind it;
-a query parked for refreshes gives its locks up, and aborted or
-finished transactions release theirs.  So every conflicting holder has
-lower priority and the request ends in GRANTED or CONFLICT, never
-BLOCKED; with no waiter ever queued, no waiter can block a later
-request either.  ``tests/test_db_locks.py`` pins zero BLOCKED over a
-grid of policies, traces, query sizes and fault scenarios.  The wait
-path stays for direct callers of this class and is exercised by its
-own unit tests.
+In this server the wait never happens, so this table only grants or
+restarts.  There is one CPU, and the server requests locks only for
+the transaction it is about to put on it: the head of the ready queue,
+which outranks the running transaction it preempts.  The ready queue
+orders by the same key, so the requester is the top-priority ready
+transaction.  Every other lock holder is either that preempted
+transaction or a ready one behind it; a query parked for refreshes
+gives its locks up, and aborted or finished transactions release
+theirs.  So every conflicting holder has lower priority and the
+request ends in GRANTED or CONFLICT.  A request that an incompatible
+holder outranks raises :class:`LockWaitError` before it touches the
+table: a policy that breaks the argument fails loudly instead of
+parking a transaction on a queue nothing drains.
+``tests/test_db_locks.py`` pins that no request raises over a grid of
+policies, traces, query sizes, fault scenarios and a coordinated
+replicated fleet.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.db.transactions import QueryTransaction, UpdateTransaction
 from repro.obs.trace import NULL_RECORDER, Recorder
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 Transaction = Union[QueryTransaction, UpdateTransaction]
 
@@ -60,10 +60,28 @@ class LockStatus(enum.Enum):
     """Result of a lock request."""
 
     GRANTED = "granted"
-    BLOCKED = "blocked"
     CONFLICT = "conflict"  # lower-priority holders must be aborted first
 
     __hash__ = object.__hash__  # singleton members; see LockMode
+
+
+class LockWaitError(SimulationError):
+    """A lock request that 2PL-HP would make wait: an incompatible
+    holder outranks the requester.
+
+    The server never issues one (see the module docstring), so this
+    names a broken scheduling argument rather than a recoverable state.
+    """
+
+    def __init__(self, requester: Transaction, holder: Transaction, item_id: int) -> None:
+        super().__init__(
+            f"txn {requester.txn_id} requested item {item_id}, held by "
+            f"higher-priority txn {holder.txn_id}: 2PL-HP would wait, "
+            "and this lock table only grants or restarts"
+        )
+        self.requester = requester
+        self.holder = holder
+        self.item_id = item_id
 
 
 @dataclasses.dataclass
@@ -79,26 +97,12 @@ class LockRequestResult:
     victims: Tuple[Transaction, ...] = ()
 
 
-#: Shared immutable results for the two allocation-free outcomes; the
-#: grant path runs once per lock request on the simulation hot path.
+#: Shared immutable result for the allocation-free outcome; the grant
+#: path runs once per lock request on the simulation hot path.
 _GRANTED = LockRequestResult(LockStatus.GRANTED)
-_BLOCKED = LockRequestResult(LockStatus.BLOCKED)
 
-
-@dataclasses.dataclass
-class _Waiter:
-    txn: Transaction
-    mode: LockMode
-
-
-class _ItemLock:
-    """Lock state for a single data item."""
-
-    __slots__ = ("holders", "waiters")
-
-    def __init__(self) -> None:
-        self.holders: Dict[int, Tuple[Transaction, LockMode]] = {}
-        self.waiters: List[_Waiter] = []
+#: One item's holders: txn id -> (transaction, mode held).
+_Holders = Dict[int, Tuple[Transaction, LockMode]]
 
 
 class LockManager:
@@ -111,12 +115,11 @@ class LockManager:
     """
 
     def __init__(self) -> None:
-        self._locks: Dict[int, _ItemLock] = {}
+        self._locks: Dict[int, _Holders] = {}  # item id -> its holders
         self._held_by: Dict[int, Set[int]] = {}  # txn_id -> item ids held
-        self._waiting_on: Dict[int, int] = {}  # txn_id -> item id waited on
         # Observability: the lock table has no clock of its own, so the
         # recorder comes paired with the simulator whose virtual time
-        # stamps the wait/preempt events.  Disabled by default.
+        # stamps the preempt events.  Disabled by default.
         self._obs: Recorder = NULL_RECORDER
         self._obs_sim: Optional[Simulator] = None
 
@@ -138,10 +141,6 @@ class LockManager:
         """Ids of all items ``txn`` holds locks on."""
         return set(self._held_by.get(txn.txn_id, set()))
 
-    def is_waiting(self, txn: Transaction) -> bool:
-        """True if ``txn`` is queued behind some lock."""
-        return txn.txn_id in self._waiting_on
-
     # ------------------------------------------------------------------
     # acquisition
     # ------------------------------------------------------------------
@@ -154,172 +153,74 @@ class LockManager:
     ) -> LockRequestResult:
         """Request ``mode`` on ``item_id`` for ``txn``.
 
-        Returns GRANTED (lock now held), BLOCKED (queued; the caller
-        will be told via :meth:`release_all`'s grant list when it gets
-        the lock), or CONFLICT with the lower-priority holders to abort.
+        Returns GRANTED (lock now held) or CONFLICT with the
+        lower-priority holders to abort.
 
         Re-requesting a held lock in the same or weaker mode is a
         GRANTED no-op; read→write upgrades follow the same HP rule
         against the *other* holders.
+
+        Raises:
+            LockWaitError: An incompatible holder outranks ``txn``; the
+                table is left as it was.
         """
-        locks = self._locks
-        lock = locks.get(item_id)
-        if lock is None:
-            lock = locks[item_id] = _ItemLock()
+        holders = self._locks.get(item_id)
+        if holders is None:
+            holders = self._locks[item_id] = {}
+        elif holders:
+            held = holders.get(txn.txn_id)
+            if held is not None:
+                _, held_mode = held
+                if held_mode is LockMode.WRITE or mode is LockMode.READ:
+                    return _GRANTED
 
-        # Uncontended fast path (the overwhelmingly common case): no
-        # holders and no waiters means no conflict of any kind.
-        if not lock.holders and not lock.waiters:
-            lock.holders[txn.txn_id] = (txn, mode)
-            held_items = self._held_by.get(txn.txn_id)
-            if held_items is None:
-                held_items = self._held_by[txn.txn_id] = set()
-            held_items.add(item_id)
-            return _GRANTED
+            conflicting = [
+                holder
+                for holder_id, (holder, holder_mode) in holders.items()
+                if holder_id != txn.txn_id and not _compatible(holder_mode, mode)
+            ]
+            if conflicting:
+                key = txn.priority_key()
+                for holder in conflicting:
+                    if holder.priority_key() < key:
+                        raise LockWaitError(txn, holder, item_id)
+                # Every conflicting holder has strictly lower priority:
+                # 2PL-HP says abort them all.
+                obs = self._obs
+                if obs.enabled and self._obs_sim is not None:
+                    obs.lock_preempt(
+                        self._obs_sim.now,
+                        txn.txn_id,
+                        item_id,
+                        txn.is_update,
+                        sorted(victim.txn_id for victim in conflicting),
+                    )
+                return LockRequestResult(LockStatus.CONFLICT, victims=tuple(conflicting))
 
-        held = lock.holders.get(txn.txn_id)
-        if held is not None:
-            _, held_mode = held
-            if held_mode is LockMode.WRITE or mode is LockMode.READ:
-                return _GRANTED
-
-        conflicting = [
-            holder
-            for holder_id, (holder, holder_mode) in lock.holders.items()
-            if holder_id != txn.txn_id and not _compatible(holder_mode, mode)
-        ]
-
-        # No barging: an incompatible waiter with higher priority keeps
-        # this request out even if the holders are compatible.
-        blocking_waiters = [
-            waiter
-            for waiter in lock.waiters
-            if waiter.txn.txn_id != txn.txn_id
-            and waiter.txn.priority_key() < txn.priority_key()
-            and not (_compatible(waiter.mode, mode) and _compatible(mode, waiter.mode))
-        ]
-
-        if not conflicting and not blocking_waiters:
-            lock.holders[txn.txn_id] = (txn, mode)
-            held_items = self._held_by.get(txn.txn_id)
-            if held_items is None:
-                held_items = self._held_by[txn.txn_id] = set()
-            held_items.add(item_id)
-            return _GRANTED
-
-        higher_priority_conflicts = [
-            holder
-            for holder in conflicting
-            if holder.priority_key() < txn.priority_key()
-        ]
-        if higher_priority_conflicts or blocking_waiters:
-            self._enqueue_waiter(lock, txn, mode, item_id)
-            obs = self._obs
-            if obs.enabled and self._obs_sim is not None:
-                obs.lock_wait(
-                    self._obs_sim.now,
-                    txn.txn_id,
-                    item_id,
-                    txn.is_update,
-                    sorted(lock.holders),
-                )
-            return _BLOCKED
-
-        # Every conflicting holder has strictly lower priority: 2PL-HP
-        # says abort them all.
-        obs = self._obs
-        if obs.enabled and self._obs_sim is not None:
-            obs.lock_preempt(
-                self._obs_sim.now,
-                txn.txn_id,
-                item_id,
-                txn.is_update,
-                sorted(victim.txn_id for victim in conflicting),
-            )
-        return LockRequestResult(LockStatus.CONFLICT, victims=tuple(conflicting))
-
-    def _enqueue_waiter(
-        self,
-        lock: _ItemLock,
-        txn: Transaction,
-        mode: LockMode,
-        item_id: int,
-    ) -> None:
-        if txn.txn_id in self._waiting_on:
-            raise RuntimeError(
-                f"txn {txn.txn_id} already waiting on item {self._waiting_on[txn.txn_id]}"
-            )
-        lock.waiters.append(_Waiter(txn=txn, mode=mode))
-        lock.waiters.sort(key=lambda waiter: waiter.txn.priority_key())
-        self._waiting_on[txn.txn_id] = item_id
+        holders[txn.txn_id] = (txn, mode)
+        held_items = self._held_by.get(txn.txn_id)
+        if held_items is None:
+            held_items = self._held_by[txn.txn_id] = set()
+        held_items.add(item_id)
+        return _GRANTED
 
     # ------------------------------------------------------------------
     # release
     # ------------------------------------------------------------------
 
-    def release_all(self, txn: Transaction) -> List[Transaction]:
-        """Release every lock ``txn`` holds (and any wait it is queued
-        in) and promote waiters.
-
-        Returns:
-            Transactions that were *granted* a lock by this release, in
-            priority order.  The server resumes their lock-acquisition
-            progress.
-        """
-        self.cancel_wait(txn)
-        granted: List[Transaction] = []
+    def release_all(self, txn: Transaction) -> None:
+        """Release every lock ``txn`` holds."""
         item_ids = self._held_by.pop(txn.txn_id, None)
         if item_ids is None:
-            return granted
+            return
+        locks = self._locks
         for item_id in item_ids:
-            lock = self._locks.get(item_id)
-            if lock is None:
-                continue
-            lock.holders.pop(txn.txn_id, None)
-            granted.extend(self._promote_waiters(lock, item_id))
-        return granted
+            holders = locks.get(item_id)
+            if holders is not None:
+                holders.pop(txn.txn_id, None)
 
     def cancel_wait(self, txn: Transaction) -> None:
-        """Remove ``txn`` from any wait queue (e.g. on deadline abort)."""
-        item_id = self._waiting_on.pop(txn.txn_id, None)
-        if item_id is None:
-            return
-        lock = self._locks.get(item_id)
-        if lock is not None:
-            lock.waiters = [w for w in lock.waiters if w.txn.txn_id != txn.txn_id]
-            # The departure may unblock lower-priority compatible waiters;
-            # the caller's release path re-dispatches, and the next
-            # release on this item will promote them.  To avoid stalls we
-            # promote eagerly here as well, but discard the grant list:
-            # promotion only ever *adds* holders, and the server learns
-            # about them through its own release path.  Eager promotion
-            # with notification is handled by release_all.
-
-    def _promote_waiters(self, lock: _ItemLock, item_id: int) -> List[Transaction]:
-        """Grant queued waiters now compatible, in priority order."""
-        granted: List[Transaction] = []
-        while lock.waiters:
-            waiter = lock.waiters[0]
-            conflicting = [
-                holder_mode
-                for holder_id, (_, holder_mode) in lock.holders.items()
-                if holder_id != waiter.txn.txn_id
-                and not _compatible(holder_mode, waiter.mode)
-            ]
-            if conflicting:
-                break
-            lock.waiters.pop(0)
-            self._waiting_on.pop(waiter.txn.txn_id, None)
-            lock.holders[waiter.txn.txn_id] = (waiter.txn, waiter.mode)
-            self._held_by.setdefault(waiter.txn.txn_id, set()).add(item_id)
-            granted.append(waiter.txn)
-        if granted:
-            obs = self._obs
-            if obs.enabled and self._obs_sim is not None:
-                now = self._obs_sim.now
-                for grantee in granted:
-                    obs.lock_grant(now, grantee.txn_id, item_id)
-        return granted
+        """No-op: nothing waits; kept while ``perfbench/tracing.py`` hooks the name."""
 
     # ------------------------------------------------------------------
     # introspection (tests / debugging)
@@ -327,18 +228,7 @@ class LockManager:
 
     def holders_of(self, item_id: int) -> List[Tuple[int, LockMode]]:
         """(txn_id, mode) pairs currently holding ``item_id``."""
-        lock = self._locks.get(item_id)
-        if lock is None:
+        holders = self._locks.get(item_id)
+        if holders is None:
             return []
-        return [(txn_id, mode) for txn_id, (_, mode) in lock.holders.items()]
-
-    def waiters_of(self, item_id: int) -> List[int]:
-        """txn ids queued on ``item_id``, in grant order."""
-        lock = self._locks.get(item_id)
-        if lock is None:
-            return []
-        return [waiter.txn.txn_id for waiter in lock.waiters]
-
-    def waited_item(self, txn: Transaction) -> Optional[int]:
-        """The item ``txn`` is blocked on, if any."""
-        return self._waiting_on.get(txn.txn_id)
+        return [(txn_id, mode) for txn_id, (_, mode) in holders.items()]

@@ -39,7 +39,6 @@ from repro.db.transactions import (
 )
 from repro.obs.trace import (
     ENQUEUE_ADMIT,
-    ENQUEUE_GRANT,
     ENQUEUE_PREEMPT,
     ENQUEUE_REFRESH,
     ENQUEUE_RESTART,
@@ -140,7 +139,6 @@ class Server:
         # Engine cancel tokens (see Simulator.schedule_token) for the
         # completion and deadline events, the two schedule/cancel pairs.
         self._completion_token: Optional[int] = None
-        self._blocked: Dict[int, Transaction] = {}
         self._deadline_tokens: Dict[int, int] = {}
 
         # ODU-style refresh dependencies.
@@ -209,7 +207,6 @@ class Server:
 
         if self._query_refreshes.get(query.txn_id):
             query.state = TransactionState.BLOCKED
-            self._blocked[query.txn_id] = query
             emit = self._emit_park
             if emit is not None:
                 emit(self.sim.now, query.txn_id)
@@ -405,8 +402,8 @@ class Server:
 
     def _dispatch(self) -> None:
         """Give the CPU to the highest-priority runnable transaction,
-        preempting if necessary.  Transactions that block on locks fall
-        out of the loop and the next candidate is tried."""
+        preempting if necessary.  A query parked for refreshes falls out
+        of the loop and the next candidate is tried."""
         while True:
             candidate = self.ready.peek()
             if candidate is None:
@@ -421,23 +418,24 @@ class Server:
             # The peeked candidate is by definition the queue head, so
             # pop() takes it in O(1) instead of a keyed removal.
             self.ready.pop()
-            # Whether the candidate started or blocked, go around again:
+            # Whether the candidate started or parked, go around again:
             # lock-conflict aborts during acquisition may have readied a
             # transaction that outranks whatever is now on the CPU.
             self._try_start(candidate)
 
-    def _try_start(self, txn: Transaction) -> bool:
-        """Acquire ``txn``'s locks and put it on the CPU.
+    def _try_start(self, txn: Transaction) -> None:
+        """Acquire ``txn``'s locks and put it on the CPU, unless it parks
+        for on-demand refreshes.
 
-        Returns False if the transaction blocked on a lock or is waiting
-        for on-demand refreshes (the caller then tries the next
-        candidate)."""
+        The lock table grants or names lower-priority victims to
+        restart; ``txn`` is the ready-queue head, so no holder outranks
+        it and no request waits (see :mod:`repro.db.locks`)."""
         if txn.is_update:
             needed: Sequence[int] = (txn.item_id,)
             mode = LockMode.WRITE
         else:
             if self._park_for_refresh(txn):
-                return False
+                return
             needed = txn.items
             mode = LockMode.READ
 
@@ -448,15 +446,10 @@ class Server:
                 result = self.locks.request(txn, item_id, mode)
                 if result.status is LockStatus.GRANTED:
                     break
-                if result.status is LockStatus.BLOCKED:
-                    txn.state = TransactionState.BLOCKED
-                    self._blocked[txn.txn_id] = txn
-                    return False
                 for victim in result.victims:
                     self._abort_restart(victim)
 
         self._run(txn)
-        return True
 
     def _park_for_refresh(self, query: QueryTransaction) -> bool:
         """Give an on-demand policy the chance to refresh stale items
@@ -475,50 +468,13 @@ class Server:
         if not self._query_refreshes.get(query.txn_id):
             return False  # policy asked to wait but spawned nothing
         query.state = TransactionState.BLOCKED
-        self._blocked[query.txn_id] = query
         # A parked query must not sit on read locks: the refresh needs a
         # write lock on the very items it is waiting on.
-        granted = self.locks.release_all(query)
-        for grantee in granted:
-            self._continue_acquisition(grantee)
+        self.locks.release_all(query)
         emit = self._emit_park
         if emit is not None:
             emit(self.sim.now, query.txn_id)
         return True
-
-    def _continue_acquisition(self, txn: Transaction) -> None:
-        """A blocked transaction was granted a lock: try to finish its
-        lock set and, if complete, return it to the ready queue."""
-        if txn.is_finished:
-            return
-        if txn.is_update:
-            needed = [txn.item_id]
-            mode = LockMode.WRITE
-        else:
-            needed = list(txn.items)
-            mode = LockMode.READ
-
-        for item_id in needed:
-            if self.locks.holds(txn, item_id):
-                continue
-            while True:
-                result = self.locks.request(txn, item_id, mode)
-                if result.status is LockStatus.GRANTED:
-                    break
-                if result.status is LockStatus.BLOCKED:
-                    txn.state = TransactionState.BLOCKED
-                    self._blocked[txn.txn_id] = txn
-                    return
-                for victim in result.victims:
-                    self._abort_restart(victim)
-
-        self._blocked.pop(txn.txn_id, None)
-        txn.state = TransactionState.READY
-        self.ready.push(txn)
-        if not txn.is_update:
-            emit = self._emit_enqueue
-            if emit is not None:
-                emit(self.sim.now, txn.txn_id, ENQUEUE_GRANT)
 
     def _run(self, txn: Transaction) -> None:
         now = self.sim.now
@@ -595,15 +551,12 @@ class Server:
         self._running = None
         self._completion_token = None
 
-        granted = self.locks.release_all(txn)
+        self.locks.release_all(txn)
 
         if txn.is_update:
             self._commit_update(txn)
         else:
             self._commit_query(txn)
-
-        for grantee in granted:
-            self._continue_acquisition(grantee)
         self._dispatch()
 
     def _commit_update(self, update: UpdateTransaction) -> None:
@@ -628,7 +581,6 @@ class Server:
             if query is None or query.is_finished:
                 continue
             if not pending and query.state is TransactionState.BLOCKED:
-                self._blocked.pop(query_id, None)
                 query.state = TransactionState.READY
                 self.ready.push(query)
                 emit = self._emit_enqueue
@@ -658,10 +610,8 @@ class Server:
             return
         self._detach(query)
         query.state = TransactionState.ABORTED
-        granted = self.locks.release_all(query)
+        self.locks.release_all(query)
         self._finalize_query(query, Outcome.DEADLINE_MISS, freshness=None)
-        for grantee in granted:
-            self._continue_acquisition(grantee)
         self._dispatch()
 
     def _abort_restart(self, victim: Transaction) -> None:
@@ -673,7 +623,7 @@ class Server:
         immediately as a deadline miss (ablation).
         """
         self._detach(victim)
-        granted = self.locks.release_all(victim)
+        self.locks.release_all(victim)
         victim.remaining = victim.exec_time
         victim.run_started_at = None
 
@@ -696,12 +646,9 @@ class Server:
             victim.state = TransactionState.READY
             self.ready.push(victim)
 
-        for grantee in granted:
-            self._continue_acquisition(grantee)
-
     def _detach(self, txn: Transaction) -> None:
-        """Remove ``txn`` from the CPU, the ready queue, or the blocked
-        set — wherever it currently lives."""
+        """Take ``txn`` off the CPU or out of the ready queue, wherever
+        it currently lives (a query parked for refreshes is in neither)."""
         if txn is self._running:
             if self._completion_token is not None:
                 self.sim.cancel_token(self._completion_token)
@@ -715,9 +662,6 @@ class Server:
             self._running = None
         elif txn in self.ready:
             self.ready.remove(txn)
-        else:
-            self._blocked.pop(txn.txn_id, None)
-            self.locks.cancel_wait(txn)
 
     def _finalize_query(
         self,

@@ -42,7 +42,7 @@ class TransactionState(enum.Enum):
     PENDING = "pending"  # created, not yet submitted
     READY = "ready"  # in the ready queue, eligible to run
     RUNNING = "running"  # holds the CPU
-    BLOCKED = "blocked"  # waiting on a lock or on refresh dependencies
+    BLOCKED = "blocked"  # parked on on-demand refresh dependencies (ODU)
     COMMITTED = "committed"
     ABORTED = "aborted"
 

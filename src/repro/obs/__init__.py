@@ -6,7 +6,7 @@ and this package is the window into those per-decision signals:
 
 ``repro.obs.trace``
     A trace recorder with typed, slotted trace events (admission,
-    outcome attribution, lock waits/preemptions, update apply/drop,
+    outcome attribution, 2PL-HP preemptions, update apply/drop,
     modulation changes, controller window snapshots), recorded in
     **sim time** and stored in a bounded ring buffer.  The shared
     :data:`~repro.obs.trace.NULL_RECORDER` makes the disabled path a

@@ -1,8 +1,8 @@
 """Wait-time attribution and the USM-loss ledger.
 
 The analysis layer over :mod:`repro.obs.spans`: given one run's spans
-it answers *where the deadline slack went* (queue wait vs lock wait vs
-refresh wait vs service) and *which Eq. 5 component lost USM points to
+it answers *where the deadline slack went* (queue wait vs refresh
+wait vs service) and *which Eq. 5 component lost USM points to
 which cause*.  One :class:`AttribAccumulator` folds the spans one at a
 time: an observed run feeds it live from its
 :class:`~repro.obs.spans.SpanFold`, and :func:`attrib_report` folds a

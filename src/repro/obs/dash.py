@@ -161,7 +161,6 @@ _PAGE_TEMPLATE = """<!DOCTYPE html>
     <i style="background:var(--bad)"></i>dmf
     <i style="background:var(--warn)"></i>dsf
     &nbsp;&nbsp;waits: <i style="background:#7d8ea3"></i>queued
-    <i style="background:#b07cc6"></i>lock
     <i style="background:#46b1c9"></i>refresh
     <i style="background:#4cc38a"></i>exec
   </div>
@@ -175,9 +174,9 @@ const STATE = __STATE__;
 
 const OUT_COLORS = {success:"var(--good)", rejected:"var(--accent)",
                     dmf:"var(--bad)", dsf:"var(--warn)"};
-const WAIT_COLORS = {"queued":"#7d8ea3", "lock-wait":"#b07cc6",
-                     "refresh-wait":"#46b1c9", "executing":"#4cc38a"};
-const WAIT_ORDER = ["queued", "lock-wait", "refresh-wait", "executing"];
+const WAIT_COLORS = {"queued":"#7d8ea3", "refresh-wait":"#46b1c9",
+                     "executing":"#4cc38a"};
+const WAIT_ORDER = ["queued", "refresh-wait", "executing"];
 
 function fmt(x, digits) {
   return (x === null || x === undefined) ? "-" : Number(x).toFixed(digits);

@@ -9,8 +9,8 @@ environment leakage):
 * **Chrome trace-event JSON** — loads in Perfetto / ``chrome://tracing``
   with three lanes: *server* (query lifetimes as complete events,
   admission/update instants), *controller* (window snapshots as counter
-  tracks, allocation/modulation instants), and *locks* (waits and
-  preemptions).
+  tracks, allocation/modulation instants), and *locks* (2PL-HP
+  preemptions; no lock ever waits).
 * **Controller CSV** — one row per ``control.window`` snapshot: the USM
   components, the aggregate USM, and the knob values the controller
   chose.  The artifact to diff when calibrating the feedback loop.
@@ -53,8 +53,6 @@ _LANE_BY_KIND = {
     _trace.SCHED_ENQUEUE: _TID_SERVER,
     _trace.SCHED_DISPATCH: _TID_SERVER,
     _trace.SCHED_PARK: _TID_SERVER,
-    _trace.LOCK_WAIT: _TID_LOCKS,
-    _trace.LOCK_GRANT: _TID_LOCKS,
     _trace.LOCK_PREEMPT: _TID_LOCKS,
     _trace.MODULATION_CHANGE: _TID_CONTROLLER,
     _trace.CONTROL_ALLOCATE: _TID_CONTROLLER,

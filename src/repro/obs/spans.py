@@ -4,16 +4,18 @@ The trace stream (:mod:`repro.obs.trace`) records *point* events.  This
 module folds them (:class:`SpanFold`, live as a recorder sink or
 offline through :func:`build_spans`) into one **span** per query — the
 full lifecycle
-``admitted → queued → lock-wait → executing → (preempted)* → outcome``
+``admitted → queued → executing → (preempted)* → outcome``
 — with every simulated instant between admission and outcome assigned
 to exactly one wait state:
 
 =================  ====================================================
 ``queued``         in the ready queue (EDF order, behind updates)
-``lock-wait``      blocked behind a 2PL-HP lock
 ``refresh-wait``   parked while on-demand refreshes commit (ODU)
 ``executing``      on the CPU (including work later lost to restarts)
 =================  ====================================================
+
+A query never waits on a lock, so no state covers one: 2PL-HP here
+only grants or restarts (:mod:`repro.db.locks`).
 
 **Exactness contract.**  Segments are contiguous by construction
 (each closes at the timestamp the next opens), so in the integer
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -70,14 +71,12 @@ from repro.obs import trace as _trace
 
 # Wait states (the ``state`` field of every segment).
 STATE_QUEUED = "queued"
-STATE_LOCK_WAIT = "lock-wait"
 STATE_REFRESH_WAIT = "refresh-wait"
 STATE_EXECUTING = "executing"
 
 #: Segment states in presentation (and tie-break) order.
 WAIT_STATES: Tuple[str, ...] = (
     STATE_QUEUED,
-    STATE_LOCK_WAIT,
     STATE_REFRESH_WAIT,
     STATE_EXECUTING,
 )
@@ -98,7 +97,6 @@ COMPONENT_BY_OUTCOME: Dict[str, str] = {
 # Skip-counter categories (malformed / truncated streams).
 SKIP_ORPHAN_OUTCOME = "orphan_outcome"  # non-rejection outcome, no admit
 SKIP_ORPHAN_SCHED = "orphan_sched"  # sched.* for an unknown query
-SKIP_ORPHAN_LOCK = "orphan_lock"  # lock wait/grant for an unknown txn
 SKIP_DUPLICATE_ADMIT = "duplicate_admit"
 SKIP_UNFINISHED = "unfinished"  # admitted, no outcome by stream end
 # Segments do not telescope to end - admit: an event missing or out of
@@ -108,7 +106,6 @@ SKIP_MALFORMED = "malformed"
 SKIP_CATEGORIES: Tuple[str, ...] = (
     SKIP_ORPHAN_OUTCOME,
     SKIP_ORPHAN_SCHED,
-    SKIP_ORPHAN_LOCK,
     SKIP_DUPLICATE_ADMIT,
     SKIP_UNFINISHED,
     SKIP_MALFORMED,
@@ -142,9 +139,6 @@ class Segment(NamedTuple):
 #: ``wait_fixed`` of a span that spent no time (a rejection span).
 _NO_WAITS: Tuple[int, ...] = (0,) * len(WAIT_STATES)
 
-#: ``lock_fixed`` of a span that waited on no lock (shared, read-only).
-_NO_LOCKS: Mapping[int, int] = MappingProxyType({})
-
 
 class QuerySpan:
     """One query's complete lifecycle.
@@ -158,9 +152,8 @@ class QuerySpan:
     one flat ``(state, end, state, end, …)`` tuple (the first segment
     starts at ``admit``, each later one where the previous ended);
     ``wait_fixed``, the exact fixed-point time spent in each of
-    :data:`WAIT_STATES`, in that order; ``lock_fixed``, exact lock-wait
-    time per blocking item.  ``segments``, ``waits``, ``lock_items``
-    and the durations are derived from them on read.
+    :data:`WAIT_STATES`, in that order.  ``segments``, ``waits`` and
+    the durations are derived from them on read.
     """
 
     __slots__ = (
@@ -175,7 +168,6 @@ class QuerySpan:
         "preemptions",
         "path",
         "wait_fixed",
-        "lock_fixed",
         "usm_component",
         "cause",
         "faults",
@@ -195,7 +187,6 @@ class QuerySpan:
         preemptions: int,
         path: Tuple[Union[str, float], ...],
         wait_fixed: Tuple[int, ...],
-        lock_fixed: Mapping[int, int],
         usm_component: str,
         cause: Optional[str],
         faults: Tuple[str, ...],
@@ -212,7 +203,6 @@ class QuerySpan:
         self.preemptions = preemptions
         self.path = path
         self.wait_fixed = wait_fixed
-        self.lock_fixed = lock_fixed
         self.usm_component = usm_component
         self.cause = cause
         self.faults = faults
@@ -233,11 +223,6 @@ class QuerySpan:
             for state, fx in zip(WAIT_STATES, self.wait_fixed)
             if fx
         }
-
-    @property
-    def lock_items(self) -> Dict[int, float]:
-        """Lock-wait time per blocking item."""
-        return {item: float_from_fixed(fx) for item, fx in self.lock_fixed.items()}
 
     @property
     def duration_fixed(self) -> int:
@@ -276,10 +261,6 @@ class QuerySpan:
             "waits": {
                 state: float_from_fixed(fx)
                 for state, fx in zip(WAIT_STATES, self.wait_fixed)
-            },
-            "lock_items": {
-                str(item): float_from_fixed(fx)
-                for item, fx in sorted(self.lock_fixed.items())
             },
             "usm_component": self.usm_component,
             "cause": self.cause,
@@ -358,9 +339,6 @@ class _OpenSpan:
         "path",
         "wait_fixed",
         "preemptions",
-        "lock_item",
-        "lock_start_fixed",
-        "lock_fixed",
     )
 
     def __init__(self, txn: int, admit: float, deadline: Optional[float]) -> None:
@@ -377,10 +355,6 @@ class _OpenSpan:
         self.path: List[Union[str, float]] = []
         self.wait_fixed: Dict[str, int] = {}
         self.preemptions = 0
-        # Current lock wait being attributed (item id, start instant).
-        self.lock_item: Optional[int] = None
-        self.lock_start_fixed = 0
-        self.lock_fixed: Dict[int, int] = {}
 
     def _fixed(self, now: float) -> int:
         if now != self.mark:
@@ -408,26 +382,11 @@ class _OpenSpan:
             self.wait_fixed[state] = self.wait_fixed.get(state, 0) + dur
         self.state_start_fixed = now_fixed
 
-    def begin_lock_wait(self, now: float, item: int) -> None:
-        self.end_lock_wait(now)  # a new wait supersedes any open one
-        self.lock_item = item
-        self.lock_start_fixed = self._fixed(now)
-
-    def end_lock_wait(self, now: float) -> None:
-        item = self.lock_item
-        if item is None:
-            return
-        dur = self._fixed(now) - self.lock_start_fixed
-        if dur > 0:
-            self.lock_fixed[item] = self.lock_fixed.get(item, 0) + dur
-        self.lock_item = None
-
     def finalize(self, now: float) -> Optional[Tuple[int, ...]]:
         """Close the span at ``now`` and return the exact per-state totals
         in :data:`WAIT_STATES` order, or None when they break the
         exactness contract (the span's events are malformed)."""
         self._close(now)
-        self.end_lock_wait(now)
         if sum(self.wait_fixed.values()) != self._fixed(now) - self.admit_fixed:
             return None
         wait_fixed = self.wait_fixed
@@ -465,8 +424,6 @@ _SPAN_KINDS = frozenset(
         _trace.SCHED_ENQUEUE,
         _trace.SCHED_DISPATCH,
         _trace.SCHED_PARK,
-        _trace.LOCK_WAIT,
-        _trace.LOCK_GRANT,
         _trace.QUERY_OUTCOME,
         _trace.ADMISSION_DECISION,
         _trace.FAULT_START,
@@ -576,8 +533,6 @@ class SpanFold:
                 return
             if cause == _trace.ENQUEUE_PREEMPT:
                 span.preemptions += 1
-            if span.state == STATE_LOCK_WAIT:
-                span.end_lock_wait(now)
             span.transition(now, STATE_QUEUED)
         elif kind == _trace.SCHED_DISPATCH:
             _, _, txn = event
@@ -593,25 +548,6 @@ class SpanFold:
                 skipped[SKIP_ORPHAN_SCHED] += 1
                 return
             span.transition(now, STATE_REFRESH_WAIT)
-        elif kind == _trace.LOCK_WAIT:
-            _, _, txn, item, is_update, _ = event
-            if is_update:
-                return  # update transactions have no spans
-            span = open_spans.get(int(txn))
-            if span is None:
-                skipped[SKIP_ORPHAN_LOCK] += 1
-                return
-            span.transition(now, STATE_LOCK_WAIT)
-            if isinstance(item, int):
-                span.begin_lock_wait(now, item)
-        elif kind == _trace.LOCK_GRANT:
-            _, _, txn, _ = event
-            span = open_spans.get(int(txn))
-            if span is None:
-                # Updates are granted locks too; only count queries we
-                # have genuinely lost track of (lock state, no span).
-                return
-            span.end_lock_wait(now)
         elif kind == _trace.QUERY_OUTCOME:
             _, _, txn, outcome, arrival, _, freshness, restarts = event
             txn = int(txn)
@@ -624,7 +560,7 @@ class SpanFold:
                 # Rejection spans: no lifecycle, just the verdict.
                 self._finalized(
                     txn, arrival, None, now, outcome, None, None, 0, 0, (),
-                    _NO_WAITS, _NO_LOCKS, "R", self._reject_reasons.pop(txn, "admission"),
+                    _NO_WAITS, "R", self._reject_reasons.pop(txn, "admission"),
                 )
                 return
             wait_fixed = span.finalize(now)
@@ -652,7 +588,6 @@ class SpanFold:
                 span.preemptions,
                 span.path,
                 wait_fixed,
-                span.lock_fixed or _NO_LOCKS,
                 COMPONENT_BY_OUTCOME.get(outcome, "S"),
                 cause,
             )
@@ -688,7 +623,6 @@ class SpanFold:
         preemptions: int,
         path: Sequence[Union[str, float]],
         wait_fixed: Tuple[int, ...],
-        lock_fixed: Mapping[int, int],
         component: str,
         cause: Optional[str],
     ) -> None:
@@ -714,7 +648,6 @@ class SpanFold:
                 preemptions=preemptions,
                 path=tuple(path),
                 wait_fixed=wait_fixed,
-                lock_fixed=lock_fixed,
                 usm_component=component,
                 cause=cause,
                 faults=faults,

@@ -38,12 +38,10 @@ Event kinds (the ``kind`` field of every event):
 ``query.outcome``      terminal outcome (success / rejected / dmf /
                        dsf) with latency, freshness, restart count
 ``sched.enqueue``      a query entered the ready queue (cause: admit /
-                       grant / refresh / restart / preempt)
+                       refresh / restart / preempt)
 ``sched.dispatch``     a query left the ready queue for the CPU
 ``sched.park``         a query blocked waiting on on-demand refreshes
 ``admission.decision`` the AC's full verdict (reason, EST, C_flex)
-``lock.wait``          a transaction blocked behind a lock
-``lock.grant``         a queued waiter was promoted to lock holder
 ``lock.preempt``       2PL-HP abort: victims named, requester named
 ``update.apply``       an update transaction committed
 ``update.drop``        a source arrival dropped by the policy
@@ -74,8 +72,6 @@ SCHED_ENQUEUE = "sched.enqueue"
 SCHED_DISPATCH = "sched.dispatch"
 SCHED_PARK = "sched.park"
 ADMISSION_DECISION = "admission.decision"
-LOCK_WAIT = "lock.wait"
-LOCK_GRANT = "lock.grant"
 LOCK_PREEMPT = "lock.preempt"
 UPDATE_APPLY = "update.apply"
 UPDATE_DROP = "update.drop"
@@ -106,8 +102,6 @@ FIELDS: Dict[str, Tuple[str, ...]] = {
     SCHED_DISPATCH: ("txn",),
     SCHED_PARK: ("txn",),
     ADMISSION_DECISION: ("txn", "admitted", "reason", "est", "endangered", "c_flex"),
-    LOCK_WAIT: ("txn", "item", "update", "holders"),
-    LOCK_GRANT: ("txn", "item"),
     LOCK_PREEMPT: ("txn", "item", "update", "victims"),
     UPDATE_APPLY: ("item", "txn", "on_demand", "period"),
     UPDATE_DROP: ("item", "period"),
@@ -181,14 +175,12 @@ def from_dict(flat: Mapping[str, object]) -> TraceEvent:
 
 # ``sched.enqueue`` causes — why a query (re)entered the ready queue.
 ENQUEUE_ADMIT = "admit"  # fresh admission
-ENQUEUE_GRANT = "grant"  # a blocking lock was granted
 ENQUEUE_REFRESH = "refresh"  # its on-demand refreshes committed
 ENQUEUE_RESTART = "restart"  # restarted after a 2PL-HP abort
 ENQUEUE_PREEMPT = "preempt"  # preempted off the CPU
 
 ENQUEUE_CAUSES: Tuple[str, ...] = (
     ENQUEUE_ADMIT,
-    ENQUEUE_GRANT,
     ENQUEUE_REFRESH,
     ENQUEUE_RESTART,
     ENQUEUE_PREEMPT,
@@ -263,18 +255,11 @@ class Recorder:
             (time, ADMISSION_DECISION, txn_id, admitted, reason, est, endangered, c_flex)
         )
 
-    def lock_wait(
-        self,
-        time: float,
-        txn_id: int,
-        item_id: int,
-        is_update: bool,
-        holders: Sequence[int],
-    ) -> None:
-        self._record((time, LOCK_WAIT, txn_id, item_id, is_update, list(holders)))
+    def lock_wait(self, *args: object) -> None:
+        """No-op: no lock wait happens; kept while ``perfbench/tracing.py`` hooks the name."""
 
-    def lock_grant(self, time: float, txn_id: int, item_id: int) -> None:
-        self._record((time, LOCK_GRANT, txn_id, item_id))
+    def lock_grant(self, *args: object) -> None:
+        """No-op: no lock wait happens; kept while ``perfbench/tracing.py`` hooks the name."""
 
     def lock_preempt(
         self,

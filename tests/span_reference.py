@@ -23,12 +23,10 @@ from repro.obs.spans import (
     COMPONENT_BY_OUTCOME,
     SKIP_CATEGORIES,
     SKIP_DUPLICATE_ADMIT,
-    SKIP_ORPHAN_LOCK,
     SKIP_ORPHAN_OUTCOME,
     SKIP_ORPHAN_SCHED,
     SKIP_UNFINISHED,
     STATE_EXECUTING,
-    STATE_LOCK_WAIT,
     STATE_QUEUED,
     STATE_REFRESH_WAIT,
     WAIT_STATES,
@@ -72,8 +70,7 @@ class QuerySpan:
     ``admit`` is ``None`` for rejection spans (the query never entered
     the system; its span is the admission verdict alone).  ``waits``
     maps every wait state to its exact total (floats of fixed-point
-    sums); ``lock_items`` attributes lock-wait time to the items that
-    caused it.
+    sums).
     """
 
     __slots__ = (
@@ -88,7 +85,6 @@ class QuerySpan:
         "preemptions",
         "segments",
         "waits",
-        "lock_items",
         "usm_component",
         "cause",
         "faults",
@@ -108,7 +104,6 @@ class QuerySpan:
         preemptions: int,
         segments: List[Segment],
         waits: Dict[str, float],
-        lock_items: Dict[int, float],
         usm_component: str,
         cause: Optional[str],
         faults: List[str],
@@ -125,7 +120,6 @@ class QuerySpan:
         self.preemptions = preemptions
         self.segments = segments
         self.waits = waits
-        self.lock_items = lock_items
         self.usm_component = usm_component
         self.cause = cause
         self.faults = faults
@@ -164,7 +158,6 @@ class QuerySpan:
             "preemptions": self.preemptions,
             "segments": [seg.as_dict() for seg in self.segments],
             "waits": {state: self.waits.get(state, 0.0) for state in WAIT_STATES},
-            "lock_items": {str(item): dur for item, dur in sorted(self.lock_items.items())},
             "usm_component": self.usm_component,
             "cause": self.cause,
             "faults": self.faults,
@@ -192,9 +185,6 @@ class _OpenSpan:
         "segments",
         "wait_fixed",
         "preemptions",
-        "lock_item",
-        "lock_start",
-        "lock_fixed",
     )
 
     def __init__(self, txn: int, admit: float, deadline: Optional[float]) -> None:
@@ -206,10 +196,6 @@ class _OpenSpan:
         self.segments: List[Segment] = []
         self.wait_fixed: Dict[str, int] = {}
         self.preemptions = 0
-        # Current lock wait being attributed (item id, start time).
-        self.lock_item: Optional[int] = None
-        self.lock_start = 0.0
-        self.lock_fixed: Dict[int, int] = {}
 
     def transition(self, now: float, new_state: str) -> None:
         """Close the current segment at ``now`` and enter ``new_state``."""
@@ -229,24 +215,9 @@ class _OpenSpan:
             # dropped; the telescoping sum is unaffected.
             pass
 
-    def begin_lock_wait(self, now: float, item: int) -> None:
-        self.end_lock_wait(now)  # a new wait supersedes any open one
-        self.lock_item = item
-        self.lock_start = now
-
-    def end_lock_wait(self, now: float) -> None:
-        item = self.lock_item
-        if item is None:
-            return
-        dur = fixed_from_float(now) - fixed_from_float(self.lock_start)
-        if dur > 0:
-            self.lock_fixed[item] = self.lock_fixed.get(item, 0) + dur
-        self.lock_item = None
-
-    def finalize(self, now: float) -> Tuple[List[Segment], Dict[str, float], Dict[int, float]]:
+    def finalize(self, now: float) -> Tuple[List[Segment], Dict[str, float]]:
         """Close the span at ``now`` and verify the exactness contract."""
         self._close(now)
-        self.end_lock_wait(now)
         total = sum(self.wait_fixed.values())
         expected = fixed_from_float(now) - fixed_from_float(self.admit)
         if total != expected:  # pragma: no cover - invariant by construction
@@ -255,8 +226,7 @@ class _OpenSpan:
                 "(fixed-point units)"
             )
         waits = {state: float_from_fixed(fx) for state, fx in self.wait_fixed.items()}
-        lock_items = {item: float_from_fixed(fx) for item, fx in self.lock_fixed.items()}
-        return self.segments, waits, lock_items
+        return self.segments, waits
 
 
 def _failure_cause(wait_fixed: Mapping[str, int]) -> str:
@@ -333,8 +303,6 @@ def build_spans(
                 continue
             if cause == _trace.ENQUEUE_PREEMPT:
                 span.preemptions += 1
-            if span.state == STATE_LOCK_WAIT:
-                span.end_lock_wait(now)
             span.transition(now, STATE_QUEUED)
         elif kind == _trace.SCHED_DISPATCH:
             _, _, txn = event
@@ -350,25 +318,6 @@ def build_spans(
                 skipped[SKIP_ORPHAN_SCHED] += 1
                 continue
             span.transition(now, STATE_REFRESH_WAIT)
-        elif kind == _trace.LOCK_WAIT:
-            _, _, txn, item, is_update, _ = event
-            if is_update:
-                continue  # update transactions have no spans
-            span = open_spans.get(int(txn))
-            if span is None:
-                skipped[SKIP_ORPHAN_LOCK] += 1
-                continue
-            span.transition(now, STATE_LOCK_WAIT)
-            if isinstance(item, int):
-                span.begin_lock_wait(now, item)
-        elif kind == _trace.LOCK_GRANT:
-            _, _, txn, _ = event
-            span = open_spans.get(int(txn))
-            if span is None:
-                # Updates are granted locks too; only count queries we
-                # have genuinely lost track of (lock state, no span).
-                continue
-            span.end_lock_wait(now)
         elif kind == _trace.QUERY_OUTCOME:
             _, _, txn, outcome, arrival, _, freshness, restarts = event
             txn = int(txn)
@@ -392,7 +341,6 @@ def build_spans(
                         preemptions=0,
                         segments=[],
                         waits={},
-                        lock_items={},
                         usm_component="R",
                         cause=reject_reasons.pop(txn, "admission"),
                         faults=_overlapping_faults(fault_windows, fault_open, now, now),
@@ -400,7 +348,7 @@ def build_spans(
                     )
                 )
                 continue
-            segments, waits, lock_items = span.finalize(now)
+            segments, waits = span.finalize(now)
             component = COMPONENT_BY_OUTCOME.get(outcome, "S")
             cause: Optional[str]
             if outcome == "success":
@@ -429,7 +377,6 @@ def build_spans(
                     preemptions=span.preemptions,
                     segments=segments,
                     waits=waits,
-                    lock_items=lock_items,
                     usm_component=component,
                     cause=cause,
                     faults=faults,

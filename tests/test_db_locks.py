@@ -3,14 +3,17 @@
 import collections
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.db import locks
-from repro.db.locks import LockManager, LockMode, LockStatus
+from repro.db.locks import LockManager, LockMode, LockStatus, LockWaitError
 from repro.db.transactions import QueryTransaction, UpdateTransaction
 from repro.experiments.config import POLICIES, SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.scenarios import canned
+from repro.fleet.runner import FleetConfig, run_fleet
+from repro.sim.engine import SimulationError
 
 
 def query(txn_id, deadline=10.0):
@@ -70,74 +73,42 @@ class TestHighPriorityRule:
         locks.release_all(q)  # server aborts the victim
         assert locks.request(u, 0, LockMode.WRITE).status is LockStatus.GRANTED
 
-    def test_query_blocks_behind_higher_priority_writer(self):
+    def test_outranked_request_raises_lock_wait_error(self):
+        """The wait branch of 2PL-HP is an error: it names the requester,
+        the outranking holder and the item, and leaves the table as it
+        was."""
         locks = LockManager()
         u = update(1)
         q = query(2)
         locks.request(u, 0, LockMode.WRITE)
-        result = locks.request(q, 0, LockMode.READ)
-        assert result.status is LockStatus.BLOCKED
-        assert locks.is_waiting(q)
-        assert locks.waited_item(q) == 0
+        with pytest.raises(LockWaitError) as caught:
+            locks.request(q, 0, LockMode.READ)
+        error = caught.value
+        assert isinstance(error, SimulationError)
+        assert (error.requester, error.holder, error.item_id) == (q, u, 0)
+        assert "txn 2" in str(error) and "txn 1" in str(error) and "item 0" in str(error)
+        assert locks.holders_of(0) == [(1, LockMode.WRITE)]
+        assert locks.held_items(q) == set()
+        assert locks.held_items(u) == {0}
 
-    def test_update_blocks_behind_earlier_deadline_update(self):
+    def test_one_outranking_holder_raises_before_any_victim(self):
+        """A conflict with lower- and higher-priority holders at once
+        raises; the lower-priority holder is not named a victim and
+        keeps its lock."""
         locks = LockManager()
-        early = update(1, period=1.0)
-        late = update(2, period=10.0)
-        locks.request(early, 0, LockMode.WRITE)
-        assert locks.request(late, 0, LockMode.WRITE).status is LockStatus.BLOCKED
-
-    def test_no_barging_past_higher_priority_waiter(self):
-        """A read must not sneak in front of a queued incompatible
-        higher-priority write even when current holders are compatible."""
-        locks = LockManager()
-        holder = query(1, deadline=1.0)
-        writer = update(2)
-        late_reader = query(3, deadline=50.0)
-        locks.request(holder, 0, LockMode.READ)
-        # Writer conflicts with holder and... holder is lower priority, so
-        # writer gets CONFLICT; make holder higher priority instead:
-        locks2 = LockManager()
-        hot_update = update(10, period=0.5)  # holds the write lock
-        locks2.request(hot_update, 0, LockMode.WRITE)
-        queued_update = update(11, period=1.0)
-        assert locks2.request(queued_update, 0, LockMode.WRITE).status is LockStatus.BLOCKED
-        reader = query(12)
-        assert locks2.request(reader, 0, LockMode.READ).status is LockStatus.BLOCKED
+        early = query(1, deadline=1.0)
+        late = query(2, deadline=50.0)
+        middle = query(3, deadline=10.0)
+        locks.request(early, 0, LockMode.READ)
+        locks.request(late, 0, LockMode.READ)
+        with pytest.raises(LockWaitError) as caught:
+            locks.request(middle, 0, LockMode.WRITE)
+        assert caught.value.holder is early
+        assert locks.holders_of(0) == [(1, LockMode.READ), (2, LockMode.READ)]
+        assert locks.held_items(middle) == set()
 
 
 class TestRelease:
-    def test_release_grants_waiters_in_priority_order(self):
-        locks = LockManager()
-        holder = update(1, period=0.5)
-        locks.request(holder, 0, LockMode.WRITE)
-        w_late = update(3, period=10.0)
-        w_early = update(2, period=1.0)
-        locks.request(w_late, 0, LockMode.WRITE)
-        locks.request(w_early, 0, LockMode.WRITE)
-        granted = locks.release_all(holder)
-        assert granted == [w_early]  # only the first compatible batch
-
-    def test_release_grants_read_batch(self):
-        locks = LockManager()
-        holder = update(1, period=0.5)
-        locks.request(holder, 0, LockMode.WRITE)
-        r1, r2 = query(2), query(3)
-        locks.request(r1, 0, LockMode.READ)
-        locks.request(r2, 0, LockMode.READ)
-        granted = locks.release_all(holder)
-        assert set(t.txn_id for t in granted) == {2, 3}
-
-    def test_cancel_wait_removes_from_queue(self):
-        locks = LockManager()
-        holder = update(1, period=0.5)
-        waiter = query(2)
-        locks.request(holder, 0, LockMode.WRITE)
-        locks.request(waiter, 0, LockMode.READ)
-        locks.cancel_wait(waiter)
-        assert not locks.is_waiting(waiter)
-        assert locks.release_all(holder) == []
-
     def test_release_all_clears_every_item(self):
         locks = LockManager()
         q = QueryTransaction(
@@ -151,55 +122,60 @@ class TestRelease:
 
 
 class TestIntrospection:
-    def test_holders_and_waiters(self):
+    def test_holders_of(self):
         locks = LockManager()
         holder = update(1, period=0.5)
-        waiter = update(2, period=1.0)
         locks.request(holder, 0, LockMode.WRITE)
-        locks.request(waiter, 0, LockMode.WRITE)
         assert locks.holders_of(0) == [(1, LockMode.WRITE)]
-        assert locks.waiters_of(0) == [2]
         assert locks.holders_of(99) == []
+        locks.release_all(holder)
+        assert locks.holders_of(0) == []
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=20))
-def test_property_wait_edges_point_to_higher_priority(periods):
-    """2PL-HP invariant: every waiter is outranked by some holder or by
-    an earlier-queued waiter — wait-for edges always point up the
-    priority order, so no deadlock cycle can form."""
+def test_property_refusals_point_to_higher_priority(periods):
+    """2PL-HP without a wait path: every request is granted, restarts
+    lower-priority holders, or raises naming a holder that outranks the
+    requester, so a refusal points up the priority order and leaves the
+    holders untouched."""
     locks = LockManager()
-    txns = {i + 1: update(i + 1, period=float(p)) for i, p in enumerate(periods)}
-    for txn in txns.values():
+    txns = [update(i + 1, period=float(p)) for i, p in enumerate(periods)]
+    for txn in txns:
         while True:
-            result = locks.request(txn, 0, LockMode.WRITE)
-            if result.status is not LockStatus.CONFLICT:
+            before = locks.holders_of(0)
+            try:
+                result = locks.request(txn, 0, LockMode.WRITE)
+            except LockWaitError as error:
+                assert error.requester is txn and error.item_id == 0
+                assert error.holder.priority_key() < txn.priority_key()
+                assert locks.holders_of(0) == before
+                break
+            if result.status is LockStatus.GRANTED:
                 break
             for victim in result.victims:
-                locks.release_all(victim)  # promotions tracked by the manager
-
-    holder_keys = [txns[tid].priority_key() for tid, _ in locks.holders_of(0)]
-    waiter_ids = locks.waiters_of(0)
-    for position, waiter_id in enumerate(waiter_ids):
-        waiter_key = txns[waiter_id].priority_key()
-        outranked_by_holder = any(key < waiter_key for key in holder_keys)
-        outranked_by_earlier_waiter = any(
-            txns[other].priority_key() < waiter_key
-            for other in waiter_ids[:position]
-        )
-        assert outranked_by_holder or outranked_by_earlier_waiter
+                assert txn.priority_key() < victim.priority_key()
+                locks.release_all(victim)
+        assert len(locks.holders_of(0)) == 1
 
 
 class TestServerNeverWaits:
     def test_simulated_runs_never_block(self, monkeypatch):
         """On the one CPU the requester is always the top-priority ready
         transaction, so every request is granted or preempts lower-priority
-        holders, and none waits (see the module docstring of db/locks.py).
-        Conflicts do occur in this grid, so the check is not vacuous."""
+        holders, and none raises LockWaitError (see the module docstring
+        of db/locks.py).  The grid covers every policy, two traces, 1- and
+        3-item queries and two fault scenarios, plus one coordinated,
+        replicated fleet whose coordinator issues modulation directives.
+        Conflicts do occur, so the check is not vacuous."""
         statuses = collections.Counter()
         request = LockManager.request
 
         def counting(self, *args, **kwargs):
-            result = request(self, *args, **kwargs)
+            try:
+                result = request(self, *args, **kwargs)
+            except LockWaitError:
+                statuses["wait"] += 1
+                raise
             statuses[result.status] += 1
             return result
 
@@ -219,6 +195,22 @@ class TestServerNeverWaits:
                     faults=faults,
                 )
             )
-        assert statuses[LockStatus.BLOCKED] == 0
+        fleet = run_fleet(
+            FleetConfig(
+                base=ExperimentConfig(
+                    policy="unit",
+                    update_trace="high-unif",
+                    items_per_query=3,
+                    seed=5,
+                    scale=smoke,
+                ),
+                n_shards=4,
+                replication=2,
+                router_policy="freshness",
+                coordinate=True,
+            )
+        )
+        assert any(rebalance["modulate"] for rebalance in fleet.rebalances)
+        assert statuses["wait"] == 0
         assert statuses[LockStatus.CONFLICT] > 0
         assert statuses[LockStatus.GRANTED] > 0

@@ -1,21 +1,21 @@
 """Stateful property testing of the 2PL-HP lock manager.
 
 A hypothesis rule machine drives random interleavings of request /
-release / cancel operations across transactions of both classes and
-checks the safety invariants after every step:
+release operations across transactions of both classes.  A request
+that an incompatible holder outranks must raise :class:`LockWaitError`
+naming that holder and leave the table unchanged; the machine checks
+the safety invariants after every step:
 
 * never two incompatible holders on one item;
-* the holder/held_by maps agree;
-* every waiter is outranked by a holder or an earlier waiter (the
-  no-deadlock argument);
-* a transaction waits on at most one item.
+* the holder/held_by maps agree.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
-from repro.db.locks import LockManager, LockMode, LockStatus
+from repro.db.locks import LockManager, LockMode, LockStatus, LockWaitError
 from repro.db.transactions import QueryTransaction, UpdateTransaction
 
 N_ITEMS = 3
@@ -61,6 +61,21 @@ class LockMachine(RuleBasedStateMachine):
         txn = self._new_txn(is_update, horizon)
         mode = LockMode.WRITE if is_update else LockMode.READ
         while True:
+            outranked = [
+                self.txns[holder_id]
+                for holder_id, held in self.locks.holders_of(item)
+                if not (held is LockMode.READ and mode is LockMode.READ)
+                and self.txns[holder_id].priority_key() < txn.priority_key()
+            ]
+            before = self.locks.holders_of(item)
+            if outranked:
+                with pytest.raises(LockWaitError) as caught:
+                    self.locks.request(txn, item, mode)
+                assert caught.value.holder in outranked
+                assert self.locks.holders_of(item) == before
+                assert self.locks.held_items(txn) == set()
+                self.live.discard(txn.txn_id)
+                return
             result = self.locks.request(txn, item, mode)
             if result.status is not LockStatus.CONFLICT:
                 break
@@ -76,14 +91,6 @@ class LockMachine(RuleBasedStateMachine):
         self.locks.release_all(self.txns[txn_id])
         self.live.discard(txn_id)
 
-    @rule(pick=st.integers(min_value=0, max_value=10_000))
-    def cancel_some_wait(self, pick):
-        waiting = [t for t in self.live if self.locks.is_waiting(self.txns[t])]
-        if not waiting:
-            return
-        txn_id = sorted(waiting)[pick % len(waiting)]
-        self.locks.cancel_wait(self.txns[txn_id])
-
     @invariant()
     def no_incompatible_holders(self):
         for item in range(N_ITEMS):
@@ -98,32 +105,6 @@ class LockMachine(RuleBasedStateMachine):
         for item in range(N_ITEMS):
             for txn_id, _ in self.locks.holders_of(item):
                 assert item in self.locks.held_items(self.txns[txn_id])
-
-    @invariant()
-    def waiters_are_outranked(self):
-        for item in range(N_ITEMS):
-            holder_keys = [
-                self.txns[txn_id].priority_key()
-                for txn_id, _ in self.locks.holders_of(item)
-            ]
-            waiter_ids = self.locks.waiters_of(item)
-            for position, waiter_id in enumerate(waiter_ids):
-                key = self.txns[waiter_id].priority_key()
-                earlier = [
-                    self.txns[other].priority_key()
-                    for other in waiter_ids[:position]
-                ]
-                assert any(k < key for k in holder_keys + earlier), (
-                    f"waiter {waiter_id} on item {item} is not outranked"
-                )
-
-    @invariant()
-    def single_wait_per_txn(self):
-        for txn_id in self.live:
-            txn = self.txns[txn_id]
-            waited = self.locks.waited_item(txn)
-            if waited is not None:
-                assert txn_id in self.locks.waiters_of(waited)
 
 
 TestLockMachine = LockMachine.TestCase

@@ -20,7 +20,7 @@ from repro.obs.trace import TraceRecorder
 def _sample_recorder():
     rec = TraceRecorder()
     rec.query_admit(0.1, 1, 1.5, 2)
-    rec.lock_wait(0.2, 2, 7, True, [1])
+    rec.lock_preempt(0.2, 2, 7, True, [1])
     rec.query_outcome(0.4, 1, "success", 0.1, 0.3, 0.9, 0)
     rec.control_window(1.0, {"S": 0.8, "R": 0.1}, 0.42, 20, ["LAC"], 1.25, 0.3, 2, -0.5)
     rec.control_window(2.0, {"S": 0.7, "R": 0.2}, 0.35, 18, [], 1.0, 0.4, 3, -0.5)
@@ -48,7 +48,7 @@ class TestJsonl:
         events = [json.loads(line) for line in path.read_text().splitlines()]
         assert [e["kind"] for e in events] == [
             "query.admit",
-            "lock.wait",
+            "lock.preempt",
             "query.outcome",
             "control.window",
             "control.window",
@@ -99,7 +99,7 @@ class TestChromeTrace:
 
     def test_lock_events_are_instants_on_lock_lane(self):
         events = chrome_trace_events(_sample_recorder())
-        (instant,) = [e for e in events if e.get("name") == "lock.wait"]
+        (instant,) = [e for e in events if e.get("name") == "lock.preempt"]
         assert instant["ph"] == "i"
         assert instant["s"] == "t"
         assert instant["tid"] == 3

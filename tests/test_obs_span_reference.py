@@ -6,9 +6,9 @@ boundary once.  Every span dump and attribution report here must equal
 the reference's: the span JSONL byte for byte, the ``attrib_report``
 dict float for float (``==``), from event tuples and from flattened
 JSONL dicts alike.  Real cells cover refresh waits, preemptions,
-restarts, fault windows and a truncated ring.  None of the simulated
-cells records a query lock wait, so seeded random streams cover lock
-waits, grants and malformed input.
+restarts, fault windows and a truncated ring; seeded random streams
+add refresh parks at random points, same-instant transitions and
+malformed input.
 
 ``TestConversionCounts`` is the span pipeline's zero-slack work count:
 ``build_spans`` + ``attrib_report`` convert each distinct boundary
@@ -117,7 +117,7 @@ class TestSimulatedCells:
 
 
 def random_stream(seed, steps=600):
-    """A seeded event stream with lock waits and grants, same-instant
+    """A seeded event stream with refresh parks, same-instant
     transitions, orphans, duplicate admits, fault windows and spans
     left open at the end; times never decrease."""
     rng = random.Random(seed)
@@ -142,15 +142,10 @@ def random_stream(seed, steps=600):
         if roll < 0.35:
             cause = rng.choice(T.ENQUEUE_CAUSES)
             events.append((now, T.SCHED_ENQUEUE, txn, cause))
-        elif roll < 0.5:
-            events.append((now, T.SCHED_DISPATCH, txn))
         elif roll < 0.55:
-            events.append((now, T.SCHED_PARK, txn))
-        elif roll < 0.63:
-            item = rng.choice([rng.randrange(4), None])
-            events.append((now, T.LOCK_WAIT, txn, item, rng.random() < 0.2, [0]))
+            events.append((now, T.SCHED_DISPATCH, txn))
         elif roll < 0.7:
-            events.append((now, T.LOCK_GRANT, txn, rng.randrange(4)))
+            events.append((now, T.SCHED_PARK, txn))
         elif roll < 0.8:
             live.remove(txn)
             outcome = rng.choice(["success", "dmf", "dmf", "dsf", "aborted"])
@@ -193,16 +188,16 @@ class TestRandomStreams:
         assert assert_matches_reference(events, dropped=5).partial
         assert result.spans
 
-    def test_streams_exercise_lock_waits_and_faults(self):
+    def test_streams_exercise_refresh_waits_and_faults(self):
         spans = [
             span
             for seed in range(12)
             for span in build_spans(random_stream(seed)).spans
         ]
-        assert sum(bool(span.lock_items) for span in spans) > 20
+        assert sum("refresh-wait" in span.waits for span in spans) > 20
         assert sum(bool(span.faults) for span in spans) > 20
         assert Counter(span.cause for span in spans if span.outcome == "dmf")[
-            "wait:lock-wait"
+            "wait:refresh-wait"
         ] > 0
 
 

@@ -266,25 +266,6 @@ class TestMalformedStreams:
         assert not result.partial
         assert result.dropped == 0
 
-    def test_lock_wait_attribution_per_item(self):
-        events = [
-            self.ADMIT,
-            self.ENQ,
-            {"t": 1.1, "kind": "sched.dispatch", "txn": 1},
-            {"t": 1.2, "kind": "lock.wait", "txn": 1, "item": 9,
-             "holders": [5], "update": False},
-            {"t": 1.3, "kind": "lock.grant", "txn": 1, "item": 9},
-            {"t": 1.3, "kind": "sched.enqueue", "txn": 1, "cause": "grant"},
-            {"t": 1.4, "kind": "sched.dispatch", "txn": 1},
-            self.DONE,
-        ]
-        result = build_spans(events)
-        (span,) = result.spans
-        assert span.waits["lock-wait"] == pytest.approx(0.1)
-        assert span.lock_items == {9: pytest.approx(0.1)}
-        states = [seg.state for seg in span.segments]
-        assert states == ["queued", "executing", "lock-wait", "queued", "executing"]
-
 
 class TestKindFilter:
     def test_filter_matches_the_kinds_build_spans_handles(self):

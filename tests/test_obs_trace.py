@@ -52,7 +52,7 @@ class TestNullRecorder:
         rec = NullRecorder()
         rec.query_admit(1.0, 1, 2.0, 1)
         rec.query_outcome(1.0, 1, "success", 0.5, 0.5, 1.0, 0)
-        rec.lock_wait(1.0, 1, 2, False, [3])
+        rec.lock_preempt(1.0, 1, 2, False, [3])
         rec.control_window(1.0, {"S": 1.0}, 0.5, 10, ["LAC"], 1.0, 0.2, 0, 0.0)
         rec.fault_start(2.0, "flash-crowd-0", "flash-crowd", {"multiplier": 3.0})
         rec.fault_end(3.0, "flash-crowd-0", "flash-crowd")
@@ -71,8 +71,6 @@ class TestTraceRecorder:
         rec.sched_enqueue(0.1, 1, "admit")
         rec.sched_dispatch(0.15, 1)
         rec.sched_park(0.18, 1)
-        rec.lock_wait(0.2, 2, 5, True, [1])
-        rec.lock_grant(0.25, 2, 5)
         rec.lock_preempt(0.2, 2, 5, True, [1])
         rec.update_apply(0.4, 5, 7, False, 2.0)
         rec.update_drop(0.5, 5, 2.0)
@@ -134,7 +132,7 @@ class TestTraceRecorder:
         assert rec.enabled is False
 
 
-#: One sample call of every typed hook (all 18 kinds), with the dict
+#: One sample call of every typed hook (all 16 kinds), with the dict
 #: the former generic ``emit`` path recorded for it, key order included.
 HOOKS = [
     ("query_admit", (0.1, 1, 1.0, 2),
@@ -160,11 +158,12 @@ HOOKS = [
     ("admission_decision", (0.1, 1, False, "est", 0.4, 2, 1.0),
      {"t": 0.1, "kind": "admission.decision", "txn": 1, "admitted": False,
       "reason": "est", "est": 0.4, "endangered": 2, "c_flex": 1.0}),
-    ("lock_wait", (0.2, 2, 5, True, [1]),
-     {"t": 0.2, "kind": "lock.wait", "txn": 2, "item": 5, "update": True,
-      "holders": [1]}),
-    ("lock_grant", (0.25, 2, 5),
-     {"t": 0.25, "kind": "lock.grant", "txn": 2, "item": 5}),
+    ("update_apply", (0.45, 6, 8, True, 1.0),
+     {"t": 0.45, "kind": "update.apply", "item": 6, "txn": 8, "on_demand": True,
+      "period": 1.0}),
+    ("lock_preempt", (0.3, 4, 6, False, [2]),
+     {"t": 0.3, "kind": "lock.preempt", "txn": 4, "item": 6, "update": False,
+      "victims": [2]}),
     ("lock_preempt", (0.2, 2, 5, True, [1, 3]),
      {"t": 0.2, "kind": "lock.preempt", "txn": 2, "item": 5, "update": True,
       "victims": [1, 3]}),
