@@ -2,10 +2,11 @@
 
 Runs a battery of configurations spanning every policy, several update
 traces, penalty profiles (naive and non-naive, so both admission gates
-fire), seeds, scales, and a fault scenario, then prints one SHA-256
-digest per cell plus a combined digest.  Run it on two checkouts and
-diff the output to verify that a performance change kept the simulation
-*byte-identical* — the contract every perf PR must satisfy.
+fire), seeds, scales, a fault scenario and multi-item queries, then
+prints one SHA-256 digest per cell plus a combined digest.  Run it on
+two checkouts and diff the output to verify that a performance change
+kept the simulation *byte-identical* — the contract every perf PR must
+satisfy.
 
 Usage::
 
@@ -76,6 +77,17 @@ def battery() -> list:
                 faults=canned(name, smoke.horizon, smoke.n_items),
             )
         )
+    # Multi-item queries: freshness is the min of Eq. 1 over the items.
+    for policy in ("unit", "imu", "odu", "qmf", "elastic"):
+        cells.append(
+            ExperimentConfig(
+                policy=policy,
+                update_trace="med-unif",
+                seed=7,
+                scale=smoke,
+                items_per_query=3,
+            )
+        )
     return cells
 
 
@@ -88,6 +100,7 @@ def main() -> int:
             f"{config.profile.name or 'naive'}/seed{config.seed}/"
             f"h{config.scale.horizon:.0f}"
             + (f"/faults:{config.faults.name}" if config.faults is not None else "")
+            + (f"/q{config.items_per_query}" if config.items_per_query != 1 else "")
         )
         blob = stable_report_bytes(run_experiment(config))
         digest = hashlib.sha256(blob).hexdigest()

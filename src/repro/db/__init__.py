@@ -6,13 +6,7 @@ EDF within each class), firm deadlines, lag-based freshness, and
 Two-Phase-Locking High-Priority (2PL-HP) concurrency control.
 """
 
-from repro.db.freshness import (
-    DivergenceFreshness,
-    FreshnessMetric,
-    LagFreshness,
-    TimeFreshness,
-    query_freshness,
-)
+from repro.db.freshness import lag_freshness, query_freshness
 from repro.db.items import DataItem, ItemTable
 from repro.db.locks import LockManager, LockMode
 from repro.db.ready_queue import ReadyQueue
@@ -24,27 +18,20 @@ from repro.db.transactions import (
     TransactionState,
     UpdateTransaction,
 )
-from repro.db.values import RandomWalkStream, ValueDivergenceFreshness, ValueTable
 
 __all__ = [
     "DataItem",
-    "DivergenceFreshness",
-    "FreshnessMetric",
     "ItemTable",
-    "LagFreshness",
     "LockManager",
     "LockMode",
     "Outcome",
     "QueryRecord",
     "QueryTransaction",
-    "RandomWalkStream",
     "ReadyQueue",
     "Server",
     "ServerConfig",
-    "TimeFreshness",
     "TransactionState",
     "UpdateTransaction",
-    "ValueDivergenceFreshness",
-    "ValueTable",
+    "lag_freshness",
     "query_freshness",
 ]

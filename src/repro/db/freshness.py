@@ -1,123 +1,47 @@
-"""Freshness metrics.
+"""Freshness (paper Eq. 1).
 
 Section 2.2 classifies per-item freshness measures into *time-based*,
 *lag-based*, and *divergence-based* families and adopts the lag-based
-one (Eq. 1) because updates are periodic:
+one because updates are periodic:
 
     ``Qu(d_j) = 1 / (1 + Udrop_j)``
 
 Query freshness aggregates item freshness with a strict ``min`` over
-the accessed set ``D_i``.  The two alternative families are provided
-behind the same interface for the ablation experiments.
+the accessed set ``D_i``.  This is the only freshness the code
+computes: every decision path (ODU's refresh trigger, QMF's perceived
+freshness, the server's park-for-refresh check) steers by ``Udrop``
+itself, so scoring by any other measure would grade the policies on a
+quantity none of them controls.
+
+Eq. 1 is strictly decreasing in the lag and IEEE division is
+monotone, so the min over items equals Eq. 1 of the largest lag, bit
+for bit; :func:`query_freshness` divides once.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from repro.db.items import DataItem
 
 
-class FreshnessMetric:
-    """Interface: map a data item (at a point in time) to ``(0, 1]``."""
-
-    def item_freshness(self, item: DataItem, now: float) -> float:
-        """Freshness of ``item`` at simulated time ``now``."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Short human-readable name for reports."""
-        return type(self).__name__
+def lag_freshness(udrop: int) -> float:
+    """Eq. 1 for one item with ``udrop`` dropped updates pending."""
+    return 1.0 / (1.0 + udrop)
 
 
-class LagFreshness(FreshnessMetric):
-    """The paper's metric (Eq. 1): ``1 / (1 + Udrop_j)``.
-
-    With the default 90 % freshness requirement, a single pending
-    update already fails a query (freshness 0.5 < 0.9) — which is what
-    makes update placement, not just update volume, matter.
-    """
-
-    def item_freshness(self, item: DataItem, now: float) -> float:
-        return 1.0 / (1.0 + item.udrop)
-
-    def describe(self) -> str:
-        return "lag (Eq. 1)"
-
-
-class TimeFreshness(FreshnessMetric):
-    """Time-based alternative: exponential decay in the age of the value.
-
-    ``freshness = exp(-age / half_life * ln 2)`` where age is measured
-    from the earliest *pending* (dropped) arrival — the stored value was
-    perfectly fresh until a newer source value existed, so the decay
-    clock starts at that arrival, not at the last applied update.
-    Measuring from ``last_applied_time`` would make an item idle for a
-    long stretch jump from 1.0 to near-zero the instant its next update
-    arrives; anchoring at the pending arrival keeps freshness continuous
-    (1.0 at the arrival instant, decaying thereafter).  An item with no
-    pending update is perfectly fresh no matter how old — nothing newer
-    exists.
-    """
-
-    def __init__(self, half_life: float) -> None:
-        if half_life <= 0:
-            raise ValueError("half_life must be positive")
-        self.half_life = half_life
-
-    def item_freshness(self, item: DataItem, now: float) -> float:
-        if item.udrop == 0:
-            return 1.0
-        since = item.first_pending_time
-        if since is None:  # defensive: udrop > 0 implies a recorded drop
-            since = item.last_arrival_time
-        age = max(0.0, now - since)
-        return math.exp(-age / self.half_life * math.log(2.0))
-
-    def describe(self) -> str:
-        return f"time (half-life {self.half_life:g}s)"
-
-
-class DivergenceFreshness(FreshnessMetric):
-    """Divergence-based alternative: value drift per unapplied update.
-
-    Models the stored value diverging from the source by ``drift`` per
-    pending arrival: ``freshness = max(0, 1 - drift * Udrop)``, floored
-    at a tiny positive value so the range stays ``(0, 1]``.
-    """
-
-    _FLOOR = 1e-9
-
-    def __init__(self, drift_per_update: float = 0.1) -> None:
-        if drift_per_update <= 0:
-            raise ValueError("drift_per_update must be positive")
-        self.drift_per_update = drift_per_update
-
-    def item_freshness(self, item: DataItem, now: float) -> float:
-        return max(self._FLOOR, 1.0 - self.drift_per_update * item.udrop)
-
-    def describe(self) -> str:
-        return f"divergence (drift {self.drift_per_update:g}/update)"
-
-
-def query_freshness(
-    items: Iterable[DataItem],
-    now: float,
-    metric: FreshnessMetric,
-) -> float:
-    """Aggregate item freshness for a query: strict minimum (Eq. 1).
+def query_freshness(items: Iterable[DataItem]) -> float:
+    """Strict-min aggregate of Eq. 1 over the items a query reads.
 
     Raises:
         ValueError: If ``items`` is empty — query freshness over no
             items is meaningless.
     """
-    item_freshness = metric.item_freshness  # bind once; called per item
-    freshest = None
+    worst = -1
     for item in items:
-        value = item_freshness(item, now)
-        if freshest is None or value < freshest:
-            freshest = value
-    if freshest is None:
+        udrop = item.udrop
+        if udrop > worst:
+            worst = udrop
+    if worst < 0:
         raise ValueError("query accesses no items")
-    return freshest
+    return lag_freshness(worst)

@@ -16,7 +16,7 @@ skipped arrival irrelevant (paper Section 1, footnote 2).  The lag
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 
 @dataclasses.dataclass
@@ -44,10 +44,6 @@ class DataItem:
     applied_seq: int = 0  # highest arrival reflected in the stored value
     pending_drops: int = 0  # dropped arrivals newer than the stored value
     last_drop_seq: int = 0  # seqno of the newest dropped arrival
-    first_pending_time: Optional[float] = None  # arrival time of oldest pending drop
-    last_arrival_time: float = 0.0
-    last_applied_time: float = 0.0
-    last_execution_started: Optional[float] = None  # start of last applied refresh
 
     # -- counters for analysis (Figure 3) --
     updates_executed: int = 0
@@ -81,26 +77,18 @@ class DataItem:
         """True while modulation holds ``pc_j`` above ``pi_j``."""
         return self.current_period > self.ideal_period
 
-    def record_arrival(self, now: float) -> int:
+    def record_arrival(self) -> int:
         """Register one source update arrival; returns its sequence number."""
         self.arrivals += 1
-        self.last_arrival_time = now
         return self.arrivals
 
     def record_drop(self) -> None:
-        """Count the most recent arrival as dropped (not applied).
-
-        The stored value was perfectly fresh until this arrival existed,
-        so the first drop since the lag was last cleared marks the start
-        of the staleness window (used by time-based freshness).
-        """
+        """Count the most recent arrival as dropped (not applied)."""
         self.updates_dropped += 1
         self.pending_drops += 1
         self.last_drop_seq = self.arrivals
-        if self.first_pending_time is None:
-            self.first_pending_time = self.last_arrival_time
 
-    def apply_update(self, seqno: int, now: float) -> None:
+    def apply_update(self, seqno: int) -> None:
         """Commit a refresh installing arrival ``seqno``.
 
         An out-of-order commit (an older refresh finishing after a newer
@@ -110,10 +98,8 @@ class DataItem:
         """
         if seqno > self.applied_seq:
             self.applied_seq = seqno
-            self.last_applied_time = now
         if seqno >= self.last_drop_seq:
             self.pending_drops = 0
-            self.first_pending_time = None
         self.updates_executed += 1
 
     def record_query_access(self) -> None:

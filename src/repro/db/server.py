@@ -11,7 +11,8 @@ mechanisms fixed by paper Section 3.1:
   every item they access for their full run, updates write-lock their
   single item; a higher-priority requester aborts (restarts)
   lower-priority conflicting holders;
-* lag-based freshness checked at commit time: a query that finishes in
+* lag-based freshness (Eq. 1, :mod:`repro.db.freshness`) read when the
+  query starts and checked at commit time: a query that finishes in
   time but whose minimum item freshness is below its requirement is a
   Data-Stale Failure.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.db.freshness import FreshnessMetric, LagFreshness, query_freshness
+from repro.db.freshness import lag_freshness, query_freshness
 from repro.db.items import DataItem, ItemTable
 from repro.db.locks import LockManager, LockMode, LockStatus
 from repro.db.policy_api import ServerPolicy
@@ -45,7 +46,7 @@ from repro.obs.trace import (
     NULL_RECORDER,
     Recorder,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 Transaction = Union[QueryTransaction, UpdateTransaction]
 
@@ -68,14 +69,11 @@ class ServerConfig:
     """Tunables of the server mechanism (not of any policy).
 
     Attributes:
-        freshness_metric: Per-item freshness measure; the paper's
-            lag-based Eq. 1 by default.
         restart_aborted_queries: 2PL-HP victims restart from scratch
             (True, the paper's behaviour) or die immediately (False,
             an ablation).
     """
 
-    freshness_metric: FreshnessMetric = dataclasses.field(default_factory=LagFreshness)
     restart_aborted_queries: bool = True
 
 
@@ -225,7 +223,7 @@ class Server:
         a dropped arrival still advances the item's staleness lag.
         """
         item = self._item_rows[item_id]
-        item.record_arrival(self.sim.now)
+        item.record_arrival()
         if self.policy.should_apply_update(item, self):
             self._enqueue_update(item, on_demand=False)
             self._dispatch()
@@ -392,10 +390,6 @@ class Server:
                 query_busy += slice_
         return {"query": query_busy, "update": update_busy}
 
-    def item_freshness(self, item_id: int) -> float:
-        """Current freshness of one item under the configured metric."""
-        return self.config.freshness_metric.item_freshness(self.items[item_id], self.now)
-
     # ------------------------------------------------------------------
     # CPU dispatch
     # ------------------------------------------------------------------
@@ -488,20 +482,14 @@ class Server:
             # The query reads its items now (under read locks, no update
             # can commit on them until it finishes or is aborted); the
             # freshness it observes is the freshness of its result.
-            metric = self.config.freshness_metric
+            rows = self._item_rows
             item_ids = txn.items
             if len(item_ids) == 1:
-                # Single-item fast path (the common case): the query
-                # freshness min over one item is that item's freshness.
-                txn.observed_freshness = metric.item_freshness(
-                    self._item_rows[item_ids[0]], now
-                )
+                # Single-item fast path (the common case).
+                txn.observed_freshness = lag_freshness(rows[item_ids[0]].udrop)
             else:
-                rows = self._item_rows
                 txn.observed_freshness = query_freshness(
-                    [rows[item_id] for item_id in item_ids],
-                    now,
-                    metric,
+                    [rows[item_id] for item_id in item_ids]
                 )
         self._running = txn
         self._completion_token = self.sim.schedule_token(
@@ -511,19 +499,11 @@ class Server:
         )
 
     def _preempt(self, txn: Transaction) -> None:
-        """Take ``txn`` off the CPU, crediting the work done so far."""
+        """Take the running ``txn`` off the CPU, crediting the work done
+        so far, and put it back in the ready queue."""
         assert txn is self._running
-        if self._completion_token is not None:
-            self.sim.cancel_token(self._completion_token)
-            self._completion_token = None
-        started = txn.run_started_at
-        elapsed = 0.0 if started is None else self.sim.now - started
-        self._credit_busy(txn, elapsed)
-        remaining = txn.remaining - elapsed * self._service_rate
-        txn.remaining = 0.0 if remaining <= 0.0 else remaining
-        txn.run_started_at = None
+        self._detach(txn)
         txn.state = TransactionState.READY
-        self._running = None
         self.ready.push(txn)
         if not txn.is_update:
             emit = self._emit_enqueue
@@ -562,8 +542,7 @@ class Server:
     def _commit_update(self, update: UpdateTransaction) -> None:
         now = self.sim.now
         item = self._item_rows[update.item_id]
-        item.apply_update(update.seqno, now)
-        item.last_execution_started = now - update.exec_time
+        item.apply_update(update.seqno)
         self.policy.on_update_applied(update, item, self)
         emit = self._emit_apply
         if emit is not None:
@@ -592,11 +571,11 @@ class Server:
         if token is not None:
             self.sim.cancel_token(token)
         freshness = query.observed_freshness
-        if freshness is None:  # defensive: commit without a run snapshot
-            freshness = query_freshness(
-                (self._item_rows[item_id] for item_id in query.items),
-                self.sim.now,
-                self.config.freshness_metric,
+        if freshness is None:
+            # Only a completion scheduled by ``_run`` commits a query,
+            # and ``_run`` always snapshots what the query read.
+            raise SimulationError(
+                f"query {query.txn_id} committed without a freshness snapshot"
             )
         if freshness + 1e-12 >= query.freshness_req:
             outcome = Outcome.SUCCESS

@@ -94,17 +94,6 @@ class ExperimentConfig:
     # Update-trace shape.
     update_exec_cv: float = 0.5
 
-    # Freshness metric: "lag" (the paper's Eq. 1, default), "time"
-    # (exponential decay with ``freshness_half_life``), "divergence"
-    # (linear drift of ``freshness_drift`` per pending update), or
-    # "value" (actual random-walk value distance, scaled by
-    # ``freshness_value_scale``; walk step sigma ``freshness_value_sigma``).
-    freshness_metric: str = "lag"
-    freshness_half_life: float = 30.0
-    freshness_drift: float = 0.1
-    freshness_value_scale: float = 5.0
-    freshness_value_sigma: float = 1.0
-
     # Policy knobs (None = defaults derived from the profile/scale).
     unit: Optional[UnitConfig] = None
     qmf: Optional[QmfConfig] = None
@@ -137,39 +126,6 @@ class ExperimentConfig:
             )
         if self.items_per_query < 1:
             raise ValueError("items_per_query must be >= 1")
-        if self.freshness_metric not in ("lag", "time", "divergence", "value"):
-            raise ValueError(
-                f"unknown freshness metric {self.freshness_metric!r}; "
-                "one of 'lag', 'time', 'divergence', 'value'"
-            )
-
-    def build_freshness_metric(self):
-        """Instantiate the configured per-item freshness measure.
-
-        The "value" metric carries its own deterministic value table
-        (seeded from this config's seed).
-        """
-        from repro.db.freshness import (
-            DivergenceFreshness,
-            LagFreshness,
-            TimeFreshness,
-        )
-
-        if self.freshness_metric == "time":
-            return TimeFreshness(half_life=self.freshness_half_life)
-        if self.freshness_metric == "divergence":
-            return DivergenceFreshness(drift_per_update=self.freshness_drift)
-        if self.freshness_metric == "value":
-            from repro.db.values import ValueDivergenceFreshness, ValueTable
-            from repro.sim.rng import derive_seed
-
-            table = ValueTable(
-                n_items=self.scale.n_items,
-                seed=derive_seed(self.seed, "value-table"),
-                step_sigma=self.freshness_value_sigma,
-            )
-            return ValueDivergenceFreshness(table, scale=self.freshness_value_scale)
-        return LagFreshness()
 
     def query_key(self) -> str:
         """Content-address of the base query trace this config generates.

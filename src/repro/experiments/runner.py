@@ -409,7 +409,7 @@ class Substrate:
             self.sim,
             self.items,
             self.policy,
-            ServerConfig(freshness_metric=config.build_freshness_metric()),
+            ServerConfig(),
             recorder=self.recorder,
         )
         # Only the event *scheduling* is lazy; ids are allocated here.

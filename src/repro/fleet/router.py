@@ -35,6 +35,7 @@ import dataclasses
 from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.db.freshness import lag_freshness
 from repro.fleet.partition import Partition
 from repro.obs.trace import Recorder
 from repro.workload.queries import QueryTrace
@@ -141,7 +142,7 @@ class _StalenessEstimator:
         for item in items:
             if primary[item] == shard:
                 continue
-            estimate = 1.0 / (1.0 + self.pending(item, now))
+            estimate = lag_freshness(self.pending(item, now))
             if estimate < worst:
                 worst = estimate
         return worst

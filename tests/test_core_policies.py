@@ -100,7 +100,7 @@ class TestOdu:
         """Drive the stale-at-read hook directly, with the refresh still
         pending between the two calls (no simulation run)."""
         sim, server = build(policy, update_exec=1.0)
-        server.items[0].record_arrival(0.5)
+        server.items[0].record_arrival()
         server.items[0].record_drop()
 
         def reader(txn_id):

@@ -1,112 +1,37 @@
-"""Tests for the freshness metrics (paper Eq. 1 and alternatives)."""
+"""Tests for freshness (paper Eq. 1 and its strict-min aggregate)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.db.freshness import (
-    DivergenceFreshness,
-    LagFreshness,
-    TimeFreshness,
-    query_freshness,
-)
+from repro.db.freshness import lag_freshness, query_freshness
 from repro.db.items import DataItem
 
 
 def item_with_drops(drops: int) -> DataItem:
     item = DataItem(item_id=0, ideal_period=10.0, update_exec_time=0.1)
-    for k in range(drops):
-        item.record_arrival(float(k + 1))
+    for _ in range(drops):
+        item.record_arrival()
         item.record_drop()
     return item
 
 
 class TestLagFreshness:
     def test_fresh_item_is_one(self):
-        assert LagFreshness().item_freshness(item_with_drops(0), 5.0) == 1.0
+        assert lag_freshness(item_with_drops(0).udrop) == 1.0
 
     def test_eq1_values(self):
-        metric = LagFreshness()
-        assert metric.item_freshness(item_with_drops(1), 5.0) == pytest.approx(0.5)
-        assert metric.item_freshness(item_with_drops(3), 5.0) == pytest.approx(0.25)
+        assert lag_freshness(item_with_drops(1).udrop) == pytest.approx(0.5)
+        assert lag_freshness(item_with_drops(3).udrop) == pytest.approx(0.25)
 
     @given(st.integers(min_value=0, max_value=100))
     def test_property_monotone_decreasing_in_drops(self, drops):
-        metric = LagFreshness()
-        f1 = metric.item_freshness(item_with_drops(drops), 0.0)
-        f2 = metric.item_freshness(item_with_drops(drops + 1), 0.0)
+        f1 = lag_freshness(item_with_drops(drops).udrop)
+        f2 = lag_freshness(item_with_drops(drops + 1).udrop)
         assert 0.0 < f2 < f1 <= 1.0
 
     def test_single_drop_fails_ninety_percent_requirement(self):
         """The paper's 90% requirement means one drop is already fatal."""
-        assert LagFreshness().item_freshness(item_with_drops(1), 0.0) < 0.9
-
-
-class TestTimeFreshness:
-    def test_no_pending_update_is_fresh_regardless_of_age(self):
-        metric = TimeFreshness(half_life=10.0)
-        item = item_with_drops(0)
-        assert metric.item_freshness(item, 1e9) == 1.0
-
-    def test_decays_with_age_once_stale(self):
-        """Age is measured from the earliest *pending* arrival."""
-        metric = TimeFreshness(half_life=10.0)
-        item = DataItem(item_id=0, ideal_period=10.0, update_exec_time=0.1)
-        item.record_arrival(0.0)
-        item.record_drop()
-        assert metric.item_freshness(item, 10.0) == pytest.approx(0.5)
-        assert metric.item_freshness(item, 20.0) == pytest.approx(0.25)
-
-    def test_continuous_at_the_dropped_arrival(self):
-        """Regression: a long-idle item must not cliff-drop the instant
-        its next update is dropped.  The decay clock starts at the
-        pending arrival (freshness 1.0 there), not at the last applied
-        update (which would make age jump to the whole idle stretch)."""
-        metric = TimeFreshness(half_life=10.0)
-        item = DataItem(item_id=0, ideal_period=10.0, update_exec_time=0.1)
-        seq = item.record_arrival(0.0)
-        item.apply_update(seq, 0.0)  # applied immediately; then idle for ages
-        idle_until = 1e6
-        assert metric.item_freshness(item, idle_until) == 1.0
-        item.record_arrival(idle_until)
-        item.record_drop()
-        # Continuous at the arrival instant...
-        assert metric.item_freshness(item, idle_until) == pytest.approx(1.0)
-        # ...and decaying from it, not from last_applied_time=0.
-        assert metric.item_freshness(item, idle_until + 10.0) == pytest.approx(0.5)
-
-    def test_second_drop_keeps_the_earliest_anchor(self):
-        metric = TimeFreshness(half_life=10.0)
-        item = DataItem(item_id=0, ideal_period=10.0, update_exec_time=0.1)
-        item.record_arrival(0.0)
-        item.record_drop()
-        item.record_arrival(5.0)
-        item.record_drop()
-        # Staleness dates from the *first* unapplied arrival at t=0.
-        assert metric.item_freshness(item, 10.0) == pytest.approx(0.5)
-
-    def test_apply_clears_the_anchor(self):
-        metric = TimeFreshness(half_life=10.0)
-        item = DataItem(item_id=0, ideal_period=10.0, update_exec_time=0.1)
-        item.record_arrival(0.0)
-        item.record_drop()
-        seq = item.record_arrival(50.0)
-        item.apply_update(seq, 50.0)  # catches up: pending drops absorbed
-        assert item.first_pending_time is None
-        assert metric.item_freshness(item, 100.0) == 1.0
-
-    def test_invalid_half_life(self):
-        with pytest.raises(ValueError):
-            TimeFreshness(half_life=0.0)
-
-
-class TestDivergenceFreshness:
-    def test_linear_drift(self):
-        metric = DivergenceFreshness(drift_per_update=0.2)
-        assert metric.item_freshness(item_with_drops(2), 0.0) == pytest.approx(0.6)
-
-    def test_floored_above_zero(self):
-        metric = DivergenceFreshness(drift_per_update=0.5)
-        assert metric.item_freshness(item_with_drops(10), 0.0) > 0.0
+        assert lag_freshness(item_with_drops(1).udrop) < 0.9
 
 
 class TestQueryFreshness:
@@ -114,25 +39,20 @@ class TestQueryFreshness:
         fresh = item_with_drops(0)
         stale = item_with_drops(1)
         stale.item_id = 1
-        value = query_freshness([fresh, stale], 0.0, LagFreshness())
+        value = query_freshness([fresh, stale])
         assert value == pytest.approx(0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            query_freshness([], 0.0, LagFreshness())
+            query_freshness([])
 
     @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=8))
     def test_property_min_over_items(self, drop_counts):
+        """Eq. 1 of the largest lag is the min over items, bit for bit."""
         items = []
         for index, drops in enumerate(drop_counts):
             item = item_with_drops(drops)
             item.item_id = index
             items.append(item)
-        metric = LagFreshness()
-        expected = min(metric.item_freshness(item, 0.0) for item in items)
-        assert query_freshness(items, 0.0, metric) == pytest.approx(expected)
-
-    def test_describe_strings(self):
-        assert "lag" in LagFreshness().describe()
-        assert "time" in TimeFreshness(5.0).describe()
-        assert "divergence" in DivergenceFreshness().describe()
+        expected = min(lag_freshness(item.udrop) for item in items)
+        assert query_freshness(items) == expected

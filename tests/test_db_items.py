@@ -42,41 +42,41 @@ class TestDataItem:
     def test_queued_arrival_does_not_stale(self):
         """Only *dropped* arrivals count toward Udrop (paper Eq. 1)."""
         item = make_item()
-        item.record_arrival(1.0)
+        item.record_arrival()
         assert item.udrop == 0  # queued for execution, not dropped
 
     def test_drop_increases_lag(self):
         item = make_item()
-        item.record_arrival(1.0)
+        item.record_arrival()
         item.record_drop()
         assert item.udrop == 1
-        item.record_arrival(2.0)
+        item.record_arrival()
         item.record_drop()
         assert item.udrop == 2
 
     def test_applying_newest_update_clears_lag(self):
         item = make_item()
-        for t in (1.0, 2.0, 3.0):
-            item.record_arrival(t)
+        for _ in range(3):
+            item.record_arrival()
             item.record_drop()
-        seq = item.record_arrival(4.0)
-        item.apply_update(seq, 4.5)
+        seq = item.record_arrival()
+        item.apply_update(seq)
         assert item.udrop == 0
 
     def test_applying_stale_update_keeps_lag(self):
         item = make_item()
-        old_seq = item.record_arrival(1.0)
-        item.record_arrival(2.0)
+        old_seq = item.record_arrival()
+        item.record_arrival()
         item.record_drop()
-        item.apply_update(old_seq, 3.0)  # older than the drop
+        item.apply_update(old_seq)  # older than the drop
         assert item.udrop == 1
 
     def test_apply_never_regresses_seq(self):
         item = make_item()
-        first = item.record_arrival(1.0)
-        second = item.record_arrival(2.0)
-        item.apply_update(second, 2.5)
-        item.apply_update(first, 3.0)  # out-of-order commit
+        first = item.record_arrival()
+        second = item.record_arrival()
+        item.apply_update(second)
+        item.apply_update(first)  # out-of-order commit
         assert item.applied_seq == second
 
     def test_degrade_stretches_period(self):
@@ -113,16 +113,14 @@ class TestDataItem:
     @given(st.lists(st.sampled_from(["drop", "apply"]), min_size=1, max_size=60))
     def test_property_lag_never_negative_and_bounded_by_drops(self, ops):
         item = make_item()
-        t = 0.0
         drops_since_apply = 0
         for op in ops:
-            t += 1.0
-            seq = item.record_arrival(t)
+            seq = item.record_arrival()
             if op == "drop":
                 item.record_drop()
                 drops_since_apply += 1
             else:
-                item.apply_update(seq, t)
+                item.apply_update(seq)
                 drops_since_apply = 0
             assert item.udrop >= 0
             assert item.udrop == drops_since_apply
@@ -208,7 +206,7 @@ class TestItemTable:
         table = ItemTable.uniform(3, ideal_period=5.0, update_exec_time=0.1)
         table.degrade(1, 0.2)
         assert [item.item_id for item in table.degraded_items()] == [1]
-        table[0].record_arrival(1.0)
+        table[0].record_arrival()
         table[0].record_drop()
         totals = table.totals()
         assert totals["arrivals"] == 1

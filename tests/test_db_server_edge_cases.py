@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from repro.db.freshness import TimeFreshness
 from repro.db.items import ItemTable
 from repro.db.server import ARRIVAL_EVENT_PRIORITY, Server, ServerConfig
 from repro.db.transactions import Outcome, QueryTransaction
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 from tests.test_db_server import StubPolicy, make_server, outcome_of, submit_query
 
@@ -51,6 +50,32 @@ class TestMultiItemQueries:
         assert record.restarts == 1
         assert record.outcome is Outcome.SUCCESS
 
+    def test_freshness_is_eq1_of_the_stalest_item(self):
+        sim, server = make_server(policy=StubPolicy(apply_updates=False))
+        for _ in range(2):
+            sim.schedule(0.1, lambda: server.source_update_arrival(1))  # dropped
+        sim.schedule(0.2, lambda: server.source_update_arrival(2))  # dropped
+        txn = submit_query(
+            server, arrival=1.0, exec_time=0.5, deadline=5.0, items=(0, 1, 2)
+        )
+        sim.run()
+        record = outcome_of(server, txn)
+        assert record.freshness == 1.0 / 3.0
+        assert record.outcome is Outcome.DATA_STALE
+
+
+class TestReadSnapshot:
+    def test_commit_without_snapshot_raises(self):
+        """A query commits only through the completion ``_run`` scheduled
+        after snapshotting its read; a missing snapshot is a bug."""
+        sim, server = make_server()
+        txn = submit_query(server, arrival=0.0, exec_time=1.0, deadline=5.0)
+        sim.run(until=0.5)
+        assert server.running_transaction() is txn
+        txn.observed_freshness = None
+        with pytest.raises(SimulationError, match=f"query {txn.txn_id} "):
+            sim.run()
+
 
 class TestConcurrentUpdates:
     def test_same_item_updates_serialize_in_edf_order(self):
@@ -72,33 +97,6 @@ class TestConcurrentUpdates:
         txn = submit_query(server, arrival=0.1, exec_time=0.2, deadline=1.0, items=(1,))
         sim.run()
         assert outcome_of(server, txn).outcome is Outcome.DEADLINE_MISS
-
-
-class TestAlternativeFreshnessMetric:
-    def test_time_based_metric_plugs_in(self):
-        sim = Simulator()
-        items = ItemTable.uniform(2, ideal_period=100.0, update_exec_time=0.5)
-        server = Server(
-            sim,
-            items,
-            StubPolicy(apply_updates=False),
-            ServerConfig(freshness_metric=TimeFreshness(half_life=1.0)),
-        )
-        sim.schedule(0.0, lambda: server.source_update_arrival(0))  # dropped
-        # Query arrives 3 half-lives after the drop: freshness ~ 1/8.
-        txn = QueryTransaction(
-            txn_id=server.next_txn_id(),
-            arrival=3.0,
-            exec_time=0.1,
-            items=(0,),
-            relative_deadline=2.0,
-            freshness_req=0.9,
-        )
-        sim.schedule(3.0, lambda: server.submit_query(txn), priority=ARRIVAL_EVENT_PRIORITY)
-        sim.run()
-        record = server.records[-1]
-        assert record.outcome is Outcome.DATA_STALE
-        assert record.freshness == pytest.approx(0.125, abs=0.02)
 
 
 class TestKillInsteadOfRestart:

@@ -145,14 +145,20 @@ class TestReportContents:
         assert report.updates_dropped == report.update_arrivals
 
     def test_imu_and_odu_never_go_stale(self):
-        """Paper: both baselines achieve 100% freshness by construction."""
+        """Paper: both baselines achieve 100% freshness by construction,
+        for single- and multi-item queries alike."""
         for policy in ("imu", "odu"):
-            report = run_experiment(
-                ExperimentConfig(
-                    policy=policy, update_trace="med-unif", seed=5, scale=SMOKE
+            for items_per_query in (1, 3):
+                report = run_experiment(
+                    ExperimentConfig(
+                        policy=policy,
+                        update_trace="med-unif",
+                        seed=5,
+                        scale=SMOKE,
+                        items_per_query=items_per_query,
+                    )
                 )
-            )
-            assert report.outcome_counts[Outcome.DATA_STALE] == 0
+                assert report.outcome_counts[Outcome.DATA_STALE] == 0
 
     def test_records_kept_when_requested(self):
         config = ExperimentConfig(
@@ -173,6 +179,38 @@ class TestReportContents:
         text = report.summary()
         assert "UNIT" in text
         assert "USM" in text
+
+
+@pytest.mark.parametrize("items_per_query", [1, 3])
+@pytest.mark.parametrize("policy", ["unit", "imu", "odu", "qmf", "elastic"])
+def test_recorded_freshness_is_eq1(policy, items_per_query):
+    """Every query that read its items scored ``1/(1+k)`` for an integer
+    lag ``k`` (Eq. 1, min over items), and the score alone decides
+    SUCCESS versus Data-Stale Failure."""
+    report = run_experiment(
+        ExperimentConfig(
+            policy=policy,
+            update_trace="med-unif",
+            seed=7,
+            scale=SMOKE,
+            items_per_query=items_per_query,
+            keep_records=True,
+        )
+    )
+    scored = 0
+    for record in report.records:
+        if record.outcome in (Outcome.SUCCESS, Outcome.DATA_STALE):
+            assert record.freshness is not None
+        if record.freshness is None:
+            continue
+        scored += 1
+        lag = round(1.0 / record.freshness - 1.0)
+        assert record.freshness == 1.0 / (1.0 + lag)
+        if record.outcome is Outcome.SUCCESS:
+            assert record.freshness >= record.freshness_req
+        elif record.outcome is Outcome.DATA_STALE:
+            assert record.freshness < record.freshness_req
+    assert scored > 0
 
 
 def _substrate(policy, seed=7):

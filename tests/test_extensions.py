@@ -1,6 +1,6 @@
 """Tests for the beyond-the-paper extensions DESIGN.md Section 6 lists:
-per-user penalty profiles, pluggable freshness metrics, and multi-item
-queries driven end to end through the experiment runner.
+per-user penalty profiles and multi-item queries driven end to end
+through the experiment runner.
 """
 
 import pytest
@@ -117,44 +117,6 @@ class TestPerQueryProfileAdmission:
         record = server.records[0]
         assert record.profile is PREMIUM
         assert record.user_class == "premium"
-
-
-class TestFreshnessMetricPlumbing:
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(freshness_metric="vibes")
-
-    def test_build_metrics(self):
-        assert "lag" in ExperimentConfig().build_freshness_metric().describe()
-        time_metric = ExperimentConfig(
-            freshness_metric="time", freshness_half_life=5.0
-        ).build_freshness_metric()
-        assert "half-life 5" in time_metric.describe()
-        div = ExperimentConfig(freshness_metric="divergence").build_freshness_metric()
-        assert "divergence" in div.describe()
-
-    def test_divergence_metric_end_to_end(self):
-        """With a tolerant divergence metric, UNIT's drops cause fewer
-        DSFs than under the strict lag metric."""
-        lag = run_experiment(
-            ExperimentConfig(
-                policy="unit", update_trace="med-unif", seed=5, scale=SCALES["smoke"]
-            )
-        )
-        tolerant = run_experiment(
-            ExperimentConfig(
-                policy="unit",
-                update_trace="med-unif",
-                seed=5,
-                scale=SCALES["smoke"],
-                freshness_metric="divergence",
-                freshness_drift=0.02,  # 5 pending drops still ~fresh
-            )
-        )
-        assert (
-            tolerant.outcome_counts[Outcome.DATA_STALE]
-            <= lag.outcome_counts[Outcome.DATA_STALE]
-        )
 
 
 class TestMultiItemEndToEnd:

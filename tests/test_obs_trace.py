@@ -134,64 +134,66 @@ class TestTraceRecorder:
 
 #: One sample call of every typed hook (all 16 kinds), with the dict
 #: the former generic ``emit`` path recorded for it, key order included.
+#: Each row is ``(hook, case, args, expected)``; ``hook-case`` is the
+#: row's test id, so adding or deleting a row renames no other test.
 HOOKS = [
-    ("query_admit", (0.1, 1, 1.0, 2),
+    ("query_admit", "basic", (0.1, 1, 1.0, 2),
      {"t": 0.1, "kind": "query.admit", "txn": 1, "deadline": 1.0, "items": 2}),
-    ("query_outcome", (0.3, 1, "success", 0.1, 0.2, 0.95, 0),
+    ("query_outcome", "success", (0.3, 1, "success", 0.1, 0.2, 0.95, 0),
      {"t": 0.3, "kind": "query.outcome", "txn": 1, "outcome": "success",
       "arrival": 0.1, "latency": 0.2, "freshness": 0.95, "restarts": 0}),
-    ("query_outcome", (0.3, 2, "rejected", 0.1, 0.0, None, 0),
+    ("query_outcome", "rejected", (0.3, 2, "rejected", 0.1, 0.0, None, 0),
      {"t": 0.3, "kind": "query.outcome", "txn": 2, "outcome": "rejected",
       "arrival": 0.1, "latency": 0.0, "freshness": None, "restarts": 0}),
-    ("sched_enqueue", (0.1, 1, "admit"),
+    ("sched_enqueue", "admit", (0.1, 1, "admit"),
      {"t": 0.1, "kind": "sched.enqueue", "txn": 1, "cause": "admit"}),
-    ("sched_dispatch", (0.15, 1),
+    ("sched_dispatch", "basic", (0.15, 1),
      {"t": 0.15, "kind": "sched.dispatch", "txn": 1}),
-    ("sched_park", (0.18, 1),
+    ("sched_park", "basic", (0.18, 1),
      {"t": 0.18, "kind": "sched.park", "txn": 1}),
-    ("modulation_change", (0.6, "degrade", (5, 2, 5)),
+    ("modulation_change", "degrade", (0.6, "degrade", (5, 2, 5)),
      {"t": 0.6, "kind": "modulation.change", "direction": "degrade",
       "items": (5, 2, 5)}),
-    ("modulation_change", (0.7, "upgrade", (2, 5)),
+    ("modulation_change", "upgrade", (0.7, "upgrade", (2, 5)),
      {"t": 0.7, "kind": "modulation.change", "direction": "upgrade",
       "items": (2, 5)}),
-    ("admission_decision", (0.1, 1, False, "est", 0.4, 2, 1.0),
+    ("admission_decision", "rejected", (0.1, 1, False, "est", 0.4, 2, 1.0),
      {"t": 0.1, "kind": "admission.decision", "txn": 1, "admitted": False,
       "reason": "est", "est": 0.4, "endangered": 2, "c_flex": 1.0}),
-    ("update_apply", (0.45, 6, 8, True, 1.0),
+    ("update_apply", "on-demand", (0.45, 6, 8, True, 1.0),
      {"t": 0.45, "kind": "update.apply", "item": 6, "txn": 8, "on_demand": True,
       "period": 1.0}),
-    ("lock_preempt", (0.3, 4, 6, False, [2]),
+    ("lock_preempt", "query-requester", (0.3, 4, 6, False, [2]),
      {"t": 0.3, "kind": "lock.preempt", "txn": 4, "item": 6, "update": False,
       "victims": [2]}),
-    ("lock_preempt", (0.2, 2, 5, True, [1, 3]),
+    ("lock_preempt", "update-requester", (0.2, 2, 5, True, [1, 3]),
      {"t": 0.2, "kind": "lock.preempt", "txn": 2, "item": 5, "update": True,
       "victims": [1, 3]}),
-    ("update_apply", (0.4, 5, 7, False, 2.0),
+    ("update_apply", "periodic", (0.4, 5, 7, False, 2.0),
      {"t": 0.4, "kind": "update.apply", "item": 5, "txn": 7, "on_demand": False,
       "period": 2.0}),
-    ("update_drop", (0.5, 5, 2.0),
+    ("update_drop", "basic", (0.5, 5, 2.0),
      {"t": 0.5, "kind": "update.drop", "item": 5, "period": 2.0}),
-    ("control_allocate", (1.0, {"R": 0.1, "F_m": 0.2}, "R", ["LAC"], 0.4, 20),
+    ("control_allocate", "basic", (1.0, {"R": 0.1, "F_m": 0.2}, "R", ["LAC"], 0.4, 20),
      {"t": 1.0, "kind": "control.allocate", "dominant": "R", "signals": ["LAC"],
       "usm": 0.4, "samples": 20, "cost_F_m": 0.2, "cost_R": 0.1}),
-    ("control_window",
+    ("control_window", "basic",
      (1.0, {"S": 0.8, "R": 0.1}, 0.4, 20, ["LAC"], 1.1, 0.3, 2, -0.5),
      {"t": 1.0, "kind": "control.window", "usm": 0.4, "samples": 20,
       "signals": ["LAC"], "c_flex": 1.1, "update_load": 0.3,
       "degraded_items": 2, "ticket_threshold": -0.5, "R": 0.1, "S": 0.8}),
-    ("fault_start",
+    ("fault_start", "slowdown",
      (2.0, "server-slowdown-0", "server-slowdown", {"rate": 0.5, "at": 1.0}),
      {"t": 2.0, "kind": "fault.start", "label": "server-slowdown-0",
       "fault": "server-slowdown", "at": 1.0, "rate": 0.5}),
-    ("fault_end", (3.0, "server-slowdown-0", "server-slowdown"),
+    ("fault_end", "slowdown", (3.0, "server-slowdown-0", "server-slowdown"),
      {"t": 3.0, "kind": "fault.end", "label": "server-slowdown-0",
       "fault": "server-slowdown"}),
-    ("fleet_route", (0.05, 1, 0, "freshness", [0, 1], 0.9, False),
+    ("fleet_route", "freshness", (0.05, 1, 0, "freshness", [0, 1], 0.9, False),
      {"t": 0.05, "kind": "fleet.route", "txn": 1, "shard": 0,
       "policy": "freshness", "candidates": [0, 1], "est_freshness": 0.9,
       "forced": False}),
-    ("fleet_rebalance", (4.0, 0, 1.1, 1.0, 1.1, "degrade"),
+    ("fleet_rebalance", "degrade", (4.0, 0, 1.1, 1.0, 1.1, "degrade"),
      {"t": 4.0, "kind": "fleet.rebalance", "shard": 0, "flex_factor": 1.1,
       "c_flex_before": 1.0, "c_flex_after": 1.1, "modulate": "degrade"}),
 ]
@@ -199,12 +201,16 @@ HOOKS = [
 
 class TestTypedEvents:
     def test_table_covers_every_kind(self):
-        assert {expected["kind"] for _, _, expected in HOOKS} == set(ALL_KINDS)
+        assert {expected["kind"] for _, _, _, expected in HOOKS} == set(ALL_KINDS)
+
+    def test_case_ids_are_unique(self):
+        ids = [f"{hook}-{case}" for hook, case, _, _ in HOOKS]
+        assert len(ids) == len(set(ids))
 
     @pytest.mark.parametrize(
         "hook,args,expected",
-        HOOKS,
-        ids=[f"{hook}-args{index}" for index, (hook, _, _) in enumerate(HOOKS)],
+        [(hook, args, expected) for hook, _, args, expected in HOOKS],
+        ids=[f"{hook}-{case}" for hook, case, _, _ in HOOKS],
     )
     def test_typed_event_matches_generic_emit(self, hook, args, expected):
         """A hook's event flattens to the dict the generic emit path
@@ -247,7 +253,7 @@ class TestTypedEvents:
         """Events holding only plain values cost the collector nothing
         to re-walk once a collection has seen them."""
         rec = TraceRecorder()
-        for hook, args, _ in HOOKS:
+        for hook, _, args, _ in HOOKS:
             if hook.startswith(("query_", "sched_", "modulation_")):
                 getattr(rec, hook)(*args)
         gc.collect()
