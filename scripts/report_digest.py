@@ -88,6 +88,18 @@ def battery() -> list:
                 items_per_query=3,
             )
         )
+    # Inexact weights (0.1, 0.5): n * w differs from w added n times,
+    # so these cells pin the summation order of the USM pricing.
+    for key in ("lt1-high-cfm", "lt1-high-cr"):
+        cells.append(
+            ExperimentConfig(
+                policy="unit",
+                update_trace="med-unif",
+                profile=TABLE2_PROFILES[key],
+                seed=7,
+                scale=smoke,
+            )
+        )
     return cells
 
 

@@ -11,12 +11,7 @@ from repro.core.modulation import UpdateFrequencyModulator
 from repro.core.qmf import QmfConfig, QmfPolicy
 from repro.core.tickets import TicketBook
 from repro.core.unit import UnitConfig, UnitPolicy
-from repro.core.usm import (
-    MixedUsmAccumulator,
-    PenaltyProfile,
-    UsmAccumulator,
-    UsmWindow,
-)
+from repro.core.usm import PenaltyProfile, UsmAccumulator, UsmWindow
 
 __all__ = [
     "AdmissionController",
@@ -26,7 +21,6 @@ __all__ = [
     "ImuPolicy",
     "LoadBalancingController",
     "LotteryScheduler",
-    "MixedUsmAccumulator",
     "OduPolicy",
     "PenaltyProfile",
     "QmfConfig",

@@ -189,22 +189,20 @@ class AdmissionController:
         # admit.  Under the naive all-zero weights the clause never
         # fires and the paper's literal check applies.
         est = self.earliest_start(query, server)
+        profile = self.profile
         if self.c_flex * est + query.exec_time >= query.relative_deadline:
-            own = query.profile or self.profile
-            if not own.c_r > own.c_fm:
+            if not profile.c_r > profile.c_fm:
                 return AdmissionDecision(
                     admitted=False, reason="deadline-check", est=est
                 )
 
-        # Multi-preference extension: a query carrying its own profile
-        # is priced by it; everyone else uses the system-wide profile.
-        own_profile = query.profile or self.profile
-        if self.use_usm_check and not (own_profile.is_naive and self.profile.is_naive):
+        if self.use_usm_check and not profile.is_naive:
             endangered = self.endangered_queries(query, server)
-            dmf_cost = sum(
-                (other.profile or self.profile).c_fm for other in endangered
-            )
-            if dmf_cost > own_profile.c_r:
+            # One C_fm per endangered query, summed (not len * C_fm,
+            # which rounds differently for inexact weights).
+            c_fm = profile.c_fm
+            dmf_cost = sum(c_fm for _ in endangered)
+            if dmf_cost > profile.c_r:
                 return AdmissionDecision(
                     admitted=False,
                     reason="usm-check",

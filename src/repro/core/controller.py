@@ -67,9 +67,9 @@ class LoadBalancingController:
         since the last allocation — the event trigger of Section 3.2."""
         last = self._last_usm
         if last is None:
-            # No baseline yet: skip the (O(window)) USM scan entirely.
-            # Eviction is not skipped for long — time is monotonic and
-            # every other window reader evicts before reading.
+            # No baseline yet: nothing to compare against.  Eviction
+            # is not skipped for long — time is monotonic and every
+            # other window reader evicts before reading.
             return False
         usm = self.window.average_usm(now)
         if usm is None:

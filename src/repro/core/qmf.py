@@ -35,11 +35,11 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
+from repro.core.usm import PenaltyProfile, UsmWindow
 from repro.db.items import DataItem
 from repro.db.policy_api import ServerPolicy
 from repro.db.server import CONTROL_EVENT_PRIORITY
 from repro.db.transactions import Outcome, QueryRecord, QueryTransaction
-from repro.sim.stats import WindowedCounts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.server import Server
@@ -94,7 +94,7 @@ class QmfPolicy(ServerPolicy):
         self.flex_fraction = 0.0
         self._flexible: Set[int] = set()
         self._server: Optional["Server"] = None
-        self._outcomes = WindowedCounts(self.config.window)
+        self._outcomes = UsmWindow(PenaltyProfile.naive(), self.config.window)
         self._last_busy = 0.0
         self._pending: Dict[int, object] = {}  # item_id -> pending refresh txn
         self.refreshes_spawned = 0
@@ -153,7 +153,7 @@ class QmfPolicy(ServerPolicy):
         return refresh_stale_items(self, query, server, server.items)
 
     def on_query_outcome(self, record: QueryRecord, server: "Server") -> None:
-        self._outcomes.record(server.now, record.outcome.value)
+        self._outcomes.record(server.now, record.outcome)
 
     def describe(self) -> str:
         return "QMF"
@@ -166,13 +166,13 @@ class QmfPolicy(ServerPolicy):
         """DMF / admitted-and-finished within the window (QMF's metric)."""
         counts = self._outcomes.counts(now)
         admitted = (
-            counts.get(Outcome.SUCCESS.value, 0)
-            + counts.get(Outcome.DATA_STALE.value, 0)
-            + counts.get(Outcome.DEADLINE_MISS.value, 0)
+            counts[Outcome.SUCCESS]
+            + counts[Outcome.DATA_STALE]
+            + counts[Outcome.DEADLINE_MISS]
         )
         if not admitted:
             return None
-        return counts.get(Outcome.DEADLINE_MISS.value, 0) / admitted
+        return counts[Outcome.DEADLINE_MISS] / admitted
 
     def _database_freshness(self) -> float:
         """QMF's QoD metric: the fraction of *database* items currently

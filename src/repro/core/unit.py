@@ -207,7 +207,7 @@ class UnitPolicy(ServerPolicy):
 
     def on_query_outcome(self, record: QueryRecord, server: "Server") -> None:
         assert self.usm_window is not None and self.lbc is not None
-        self.usm_window.record(server.now, record.outcome, record.profile)
+        self.usm_window.record(server.now, record.outcome)
         # Event trigger: a big USM drop runs Adaptive Allocation without
         # waiting for the periodic tick (rate-limited to a quarter
         # period so one burst cannot spam signals).

@@ -15,9 +15,8 @@ ratio — the paper's "naive USM" used in Fig. 4.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Mapping, Optional, Tuple
 
 from repro.core.fixedpoint import fixed_from_float, float_from_fixed
 from repro.db.transactions import Outcome
@@ -162,103 +161,16 @@ class UsmAccumulator:
         return acc
 
 
-class MixedUsmAccumulator:
-    """USM accounting for heterogeneous user preferences.
-
-    Section 3.1 assumes a single system-wide profile and notes the
-    framework "can be easily extended to support multiple preferences";
-    this accumulator is that extension's reporting side: each recorded
-    query carries its own :class:`PenaltyProfile` (falling back to a
-    default), and totals are available overall and per user class.
-    """
-
-    def __init__(self, default_profile: PenaltyProfile) -> None:
-        self.default_profile = default_profile
-        self._total_usm = 0.0
-        self._by_class: Dict[str, Dict[str, Any]] = {}
-
-    def record(
-        self,
-        outcome: Outcome,
-        profile: Optional[PenaltyProfile] = None,
-        user_class: str = "default",
-    ) -> None:
-        profile = profile or self.default_profile
-        contribution = profile.contribution(outcome)
-        self._total_usm += contribution
-        bucket = self._by_class.setdefault(
-            user_class, {"usm": 0.0, "count": 0, "counts": {o: 0 for o in Outcome}}
-        )
-        bucket["usm"] += contribution
-        bucket["count"] += 1
-        bucket["counts"][outcome] += 1
-
-    @property
-    def total_queries(self) -> int:
-        return sum(bucket["count"] for bucket in self._by_class.values())
-
-    def total_usm(self) -> float:
-        return self._total_usm
-
-    def average_usm(self) -> float:
-        total = self.total_queries
-        if not total:
-            return 0.0
-        return self._total_usm / total
-
-    def class_average_usm(self, user_class: str) -> float:
-        bucket = self._by_class.get(user_class)
-        if not bucket or not bucket["count"]:
-            return 0.0
-        return bucket["usm"] / bucket["count"]
-
-    def class_ratios(self, user_class: str) -> Dict[Outcome, float]:
-        bucket = self._by_class.get(user_class)
-        if not bucket or not bucket["count"]:
-            return {outcome: 0.0 for outcome in Outcome}
-        count = bucket["count"]
-        return {outcome: n / count for outcome, n in bucket["counts"].items()}
-
-    def classes(self) -> List[str]:
-        """User-class labels seen so far, in stable sorted order."""
-        return sorted(self._by_class)
-
-
-@functools.lru_cache(maxsize=None)
-def _window_entry(
-    prof: PenaltyProfile, outcome: Outcome
-) -> Tuple[int, Optional[Tuple[str, float]]]:
-    """Cached per-(profile, outcome) window bookkeeping: the exact
-    fixed-point mirror of the USM contribution and the cost pair.
-
-    Both are pure functions of the frozen pair and there are only a
-    handful of distinct profiles per experiment, so the window's
-    record path reduces to one cache hit.
-    """
-    contribution = prof.contribution(outcome)
-    cost: Optional[Tuple[str, float]]
-    if outcome is Outcome.SUCCESS:
-        cost = None  # successes carry gain, not cost (Eq. 5's S term)
-    elif outcome is Outcome.REJECTED:
-        cost = ("R", prof.c_r)
-    elif outcome is Outcome.DEADLINE_MISS:
-        cost = ("F_m", prof.c_fm)
-    elif outcome is Outcome.DATA_STALE:
-        cost = ("F_s", prof.c_fs)
-    else:
-        raise ValueError(f"unaccounted outcome {outcome!r}")
-    return fixed_from_float(contribution), cost
-
-
 class UsmWindow:
     """Recent-window USM signals for the feedback controllers.
 
-    Tracks outcomes within a sliding time window and answers the two
-    questions the LBC asks: the recent average USM (for drop-trigger
-    detection) and the recent cost components / outcome ratios (for the
-    Adaptive Allocation Algorithm).  Each event may carry its own
-    penalty profile (the multi-preference extension); events without
-    one use the window's default profile.
+    Tracks outcomes within a sliding time window and answers the
+    questions the controllers ask: the recent outcome counts (QMF's
+    miss ratio), the recent average USM (UNIT's drop trigger) and the
+    recent cost components / outcome ratios (the Adaptive Allocation
+    Algorithm).  An event is retained while its time is at least
+    ``now - window``; every read evicts first.  All reads price the
+    window's one profile from the per-outcome counts.
     """
 
     def __init__(self, profile: PenaltyProfile, window: float) -> None:
@@ -266,46 +178,38 @@ class UsmWindow:
             raise ValueError("window must be positive")
         self.profile = profile
         self.window = window
-        self._events: Deque[Tuple[float, Outcome, PenaltyProfile]] = deque()
-        # Per-event fixed-point USM contribution and (cost-key, cost)
-        # pairs, kept in lock-step with _events.  Both are pure
-        # functions of the frozen (outcome, profile) pair (cached in
-        # _window_entry), so computing them once at record time changes
-        # no float.  _contrib_fixed is the exact running sum of the
-        # contribution mirrors: the windowed average becomes an O(1)
-        # read instead of an O(window) scan on every drop check, and
-        # add/subtract on the integer mirror cannot drift.
-        self._contribs: Deque[int] = deque()
-        self._contrib_fixed = 0
-        self._costs: Deque[Optional[Tuple[str, float]]] = deque()
+        self._events: Deque[Tuple[float, Outcome]] = deque()
         self._counts: Dict[Outcome, int] = {outcome: 0 for outcome in Outcome}
+        # Exact fixed-point mirror of each outcome's Eq. 3 contribution:
+        # the windowed USM sum is an exact integer sum over the counts.
+        self._fixed: Dict[Outcome, int] = {
+            outcome: fixed_from_float(profile.contribution(outcome)) for outcome in Outcome
+        }
+        self._costs: Tuple[Tuple[str, Outcome, float], ...] = (
+            ("R", Outcome.REJECTED, profile.c_r),
+            ("F_m", Outcome.DEADLINE_MISS, profile.c_fm),
+            ("F_s", Outcome.DATA_STALE, profile.c_fs),
+        )
 
-    def record(
-        self,
-        now: float,
-        outcome: Outcome,
-        profile: Optional[PenaltyProfile] = None,
-    ) -> None:
-        prof = profile or self.profile
-        fixed, cost = _window_entry(prof, outcome)
-        self._events.append((now, outcome, prof))
-        self._contribs.append(fixed)
-        self._contrib_fixed += fixed
+    def record(self, now: float, outcome: Outcome) -> None:
+        self._events.append((now, outcome))
         self._counts[outcome] += 1
-        self._costs.append(cost)
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window
         events = self._events
+        counts = self._counts
         while events and events[0][0] < cutoff:
-            _, outcome, _ = events.popleft()
-            self._contrib_fixed -= self._contribs.popleft()
-            self._costs.popleft()
-            self._counts[outcome] -= 1
+            counts[events.popleft()[1]] -= 1
 
     def sample_size(self, now: float) -> int:
         self._evict(now)
         return len(self._events)
+
+    def counts(self, now: float) -> Dict[Outcome, int]:
+        """Windowed per-outcome counts (absent outcomes are 0)."""
+        self._evict(now)
+        return dict(self._counts)
 
     def ratios(self, now: float) -> Dict[Outcome, float]:
         """Windowed R_s / R_r / R_fm / R_fs (absent outcomes are 0)."""
@@ -319,22 +223,29 @@ class UsmWindow:
     def average_usm(self, now: float) -> Optional[float]:
         """Windowed average USM, or None if the window is empty."""
         self._evict(now)
-        if not self._events:
+        total = len(self._events)
+        if not total:
             return None
-        return float_from_fixed(self._contrib_fixed) / len(self._events)
+        counts = self._counts
+        fixed = sum(contrib * counts[outcome] for outcome, contrib in self._fixed.items())
+        return float_from_fixed(fixed) / total
 
     def cost_components(self, now: float) -> Dict[str, float]:
-        """Windowed R / F_m / F_s average costs (the Fig. 2 inputs),
-        using each event's own penalty weights."""
+        """Windowed R / F_m / F_s average costs (the Fig. 2 inputs)."""
         self._evict(now)
-        costs = {"R": 0.0, "F_m": 0.0, "F_s": 0.0}
-        if not self._events:
-            return costs
-        for entry in self._costs:
-            if entry is not None:
-                costs[entry[0]] += entry[1]
         total = len(self._events)
-        return {key: value / total for key, value in costs.items()}
+        if not total:
+            return {"R": 0.0, "F_m": 0.0, "F_s": 0.0}
+        counts = self._counts
+        costs: Dict[str, float] = {}
+        for key, outcome, weight in self._costs:
+            # The weight added once per event, not count * weight: the
+            # two round differently for inexact weights such as 0.1.
+            value = 0.0
+            for _ in range(counts[outcome]):
+                value += weight
+            costs[key] = value / total
+        return costs
 
     def raw_failure_ratios(self, now: float) -> Dict[str, float]:
         """The all-penalties-zero fallback of Fig. 2 (lines 2–3)."""

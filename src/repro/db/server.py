@@ -567,9 +567,6 @@ class Server:
                     emit(now, query_id, ENQUEUE_REFRESH)
 
     def _commit_query(self, query: QueryTransaction) -> None:
-        token = self._deadline_tokens.pop(query.txn_id, None)
-        if token is not None:
-            self.sim.cancel_token(token)
         freshness = query.observed_freshness
         if freshness is None:
             # Only a completion scheduled by ``_run`` commits a query,
@@ -616,9 +613,6 @@ class Server:
                 if emit is not None:
                     emit(self.sim.now, victim.txn_id, ENQUEUE_RESTART)
             else:
-                token = self._deadline_tokens.pop(victim.txn_id, None)
-                if token is not None:
-                    self.sim.cancel_token(token)
                 victim.state = TransactionState.ABORTED
                 self._finalize_query(victim, Outcome.DEADLINE_MISS, freshness=None)
         else:
@@ -680,8 +674,6 @@ class Server:
             now,
             freshness,
             query.restarts,
-            query.profile,
-            query.user_class,
         )
         self.records.append(record)
         self.outcome_counts[outcome] += 1

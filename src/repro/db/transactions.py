@@ -112,13 +112,6 @@ class QueryTransaction(_TransactionBase):
     # Freshness observed when the (final) execution read its items;
     # set by the server at run start, consumed at commit.
     observed_freshness: Optional[float] = None
-    # Optional per-user penalty profile (a repro.core.usm.PenaltyProfile;
-    # typed loosely because the db layer sits below core).  None means
-    # the policy's system-wide profile applies — the paper's base
-    # assumption; Section 3.1 notes the multi-preference extension.
-    profile: Optional[object] = None
-    # Free-form user-class label for per-class reporting.
-    user_class: str = "default"
 
     def __post_init__(self) -> None:
         # Explicit base-class call: zero-arg super() does not survive the
@@ -185,8 +178,6 @@ class QueryRecord:
     finish_time: float
     freshness: Optional[float] = None
     restarts: int = 0
-    profile: Optional[object] = None  # per-user PenaltyProfile, if any
-    user_class: str = "default"
 
     @property
     def response_time(self) -> float:

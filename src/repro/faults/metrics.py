@@ -64,8 +64,7 @@ def usm_time_series(
         index = int(record.finish_time / bucket)
         if index >= n_buckets:
             index = n_buckets - 1
-        record_profile = record.profile or profile
-        sums[index] += record_profile.contribution(record.outcome)  # type: ignore[attr-defined]
+        sums[index] += profile.contribution(record.outcome)
         counts[index] += 1
     series: List[Tuple[float, Optional[float]]] = []
     for index in range(n_buckets):

@@ -8,12 +8,10 @@ time: an observed run feeds it live from its
 :class:`~repro.obs.spans.SpanFold`, and :func:`attrib_report` folds a
 span list (the ``obs attrib`` CLI).
 
-**Reconciliation contract.**  :func:`usm_loss_ledger` applies a
-:class:`~repro.core.usm.PenaltyProfile` to span outcome counts with the
-*identical* operation order as
-:meth:`repro.core.usm.UsmAccumulator.components` (``count / total``
-then ``* weight``), so for a complete span set the ledger's component
-values equal the report's ``components`` dict float-for-float — an
+**Reconciliation contract.**  :func:`usm_loss_ledger` scores the span
+outcome counts with :meth:`repro.core.usm.UsmAccumulator.from_counts`,
+the scorer the report uses, so for a complete span set the ledger's
+component values and USM equal the report's float-for-float — an
 exact cross-check between the span pipeline and the USM accounting,
 asserted in tests.
 
@@ -27,12 +25,14 @@ from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.fixedpoint import float_from_fixed
-from repro.core.usm import PenaltyProfile
+from repro.core.usm import PenaltyProfile, UsmAccumulator
 from repro.db.transactions import Outcome
-from repro.obs.spans import WAIT_STATES, QuerySpan
+from repro.obs.spans import COMPONENT_BY_OUTCOME, WAIT_STATES, QuerySpan
 
-#: The Eq. 5 components, in ledger order.
-_COMPONENTS: Tuple[str, ...] = ("S", "R", "F_m", "F_s")
+#: The Eq. 5 components, in ledger order, and the outcome each counts.
+_OUTCOME_BY_COMPONENT: Dict[str, Outcome] = {
+    component: Outcome(value) for value, component in COMPONENT_BY_OUTCOME.items()
+}
 
 #: The percentiles every table reports.
 PERCENTILES: Tuple[float, ...] = (0.50, 0.90, 0.99)
@@ -123,8 +123,10 @@ class AttribAccumulator:
         self.restarts = 0
         self.latencies = array("d")
         self.slacks = array("d")
-        self.counts: Dict[str, int] = {component: 0 for component in _COMPONENTS}
-        self.causes: Dict[str, Dict[str, int]] = {component: {} for component in _COMPONENTS}
+        self.counts: Dict[str, int] = {component: 0 for component in _OUTCOME_BY_COMPONENT}
+        self.causes: Dict[str, Dict[str, int]] = {
+            component: {} for component in _OUTCOME_BY_COMPONENT
+        }
 
     def add(
         self,
@@ -193,45 +195,25 @@ class AttribAccumulator:
         }
 
     def ledger(self, profile: PenaltyProfile) -> Dict[str, object]:
-        weights = {
-            "S": profile.gain,
-            "R": profile.c_r,
-            "F_m": profile.c_fm,
-            "F_s": profile.c_fs,
-        }
         counts = self.counts
-        total = sum(counts.values())
-        components: Dict[str, float] = {}
-        ratios: Dict[str, float] = {}
-        for component, weight in weights.items():
-            ratio = counts[component] / total if total else 0.0
-            ratios[component] = ratio
-            components[component] = ratio * weight
-        # Mirror UsmAccumulator.average_usm exactly: sum the per-outcome
-        # contributions (gain positive, penalties negative) in Outcome
-        # order, then divide once — NOT S − R − F_m − F_s over the
-        # components, which rounds differently in the last ulp.
-        contributions = {
-            "S": profile.contribution(Outcome.SUCCESS),
-            "R": profile.contribution(Outcome.REJECTED),
-            "F_m": profile.contribution(Outcome.DEADLINE_MISS),
-            "F_s": profile.contribution(Outcome.DATA_STALE),
-        }
-        usm = (
-            sum(contributions[c] * counts[c] for c in weights) / total
-            if total
-            else 0.0
+        usm = UsmAccumulator.from_counts(
+            profile,
+            {outcome: counts[component] for component, outcome in _OUTCOME_BY_COMPONENT.items()},
         )
+        ratios = usm.ratios()
         return {
-            "total": total,
+            "total": usm.total_queries,
             "counts": dict(counts),
-            "ratios": ratios,
-            "components": components,
+            "ratios": {
+                component: ratios[outcome]
+                for component, outcome in _OUTCOME_BY_COMPONENT.items()
+            },
+            "components": usm.components(),
             "causes": {
                 component: dict(sorted(bucket.items()))
                 for component, bucket in self.causes.items()
             },
-            "usm": usm,
+            "usm": usm.average_usm(),
             "profile": profile.describe(),
         }
 
@@ -273,9 +255,9 @@ def usm_loss_ledger(
 
     For each component (``S`` / ``R`` / ``F_m`` / ``F_s``): the span
     count, the outcome ratio, the component value (gain for S, loss
-    otherwise — computed with the same ``count / total * weight``
-    order as :meth:`UsmAccumulator.components`, so a complete span set
-    reconciles float-for-float with the report), and the per-cause
+    otherwise — scored by :meth:`UsmAccumulator.from_counts`, as the
+    report is, so a complete span set reconciles float-for-float with
+    the report), and the per-cause
     span counts (admission reasons for R, dominant wait states for
     F_m, ``stale-read`` for F_s).
     """

@@ -9,11 +9,10 @@ random streams (:mod:`repro.sim.rng`), and small statistics helpers
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import OnlineStats, WindowedCounts
+from repro.sim.stats import OnlineStats
 
 __all__ = [
     "OnlineStats",
     "RandomStreams",
     "Simulator",
-    "WindowedCounts",
 ]

@@ -7,8 +7,7 @@ per-event history.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 
 class OnlineStats:
@@ -80,48 +79,3 @@ class OnlineStats:
             "min": None if empty else self._min,
             "max": None if empty else self._max,
         }
-
-
-class WindowedCounts:
-    """Sliding-window event counters keyed by label.
-
-    The feedback controllers (UNIT's LBC and QMF) react to *recent*
-    outcome ratios; this class keeps per-label timestamps and evicts
-    entries older than ``window`` on every query.
-    """
-
-    def __init__(self, window: float) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._events: Deque[Tuple[float, str]] = deque()
-
-    def record(self, time: float, label: str) -> None:
-        """Record one event with the given label at ``time``."""
-        self._events.append((time, label))
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        while self._events and self._events[0][0] < cutoff:
-            self._events.popleft()
-
-    def counts(self, now: float) -> Dict[str, int]:
-        """Per-label counts within ``[now - window, now]``."""
-        self._evict(now)
-        result: Dict[str, int] = {}
-        for _, label in self._events:
-            result[label] = result.get(label, 0) + 1
-        return result
-
-    def total(self, now: float) -> int:
-        """Total events within the window."""
-        self._evict(now)
-        return len(self._events)
-
-    def ratios(self, now: float) -> Dict[str, float]:
-        """Per-label fractions within the window; empty dict if no events."""
-        counts = self.counts(now)
-        total = sum(counts.values())
-        if not total:
-            return {}
-        return {label: count / total for label, count in counts.items()}

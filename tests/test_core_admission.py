@@ -240,17 +240,6 @@ class TestUsmCheck:
             assert not decision.admitted
             assert decision.reason == "deadline-check"
 
-    def test_gamble_clause_uses_per_query_profile(self):
-        _, server = make_server()
-        queue_query(server, 1, deadline=0.9, exec_time=5.0)
-        system = PenaltyProfile(c_r=0.1, c_fm=1.0, c_fs=0.1)  # system rejects
-        ac = AdmissionController(system, c_flex=1.0)
-        gambler = incoming(deadline=1.0, exec_time=0.3)
-        gambler.profile = PenaltyProfile(c_r=1.0, c_fm=0.1, c_fs=0.1)
-        assert ac.decide(gambler, server).admitted
-        plain = incoming(deadline=1.0, exec_time=0.3)
-        assert not ac.decide(plain, server).admitted
-
     def test_usm_check_can_be_switched_off(self):
         _, server = make_server()
         profile = PenaltyProfile(c_r=0.1, c_fm=0.5, c_fs=0.1)

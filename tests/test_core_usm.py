@@ -1,8 +1,9 @@
 """Tests for the User Satisfaction Metric (paper Eqs. 2-5)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.core.fixedpoint import fixed_from_float, float_from_fixed
 from repro.core.usm import (
     TABLE2_PROFILES,
     PenaltyProfile,
@@ -139,6 +140,16 @@ class TestUsmWindow:
         assert costs["R"] == pytest.approx(0.25)
         assert costs["F_m"] == 0.0
 
+    def test_cost_components_add_each_weight_in_turn(self):
+        window = UsmWindow(PenaltyProfile(c_r=0.1, c_fm=0.1, c_fs=0.1), window=100.0)
+        for _ in range(10):
+            window.record(1.0, Outcome.REJECTED)
+        repeated = 0.0
+        for _ in range(10):
+            repeated += 0.1
+        assert repeated != 10 * 0.1  # the two orders differ here
+        assert window.cost_components(2.0)["R"] == repeated / 10
+
     def test_raw_failure_ratios(self):
         window = UsmWindow(PenaltyProfile.naive(), window=100.0)
         window.record(1.0, Outcome.DEADLINE_MISS)
@@ -146,3 +157,140 @@ class TestUsmWindow:
         raw = window.raw_failure_ratios(2.0)
         assert raw["F_m"] == pytest.approx(0.5)
         assert raw["R"] == 0.0
+
+    def test_counts_within_window(self):
+        window = UsmWindow(PenaltyProfile.naive(), window=10.0)
+        window.record(0.0, Outcome.SUCCESS)
+        window.record(5.0, Outcome.SUCCESS)
+        window.record(6.0, Outcome.REJECTED)
+        assert window.counts(6.0) == {
+            Outcome.SUCCESS: 2,
+            Outcome.REJECTED: 1,
+            Outcome.DEADLINE_MISS: 0,
+            Outcome.DATA_STALE: 0,
+        }
+
+    def test_eviction(self):
+        window = UsmWindow(PenaltyProfile.naive(), window=10.0)
+        window.record(0.0, Outcome.SUCCESS)
+        window.record(9.0, Outcome.DEADLINE_MISS)
+        counts = window.counts(15.0)
+        assert counts[Outcome.SUCCESS] == 0
+        assert counts[Outcome.DEADLINE_MISS] == 1
+        assert window.sample_size(25.0) == 0
+
+    def test_event_at_the_cutoff_is_kept(self):
+        window = UsmWindow(PenaltyProfile.naive(), window=10.0)
+        window.record(0.0, Outcome.SUCCESS)
+        assert window.sample_size(10.0) == 1  # 0.0 == now - window: kept
+        assert window.sample_size(10.25) == 0  # strictly older: evicted
+
+    def test_ratios(self):
+        window = UsmWindow(PenaltyProfile.naive(), window=100.0)
+        for _ in range(3):
+            window.record(1.0, Outcome.DEADLINE_MISS)
+        window.record(1.0, Outcome.SUCCESS)
+        ratios = window.ratios(2.0)
+        assert ratios[Outcome.DEADLINE_MISS] == 0.75
+        assert ratios[Outcome.SUCCESS] == 0.25
+
+    def test_empty_reads(self):
+        window = UsmWindow(PenaltyProfile(c_r=0.1, c_fm=0.5, c_fs=0.1), window=10.0)
+        window.record(0.0, Outcome.REJECTED)
+        assert window.ratios(100.0) == {outcome: 0.0 for outcome in Outcome}
+        assert window.counts(100.0) == {outcome: 0 for outcome in Outcome}
+        assert window.cost_components(100.0) == {"R": 0.0, "F_m": 0.0, "F_s": 0.0}
+        assert window.average_usm(100.0) is None
+
+    def test_invalid_window(self):
+        for width in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                UsmWindow(PenaltyProfile.naive(), window=width)
+
+
+#: Weights whose multiples are not all exact in binary (0.1, 0.3, ...)
+#: alongside exact ones, so n * w and w added n times can differ.
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 5.0]),
+    st.floats(min_value=0.0, max_value=10.0),
+)
+PROFILES = st.builds(
+    PenaltyProfile,
+    c_r=WEIGHTS,
+    c_fm=WEIGHTS,
+    c_fs=WEIGHTS,
+    gain=st.sampled_from([1.0, 0.3, 2.5]),
+)
+# Times and (most) widths are multiples of 0.25, so events land exactly
+# on ``now - window`` often.
+WIDTHS = st.one_of(
+    st.integers(min_value=1, max_value=40).map(lambda k: k * 0.25),
+    st.floats(min_value=0.01, max_value=20.0),
+)
+# (time step in quarter units, outcome to record or None for a read)
+STEPS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from([None] + OUTCOMES)),
+    min_size=20,
+    max_size=400,
+)
+
+_COST_KEYS = {
+    Outcome.REJECTED: "R",
+    Outcome.DEADLINE_MISS: "F_m",
+    Outcome.DATA_STALE: "F_s",
+}
+
+
+def _recompute(profile, retained):
+    """Every UsmWindow read, from scratch over the retained outcomes in
+    event order: a fixed-point sum of contributions and each event's
+    cost weight added in turn."""
+    total = len(retained)
+    counts = {outcome: retained.count(outcome) for outcome in Outcome}
+    costs = {"R": 0.0, "F_m": 0.0, "F_s": 0.0}
+    weight = {"R": profile.c_r, "F_m": profile.c_fm, "F_s": profile.c_fs}
+    fixed = 0
+    for outcome in retained:
+        fixed += fixed_from_float(profile.contribution(outcome))
+        key = _COST_KEYS.get(outcome)
+        if key is not None:
+            costs[key] += weight[key]
+    ratios = {
+        outcome: (counts[outcome] / total if total else 0.0) for outcome in Outcome
+    }
+    return {
+        "sample_size": total,
+        "counts": counts,
+        "ratios": ratios,
+        "average_usm": float_from_fixed(fixed) / total if total else None,
+        "cost_components": (
+            {key: value / total for key, value in costs.items()} if total else costs
+        ),
+        "raw_failure_ratios": {
+            "R": ratios[Outcome.REJECTED],
+            "F_m": ratios[Outcome.DEADLINE_MISS],
+            "F_s": ratios[Outcome.DATA_STALE],
+        },
+    }
+
+
+class TestUsmWindowRecompute:
+    @settings(deadline=None)
+    @given(profile=PROFILES, width=WIDTHS, steps=STEPS)
+    def test_every_read_equals_a_recompute(self, profile, width, steps):
+        window = UsmWindow(profile, window=width)
+        events = []
+        now = 0.0
+        for step, outcome in steps + [(0, None)]:
+            now += step * 0.25
+            if outcome is not None:
+                window.record(now, outcome)
+                events.append((now, outcome))
+                continue
+            retained = [o for t, o in events if t >= now - width]
+            expected = _recompute(profile, retained)
+            got = {name: getattr(window, name)(now) for name in expected}
+            assert got == expected
+            for name in ("average_usm", "cost_components"):
+                # == would let 0.0 and -0.0 pass as equal; compare bits.
+                assert repr(got[name]) == repr(expected[name])

@@ -255,3 +255,20 @@ class TestEngineBounds:
         whole = run_experiment(config)
         assert stepped.events_fired == whole.events_fired
         assert stable_report_digest(stepped) == stable_report_digest(whole)
+
+
+class TestMultiItemEndToEnd:
+    def test_runner_with_three_item_queries(self):
+        report = run_experiment(
+            ExperimentConfig(
+                policy="unit",
+                update_trace="low-unif",
+                seed=5,
+                scale=SCALES["smoke"],
+                items_per_query=3,
+            )
+        )
+        assert report.queries_submitted > 0
+        assert sum(report.outcome_counts.values()) == report.queries_submitted
+        # Three items per query -> access counts triple the query count.
+        assert sum(report.query_access_counts) == 3 * report.queries_submitted

@@ -6,7 +6,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import OnlineStats, WindowedCounts
+from repro.sim.stats import OnlineStats
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -42,52 +42,3 @@ class TestOnlineStats:
         stats = OnlineStats()
         stats.extend([1.0, 2.0, 3.0, 4.0])
         assert stats.stdev == pytest.approx(math.sqrt(stats.variance))
-
-
-class TestWindowedCounts:
-    def test_counts_within_window(self):
-        window = WindowedCounts(10.0)
-        window.record(0.0, "a")
-        window.record(5.0, "a")
-        window.record(6.0, "b")
-        assert window.counts(6.0) == {"a": 2, "b": 1}
-
-    def test_eviction(self):
-        window = WindowedCounts(10.0)
-        window.record(0.0, "a")
-        window.record(9.0, "b")
-        assert window.counts(15.0) == {"b": 1}
-        assert window.total(25.0) == 0
-
-    def test_ratios(self):
-        window = WindowedCounts(100.0)
-        for _ in range(3):
-            window.record(1.0, "x")
-        window.record(1.0, "y")
-        ratios = window.ratios(2.0)
-        assert ratios["x"] == pytest.approx(0.75)
-        assert ratios["y"] == pytest.approx(0.25)
-
-    def test_empty_ratios(self):
-        window = WindowedCounts(10.0)
-        assert window.ratios(100.0) == {}
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            WindowedCounts(0.0)
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(min_value=0, max_value=100), st.sampled_from("abc")),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    def test_property_total_matches_manual_count(self, events):
-        events.sort(key=lambda e: e[0])
-        window = WindowedCounts(20.0)
-        for t, label in events:
-            window.record(t, label)
-        now = events[-1][0]
-        expected = sum(1 for t, _ in events if t >= now - 20.0)
-        assert window.total(now) == expected
