@@ -4,10 +4,12 @@ Runs one cell with observability on (trace and spans, the
 default :class:`~repro.obs.config.ObsConfig`) under ``tracemalloc`` and
 prints one JSON object: the peak of traced memory above the start of
 the run, what is still allocated once the report is built, and how much
-of that was allocated in ``core/fixedpoint.py``.  The workload is
-generated before tracing starts.  Unlike peak RSS these figures do not
-depend on the host's allocator or on other processes, so two trees can
-be compared one run each.
+of that was allocated in ``core/fixedpoint.py``.  It also runs the
+cell's obs-off twin and prints its peak (``obs_off_peak_mb``), so the
+memory cost of observation is the difference of two numbers of one
+record.  The workload is generated before tracing starts.  Unlike
+peak RSS these figures do not depend on the host's allocator or on
+other processes, so two trees can be compared one run each.
 
 Usage::
 
@@ -17,6 +19,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import sys
@@ -59,10 +62,17 @@ def main(argv: List[str]) -> int:
         if stat.traceback[0].filename.endswith("fixedpoint.py")
     )
     tracemalloc.stop()
+    gc.collect()
+    tracemalloc.start()
+    off_start = tracemalloc.get_traced_memory()[0]
+    run_experiment(dataclasses.replace(config, obs=None))
+    off_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     payload = {
         "cell": f"{config.label()}/{args.scale}/seed{args.seed}",
         "trace_events": report.obs_summary["recorded"] if report.obs_summary else 0,
         "peak_mb": round((peak - start) / MB, 1),
+        "obs_off_peak_mb": round((off_peak - off_start) / MB, 1),
         "retained_mb": round((current - start) / MB, 1),
         "fixedpoint_retained_mb": round(fixedpoint / MB, 2),
     }

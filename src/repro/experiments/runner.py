@@ -399,7 +399,9 @@ class Substrate:
                     keep=obs.out_dir is not None, on_close=self.attrib.add, shard=shard
                 )
                 sinks.append(self.span_fold.observe)
-            self.recorder = TraceRecorder(capacity=obs.capacity, sinks=sinks)
+            has_reader = obs.out_dir is not None or obs.keep_events
+            capacity = obs.capacity if has_reader else None
+            self.recorder = TraceRecorder(capacity=capacity, sinks=sinks)
         self.sim = Simulator()
         self.items = item_table_from_trace(update_trace)
         self.policy = make_policy(

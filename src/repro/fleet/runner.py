@@ -88,7 +88,7 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
     )
     recorder: Optional[TraceRecorder] = None
     if base.obs is not None and base.obs.enabled:
-        recorder = TraceRecorder(capacity=base.obs.capacity)
+        recorder = TraceRecorder(capacity=None)  # summarized only: no ring
     plan = route_queries(
         query_trace,
         update_trace,

@@ -233,20 +233,6 @@ def _fold(spans: Iterable[QuerySpan]) -> AttribAccumulator:
     return accumulator
 
 
-def wait_breakdown(spans: Iterable[QuerySpan]) -> Dict[str, object]:
-    """Where the lifecycle time of a span set went, by wait state
-    (:meth:`AttribAccumulator.waits`)."""
-    return _fold(spans).waits()
-
-
-def latency_slack_percentiles(
-    spans: Iterable[QuerySpan],
-) -> Dict[str, Dict[str, Optional[float]]]:
-    """Latency and deadline-slack percentile rows over completed spans
-    (:meth:`AttribAccumulator.percentiles`)."""
-    return _fold(spans).percentiles()
-
-
 def usm_loss_ledger(
     spans: Iterable[QuerySpan],
     profile: PenaltyProfile,

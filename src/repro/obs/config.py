@@ -30,13 +30,15 @@ class ObsConfig:
         enabled: Master switch; when False the run uses the shared
             null recorder and none of the other fields matter.
         capacity: Trace ring-buffer size (events); oldest events are
-            evicted (and counted) beyond this.  The ring feeds only the
-            exports and ``keep_events``.
+            evicted (and counted) beyond this.  The ring exists only for
+            its readers, the exports and ``keep_events``: a run with
+            neither builds none and keeps no event.
         metrics: Ignored; no instance stores it.  Accepted only because
             the benchmark's ``observed_unit`` workload still passes
             ``metrics=True``; the next benchmark change removes it.
-        keep_events: Attach the flattened event dicts to the
-            ``SimulationReport`` (for tests/CLI use; large).
+        keep_events: Keep the ring and attach its flattened event
+            dicts to the ``SimulationReport`` (for tests/CLI use;
+            large).
         spans: Fold every recorded event into query-lifecycle spans as
             the run records (:class:`repro.obs.spans.SpanFold`, a sink
             of the recorder, so the spans are complete whatever
@@ -58,6 +60,10 @@ class ObsConfig:
     keep_events: bool = False
     spans: bool = True
     out_dir: Optional[str] = None
+
+    def __post_init__(self, metrics: bool) -> None:
+        if self.capacity <= 0:  # checked here too: a run without a reader builds no ring
+            raise ValueError("capacity must be positive")
 
     def export_paths(self, label: str, seed: int) -> dict:
         """Resolve the artifact paths for one cell under ``out_dir``

@@ -10,9 +10,10 @@ UNIT control modules is guarded by a single attribute check::
 so the disabled path (the default, via the shared
 :data:`NULL_RECORDER`) costs one attribute load and a false branch —
 nothing is allocated, formatted, or appended.  The enabled path builds
-one plain tuple per occurrence and appends it to a bounded ring
-buffer; when the ring is full the *oldest* events are evicted and
-counted in :attr:`TraceRecorder.dropped`.
+one plain tuple per occurrence, counts its kind and hands it to the
+recorder's sinks.  A recorder built with a capacity keeps a bounded
+ring buffer as one of those sinks; when the ring is full the *oldest*
+events are evicted and counted in :attr:`TraceRecorder.dropped`.
 
 An event is ``(time, kind, v1, …, vn)``: the values follow the field
 names :data:`FIELDS` lists for the kind, in order.  The kinds whose
@@ -390,38 +391,38 @@ NULL_RECORDER = NullRecorder()
 
 
 class TraceRecorder(Recorder):
-    """Bounded in-memory trace recorder.
+    """In-memory trace recorder: per-kind counts plus event sinks.
 
-    Events land in a ring buffer of ``capacity`` slots: when full, the
-    oldest event is evicted and counted in :attr:`dropped` (the *tail*
-    of a run is usually the interesting part for debugging).  Each of
-    the optional ``sinks`` is a callable that receives every event as
-    it is recorded, in order, so a fold over the stream (such as
-    :class:`~repro.obs.spans.SpanFold`) covers the whole run even when
-    the ring wraps.
+    Each of the ``sinks`` is a callable that receives every event as it
+    is recorded, in order, so a fold over the stream (such as
+    :class:`~repro.obs.spans.SpanFold`) covers the whole run.  With a
+    ``capacity`` the recorder also keeps a ring buffer of that many
+    slots, whose ``append`` is one more sink: when full, the oldest
+    event is evicted and counted in :attr:`dropped` (the *tail* of a run
+    is usually the interesting part for debugging).  ``capacity=None``
+    keeps no event at all, for runs where nothing reads the ring.
     """
 
-    __slots__ = ("_ring", "dropped", "counts", "sinks")
+    __slots__ = ("_ring", "counts", "sinks")
 
     enabled = True
 
     def __init__(
         self,
-        capacity: int = DEFAULT_CAPACITY,
+        capacity: Optional[int] = DEFAULT_CAPACITY,
         sinks: Sequence[Callable[[TraceEvent], None]] = (),
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.counts: Dict[str, int] = {}
+        # Without a ring, an empty deque that no sink appends to.
+        self._ring: Deque[TraceEvent] = deque(maxlen=0)
         self.sinks = tuple(sinks)
+        if capacity is not None:
+            if capacity <= 0:
+                raise ValueError("capacity must be positive")
+            self._ring = deque(maxlen=capacity)
+            self.sinks = (self._ring.append, *self.sinks)
+        self.counts: Dict[str, int] = {}
 
     def _record(self, event: TraceEvent) -> None:
-        ring = self._ring
-        if len(ring) == ring.maxlen:
-            self.dropped += 1  # the append evicts the oldest event
-        ring.append(event)
         counts = self.counts
         kind = event[1]
         counts[kind] = counts.get(kind, 0) + 1
@@ -432,8 +433,12 @@ class TraceRecorder(Recorder):
         return len(self._ring)
 
     @property
-    def capacity(self) -> int:
-        return self._ring.maxlen  # type: ignore[return-value]
+    def dropped(self) -> int:
+        """Events the ring evicted (0 without a ring): a bounded deque
+        evicts only when full, so every event recorded but not kept."""
+        if not self._ring.maxlen:
+            return 0
+        return sum(self.counts.values()) - len(self._ring)
 
     def events(self) -> Iterator[TraceEvent]:
         """The retained events, oldest first."""

@@ -13,13 +13,12 @@ from repro.core.usm import TABLE2_PROFILES, PenaltyProfile
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.obs.attrib import (
+    AttribAccumulator,
     attrib_report,
-    latency_slack_percentiles,
     ledger_table,
     percentile,
     percentile_table,
     usm_loss_ledger,
-    wait_breakdown,
     wait_table,
 )
 from repro.obs.config import ObsConfig
@@ -36,6 +35,14 @@ def _run(seed=7, policy="unit", trace="med-unif", profile=None):
     )
     report = run_experiment(config)
     return report, build_spans(report.obs_events).spans
+
+
+def _accumulated(spans):
+    """The attribution of ``spans``, folded one span at a time."""
+    accumulator = AttribAccumulator()
+    for span in spans:
+        accumulator.add_span(span)
+    return accumulator
 
 
 class TestPercentile:
@@ -86,7 +93,7 @@ class TestPercentile:
 
     def test_rows_over_real_spans(self):
         _, spans = _run()
-        rows = latency_slack_percentiles(spans)
+        rows = _accumulated(spans).percentiles()
         completed = [s for s in spans if s.admit is not None]
         assert rows["latency"]["count"] == len(completed)
         assert rows["latency"]["p50"] <= rows["latency"]["p90"]
@@ -96,13 +103,13 @@ class TestPercentile:
 class TestWaitBreakdown:
     def test_shares_sum_to_one(self):
         _, spans = _run()
-        breakdown = wait_breakdown(spans)
+        breakdown = _accumulated(spans).waits()
         assert sum(breakdown["shares"].values()) == pytest.approx(1.0)
         assert breakdown["completed"] + breakdown["rejected"] == len(spans)
 
     def test_totals_match_span_waits_exactly(self):
         _, spans = _run()
-        breakdown = wait_breakdown(spans)
+        breakdown = _accumulated(spans).waits()
         total_span_time = sum(s.duration for s in spans if s.admit is not None)
         assert sum(breakdown["totals"].values()) == pytest.approx(
             total_span_time, rel=1e-12

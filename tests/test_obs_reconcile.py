@@ -2,7 +2,9 @@
 
 ``TraceRecorder.counts`` sees every event, even those the ring evicts,
 so the outcome, admission and update counts it holds must equal the
-ones the server keeps for the report, whatever the ring size.
+ones the server keeps for the report, whatever the ring size.  A run
+builds its ring only for a reader, so the wrapping case asks for one
+with ``keep_events``.
 """
 
 import pytest
@@ -27,7 +29,9 @@ def test_trace_counts_match_report(policy, trace, capacity):
             update_trace=trace,
             seed=7,
             scale=SCALES["small"],
-            obs=ObsConfig(capacity=capacity, spans=False),
+            obs=ObsConfig(
+                capacity=capacity, spans=False, keep_events=capacity == WRAPPING_RING
+            ),
         )
     )
     summary = report.obs_summary

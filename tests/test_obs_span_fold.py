@@ -11,7 +11,8 @@ JSONL an ``out_dir`` run writes equals the offline dump byte for byte.
 
 The live fold sees every event, so the spans are complete even when the
 ring wraps.  Without ``out_dir`` the run builds no span object at all,
-and the fixed-point conversion keeps nothing between calls.
+without ``out_dir`` or ``keep_events`` it keeps no trace event, and the
+fixed-point conversion keeps nothing between calls.
 """
 
 import dataclasses
@@ -49,7 +50,11 @@ def _config(policy, trace, scale=SMOKE, fault=None, obs=OBS, items_per_query=1):
 
 
 def _finished(config):
-    """A finished substrate's report and recorder."""
+    """A finished substrate's report and recorder, whose ring
+    ``keep_events`` asks for."""
+    config = dataclasses.replace(
+        config, obs=dataclasses.replace(config.obs, keep_events=True)
+    )
     substrate = Substrate(config, *get_workload(config))
     return substrate.finish(), substrate.recorder
 
@@ -98,7 +103,7 @@ class TestOnlineMatchesOffline:
 
 class TestSmallRing:
     def test_spans_are_complete_when_the_ring_wraps(self):
-        small_ring = dataclasses.replace(OBS, capacity=4096)
+        small_ring = dataclasses.replace(OBS, capacity=4096, keep_events=True)
         report = run_experiment(_config("unit", "med-unif", SMALL, obs=small_ring))
         assert report.obs_summary["dropped"] > 0
         summary = report.obs_spans["summary"]
@@ -110,7 +115,9 @@ class TestSmallRing:
         assert ledger["components"] == report.components
         assert ledger["usm"] == report.usm
         # The attribution does not depend on the ring at all.
-        full_ring = run_experiment(_config("unit", "med-unif", SMALL))
+        full_ring = run_experiment(
+            _config("unit", "med-unif", SMALL, obs=dataclasses.replace(OBS, keep_events=True))
+        )
         assert full_ring.obs_summary["dropped"] == 0
         assert report.obs_spans == full_ring.obs_spans
 
@@ -147,6 +154,36 @@ class TestMemoryContract:
         report = run_experiment(_config("unit", "med-unif"))
         assert report.obs_spans["summary"]["spans"] == report.queries_submitted > 0
         assert built == []
+
+    @staticmethod
+    def _traced_peak(config):
+        """The traced-memory peak of one run above its start."""
+        get_workload(config)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            substrate = Substrate(config, *get_workload(config))
+            report = substrate.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - start, substrate, report
+
+    def test_run_without_a_reader_keeps_no_events(self):
+        config = _config("unit", "med-unif", SMALL, obs=ObsConfig())
+        peak, substrate, report = self._traced_peak(config)
+        assert len(substrate.recorder) == 0
+        summary = report.obs_summary
+        assert summary["events"] == summary["dropped"] == 0
+        assert summary["recorded"] == sum(summary["by_kind"].values()) > 0
+        kept = dataclasses.replace(config, obs=ObsConfig(keep_events=True))
+        kept_report = run_experiment(kept)
+        assert kept_report.obs_summary["events"] == summary["recorded"]
+        assert report.obs_spans == kept_report.obs_spans
+        # Observation costs the span fold and the attribution only.
+        off_peak, _, _ = self._traced_peak(dataclasses.replace(config, obs=None))
+        assert peak <= 1.25 * off_peak
 
     def test_out_dir_run_builds_one_span_per_query(self, monkeypatch, tmp_path):
         built = self._count_spans(monkeypatch)

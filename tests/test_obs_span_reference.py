@@ -42,7 +42,8 @@ PROFILE = PenaltyProfile.naive()
 
 def _recorded(policy, trace, scale=SMOKE, seed=7, fault=None, capacity=262_144,
               items_per_query=1):
-    """A finished cell's recorder (event tuples plus its drop count)."""
+    """A finished cell's recorder (event tuples plus its drop count);
+    ``keep_events`` asks the run for the ring."""
     config = ExperimentConfig(
         policy=policy,
         update_trace=trace,
@@ -50,7 +51,7 @@ def _recorded(policy, trace, scale=SMOKE, seed=7, fault=None, capacity=262_144,
         scale=scale,
         items_per_query=items_per_query,
         faults=None if fault is None else canned(fault, scale.horizon, scale.n_items),
-        obs=ObsConfig(enabled=True, capacity=capacity, spans=False),
+        obs=ObsConfig(enabled=True, capacity=capacity, spans=False, keep_events=True),
     )
     substrate = Substrate(config, *get_workload(config))
     substrate.finish()

@@ -3,9 +3,12 @@
 import gc
 import json
 import platform
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.obs.config import ObsConfig
 from repro.obs.trace import (
     ALL_KINDS,
     NULL_RECORDER,
@@ -103,6 +106,12 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             TraceRecorder(capacity=0)
 
+    def test_config_capacity_must_be_positive(self):
+        """Checked at the config, so a run that builds no ring still
+        rejects it."""
+        with pytest.raises(ValueError):
+            ObsConfig(capacity=0)
+
     def test_summary(self):
         rec = TraceRecorder(capacity=2)
         rec.update_drop(0.0, 1, 1.0)
@@ -130,6 +139,40 @@ class TestTraceRecorder:
         rec = Recorder()
         rec.query_admit(0.0, 1, 1.0, 1)
         assert rec.enabled is False
+
+
+class TestRingAsSink:
+    @given(
+        stream=st.lists(
+            st.tuples(st.sampled_from(ALL_KINDS), st.integers(0, 9)), max_size=48
+        ),
+        capacity=st.one_of(st.none(), st.integers(1, 64)),
+    )
+    def test_ring_is_one_more_sink(self, stream, capacity):
+        """The ring keeps the stream's last ``capacity`` events and
+        counts the rest as dropped (none without a ring); the other
+        sinks and the counts do not depend on whether there is a ring."""
+        seen, seen_bare = [], []
+        rec = TraceRecorder(capacity=capacity, sinks=[seen.append])
+        bare = TraceRecorder(capacity=None, sinks=[seen_bare.append])
+        for index, (kind, value) in enumerate(stream):
+            for recorder in (rec, bare):
+                recorder.emit(float(index), kind, {"txn": value})
+        assert seen == seen_bare
+        assert len(seen) == len(stream)
+        retained = list(rec.events())
+        assert retained == (seen[-capacity:] if capacity else [])
+        dropped = len(seen) - len(retained) if capacity else 0
+        assert rec.dropped == dropped
+        by_kind = dict(sorted(Counter(event[1] for event in seen).items()))
+        for recorder, kept, evicted in ((rec, retained, dropped), (bare, [], 0)):
+            assert len(recorder) == len(kept)
+            assert recorder.summary() == {
+                "events": len(kept),
+                "recorded": len(seen),
+                "dropped": evicted,
+                "by_kind": by_kind,
+            }
 
 
 #: One sample call of every typed hook (all 16 kinds), with the dict
