@@ -27,7 +27,7 @@ CELLS = ["low-unif", "med-unif", "high-unif", "med-pos", "med-neg", "high-neg"]
 POLICIES = ["imu", "odu", "qmf", "unit"]
 
 
-def run_shape(scale, zipf, dl_factor, escalate, seed=3):
+def run_shape(scale, zipf, escalate, seed=3):
     """USM for every (cell, policy) pair of one candidate shape."""
     profile = PenaltyProfile.naive()
     base = ExperimentConfig(
@@ -42,8 +42,6 @@ def run_shape(scale, zipf, dl_factor, escalate, seed=3):
             degrade_rounds=64,
             escalate_modulation=escalate,
         ),
-        deadline_high_base="mean",
-        deadline_high_factor=dl_factor,
     )
     reports = run_grid(POLICIES, CELLS, [profile], scale, seed=seed, base=base)
     return {
@@ -84,7 +82,7 @@ def main():
         scale = dataclasses.replace(
             scale_base, query_utilization=qutil, mean_update_exec=0.15
         )
-        grid = run_shape(scale, zipf, 3.0, escalate)
+        grid = run_shape(scale, zipf, escalate)
         s, notes = score(grid)
         results.append((s, qutil, zipf, escalate, grid, notes))
         print(

@@ -198,10 +198,13 @@ class AdmissionController:
 
         if self.use_usm_check and not profile.is_naive:
             endangered = self.endangered_queries(query, server)
-            # One C_fm per endangered query, summed (not len * C_fm,
-            # which rounds differently for inexact weights).
+            # One C_fm added per endangered query, as a loop: len * C_fm
+            # rounds differently for inexact weights, and so does sum(),
+            # which compensates since Python 3.12.
             c_fm = profile.c_fm
-            dmf_cost = sum(c_fm for _ in endangered)
+            dmf_cost = 0.0
+            for _ in endangered:
+                dmf_cost += c_fm
             if dmf_cost > profile.c_r:
                 return AdmissionDecision(
                     admitted=False,

@@ -44,10 +44,6 @@ class LotteryScheduler:
             cumulative = self._cumulative = list(accumulate(self._weights))
         return cumulative[-1]
 
-    def weights(self) -> List[float]:
-        """Copy of all weights."""
-        return list(self._weights)
-
     def set_weight(self, index: int, weight: float) -> None:
         """Set slot ``index`` to ``weight`` (>= 0) in O(1)."""
         if not 0 <= index < self._n:

@@ -191,12 +191,3 @@ class UpdateFrequencyModulator:
     def degraded_count(self) -> int:
         """Number of items currently held above their ideal period."""
         return self.items.degraded_count()
-
-    def victim_distribution(self) -> Optional[List[float]]:
-        """Current lottery weights normalized to probabilities (for
-        analysis); None when total weight is zero."""
-        weights = self.tickets.shifted_weights()
-        total = sum(weights)
-        if total <= 0:
-            return None
-        return [weight / total for weight in weights]

@@ -73,10 +73,6 @@ class TicketBook:
     def __len__(self) -> int:
         return len(self._tickets)
 
-    def ticket(self, item_id: int) -> float:
-        """Raw (unshifted) ticket value of an item."""
-        return self._tickets[item_id]
-
     @property
     def average_update_exec_time(self) -> float:
         """Running mean of observed update execution times (``ue_avg``)."""
@@ -158,7 +154,3 @@ class TicketBook:
         self.lottery.rebuild(
             [w if (w := t - tau) > 0.0 else 0.0 for t in self._tickets]
         )
-
-    def shifted_weights(self) -> List[float]:
-        """The current lottery weights (shifted tickets), for tests."""
-        return self.lottery.weights()

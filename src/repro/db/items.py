@@ -72,11 +72,6 @@ class DataItem:
         """
         return self.pending_drops
 
-    @property
-    def is_degraded(self) -> bool:
-        """True while modulation holds ``pc_j`` above ``pi_j``."""
-        return self.current_period > self.ideal_period
-
     def record_arrival(self) -> int:
         """Register one source update arrival; returns its sequence number."""
         self.arrivals += 1

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.db.transactions import QueryTransaction, UpdateTransaction
 from repro.obs.trace import NULL_RECORDER, Recorder
@@ -137,10 +137,6 @@ class LockManager:
         held = self._held_by.get(txn.txn_id)
         return held is not None and item_id in held
 
-    def held_items(self, txn: Transaction) -> Set[int]:
-        """Ids of all items ``txn`` holds locks on."""
-        return set(self._held_by.get(txn.txn_id, set()))
-
     # ------------------------------------------------------------------
     # acquisition
     # ------------------------------------------------------------------
@@ -221,14 +217,3 @@ class LockManager:
 
     def cancel_wait(self, txn: Transaction) -> None:
         """No-op: nothing waits; kept while ``perfbench/tracing.py`` hooks the name."""
-
-    # ------------------------------------------------------------------
-    # introspection (tests / debugging)
-    # ------------------------------------------------------------------
-
-    def holders_of(self, item_id: int) -> List[Tuple[int, LockMode]]:
-        """(txn_id, mode) pairs currently holding ``item_id``."""
-        holders = self._locks.get(item_id)
-        if holders is None:
-            return []
-        return [(txn_id, mode) for txn_id, (_, mode) in holders.items()]

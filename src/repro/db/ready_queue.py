@@ -127,11 +127,6 @@ class _ClassQueue:
             del self._sums[index]
         return True
 
-    def first(self) -> Optional[Transaction]:
-        if not self.size:
-            return None
-        return self._buckets[0][0][2]
-
     def pop_first(self) -> Transaction:
         bucket = self._buckets[0]
         entry = bucket.pop(0)

@@ -320,11 +320,6 @@ class Server:
     def running_transaction(self) -> Optional[Transaction]:
         return self._running
 
-    @property
-    def service_rate(self) -> float:
-        """Current service-rate multiplier (1.0 = unfaulted CPU)."""
-        return self._service_rate
-
     def set_service_rate(self, rate: float) -> None:
         """Change the CPU's service rate (fault injection).
 

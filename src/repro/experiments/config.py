@@ -77,10 +77,9 @@ class ExperimentConfig:
     scale: ExperimentScale = dataclasses.field(default_factory=lambda: SCALES["small"])
 
     # Query-trace shape (beyond the scale preset).  The defaults are the
-    # calibration DESIGN.md documents: Zipf 1.3 access skew, deadlines
-    # drawn from [mean response, 3 x mean response] (the tight-deadline
-    # regime of the paper's latency-guarantee motivation), 4x flash
-    # crowds.
+    # calibration DESIGN.md documents: Zipf 1.3 access skew and 4x flash
+    # crowds.  Deadlines are always drawn from [mean response, 3 x mean
+    # response] (``repro.workload.queries.deadline_range``).
     service_cv: float = 1.0
     zipf_skew: float = 1.3
     burst_factor: float = 4.0
@@ -88,8 +87,6 @@ class ExperimentConfig:
     burst_dwell: float = 20.0
     freshness_req: float = 0.9
     items_per_query: int = 1
-    deadline_high_factor: float = 3.0
-    deadline_high_base: str = "mean"  # "max" (paper literal) or "mean" (tight)
 
     # Update-trace shape.
     update_exec_cv: float = 0.5
@@ -153,8 +150,6 @@ class ExperimentConfig:
                 self.burst_dwell.hex(),
                 self.freshness_req.hex(),
                 str(self.items_per_query),
-                self.deadline_high_factor.hex(),
-                self.deadline_high_base,
             )
         )
 

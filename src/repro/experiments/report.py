@@ -2,11 +2,11 @@
 
 The harness prints the same rows/series the paper's tables and figures
 report; these helpers keep that output aligned and readable in a
-terminal or a log file.  :func:`json_sanitize` and :func:`stats_dict`
-guard the JSON-report path: ``json.dumps`` happily emits the bare
-tokens ``Infinity``/``NaN`` (invalid JSON to strict parsers), which is
-exactly what an empty :class:`~repro.sim.stats.OnlineStats` leaks
-through its ``minimum``/``maximum`` sentinels.
+terminal or a log file.  :func:`json_sanitize` guards the JSON-report
+path: ``json.dumps`` happily emits the bare tokens ``Infinity``/``NaN``
+(invalid JSON to strict parsers), which is what an empty stream's
+±inf min/max sentinels would leak (:meth:`OnlineStats.as_dict
+<repro.sim.stats.OnlineStats.as_dict>` already maps them to ``None``).
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import hashlib
 import json
 import math
 from typing import Dict, List, Optional, Sequence
-
-from repro.sim.stats import OnlineStats
 
 
 def stable_report_bytes(report: object) -> bytes:
@@ -81,12 +79,6 @@ def json_sanitize(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [json_sanitize(item) for item in value]
     return value
-
-
-def stats_dict(stats: OnlineStats) -> Dict[str, Optional[float]]:
-    """JSON-safe summary of an :class:`OnlineStats`: min/max are
-    ``None`` when the stream is empty, never ±inf."""
-    return stats.as_dict()
 
 
 def ascii_table(

@@ -170,8 +170,6 @@ def build_query_workload(config: ExperimentConfig, streams: RandomStreams) -> Qu
         horizon=scale.horizon,
         freshness_req=config.freshness_req,
         items_per_query=config.items_per_query,
-        deadline_high_factor=config.deadline_high_factor,
-        deadline_high_base=config.deadline_high_base,
     )
 
 

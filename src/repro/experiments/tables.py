@@ -10,7 +10,7 @@ from repro.experiments.config import ExperimentConfig, ExperimentScale
 from repro.experiments.report import ascii_table
 from repro.workload.cache import get_workload
 from repro.workload.correlation import pearson
-from repro.workload.updates import STANDARD_UPDATE_TRACES, UpdateTrace
+from repro.workload.updates import STANDARD_UPDATE_TRACES
 
 
 @dataclasses.dataclass
@@ -111,12 +111,3 @@ def render_table2() -> str:
         rows=rows,
         title="Table 2 — USM weights for Figure 5",
     )
-
-
-def validate_update_trace(trace: UpdateTrace, tolerance: float = 0.10) -> bool:
-    """True when the trace's CPU demand is within ``tolerance`` of its
-    target utilization (used by tests)."""
-    target = trace.target_utilization
-    if target <= 0:
-        return trace.utilization() == 0
-    return abs(trace.utilization() - target) <= tolerance * target

@@ -43,10 +43,6 @@ class Partition:
         """Global ids hosted on ``shard`` — primary or replica (ascending)."""
         return [g for g, hs in enumerate(self.hosts) if shard in hs]
 
-    def replica_shards(self, item: int) -> Tuple[int, ...]:
-        """The non-primary hosts of ``item``."""
-        return self.hosts[item][1:]
-
 
 def _primary_of(item: int, n_items: int, n_shards: int, strategy: str) -> int:
     if strategy == "mod":

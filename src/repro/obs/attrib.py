@@ -8,8 +8,8 @@ time: an observed run feeds it live from its
 :class:`~repro.obs.spans.SpanFold`, and :func:`attrib_report` folds a
 span list (the ``obs attrib`` CLI).
 
-**Reconciliation contract.**  :func:`usm_loss_ledger` scores the span
-outcome counts with :meth:`repro.core.usm.UsmAccumulator.from_counts`,
+**Reconciliation contract.**  :meth:`AttribAccumulator.ledger` scores
+the span outcome counts with :meth:`repro.core.usm.UsmAccumulator.from_counts`,
 the scorer the report uses, so for a complete span set the ledger's
 component values and USM equal the report's float-for-float — an
 exact cross-check between the span pipeline and the USM accounting,
@@ -99,8 +99,7 @@ class AttribAccumulator:
       exact admit → end duration, correctly rounded; slack is
       ``deadline − outcome_time`` (negative means the deadline passed —
       only deadline misses land there under firm deadlines).
-    * :meth:`ledger` — the Eq. 5 decomposition attributed span by span
-      (see :func:`usm_loss_ledger`).
+    * :meth:`ledger` — the Eq. 5 decomposition attributed span by span.
     """
 
     __slots__ = (
@@ -195,6 +194,16 @@ class AttribAccumulator:
         }
 
     def ledger(self, profile: PenaltyProfile) -> Dict[str, object]:
+        """The Eq. 5 decomposition attributed span by span.
+
+        For each component (``S`` / ``R`` / ``F_m`` / ``F_s``): the span
+        count, the outcome ratio, the component value (gain for S, loss
+        otherwise — scored by :meth:`UsmAccumulator.from_counts`, as the
+        report is, so a complete span set reconciles float-for-float
+        with the report), and the per-cause span counts (admission
+        reasons for R, dominant wait states for F_m, ``stale-read`` for
+        F_s).
+        """
         counts = self.counts
         usm = UsmAccumulator.from_counts(
             profile,
@@ -231,23 +240,6 @@ def _fold(spans: Iterable[QuerySpan]) -> AttribAccumulator:
     for span in spans:
         accumulator.add_span(span)
     return accumulator
-
-
-def usm_loss_ledger(
-    spans: Iterable[QuerySpan],
-    profile: PenaltyProfile,
-) -> Dict[str, object]:
-    """The Eq. 5 decomposition attributed span by span.
-
-    For each component (``S`` / ``R`` / ``F_m`` / ``F_s``): the span
-    count, the outcome ratio, the component value (gain for S, loss
-    otherwise — scored by :meth:`UsmAccumulator.from_counts`, as the
-    report is, so a complete span set reconciles float-for-float with
-    the report), and the per-cause
-    span counts (admission reasons for R, dominant wait states for
-    F_m, ``stale-read`` for F_s).
-    """
-    return _fold(spans).ledger(profile)
 
 
 def attrib_report(

@@ -95,17 +95,6 @@ class Simulator:
         """Number of events executed so far (cancelled events excluded)."""
         return self._fired
 
-    @property
-    def heap_size(self) -> int:
-        """Raw heap entry count, cancelled entries included.
-
-        Unlike :attr:`pending` this counts lazily-deleted events still
-        occupying heap slots — the quantity that drives push/pop cost,
-        which is what observability-of-the-engine cares about.  Bounded
-        at roughly twice :attr:`pending` by the cancellation compactor.
-        """
-        return len(self._heap)
-
     # ------------------------------------------------------------------
     # slot management
     # ------------------------------------------------------------------

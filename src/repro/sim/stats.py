@@ -58,19 +58,9 @@ class OnlineStats:
     def stdev(self) -> float:
         return math.sqrt(self.variance)
 
-    @property
-    def minimum(self) -> float:
-        """Smallest observation; +inf when empty."""
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        """Largest observation; -inf when empty."""
-        return self._max
-
     def as_dict(self) -> Dict[str, Optional[float]]:
         """JSON-safe summary: min/max are None (→ ``null``) when empty,
-        never the ±inf sentinels the properties expose."""
+        never the ±inf sentinels the stream starts from."""
         empty = not self._count
         return {
             "count": float(self._count),

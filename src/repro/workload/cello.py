@@ -126,11 +126,3 @@ def generate_cello_trace(config: CelloConfig, streams: RandomStreams) -> List[Re
         for arrival in process.arrivals_until(config.horizon)
     ]
     return records
-
-
-def access_histogram(records: List[ReadRecord], n_items: int) -> List[int]:
-    """Reads per region — the paper's Fig. 3(a) data."""
-    counts = [0] * n_items
-    for record in records:
-        counts[record.region] += 1
-    return counts

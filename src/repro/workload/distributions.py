@@ -97,12 +97,6 @@ class BurstyArrivalProcess:
         self._state_ends_at = exponential(normal_dwell, rng)
         self._now = 0.0
 
-    @property
-    def mean_rate(self) -> float:
-        """Long-run average arrival rate of the process."""
-        weight_burst = self.burst_dwell / (self.burst_dwell + self.normal_dwell)
-        return self.base_rate * (1.0 + (self.burst_factor - 1.0) * weight_burst)
-
     def next_arrival(self) -> float:
         """Advance to, and return, the next arrival time."""
         while True:

@@ -59,35 +59,19 @@ class QueryTrace:
             return 0.0
         return sum(query.exec_time for query in self.queries) / self.horizon
 
-    def mean_exec_time(self) -> float:
-        if not self.queries:
-            return 0.0
-        return sum(query.exec_time for query in self.queries) / len(self.queries)
 
+def deadline_range(exec_times: Sequence[float]) -> Tuple[float, float]:
+    """The deadline interval: [mean response, 3 × mean response].
 
-def deadline_range(
-    exec_times: Sequence[float],
-    high_factor: float = 10.0,
-    high_base: str = "max",
-) -> Tuple[float, float]:
-    """The paper's deadline interval: [mean response, 10 × max response].
-
-    ``high_base`` selects what the upper bound multiplies: ``"max"`` is
-    the paper's literal wording; ``"mean"`` gives the tight-deadline
-    variant (latency-guarantee services like the stock-trading example
-    of Section 1, where deadlines sit near the typical response time).
+    The paper (§4.1) draws up to 10 × the *maximal* response time; the
+    calibration (DESIGN.md §3) tightens that to 3 × the mean, the
+    regime of latency-guarantee services like the stock-trading example
+    of Section 1, where deadlines sit near the typical response time.
     """
     if not exec_times:
         raise ValueError("cannot derive deadlines from an empty trace")
-    if high_factor <= 0:
-        raise ValueError("high_factor must be positive")
     mean = sum(exec_times) / len(exec_times)
-    if high_base == "max":
-        high = high_factor * max(exec_times)
-    elif high_base == "mean":
-        high = high_factor * mean
-    else:
-        raise ValueError("high_base must be 'max' or 'mean'")
+    high = 3.0 * mean
     return mean, max(high, mean * 1.001)
 
 
@@ -98,8 +82,6 @@ def build_query_trace(
     horizon: float,
     freshness_req: float = 0.9,
     items_per_query: int = 1,
-    deadline_high_factor: float = 10.0,
-    deadline_high_base: str = "max",
     name: str = "cello-like",
 ) -> QueryTrace:
     """Turn read records into a query trace.
@@ -124,11 +106,7 @@ def build_query_trace(
 
     deadline_rng = streams.stream("query-deadlines")
     extra_rng = streams.stream("query-extra-items")
-    low, high = deadline_range(
-        [record.service_time for record in records],
-        high_factor=deadline_high_factor,
-        high_base=deadline_high_base,
-    )
+    low, high = deadline_range([record.service_time for record in records])
 
     regions = [record.region for record in records]
     queries: List[QuerySpec] = []

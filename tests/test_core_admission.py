@@ -211,6 +211,27 @@ class TestUsmCheck:
         assert not decision.admitted
         assert decision.reason == "usm-check"
 
+    @pytest.mark.parametrize(
+        "c_fm, c_r, n, admitted", [(0.1, 0.7, 7, True), (0.2, 5.0, 25, False)]
+    )
+    def test_dmf_cost_adds_one_c_fm_per_endangered_query(self, c_fm, c_r, n, admitted):
+        """C_fm is added once per endangered query, in order.  Seven
+        additions of 0.1 give 0.7, not above C_r = 0.7, where ``7 * 0.1``
+        and a compensated ``sum()`` give 0.7000000000000001; 25 additions
+        of 0.2 give 5.000000000000002, above C_r = 5.0, where ``25 * 0.2``
+        gives 5.0."""
+        _, server = make_server()
+        # Each queued query finishes 0.1 s after the one before it with
+        # 0.25 s of slack, less than the newcomer's 0.3 s of work.
+        for k in range(n):
+            queue_query(server, k + 1, deadline=0.1 * (k + 1) + 0.25, exec_time=0.1)
+        profile = PenaltyProfile(c_r=c_r, c_fm=c_fm, c_fs=0.1)
+        ac = AdmissionController(profile, c_flex=0.01)
+        decision = ac.decide(incoming(deadline=0.31, exec_time=0.3), server)
+        assert decision.endangered == n
+        assert decision.admitted is admitted
+        assert decision.reason == ("ok" if admitted else "usm-check")
+
     def test_usm_check_disabled_for_naive_profile(self):
         _, server = make_server()
         ac = AdmissionController(PenaltyProfile.naive(), c_flex=0.01)

@@ -24,7 +24,7 @@ class TestWeights:
     def test_set_and_read_weight(self):
         lottery = LotteryScheduler(4)
         lottery.set_weight(2, 3.5)
-        assert lottery.weights() == [0.0, 0.0, 3.5, 0.0]
+        assert lottery._weights == [0.0, 0.0, 3.5, 0.0]
         assert lottery.total == pytest.approx(3.5)
 
     def test_set_weight_back_to_zero(self):
@@ -32,7 +32,7 @@ class TestWeights:
         lottery.set_weight(1, 1.0)
         lottery.set_weight(3, 2.0)
         lottery.set_weight(1, 0.0)
-        assert lottery.weights() == [0.0, 0.0, 0.0, 2.0]
+        assert lottery._weights == [0.0, 0.0, 0.0, 2.0]
         rng = random.Random(0)
         assert {lottery.sample(rng) for _ in range(50)} == {3}
 
@@ -50,7 +50,7 @@ class TestWeights:
         lottery = LotteryScheduler(3)
         lottery.rebuild([1.0, 2.0, 3.0])
         assert lottery.total == pytest.approx(6.0)
-        assert lottery.weights() == [1.0, 2.0, 3.0]
+        assert lottery._weights == [1.0, 2.0, 3.0]
 
     def test_rebuild_length_mismatch(self):
         lottery = LotteryScheduler(3)
@@ -246,7 +246,7 @@ class TestRebuild:
         lottery, reference = LotteryScheduler(n), FenwickLottery(n)
         lottery.rebuild(weights)
         reference.rebuild(weights)
-        assert lottery.weights() == weights
+        assert lottery._weights == weights
         assert lottery.total == list(accumulate(weights))[-1]
         rng_a, rng_b = random.Random(n + 1), random.Random(n + 1)
         assert [lottery.sample(rng_a) for _ in range(200)] == [
@@ -266,7 +266,7 @@ class _ShadowLottery:
         self._reference = FenwickLottery(n)
 
     def weights(self):
-        return self._lottery.weights()
+        return list(self._lottery._weights)
 
     def set_weight(self, index, weight):
         self._lottery.set_weight(index, weight)

@@ -29,6 +29,20 @@ def make_modulator(n=4, escalate=False, max_stretch=100.0):
     return items, tickets, modulator
 
 
+def victim_distribution(modulator):
+    """Lottery weights normalized to probabilities; None at zero weight."""
+    weights = modulator.tickets.lottery._weights
+    total = sum(weights)
+    if total <= 0:
+        return None
+    return [weight / total for weight in weights]
+
+
+def is_degraded(item):
+    """True while modulation holds ``pc_j`` above ``pi_j``."""
+    return item.current_period > item.ideal_period
+
+
 class TestDegrade:
     def test_no_tickets_no_victims(self):
         _, _, modulator = make_modulator()
@@ -55,7 +69,7 @@ class TestDegrade:
         assert [item.current_period.hex() for item in items.rows] == [
             item.current_period.hex() for item in reference.rows
         ]
-        assert items[1].is_degraded and items[2].is_degraded
+        assert is_degraded(items[1]) and is_degraded(items[2])
         assert items.degraded_count() == 2 == reference.degraded_count()
 
     def test_degrade_respects_cap(self):
@@ -71,7 +85,7 @@ class TestDegrade:
         tickets.on_query_access(1, cpu_utilization=0.5)  # negative ticket
         for _ in range(20):
             modulator.degrade(rounds=1)
-        assert not items[1].is_degraded
+        assert not is_degraded(items[1])
 
     def test_escalation_reaches_protected_items(self):
         items, tickets, modulator = make_modulator(escalate=True, max_stretch=1.5)
@@ -80,8 +94,8 @@ class TestDegrade:
         tickets.on_query_access(2, cpu_utilization=2.0)  # strongly protected
         for _ in range(40):
             modulator.degrade(rounds=4)
-        assert items[0].is_degraded
-        assert items[1].is_degraded  # reached once the threshold walked down
+        assert is_degraded(items[0])
+        assert is_degraded(items[1])  # reached once the threshold walked down
         assert tickets.threshold < 0.0
 
     def test_without_escalation_threshold_stays_zero(self):
@@ -91,7 +105,7 @@ class TestDegrade:
         for _ in range(40):
             modulator.degrade(rounds=4)
         assert tickets.threshold == 0.0
-        assert not items[1].is_degraded
+        assert not is_degraded(items[1])
 
     def test_invalid_rounds(self):
         _, _, modulator = make_modulator()
@@ -110,8 +124,8 @@ class TestDegrade:
         for _ in range(60):
             modulator.degrade(rounds=4)
         assert tickets.threshold >= -1.0
-        assert items[1].is_degraded  # above the floor: eventually reached
-        assert not items[2].is_degraded  # below the floor: protected forever
+        assert is_degraded(items[1])  # above the floor: eventually reached
+        assert not is_degraded(items[2])  # below the floor: protected forever
 
     def test_relax_never_overshoots_zero(self):
         """Round-trip audit: however the threshold got down, raising it
@@ -143,13 +157,13 @@ class TestDegrade:
         _, tickets, modulator = make_modulator(escalate=True)
         tickets.on_update(0, update_exec_time=1.0)
         tickets.on_query_access(1, cpu_utilization=0.4)
-        before = modulator.victim_distribution()
+        before = victim_distribution(modulator)
         tickets.lower_threshold(modulator.threshold_step)
-        assert modulator.victim_distribution() != before  # excursion is real
+        assert victim_distribution(modulator) != before  # excursion is real
         while tickets.threshold < 0.0:
             modulator.relax_threshold()
         assert tickets.threshold == 0.0
-        assert modulator.victim_distribution() == before
+        assert victim_distribution(modulator) == before
 
     def test_relax_threshold_walks_back_to_zero(self):
         items, tickets, modulator = make_modulator(escalate=True, max_stretch=1.2)
@@ -197,7 +211,7 @@ class TestUpgrade:
         deep = items[0].current_period
         assert deep > 50.0
         upgrades = 0
-        while items[0].is_degraded and upgrades < 100:
+        while is_degraded(items[0]) and upgrades < 100:
             modulator.upgrade_all()
             upgrades += 1
         assert 2 <= upgrades < 100  # gradual, not a one-shot wipe
@@ -214,10 +228,10 @@ class TestDiagnostics:
 
     def test_victim_distribution_normalized(self):
         _, tickets, modulator = make_modulator()
-        assert modulator.victim_distribution() is None
+        assert victim_distribution(modulator) is None
         tickets.on_update(0, update_exec_time=1.0)
         tickets.on_update(1, update_exec_time=1.0)
-        dist = modulator.victim_distribution()
+        dist = victim_distribution(modulator)
         assert sum(dist) == pytest.approx(1.0)
 
     def test_size_mismatch_rejected(self):

@@ -278,7 +278,7 @@ class TestUnit:
         sim, server = build(policy)
         feed_query(sim, server, 1.0, exec_time=0.2, deadline=2.0)
         sim.run(until=2.0)
-        assert policy.tickets.ticket(0) < 0.0
+        assert policy.tickets._tickets[0] < 0.0
 
     def test_control_loop_reacts_to_dmf_with_degrade_and_tac(self):
         policy = self.make_unit()

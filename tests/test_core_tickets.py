@@ -32,27 +32,27 @@ class TestTicketDynamics:
     def test_query_access_decreases_ticket(self):
         book = TicketBook(4)
         book.on_query_access(0, cpu_utilization=0.3)
-        assert book.ticket(0) == pytest.approx(-0.3)
+        assert book._tickets[0] == pytest.approx(-0.3)
 
     def test_update_increases_ticket(self):
         book = TicketBook(4)
         book.on_update(0, update_exec_time=1.0)
         # First observation: ue_avg == ue, sigmoid gap 0 -> +0.5
-        assert book.ticket(0) == pytest.approx(0.5)
+        assert book._tickets[0] == pytest.approx(0.5)
 
     def test_eq8_forgetting_recurrence(self):
         book = TicketBook(2, forgetting=0.9)
         book.on_update(0, update_exec_time=1.0)  # T = 0*0.9 + 0.5
-        first = book.ticket(0)
+        first = book._tickets[0]
         book.on_query_access(0, cpu_utilization=0.2)  # T = 0.5*0.9 - 0.2
-        assert book.ticket(0) == pytest.approx(first * 0.9 - 0.2)
+        assert book._tickets[0] == pytest.approx(first * 0.9 - 0.2)
 
     def test_forgetting_only_applies_per_event_on_that_item(self):
         book = TicketBook(2, forgetting=0.5)
         book.on_update(0, update_exec_time=1.0)
-        before = book.ticket(1)
+        before = book._tickets[1]
         book.on_update(0, update_exec_time=1.0)  # events on item 0 only
-        assert book.ticket(1) == before == 0.0
+        assert book._tickets[1] == before == 0.0
 
     def test_running_average_exec_time(self):
         book = TicketBook(2)
@@ -93,7 +93,7 @@ class TestLotteryCoupling:
         book.on_update(0, update_exec_time=1.0)
         for _ in range(4):
             book.on_update(1, update_exec_time=1.0)
-        weights = book.shifted_weights()
+        weights = book.lottery._weights
         assert weights[1] > weights[0] > 0
 
     def test_threshold_walk_exposes_protected_items(self):
@@ -146,7 +146,7 @@ class TestLotteryCoupling:
                 book.on_query_access(item_id, cpu_utilization=0.25)
             else:
                 book.on_update(item_id, update_exec_time=1.0)
-        weights = book.shifted_weights()
+        weights = book.lottery._weights
         for item_id in range(8):
-            expected = max(0.0, book.ticket(item_id) - book.threshold)
+            expected = max(0.0, book._tickets[item_id] - book.threshold)
             assert weights[item_id] == pytest.approx(expected, abs=1e-9)

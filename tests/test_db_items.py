@@ -28,7 +28,7 @@ class TestDataItem:
     def test_initial_state_is_fresh(self):
         item = make_item()
         assert item.udrop == 0
-        assert not item.is_degraded
+        assert not item.current_period > item.ideal_period
         assert item.current_period == item.ideal_period
 
     def test_validation(self):
@@ -83,7 +83,7 @@ class TestDataItem:
         table = one_item_table()
         new_period = table.degrade(0, 0.1)
         assert new_period == pytest.approx(11.0)
-        assert table[0].is_degraded
+        assert table[0].current_period > table[0].ideal_period
         assert table.degraded_count() == 1
 
     def test_upgrade_subtracts_in_ideal_units_with_floor(self):
@@ -91,7 +91,7 @@ class TestDataItem:
         table.degrade(0, 0.1)  # 11.0
         table.upgrade_degraded(0.5)  # -5.0 -> floored at 10.0
         assert table[0].current_period == pytest.approx(10.0)
-        assert not table[0].is_degraded
+        assert not table[0].current_period > table[0].ideal_period
         assert table.degraded_count() == 0
 
     def test_deep_degradation_recovers_gradually(self):

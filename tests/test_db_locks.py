@@ -16,6 +16,17 @@ from repro.fleet.runner import FleetConfig, run_fleet
 from repro.sim.engine import SimulationError
 
 
+def holders_of(manager, item_id):
+    """(txn_id, mode) pairs holding ``item_id``, in grant order."""
+    holders = manager._locks.get(item_id, {})
+    return [(txn_id, mode) for txn_id, (_, mode) in holders.items()]
+
+
+def held_items(manager, txn):
+    """Ids of all items ``txn`` holds locks on."""
+    return set(manager._held_by.get(txn.txn_id, ()))
+
+
 def query(txn_id, deadline=10.0):
     return QueryTransaction(
         txn_id=txn_id,
@@ -87,9 +98,9 @@ class TestHighPriorityRule:
         assert isinstance(error, SimulationError)
         assert (error.requester, error.holder, error.item_id) == (q, u, 0)
         assert "txn 2" in str(error) and "txn 1" in str(error) and "item 0" in str(error)
-        assert locks.holders_of(0) == [(1, LockMode.WRITE)]
-        assert locks.held_items(q) == set()
-        assert locks.held_items(u) == {0}
+        assert holders_of(locks, 0) == [(1, LockMode.WRITE)]
+        assert held_items(locks, q) == set()
+        assert held_items(locks, u) == {0}
 
     def test_one_outranking_holder_raises_before_any_victim(self):
         """A conflict with lower- and higher-priority holders at once
@@ -104,8 +115,8 @@ class TestHighPriorityRule:
         with pytest.raises(LockWaitError) as caught:
             locks.request(middle, 0, LockMode.WRITE)
         assert caught.value.holder is early
-        assert locks.holders_of(0) == [(1, LockMode.READ), (2, LockMode.READ)]
-        assert locks.held_items(middle) == set()
+        assert holders_of(locks, 0) == [(1, LockMode.READ), (2, LockMode.READ)]
+        assert held_items(locks, middle) == set()
 
 
 class TestRelease:
@@ -116,9 +127,9 @@ class TestRelease:
         )
         for item_id in (0, 1, 2):
             locks.request(q, item_id, LockMode.READ)
-        assert locks.held_items(q) == {0, 1, 2}
+        assert held_items(locks, q) == {0, 1, 2}
         locks.release_all(q)
-        assert locks.held_items(q) == set()
+        assert held_items(locks, q) == set()
 
 
 class TestIntrospection:
@@ -126,10 +137,10 @@ class TestIntrospection:
         locks = LockManager()
         holder = update(1, period=0.5)
         locks.request(holder, 0, LockMode.WRITE)
-        assert locks.holders_of(0) == [(1, LockMode.WRITE)]
-        assert locks.holders_of(99) == []
+        assert holders_of(locks, 0) == [(1, LockMode.WRITE)]
+        assert holders_of(locks, 99) == []
         locks.release_all(holder)
-        assert locks.holders_of(0) == []
+        assert holders_of(locks, 0) == []
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=20))
@@ -142,20 +153,20 @@ def test_property_refusals_point_to_higher_priority(periods):
     txns = [update(i + 1, period=float(p)) for i, p in enumerate(periods)]
     for txn in txns:
         while True:
-            before = locks.holders_of(0)
+            before = holders_of(locks, 0)
             try:
                 result = locks.request(txn, 0, LockMode.WRITE)
             except LockWaitError as error:
                 assert error.requester is txn and error.item_id == 0
                 assert error.holder.priority_key() < txn.priority_key()
-                assert locks.holders_of(0) == before
+                assert holders_of(locks, 0) == before
                 break
             if result.status is LockStatus.GRANTED:
                 break
             for victim in result.victims:
                 assert txn.priority_key() < victim.priority_key()
                 locks.release_all(victim)
-        assert len(locks.holders_of(0)) == 1
+        assert len(holders_of(locks, 0)) == 1
 
 
 class TestServerNeverWaits:

@@ -9,6 +9,7 @@ from repro.db.server import ARRIVAL_EVENT_PRIORITY, Server, ServerConfig
 from repro.db.transactions import Outcome, QueryTransaction
 from repro.sim.engine import SimulationError, Simulator
 
+from tests.test_db_locks import held_items
 from tests.test_db_server import StubPolicy, make_server, outcome_of, submit_query
 
 
@@ -34,7 +35,7 @@ class TestMultiItemQueries:
             server, arrival=0.0, exec_time=0.5, deadline=5.0, items=(0, 1, 2)
         )
         probes = []
-        sim.schedule(0.2, lambda: probes.append(sorted(server.locks.held_items(txn))))
+        sim.schedule(0.2, lambda: probes.append(sorted(held_items(server.locks, txn))))
         sim.run()
         assert probes[0] == [0, 1, 2]
         assert outcome_of(server, txn).outcome is Outcome.SUCCESS

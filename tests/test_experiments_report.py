@@ -4,13 +4,13 @@ Regression: an empty :class:`OnlineStats` carries ±inf min/max
 sentinels, and ``json.dumps`` emits those as the bare tokens
 ``Infinity``/``-Infinity`` — invalid JSON to strict parsers.  Anything
 headed for a report file must pass through :func:`json_sanitize` /
-:func:`stats_dict` and come out ``null``.
+:meth:`OnlineStats.as_dict` and come out ``null``.
 """
 
 import json
 import math
 
-from repro.experiments.report import json_sanitize, stats_dict
+from repro.experiments.report import json_sanitize
 from repro.sim.stats import OnlineStats
 
 
@@ -40,7 +40,8 @@ class TestJsonSanitize:
 
     def test_empty_stats_would_leak_without_sanitize(self):
         """Documents the failure mode this module guards against."""
-        raw = {"min": OnlineStats().minimum, "max": OnlineStats().maximum}
+        empty = OnlineStats()
+        raw = {"min": empty._min, "max": empty._max}
         assert math.isinf(raw["min"])
         assert "Infinity" in json.dumps(raw)  # the bug
         assert json.dumps(json_sanitize(raw)) == '{"min": null, "max": null}'
@@ -48,7 +49,7 @@ class TestJsonSanitize:
 
 class TestStatsDict:
     def test_empty_stats_serialize_with_nulls(self):
-        d = stats_dict(OnlineStats())
+        d = OnlineStats().as_dict()
         assert d["count"] == 0
         assert d["min"] is None
         assert d["max"] is None
@@ -59,7 +60,7 @@ class TestStatsDict:
         stats = OnlineStats()
         for v in (1.0, 3.0, 2.0):
             stats.add(v)
-        d = stats_dict(stats)
+        d = stats.as_dict()
         assert d["count"] == 3
         assert d["min"] == 1.0
         assert d["max"] == 3.0

@@ -102,8 +102,8 @@ class TestFaultDriver:
         sim, _, server = make_server()
         driver = FaultDriver(self.scenario(), server)
         driver.install(sim)
-        sim.schedule(12.0, lambda: rates.append(server.service_rate))
-        sim.schedule(25.0, lambda: rates.append(server.service_rate))
+        sim.schedule(12.0, lambda: rates.append(server._service_rate))
+        sim.schedule(25.0, lambda: rates.append(server._service_rate))
         rates = []
         sim.run()
         assert rates == [0.5, 1.0]
@@ -122,7 +122,7 @@ class TestFaultDriver:
         FaultDriver(scenario, server).install(sim)
         observed = []
         for t in (1.0, 6.0, 12.0, 25.0):
-            sim.schedule(t, lambda: observed.append(server.service_rate))
+            sim.schedule(t, lambda: observed.append(server._service_rate))
         sim.run()
         assert observed == [0.5, 0.25, 0.5, 1.0]
 
@@ -142,7 +142,7 @@ class TestFaultDriver:
         FaultDriver(scenario, server).install(sim)
         observed = []
         for t in (1.0, 6.0, 12.0, 25.0):
-            sim.schedule(t, lambda: observed.append(server.service_rate))
+            sim.schedule(t, lambda: observed.append(server._service_rate))
         sim.run()
         assert observed == [0.5, 0.5 * 0.25, 0.25, 1.0]
 
@@ -168,7 +168,7 @@ class TestFaultDriver:
             FaultDriver(scenario, server).install(sim)
             samples = []
             for t in (5.0, 20.0):
-                sim.schedule(t, lambda: samples.append(server.service_rate))
+                sim.schedule(t, lambda: samples.append(server._service_rate))
             sim.run()
             observed[label] = samples
         # While all three are active the rate is the canonical-order
@@ -209,4 +209,4 @@ class TestFaultDriver:
         driver = FaultDriver(FaultScenario(name="none"), server)
         assert driver.install(sim) == 0
         sim.run()
-        assert server.service_rate == 1.0
+        assert server._service_rate == 1.0

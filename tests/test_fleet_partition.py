@@ -55,7 +55,7 @@ class TestReplication:
         part = build_partition(12, 4, replication=2, strategy="mod")
         for item in range(12):
             primary = part.primary[item]
-            assert part.replica_shards(item) == ((primary + 1) % 4,)
+            assert part.hosts[item][1:] == ((primary + 1) % 4,)
 
     def test_hosted_items_includes_replicas(self):
         part = build_partition(8, 4, replication=2, strategy="mod")

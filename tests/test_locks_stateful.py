@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.db.locks import LockManager, LockMode, LockStatus, LockWaitError
 from repro.db.transactions import QueryTransaction, UpdateTransaction
+from tests.test_db_locks import held_items, holders_of
 
 N_ITEMS = 3
 
@@ -63,17 +64,17 @@ class LockMachine(RuleBasedStateMachine):
         while True:
             outranked = [
                 self.txns[holder_id]
-                for holder_id, held in self.locks.holders_of(item)
+                for holder_id, held in holders_of(self.locks, item)
                 if not (held is LockMode.READ and mode is LockMode.READ)
                 and self.txns[holder_id].priority_key() < txn.priority_key()
             ]
-            before = self.locks.holders_of(item)
+            before = holders_of(self.locks, item)
             if outranked:
                 with pytest.raises(LockWaitError) as caught:
                     self.locks.request(txn, item, mode)
                 assert caught.value.holder in outranked
-                assert self.locks.holders_of(item) == before
-                assert self.locks.held_items(txn) == set()
+                assert holders_of(self.locks, item) == before
+                assert held_items(self.locks, txn) == set()
                 self.live.discard(txn.txn_id)
                 return
             result = self.locks.request(txn, item, mode)
@@ -94,7 +95,7 @@ class LockMachine(RuleBasedStateMachine):
     @invariant()
     def no_incompatible_holders(self):
         for item in range(N_ITEMS):
-            modes = [mode for _, mode in self.locks.holders_of(item)]
+            modes = [mode for _, mode in holders_of(self.locks, item)]
             writers = sum(1 for mode in modes if mode is LockMode.WRITE)
             assert writers <= 1
             if writers == 1:
@@ -103,8 +104,8 @@ class LockMachine(RuleBasedStateMachine):
     @invariant()
     def held_by_map_agrees(self):
         for item in range(N_ITEMS):
-            for txn_id, _ in self.locks.holders_of(item):
-                assert item in self.locks.held_items(self.txns[txn_id])
+            for txn_id, _ in holders_of(self.locks, item):
+                assert item in held_items(self.locks, self.txns[txn_id])
 
 
 TestLockMachine = LockMachine.TestCase

@@ -18,7 +18,6 @@ from repro.obs.attrib import (
     ledger_table,
     percentile,
     percentile_table,
-    usm_loss_ledger,
     wait_table,
 )
 from repro.obs.config import ObsConfig
@@ -125,14 +124,14 @@ class TestLedgerReconciliation:
     )
     def test_ledger_equals_report_components(self, profile):
         report, spans = _run(profile=profile)
-        ledger = usm_loss_ledger(spans, profile)
+        ledger = _accumulated(spans).ledger(profile)
         assert ledger["total"] == report.queries_submitted
         assert ledger["components"] == report.components  # exact floats
         assert ledger["usm"] == report.usm
 
     def test_cause_counts_cover_all_losses(self):
         report, spans = _run()
-        ledger = usm_loss_ledger(spans, PenaltyProfile.naive())
+        ledger = _accumulated(spans).ledger(PenaltyProfile.naive())
         for component in ("R", "F_m", "F_s"):
             assert sum(ledger["causes"][component].values()) == (
                 ledger["counts"][component]

@@ -23,8 +23,8 @@ class TestOnlineStats:
         stats.add(5.0)
         assert stats.mean == 5.0
         assert stats.variance == 0.0
-        assert stats.minimum == 5.0
-        assert stats.maximum == 5.0
+        assert stats.as_dict()["min"] == 5.0
+        assert stats.as_dict()["max"] == 5.0
 
     @given(st.lists(finite_floats, min_size=2, max_size=200))
     def test_property_matches_batch_statistics(self, values):
@@ -35,8 +35,8 @@ class TestOnlineStats:
         assert stats.variance == pytest.approx(
             statistics.pvariance(values), abs=1e-3, rel=1e-6
         )
-        assert stats.minimum == min(values)
-        assert stats.maximum == max(values)
+        assert stats.as_dict()["min"] == min(values)
+        assert stats.as_dict()["max"] == max(values)
 
     def test_stdev_is_sqrt_variance(self):
         stats = OnlineStats()

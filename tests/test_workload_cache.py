@@ -126,8 +126,6 @@ QUERY_FIELDS = frozenset(
         "burst_dwell",
         "freshness_req",
         "items_per_query",
-        "deadline_high_factor",
-        "deadline_high_base",
     }
 )
 
@@ -174,7 +172,6 @@ def _with_field(config, field, value):
 def _changed(config, field):
     """``config`` with ``field`` moved to another valid value."""
     special = {
-        "deadline_high_base": "max",
         "update_trace": "high-unif",
         "faults": FLASH_CROWD,
     }

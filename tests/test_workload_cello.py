@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.rng import RandomStreams
-from repro.workload.cello import CelloConfig, access_histogram, generate_cello_trace
+from repro.workload.cello import CelloConfig, generate_cello_trace
 
 
 def small_config(**overrides):
@@ -50,6 +50,14 @@ def test_mean_rate_derivation():
     config = small_config()
     assert config.mean_arrival_rate == pytest.approx(10.0)
 
+
+
+def access_histogram(records, n_items):
+    """Reads per region — the paper's Fig. 3(a) data."""
+    counts = [0] * n_items
+    for record in records:
+        counts[record.region] += 1
+    return counts
 
 def test_histogram_is_skewed():
     config = small_config(horizon=2000.0, zipf_skew=1.3)
