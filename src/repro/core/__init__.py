@@ -8,7 +8,7 @@ from repro.core.controller import ControlSignal, LoadBalancingController
 from repro.core.elastic import ElasticConfig, ElasticPolicy
 from repro.core.lottery import LotteryScheduler
 from repro.core.modulation import UpdateFrequencyModulator
-from repro.core.qmf import QmfConfig, QmfPolicy
+from repro.core.qmf import QmfPolicy
 from repro.core.tickets import TicketBook
 from repro.core.unit import UnitConfig, UnitPolicy
 from repro.core.usm import PenaltyProfile, UsmAccumulator, UsmWindow
@@ -23,7 +23,6 @@ __all__ = [
     "LotteryScheduler",
     "OduPolicy",
     "PenaltyProfile",
-    "QmfConfig",
     "QmfPolicy",
     "TicketBook",
     "UnitConfig",

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, List
 from repro.core.usm import PenaltyProfile
 from repro.db.transactions import QueryTransaction
 from repro.obs.trace import NULL_RECORDER, Recorder
+from repro.sim.stats import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.server import Server
@@ -198,13 +199,10 @@ class AdmissionController:
 
         if self.use_usm_check and not profile.is_naive:
             endangered = self.endangered_queries(query, server)
-            # One C_fm added per endangered query, as a loop: len * C_fm
-            # rounds differently for inexact weights, and so does sum(),
-            # which compensates since Python 3.12.
+            # One C_fm added per endangered query: len * C_fm rounds
+            # differently for inexact weights.
             c_fm = profile.c_fm
-            dmf_cost = 0.0
-            for _ in endangered:
-                dmf_cost += c_fm
+            dmf_cost = ordered_sum(c_fm for _ in endangered)
             if dmf_cost > profile.c_r:
                 return AdmissionDecision(
                     admitted=False,

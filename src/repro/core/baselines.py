@@ -52,19 +52,14 @@ class OduPolicy(ServerPolicy):
     The refresh is issued at read time — "updates are executed only
     when a query finds that a needed data item is stale" — and the
     query waits for it, which is exactly the delay the paper blames for
-    ODU's deadline misses.
-
-    ``dedup=True`` adds an optimization the 2006 baseline does not
-    have: when a refresh for the item is already pending, later queries
-    attach to it rather than spending CPU twice.  The paper's ODU
-    (each stale access issues its own update) is ``dedup=False``, the
-    default.
+    ODU's deadline misses.  As in the paper, each stale access issues
+    its own refresh: a query never attaches to a refresh another query
+    already started.
     """
 
     reads_profile = False
 
-    def __init__(self, dedup: bool = False) -> None:
-        self.dedup = dedup
+    def __init__(self) -> None:
         self.refreshes_spawned = 0
         self.refreshes_shared = 0
         self._pending: Dict[int, UpdateTransaction] = {}
@@ -76,7 +71,7 @@ class OduPolicy(ServerPolicy):
         return False
 
     def on_query_stale_at_read(self, query: QueryTransaction, server: "Server") -> bool:
-        return refresh_stale_items(self, query, server, server.items, dedup=self.dedup)
+        return refresh_stale_items(self, query, server, server.items, dedup=False)
 
     def describe(self) -> str:
         return "ODU"
@@ -87,7 +82,7 @@ def refresh_stale_items(
     query: QueryTransaction,
     server: "Server",
     items: ItemTable,
-    dedup: bool = True,
+    dedup: bool,
 ) -> bool:
     """Shared on-demand refresh mechanics (used by ODU and QMF).
 

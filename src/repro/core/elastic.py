@@ -32,6 +32,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.server import Server
 
 
+# Feedback interval in seconds.
+_CONTROL_PERIOD = 1.0
+# Multiplicative stretch/relax factor per control decision.
+_STEP = 0.10
+# Upper bound on the global period stretch.
+_MAX_STRETCH = 100.0
+
+
 @dataclasses.dataclass
 class ElasticConfig:
     """Tunables of the elastic update scheduler.
@@ -40,29 +48,13 @@ class ElasticConfig:
         target_update_share: CPU fraction the update class may consume;
             the spring compresses (periods stretch) when the measured
             share exceeds it.
-        control_period: Feedback interval in seconds.
-        step: Multiplicative stretch/relax factor per control decision.
-        max_stretch: Upper bound on the global period stretch.
-        feasibility_check: Reject queries whose execution cannot fit
-            before their deadline given the current backlog (True keeps
-            the query side comparable to UNIT's loosest admission).
     """
 
     target_update_share: float = 0.30
-    control_period: float = 1.0
-    step: float = 0.10
-    max_stretch: float = 100.0
-    feasibility_check: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.target_update_share < 1:
             raise ValueError("target_update_share must be in (0, 1)")
-        if self.control_period <= 0:
-            raise ValueError("control_period must be positive")
-        if not 0 < self.step < 1:
-            raise ValueError("step must be in (0, 1)")
-        if self.max_stretch <= 1:
-            raise ValueError("max_stretch must exceed 1")
 
 
 class ElasticPolicy(ServerPolicy):
@@ -86,14 +78,15 @@ class ElasticPolicy(ServerPolicy):
     def bind(self, server: "Server") -> None:
         self._server = server
         server.sim.schedule_after(
-            self.config.control_period,
+            _CONTROL_PERIOD,
             self._control_tick,
             priority=CONTROL_EVENT_PRIORITY,
         )
 
     def admit_query(self, query: QueryTransaction, server: "Server") -> bool:
-        if not self.config.feasibility_check:
-            return True
+        # Reject queries whose execution cannot fit before their
+        # deadline given the current backlog: the query side stays
+        # comparable to UNIT's loosest admission.
         backlog = (
             server.running_remaining()
             + server.ready.update_backlog()
@@ -123,20 +116,18 @@ class ElasticPolicy(ServerPolicy):
         assert self._server is not None
         server = self._server
         busy_update = server.busy_time_by_class()["update"]
-        share = (busy_update - self._last_busy_update) / self.config.control_period
+        share = (busy_update - self._last_busy_update) / _CONTROL_PERIOD
         self._last_busy_update = busy_update
 
         if share > self.config.target_update_share:
-            self.stretch = min(
-                self.config.max_stretch, self.stretch * (1.0 + self.config.step)
-            )
+            self.stretch = min(_MAX_STRETCH, self.stretch * (1.0 + _STEP))
             self.compressions += 1
         elif self.stretch > 1.0:
-            self.stretch = max(1.0, self.stretch * (1.0 - self.config.step))
+            self.stretch = max(1.0, self.stretch * (1.0 - _STEP))
             self.relaxations += 1
 
         server.sim.schedule_after(
-            self.config.control_period,
+            _CONTROL_PERIOD,
             self._control_tick,
             priority=CONTROL_EVENT_PRIORITY,
         )

@@ -18,21 +18,24 @@ Mechanisms:
 
 * **Admission** — a feasibility check (reject queries that cannot make
   their deadline) plus a backlog quota in seconds of outstanding query
-  work; the controller scales the quota ±10 %.  QMF optimizes *miss
-  ratio among admitted transactions*, so its control deems the system
-  overloaded as soon as the recent miss ratio exceeds the target —
-  this is exactly the conservatism that gives QMF its high rejection
-  ratio in the paper's Fig. 6(a).
+  work; the controller halves the quota when it sheds load and grows
+  it 5 % when the system keeps up.  QMF optimizes *miss ratio among
+  admitted transactions*, so its control deems the system overloaded
+  as soon as the recent miss ratio exceeds the target — this is
+  exactly the conservatism that gives QMF its high rejection ratio in
+  the paper's Fig. 6(a).
 * **Adaptive update policy** — a *flexible-freshness* fraction of the
   items (lowest access-to-update ratio first) has periodic updates
   dropped and is refreshed on demand when an admitted query needs it;
   the remaining items update immediately.  The controller moves the
-  fraction ±10 points per signal.
+  fraction ±10 points per signal.  Kang et al. describe two variants:
+  QMF-1 simply skips updates on flexible-freshness items; QMF-2, the
+  stronger one the UNIT paper compares against and the one built here,
+  refreshes them on demand when an admitted query reads them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.usm import PenaltyProfile, UsmWindow
@@ -40,45 +43,24 @@ from repro.db.items import DataItem
 from repro.db.policy_api import ServerPolicy
 from repro.db.server import CONTROL_EVENT_PRIORITY
 from repro.db.transactions import Outcome, QueryRecord, QueryTransaction
+from repro.sim.stats import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.server import Server
 
 
-@dataclasses.dataclass
-class QmfConfig:
-    """Set-points and steps of the QMF controller.
-
-    Defaults follow the published evaluation: a tight (5 %) miss-ratio
-    target and a 90 % perceived-freshness target.
-    """
-
-    miss_ratio_target: float = 0.01
-    freshness_target: float = 0.90
-    control_period: float = 5.0
-    window: float = 20.0
-    utilization_high: float = 0.90
-    quota_shrink: float = 0.50
-    quota_grow: float = 0.05
-    flex_step: float = 0.10
-    initial_backlog_quota: float = 5.0
-    # Kang et al. describe two variants: QMF-1 simply skips updates on
-    # flexible-freshness items; QMF-2 (the stronger one the UNIT paper
-    # compares against, our default) refreshes them on demand when an
-    # admitted query reads them.
-    on_demand_flexible: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0 < self.miss_ratio_target < 1:
-            raise ValueError("miss_ratio_target must be in (0, 1)")
-        if not 0 < self.freshness_target <= 1:
-            raise ValueError("freshness_target must be in (0, 1]")
-        if self.control_period <= 0 or self.window <= 0:
-            raise ValueError("control timings must be positive")
-        if self.initial_backlog_quota <= 0:
-            raise ValueError("initial_backlog_quota must be positive")
-
-
+# Set-points and steps of the QMF controller, at the values of the
+# published evaluation: a tight (1 %) miss-ratio target and a 90 %
+# perceived-freshness target.
+_MISS_RATIO_TARGET = 0.01
+_FRESHNESS_TARGET = 0.90
+_CONTROL_PERIOD = 5.0
+_WINDOW = 20.0
+_UTILIZATION_HIGH = 0.90
+_QUOTA_SHRINK = 0.50
+_QUOTA_GROW = 0.05
+_FLEX_STEP = 0.10
+_INITIAL_BACKLOG_QUOTA = 5.0
 _QUOTA_MIN = 1e-3
 _QUOTA_MAX = 1e6
 
@@ -88,13 +70,12 @@ class QmfPolicy(ServerPolicy):
 
     reads_profile = False
 
-    def __init__(self, config: Optional[QmfConfig] = None) -> None:
-        self.config = config or QmfConfig()
-        self.backlog_quota = self.config.initial_backlog_quota
+    def __init__(self) -> None:
+        self.backlog_quota = _INITIAL_BACKLOG_QUOTA
         self.flex_fraction = 0.0
         self._flexible: Set[int] = set()
         self._server: Optional["Server"] = None
-        self._outcomes = UsmWindow(PenaltyProfile.naive(), self.config.window)
+        self._outcomes = UsmWindow(PenaltyProfile.naive(), _WINDOW)
         self._last_busy = 0.0
         self._pending: Dict[int, object] = {}  # item_id -> pending refresh txn
         self.refreshes_spawned = 0
@@ -110,7 +91,7 @@ class QmfPolicy(ServerPolicy):
     def bind(self, server: "Server") -> None:
         self._server = server
         server.sim.schedule_after(
-            self.config.control_period,
+            _CONTROL_PERIOD,
             self._control_tick,
             priority=CONTROL_EVENT_PRIORITY,
         )
@@ -128,7 +109,7 @@ class QmfPolicy(ServerPolicy):
             return False
         # Quota: cap the outstanding admitted query work so admitted
         # transactions keep a low miss ratio.
-        outstanding = sum(txn.remaining for txn in server.ready.ready_queries())
+        outstanding = ordered_sum(txn.remaining for txn in server.ready.ready_queries())
         running = server.running_transaction()
         if running is not None and not running.is_update:
             outstanding += server.running_remaining()
@@ -141,16 +122,13 @@ class QmfPolicy(ServerPolicy):
         return item.item_id not in self._flexible
 
     def on_query_stale_at_read(self, query: QueryTransaction, server: "Server") -> bool:
-        # QMF-2: flexible-freshness items are refreshed on demand at
-        # read time (deduplicated like ODU); an item might also be stale
-        # because it *left* the flexible set with drops outstanding —
-        # refresh those too rather than serving stale data.  QMF-1
-        # (on_demand_flexible=False) serves the stale value.
-        if not self.config.on_demand_flexible:
-            return False
+        # Flexible-freshness items are refreshed on demand at read time,
+        # and a later reader attaches to a pending refresh; an item might
+        # also be stale because it *left* the flexible set with drops
+        # outstanding — refresh those too rather than serving stale data.
         from repro.core.baselines import refresh_stale_items
 
-        return refresh_stale_items(self, query, server, server.items)
+        return refresh_stale_items(self, query, server, server.items, dedup=True)
 
     def on_query_outcome(self, record: QueryRecord, server: "Server") -> None:
         self._outcomes.record(server.now, record.outcome)
@@ -196,38 +174,38 @@ class QmfPolicy(ServerPolicy):
         self.control_ticks += 1
 
         busy = server.busy_time()
-        utilization = (busy - self._last_busy) / self.config.control_period
+        utilization = (busy - self._last_busy) / _CONTROL_PERIOD
         self._last_busy = busy
 
         miss_ratio = self._recent_miss_ratio(now)
         freshness = self._database_freshness()
 
-        overloaded = utilization >= self.config.utilization_high or (
-            miss_ratio is not None and miss_ratio > self.config.miss_ratio_target
+        overloaded = utilization >= _UTILIZATION_HIGH or (
+            miss_ratio is not None and miss_ratio > _MISS_RATIO_TARGET
         )
 
         if overloaded:
-            if freshness > self.config.freshness_target:
-                self._move_flex(+self.config.flex_step)  # update less often
+            if freshness > _FRESHNESS_TARGET:
+                self._move_flex(+_FLEX_STEP)  # update less often
             else:
                 # Shed load hard: the original controller guarantees the
                 # miss-ratio target "at all costs", which is exactly the
                 # conservatism the UNIT paper observes ("drops many
                 # queries to guarantee the admitted transactions").
                 self.backlog_quota = max(
-                    _QUOTA_MIN, self.backlog_quota * (1.0 - self.config.quota_shrink)
+                    _QUOTA_MIN, self.backlog_quota * (1.0 - _QUOTA_SHRINK)
                 )
         else:
-            if freshness < self.config.freshness_target:
-                self._move_flex(-self.config.flex_step)  # update more often
+            if freshness < _FRESHNESS_TARGET:
+                self._move_flex(-_FLEX_STEP)  # update more often
             else:
                 self.backlog_quota = min(
-                    _QUOTA_MAX, self.backlog_quota * (1.0 + self.config.quota_grow)
+                    _QUOTA_MAX, self.backlog_quota * (1.0 + _QUOTA_GROW)
                 )
 
         self._refresh_flexible_set()
         server.sim.schedule_after(
-            self.config.control_period,
+            _CONTROL_PERIOD,
             self._control_tick,
             priority=CONTROL_EVENT_PRIORITY,
         )

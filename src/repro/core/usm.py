@@ -20,6 +20,7 @@ from typing import Deque, Dict, Mapping, Optional, Tuple
 
 from repro.core.fixedpoint import fixed_from_float, float_from_fixed
 from repro.db.transactions import Outcome
+from repro.sim.stats import ordered_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,7 +120,7 @@ class UsmAccumulator:
 
     def total_usm(self) -> float:
         """System USM: the Eq. 4 sum of gains minus penalties."""
-        return sum(
+        return ordered_sum(
             self.profile.contribution(outcome) * count
             for outcome, count in self.counts.items()
         )

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple, Type
 
 from repro.core.baselines import ImuPolicy, OduPolicy
 from repro.core.elastic import ElasticConfig, ElasticPolicy
-from repro.core.qmf import QmfConfig, QmfPolicy
+from repro.core.qmf import QmfPolicy
 from repro.core.unit import UnitConfig, UnitPolicy
 from repro.core.usm import PenaltyProfile
 from repro.db.policy_api import ServerPolicy
@@ -79,21 +79,16 @@ class ExperimentConfig:
     # Query-trace shape (beyond the scale preset).  The defaults are the
     # calibration DESIGN.md documents: Zipf 1.3 access skew and 4x flash
     # crowds.  Deadlines are always drawn from [mean response, 3 x mean
-    # response] (``repro.workload.queries.deadline_range``).
-    service_cv: float = 1.0
+    # response] (``repro.workload.queries.deadline_range``), and every
+    # query asks for 90% freshness (``repro.workload.queries``).
     zipf_skew: float = 1.3
     burst_factor: float = 4.0
     normal_dwell: float = 120.0
     burst_dwell: float = 20.0
-    freshness_req: float = 0.9
     items_per_query: int = 1
-
-    # Update-trace shape.
-    update_exec_cv: float = 0.5
 
     # Policy knobs (None = defaults derived from the profile/scale).
     unit: Optional[UnitConfig] = None
-    qmf: Optional[QmfConfig] = None
     elastic: Optional[ElasticConfig] = None
 
     # Bookkeeping.
@@ -143,12 +138,10 @@ class ExperimentConfig:
                 str(scale.n_items),
                 scale.query_utilization.hex(),
                 scale.mean_query_service.hex(),
-                self.service_cv.hex(),
                 self.zipf_skew.hex(),
                 self.burst_factor.hex(),
                 self.normal_dwell.hex(),
                 self.burst_dwell.hex(),
-                self.freshness_req.hex(),
                 str(self.items_per_query),
             )
         )
@@ -159,17 +152,16 @@ class ExperimentConfig:
         Two configs with equal keys produce byte-identical query and
         update traces: the key hashes :meth:`query_key` with exactly the
         fields :func:`repro.experiments.runner.build_workload` reads on
-        top of the base query trace — the update trace, its execution
-        time shape, and a trace-shaping fault scenario's fingerprint.
-        Policy, penalty profile, and freshness metric do not shape the
-        traces, so paired runs share one entry.
+        top of the base query trace — the update trace, its mean
+        execution time, and a trace-shaping fault scenario's fingerprint.
+        Policy and penalty profile do not shape the traces, so paired
+        runs share one entry.
         """
         parts = (
             "workload-v2",  # bump when trace generation changes shape
             self.query_key(),
             self.update_trace,
             self.scale.mean_update_exec.hex(),
-            self.update_exec_cv.hex(),
         )
         if self.faults is not None:
             fingerprint = self.faults.workload_fingerprint()
@@ -183,12 +175,6 @@ class ExperimentConfig:
         if self.unit is not None:
             return self.unit
         return UnitConfig(profile=self.profile)
-
-    def qmf_config(self) -> QmfConfig:
-        """The QMF knobs for this run."""
-        if self.qmf is not None:
-            return self.qmf
-        return QmfConfig()
 
     def elastic_config(self) -> ElasticConfig:
         """The elastic-baseline knobs for this run."""

@@ -138,7 +138,7 @@ def make_policy(
     if config.policy == "odu":
         return OduPolicy()
     if config.policy == "qmf":
-        return QmfPolicy(config.qmf_config())
+        return QmfPolicy()
     if config.policy == "elastic":
         return ElasticPolicy(config.elastic_config())
     raise ValueError(f"unknown policy {config.policy!r}")
@@ -156,7 +156,6 @@ def build_query_workload(config: ExperimentConfig, streams: RandomStreams) -> Qu
         n_items=scale.n_items,
         query_utilization=scale.query_utilization,
         mean_service=scale.mean_query_service,
-        service_cv=config.service_cv,
         zipf_skew=config.zipf_skew,
         burst_factor=config.burst_factor,
         normal_dwell=config.normal_dwell,
@@ -168,7 +167,6 @@ def build_query_workload(config: ExperimentConfig, streams: RandomStreams) -> Qu
         n_items=scale.n_items,
         streams=streams,
         horizon=scale.horizon,
-        freshness_req=config.freshness_req,
         items_per_query=config.items_per_query,
     )
 
@@ -194,7 +192,6 @@ def build_workload(
         horizon=scale.horizon,
         streams=streams,
         mean_exec=scale.mean_update_exec,
-        exec_cv=config.update_exec_cv,
     )
     # Fault scenarios perturb *after* base generation: the update trace
     # is correlated against the unperturbed access histogram, and the

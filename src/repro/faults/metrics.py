@@ -12,7 +12,7 @@ deep the dip is and how fast the system climbs back):
   ``baseline - band`` from the fault start on;
 * **recovery time** — seconds after the fault *ends* until the bucketed
   USM re-enters the pre-fault band and stays there for
-  ``settle_buckets`` consecutive buckets (None when it never settles).
+  ``SETTLE_BUCKETS`` consecutive buckets (None when it never settles).
 
 Everything is computed from the immutable record list — no simulator
 state — so the metrics work identically for UNIT and the baseline
@@ -28,23 +28,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.usm import PenaltyProfile
 from repro.db.transactions import QueryRecord
 from repro.faults.scenario import FaultScenario, FaultWindow
+from repro.sim.stats import ordered_sum
 
-#: Default bucket width (seconds of sim time per USM sample).
-DEFAULT_BUCKET = 5.0
+#: Bucket width (seconds of sim time per USM sample).
+BUCKET = 5.0
 
-#: Default tolerance band around the pre-fault baseline, as a fraction
-#: of the profile's attainable USM range.
-DEFAULT_BAND_FRACTION = 0.05
+#: Tolerance band around the pre-fault baseline, as a fraction of the
+#: profile's attainable USM range.
+BAND_FRACTION = 0.05
 
 #: Buckets the series must stay in-band for recovery to count.
-DEFAULT_SETTLE_BUCKETS = 2
+SETTLE_BUCKETS = 2
 
 
 def usm_time_series(
     records: Sequence[QueryRecord],
     profile: PenaltyProfile,
     horizon: float,
-    bucket: float = DEFAULT_BUCKET,
 ) -> List[Tuple[float, Optional[float]]]:
     """Bucketed average USM: ``[(bucket_start, usm-or-None), ...]``.
 
@@ -53,15 +53,13 @@ def usm_time_series(
     the horizon (the drain window) land in the final bucket row so late
     outcomes still count.
     """
-    if bucket <= 0:
-        raise ValueError("bucket must be positive")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    n_buckets = max(1, int(horizon / bucket + 0.999999))
+    n_buckets = max(1, int(horizon / BUCKET + 0.999999))
     sums = [0.0] * n_buckets
     counts = [0] * n_buckets
     for record in records:
-        index = int(record.finish_time / bucket)
+        index = int(record.finish_time / BUCKET)
         if index >= n_buckets:
             index = n_buckets - 1
         sums[index] += profile.contribution(record.outcome)
@@ -69,7 +67,7 @@ def usm_time_series(
     series: List[Tuple[float, Optional[float]]] = []
     for index in range(n_buckets):
         value = sums[index] / counts[index] if counts[index] else None
-        series.append((index * bucket, value))
+        series.append((index * BUCKET, value))
     return series
 
 
@@ -86,15 +84,13 @@ def _baseline(
         values = [value for _, value in series if value is not None]
     if not values:
         return None
-    return sum(values) / len(values)
+    return ordered_sum(values) / len(values)
 
 
 def _window_metrics(
     window: FaultWindow,
     series: Sequence[Tuple[float, Optional[float]]],
-    bucket: float,
     band: float,
-    settle_buckets: int,
 ) -> Dict[str, object]:
     baseline = _baseline(series, window.start)
     out: Dict[str, object] = {
@@ -116,21 +112,21 @@ def _window_metrics(
     after_start = [
         (start, value)
         for start, value in series
-        if start + bucket > window.start and value is not None
+        if start + BUCKET > window.start and value is not None
     ]
     if after_start:
         min_usm = min(value for _, value in after_start)
         out["min_usm"] = min_usm
         out["dip_depth"] = max(0.0, baseline - min_usm)
-        out["time_below"] = bucket * sum(
+        out["time_below"] = BUCKET * sum(
             1 for _, value in after_start if value < floor
         )
 
     # Recovery: first bucket at/after the fault end from which the
-    # series stays in-band for `settle_buckets` consecutive non-empty
+    # series stays in-band for `SETTLE_BUCKETS` consecutive non-empty
     # buckets.
     post = [
-        (start, value) for start, value in series if start + bucket > window.end
+        (start, value) for start, value in series if start + BUCKET > window.end
     ]
     run = 0
     recovered_at: Optional[float] = None
@@ -141,7 +137,7 @@ def _window_metrics(
             if run == 0:
                 recovered_at = start
             run += 1
-            if run >= settle_buckets:
+            if run >= SETTLE_BUCKETS:
                 out["recovery_time"] = max(0.0, recovered_at - window.end)
                 break
         else:
@@ -155,37 +151,27 @@ def degradation_metrics(
     profile: PenaltyProfile,
     scenario: FaultScenario,
     horizon: float,
-    bucket: float = DEFAULT_BUCKET,
-    band: Optional[float] = None,
-    settle_buckets: int = DEFAULT_SETTLE_BUCKETS,
 ) -> Dict[str, object]:
     """Per-fault-window degradation metrics for one run.
+
+    The tolerance band around each baseline is ``BAND_FRACTION`` of the
+    profile's USM range.
 
     Args:
         records: The run's complete query records
             (``ExperimentConfig.keep_records=True``).
-        profile: The system penalty profile (per-record profiles, when
-            present, take precedence — matching the USM accounting).
+        profile: The run's penalty profile.
         scenario: The injected scenario; one metrics row per window.
         horizon: The run's trace horizon.
-        bucket: USM sampling bucket width (seconds).
-        band: Absolute tolerance around the baseline; defaults to
-            ``DEFAULT_BAND_FRACTION`` of the profile's USM range.
-        settle_buckets: Consecutive in-band buckets required to declare
-            recovery.
     """
-    if band is None:
-        band = DEFAULT_BAND_FRACTION * profile.usm_range
-    series = usm_time_series(records, profile, horizon, bucket=bucket)
-    windows = [
-        _window_metrics(window, series, bucket, band, settle_buckets)
-        for window in scenario.timeline()
-    ]
+    band = BAND_FRACTION * profile.usm_range
+    series = usm_time_series(records, profile, horizon)
+    windows = [_window_metrics(window, series, band) for window in scenario.timeline()]
     return {
         "scenario": scenario.name,
-        "bucket_seconds": bucket,
+        "bucket_seconds": BUCKET,
         "band": band,
-        "settle_buckets": settle_buckets,
+        "settle_buckets": SETTLE_BUCKETS,
         "windows": windows,
         "usm_series": [
             {"t": start, "usm": value} for start, value in series

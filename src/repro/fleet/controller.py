@@ -23,6 +23,20 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.trace import Recorder
+from repro.sim.stats import ordered_sum
+
+#: Gain of the factor on a shard's miss and reject excess over the
+#: fleet mean.
+_ETA = 0.25
+#: Bounds of the ``C_flex`` factor.  They bracket 1.0, so a lone
+#: shard's exact 1.0 survives the clamp.  Each ratio lies in [0, 1], so
+#: at ``_ETA`` = 0.25 the factor stays inside (0.5, 1.5) and the clamp
+#: never binds.
+_FLEX_LO = 0.5
+_FLEX_HI = 2.0
+#: Miss excess over the fleet mean past which a shard also gets a
+#: Degrade-Update nudge (or, below its negative, an Upgrade).
+_MODULATE_THRESHOLD = 0.15
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,22 +90,7 @@ class Directive:
 class GlobalCoordinator:
     """Plans per-shard directives from fleet-wide epoch summaries."""
 
-    def __init__(
-        self,
-        eta: float = 0.25,
-        flex_lo: float = 0.5,
-        flex_hi: float = 2.0,
-        modulate_threshold: float = 0.15,
-        recorder: Optional[Recorder] = None,
-    ) -> None:
-        if eta < 0:
-            raise ValueError("eta must be non-negative")
-        if not 0 < flex_lo <= 1.0 <= flex_hi:
-            raise ValueError("flex bounds must bracket 1.0")
-        self.eta = eta
-        self.flex_lo = flex_lo
-        self.flex_hi = flex_hi
-        self.modulate_threshold = modulate_threshold
+    def __init__(self, recorder: Optional[Recorder] = None) -> None:
         self.recorder = recorder
         self.plans = 0
 
@@ -107,8 +106,8 @@ class GlobalCoordinator:
             return []
         self.plans += 1
         n = len(summaries)
-        mean_miss = sum(s.miss_ratio for s in summaries) / n
-        mean_reject = sum(s.reject_ratio for s in summaries) / n
+        mean_miss = ordered_sum(s.miss_ratio for s in summaries) / n
+        mean_reject = ordered_sum(s.reject_ratio for s in summaries) / n
 
         directives: List[Directive] = []
         for summary in sorted(summaries, key=lambda s: s.shard_id):
@@ -116,12 +115,12 @@ class GlobalCoordinator:
             reject_excess = summary.reject_ratio - mean_reject
             # With one shard both excesses are exactly 0.0, the factor
             # is exactly 1.0, and the clamp (bracketing 1.0) keeps it.
-            factor = 1.0 + self.eta * miss_excess - self.eta * reject_excess
-            factor = min(self.flex_hi, max(self.flex_lo, factor))
+            factor = 1.0 + _ETA * miss_excess - _ETA * reject_excess
+            factor = min(_FLEX_HI, max(_FLEX_LO, factor))
             modulate: Optional[str] = None
-            if miss_excess > self.modulate_threshold:
+            if miss_excess > _MODULATE_THRESHOLD:
                 modulate = "degrade"
-            elif miss_excess < -self.modulate_threshold and summary.deltas.get(
+            elif miss_excess < -_MODULATE_THRESHOLD and summary.deltas.get(
                 "rejected", 0
             ) == 0:
                 modulate = "upgrade"

@@ -49,6 +49,10 @@ ROUTER_POLICIES: Tuple[str, ...] = (
     "freshness",
 )
 
+#: Width in seconds of the sliding window of routed work that
+#: ``least-loaded`` and ``freshness`` compare shards by.
+_LOAD_WINDOW = 30.0
+
 
 @dataclasses.dataclass
 class RoutingPlan:
@@ -152,9 +156,8 @@ def route_queries(
     query_trace: QueryTrace,
     update_trace: UpdateTrace,
     partition: Partition,
-    policy: str = "primary",
-    replica_lag: float = 5.0,
-    load_window: float = 30.0,
+    policy: str,
+    replica_lag: float,
     recorder: Optional[Recorder] = None,
 ) -> RoutingPlan:
     """Assign every query of ``query_trace`` to one shard.
@@ -178,7 +181,7 @@ def route_queries(
             for shard in hosts[item.item_id]:
                 update_rate[shard] += demand
     tracker = _LoadTracker(
-        n_shards, load_window, [rate * load_window for rate in update_rate]
+        n_shards, _LOAD_WINDOW, [rate * _LOAD_WINDOW for rate in update_rate]
     )
     estimator = _StalenessEstimator(update_trace, replica_lag)
 

@@ -25,7 +25,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro.experiments.config import ExperimentConfig
-from repro.faults.scenario import FaultScenario
 from repro.fleet.controller import Directive, EpochSummary, GlobalCoordinator
 from repro.fleet.partition import build_partition
 from repro.fleet.procs import ShardProcessPool
@@ -46,15 +45,12 @@ class FleetConfig:
     partition_strategy: str = "block"
     router_policy: str = "primary"
     replica_lag: float = 5.0
-    load_window: float = 30.0
     sync_period: float = 20.0
     coordinate: bool = True
-    eta: float = 0.25
     #: 0 = serial in-process shards; >= 1 = one OS process per shard
     #: (the value is a flag, not a pool size — shard count fixes the
     #: process count).
     workers: int = 0
-    shard_faults: Optional[Dict[int, FaultScenario]] = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -95,7 +91,6 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
         partition,
         policy=fleet.router_policy,
         replica_lag=fleet.replica_lag,
-        load_window=fleet.load_window,
         recorder=recorder,
     )
     specs = build_shard_specs(
@@ -105,10 +100,9 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
         query_trace,
         update_trace,
         replica_lag=fleet.replica_lag,
-        shard_faults=fleet.shard_faults,
     )
 
-    coordinator = GlobalCoordinator(eta=fleet.eta, recorder=recorder)
+    coordinator = GlobalCoordinator(recorder=recorder)
     rebalances: List[Dict[str, object]] = []
     horizon = base.scale.horizon
     epochs = max(1, math.ceil(horizon / fleet.sync_period))

@@ -33,7 +33,6 @@ from repro.workload.queries import QuerySpec, QueryTrace
 from repro.workload.updates import ItemUpdateSpec, UpdateTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from repro.faults.scenario import FaultScenario
     from repro.fleet.partition import Partition
     from repro.fleet.router import RoutingPlan
 
@@ -117,8 +116,7 @@ def build_shard_specs(
     plan: "RoutingPlan",
     query_trace: QueryTrace,
     update_trace: UpdateTrace,
-    replica_lag: float = 5.0,
-    shard_faults: Optional[Dict[int, "FaultScenario"]] = None,
+    replica_lag: float,
 ) -> List[ShardSpec]:
     """Split the global workload into one self-contained spec per shard.
 
@@ -184,14 +182,10 @@ def build_shard_specs(
             queries=shard_queries,
         )
 
-        faults = base.faults
-        if shard_faults is not None and shard in shard_faults:
-            faults = shard_faults[shard]  # type: ignore[assignment]
         config = dataclasses.replace(
             base,
             seed=derive_seed(base.seed, f"fleet-shard-{shard}"),
             scale=dataclasses.replace(base.scale, n_items=len(hosted)),
-            faults=faults,
         )
         specs.append(
             ShardSpec(

@@ -10,6 +10,21 @@ import math
 from typing import Dict, Iterable, Optional
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right with plain float additions.
+
+    This is what built-in ``sum()`` computes up to Python 3.11.  From
+    3.12, ``sum()`` compensates float rounding (Neumaier), which can
+    change the last bits, so every float sum that reaches a report, a
+    trace or a generated workload goes through here instead: the bits
+    then do not depend on the interpreter version.
+    """
+    total: float = 0
+    for value in values:
+        total += value
+    return total
+
+
 class OnlineStats:
     """Streaming count/mean/variance/min/max (Welford's algorithm)."""
 

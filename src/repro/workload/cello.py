@@ -13,8 +13,8 @@ with the same consumed statistics:
   (flash crowds — the overload scenario Section 1 motivates);
 * **regions** drawn from a shuffled Zipf histogram over ``n_items``
   regions (heavy skew, hot set not at id 0);
-* **service times** lognormal with configurable mean and coefficient
-  of variation (right-skewed like disk response times).
+* **service times** lognormal with configurable mean and a coefficient
+  of variation of 1 (right-skewed like disk response times).
 
 Scale (horizon, rate) is configurable so unit tests run in milliseconds
 while full experiment runs reach the paper's load regimes.
@@ -34,6 +34,11 @@ from repro.workload.distributions import (
 )
 
 
+# Coefficient of variation of read service times: lognormal with cv
+# around 1 is the conventional stand-in for disk response times.
+_SERVICE_CV = 1.0
+
+
 @dataclasses.dataclass(frozen=True)
 class ReadRecord:
     """One read from the (synthetic) disk trace."""
@@ -47,28 +52,29 @@ class ReadRecord:
 class CelloConfig:
     """Shape parameters of the synthetic trace.
 
+    The one caller, :func:`repro.experiments.runner.build_query_workload`,
+    fills every field from the experiment's config.
+
     Attributes:
         horizon: Trace length in seconds.
         n_items: Number of logical regions (paper: 1024).
         query_utilization: Long-run fraction of the CPU the read
             service times demand; arrival rate is derived from it.
         mean_service: Mean read service time (seconds).
-        service_cv: Coefficient of variation of service times.
         zipf_skew: Skew of the region-access histogram.
         burst_factor: Rate multiplier inside a flash crowd.
         normal_dwell: Mean seconds between flash crowds.
         burst_dwell: Mean flash-crowd duration in seconds.
     """
 
-    horizon: float = 3000.0
-    n_items: int = 1024
-    query_utilization: float = 0.5
-    mean_service: float = 0.05
-    service_cv: float = 1.0
-    zipf_skew: float = 0.9
-    burst_factor: float = 4.0
-    normal_dwell: float = 120.0
-    burst_dwell: float = 20.0
+    horizon: float
+    n_items: int
+    query_utilization: float
+    mean_service: float
+    zipf_skew: float
+    burst_factor: float
+    normal_dwell: float
+    burst_dwell: float
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -119,7 +125,7 @@ def generate_cello_trace(config: CelloConfig, streams: RandomStreams) -> List[Re
         ReadRecord(
             arrival=arrival,
             service_time=lognormal_from_mean_cv(
-                config.mean_service, config.service_cv, service_rng
+                config.mean_service, _SERVICE_CV, service_rng
             ),
             region=sampler.sample(region_rng),
         )

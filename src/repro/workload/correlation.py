@@ -15,6 +15,8 @@ import math
 import random
 from typing import List, Sequence
 
+from repro.sim.stats import ordered_sum
+
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient.
@@ -26,11 +28,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("vectors must have equal length")
     if n < 2:
         return 0.0
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    mean_x = ordered_sum(xs) / n
+    mean_y = ordered_sum(ys) / n
+    cov = ordered_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var_x = ordered_sum((x - mean_x) ** 2 for x in xs)
+    var_y = ordered_sum((y - mean_y) ** 2 for y in ys)
     if var_x <= 0 or var_y <= 0:
         return 0.0
     return cov / math.sqrt(var_x * var_y)
@@ -38,9 +40,9 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def _standardize(values: Sequence[float]) -> List[float]:
     n = len(values)
-    mean = sum(values) / n
+    mean = ordered_sum(values) / n
     centered = [value - mean for value in values]
-    norm = math.sqrt(sum(value * value for value in centered))
+    norm = math.sqrt(ordered_sum(value * value for value in centered))
     if norm == 0:
         raise ValueError("reference vector is constant; correlation is undefined")
     return [value / norm for value in centered]
@@ -80,11 +82,11 @@ def correlated_weights(
 
     # Draw noise, center it, remove its projection on z, normalize.
     noise = [rng.gauss(0.0, 1.0) for _ in range(n)]
-    mean_noise = sum(noise) / n
+    mean_noise = ordered_sum(noise) / n
     noise = [value - mean_noise for value in noise]
-    dot = sum(nv * zv for nv, zv in zip(noise, z))
+    dot = ordered_sum(nv * zv for nv, zv in zip(noise, z))
     noise = [nv - dot * zv for nv, zv in zip(noise, z)]
-    norm = math.sqrt(sum(value * value for value in noise))
+    norm = math.sqrt(ordered_sum(value * value for value in noise))
     if norm == 0:  # astronomically unlikely; retry deterministically
         return correlated_weights(reference, rho, rng)
     noise = [value / norm for value in noise]

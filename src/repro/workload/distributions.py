@@ -10,20 +10,23 @@ import math
 import random
 from typing import List
 
+from repro.sim.stats import ordered_sum
+
 
 def zipf_weights(n: int, skew: float) -> List[float]:
     """Normalized Zipf(``skew``) weights over ranks ``1..n``.
 
     ``skew = 0`` degenerates to uniform; larger skews concentrate mass
     on low ranks.  The cello trace's region-access histogram (paper
-    Fig. 3(a)) is heavily skewed; we model it with skew around 0.9.
+    Fig. 3(a)) is heavily skewed; the experiments model it with skew
+    1.3 (``ExperimentConfig.zipf_skew``).
     """
     if n <= 0:
         raise ValueError("n must be positive")
     if skew < 0:
         raise ValueError("skew must be non-negative")
     raw = [1.0 / (rank ** skew) for rank in range(1, n + 1)]
-    total = sum(raw)
+    total = ordered_sum(raw)
     return [weight / total for weight in raw]
 
 

@@ -25,6 +25,7 @@ import dataclasses
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import ordered_sum
 from repro.workload.queries import QuerySpec, QueryTrace
 from repro.workload.updates import ItemUpdateSpec, UpdateTrace
 
@@ -63,7 +64,7 @@ class ExplicitUpdateTrace(UpdateTrace):
         if self.horizon <= 0:
             return 0.0
         exec_by_item = [item.exec_time for item in self.items]
-        demand = sum(exec_by_item[item_id] for _, item_id in self.events)
+        demand = ordered_sum(exec_by_item[item_id] for _, item_id in self.events)
         return demand / self.horizon
 
 

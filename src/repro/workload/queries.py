@@ -12,7 +12,11 @@ import dataclasses
 from typing import List, Sequence, Tuple
 
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import ordered_sum
 from repro.workload.cello import ReadRecord
+
+# ``qf_i`` of every generated query (paper §4.1: 90 %).
+_FRESHNESS_REQ = 0.9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,7 +61,7 @@ class QueryTrace:
         """CPU demand of the query workload as a fraction of the horizon."""
         if self.horizon <= 0:
             return 0.0
-        return sum(query.exec_time for query in self.queries) / self.horizon
+        return ordered_sum(query.exec_time for query in self.queries) / self.horizon
 
 
 def deadline_range(exec_times: Sequence[float]) -> Tuple[float, float]:
@@ -70,7 +74,7 @@ def deadline_range(exec_times: Sequence[float]) -> Tuple[float, float]:
     """
     if not exec_times:
         raise ValueError("cannot derive deadlines from an empty trace")
-    mean = sum(exec_times) / len(exec_times)
+    mean = ordered_sum(exec_times) / len(exec_times)
     high = 3.0 * mean
     return mean, max(high, mean * 1.001)
 
@@ -80,7 +84,6 @@ def build_query_trace(
     n_items: int,
     streams: RandomStreams,
     horizon: float,
-    freshness_req: float = 0.9,
     items_per_query: int = 1,
     name: str = "cello-like",
 ) -> QueryTrace:
@@ -92,7 +95,6 @@ def build_query_trace(
         streams: Random streams (uses the ``query-deadlines`` and
             ``query-extra-items`` substreams).
         horizon: Trace horizon (for utilization accounting).
-        freshness_req: ``qf_i`` for all queries (paper: 0.9).
         items_per_query: Number of distinct items each query reads; the
             trace region is always included, extras are drawn from the
             empirical region distribution (multi-item queries are an
@@ -131,7 +133,7 @@ def build_query_trace(
                 items=tuple(items),
                 exec_time=exec_time,
                 relative_deadline=deadline,
-                freshness_req=freshness_req,
+                freshness_req=_FRESHNESS_REQ,
             )
         )
     return QueryTrace(name=name, horizon=horizon, n_items=n_items, queries=queries)

@@ -21,6 +21,7 @@ import dataclasses
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import ordered_sum
 from repro.workload.correlation import correlated_weights
 from repro.workload.distributions import lognormal_from_mean_cv
 
@@ -43,6 +44,9 @@ VOLUME_UTILIZATION: Dict[str, float] = {"low": 0.15, "med": 0.75, "high": 1.50}
 PAPER_TOTALS: Dict[str, int] = {"low": 6144, "med": 30000, "high": 60000}
 
 CORRELATIONS: Dict[str, float] = {"unif": 0.0, "pos": 0.8, "neg": -0.8}
+
+# Coefficient of variation of per-item update execution times.
+_EXEC_CV = 0.5
 
 STANDARD_UPDATE_TRACES: Dict[str, UpdateTraceSpec] = {
     f"{volume}-{corr}": UpdateTraceSpec(
@@ -100,7 +104,7 @@ class UpdateTrace:
         """Actual CPU demand as a fraction of the horizon."""
         if self.horizon <= 0:
             return 0.0
-        demand = sum(item.count * item.exec_time for item in self.items)
+        demand = ordered_sum(item.count * item.exec_time for item in self.items)
         return demand / self.horizon
 
     def per_item_counts(self) -> List[int]:
@@ -117,7 +121,7 @@ class UpdateTrace:
 
 def _largest_remainder_counts(weights: Sequence[float], total: int) -> List[int]:
     """Apportion ``total`` integer counts proportionally to ``weights``."""
-    weight_sum = sum(weights)
+    weight_sum = ordered_sum(weights)
     if weight_sum <= 0:
         raise ValueError("weights must not all be zero")
     raw = [total * weight / weight_sum for weight in weights]
@@ -136,8 +140,7 @@ def build_update_trace(
     query_access_counts: Sequence[int],
     horizon: float,
     streams: RandomStreams,
-    mean_exec: float = 0.03,
-    exec_cv: float = 0.5,
+    mean_exec: float,
 ) -> UpdateTrace:
     """Build an update trace hitting ``spec.utilization`` on ``horizon``.
 
@@ -149,7 +152,6 @@ def build_update_trace(
         streams: Random streams (substreams ``update-<name>-*``).
         mean_exec: Mean per-update execution time (the stand-in for
             cello99a write response times).
-        exec_cv: Coefficient of variation of execution times.
     """
     n_items = len(query_access_counts)
     if n_items == 0:
@@ -166,16 +168,16 @@ def build_update_trace(
         weights = correlated_weights([float(c) for c in query_access_counts], rho, weight_rng)
 
     exec_times = [
-        lognormal_from_mean_cv(mean_exec, exec_cv, exec_rng) for _ in range(n_items)
+        lognormal_from_mean_cv(mean_exec, _EXEC_CV, exec_rng) for _ in range(n_items)
     ]
 
     # Scale total count so the aggregate CPU demand hits the target:
     # counts ∝ weights, and sum(count_j * exec_j) = utilization * horizon.
-    demand_per_unit = sum(w * e for w, e in zip(weights, exec_times))
+    demand_per_unit = ordered_sum(w * e for w, e in zip(weights, exec_times))
     if demand_per_unit <= 0:
         raise ValueError("degenerate weights/exec-times combination")
     scale = spec.utilization * horizon / demand_per_unit
-    total = max(1, round(scale * sum(weights)))
+    total = max(1, round(scale * ordered_sum(weights)))
     counts = _largest_remainder_counts(weights, total)
 
     items: List[ItemUpdateSpec] = []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.baselines import ImuPolicy, OduPolicy
-from repro.core.qmf import QmfConfig, QmfPolicy
+from repro.core.qmf import QmfPolicy
 from repro.core.unit import UnitConfig, UnitPolicy
 from repro.core.usm import PenaltyProfile
 from repro.db.items import ItemTable
@@ -41,6 +41,26 @@ def feed_query(sim, server, arrival, exec_time=0.2, deadline=5.0, items=(0,)):
         arrival, lambda: server.submit_query(txn), priority=ARRIVAL_EVENT_PRIORITY
     )
     return txn
+
+
+def _stale_item_with_two_readers(policy):
+    """Drive the stale-at-read hook directly, with the refresh still
+    pending between the two calls (no simulation run)."""
+    sim, server = build(policy, update_exec=1.0)
+    server.items[0].record_arrival()
+    server.items[0].record_drop()
+
+    def reader(txn_id):
+        return QueryTransaction(
+            txn_id=txn_id,
+            arrival=2.0,
+            exec_time=0.2,
+            items=(0,),
+            relative_deadline=10.0,
+        )
+
+    assert policy.on_query_stale_at_read(reader(100), server)
+    assert policy.on_query_stale_at_read(reader(101), server)
 
 
 class TestImu:
@@ -96,41 +116,22 @@ class TestOdu:
         sim.run()
         assert policy.refreshes_spawned == 0
 
-    def _stale_item_with_two_readers(self, policy):
-        """Drive the stale-at-read hook directly, with the refresh still
-        pending between the two calls (no simulation run)."""
-        sim, server = build(policy, update_exec=1.0)
-        server.items[0].record_arrival()
-        server.items[0].record_drop()
-
-        def reader(txn_id):
-            return QueryTransaction(
-                txn_id=txn_id,
-                arrival=2.0,
-                exec_time=0.2,
-                items=(0,),
-                relative_deadline=10.0,
-            )
-
-        assert policy.on_query_stale_at_read(reader(100), server)
-        assert policy.on_query_stale_at_read(reader(101), server)
-
-    def test_dedup_attaches_second_reader_to_pending_refresh(self):
-        policy = OduPolicy(dedup=True)
-        self._stale_item_with_two_readers(policy)
-        assert policy.refreshes_spawned == 1
-        assert policy.refreshes_shared == 1
-
     def test_without_dedup_each_stale_reader_spawns_a_refresh(self):
-        policy = OduPolicy(dedup=False)
-        self._stale_item_with_two_readers(policy)
+        policy = OduPolicy()
+        _stale_item_with_two_readers(policy)
         assert policy.refreshes_spawned == 2
         assert policy.refreshes_shared == 0
 
 
 class TestQmf:
+    def test_dedup_attaches_second_reader_to_pending_refresh(self):
+        policy = QmfPolicy()
+        _stale_item_with_two_readers(policy)
+        assert policy.refreshes_spawned == 1
+        assert policy.refreshes_shared == 1
+
     def test_flexible_set_ranked_by_access_update_ratio(self):
-        policy = QmfPolicy(QmfConfig(control_period=1.0))
+        policy = QmfPolicy()
         sim, server = build(policy)
         # Item 0: hot updates, no accesses -> lowest ratio, first flexible.
         feed_updates(sim, server, 0, [0.1, 0.3, 0.7, 1.1, 1.3])
@@ -142,12 +143,16 @@ class TestQmf:
         assert 1 not in policy._flexible
 
     def test_quota_rejection(self):
-        policy = QmfPolicy(QmfConfig(initial_backlog_quota=0.1))
+        policy = QmfPolicy()
         sim, server = build(policy)
-        feed_query(sim, server, 1.0, exec_time=0.5, deadline=50.0)
-        feed_query(sim, server, 1.01, exec_time=0.5, deadline=50.0)
+        # The first query runs; the second queues 3 s of work behind
+        # it, which the 5 s starting quota still admits; the third
+        # finds about 6 s outstanding and is turned away.
+        for arrival in (1.0, 1.01, 1.02):
+            feed_query(sim, server, arrival, exec_time=3.0, deadline=50.0)
         sim.run(until=3.0)
-        assert policy.rejections_quota >= 1
+        assert policy.rejections_quota == 1
+        assert policy.rejections_feasibility == 0
 
     def test_feasibility_rejection(self):
         policy = QmfPolicy()
@@ -167,23 +172,8 @@ class TestQmf:
         sim.run(until=2.0)
         assert policy._database_freshness() == pytest.approx(0.75)
 
-    def test_qmf1_variant_serves_stale_flexible_items(self):
-        """QMF-1 drops updates on flexible items without on-demand
-        refresh: a query reading one takes the DSF."""
-        policy = QmfPolicy(QmfConfig(on_demand_flexible=False))
-        sim, server = build(policy)
-        policy.flex_fraction = 1.0
-        sim.run(until=0.1)
-        policy._refresh_flexible_set()
-        feed_updates(sim, server, 0, [0.5])  # dropped (flexible)
-        txn = feed_query(sim, server, 2.0)
-        sim.run(until=4.0)
-        record = next(r for r in server.records if r.txn_id == txn.txn_id)
-        assert record.outcome is Outcome.DATA_STALE
-        assert server.items[0].updates_executed == 0
-
     def test_qmf2_variant_refreshes_flexible_items(self):
-        policy = QmfPolicy(QmfConfig(on_demand_flexible=True))
+        policy = QmfPolicy()
         sim, server = build(policy)
         policy.flex_fraction = 1.0
         sim.run(until=0.1)
@@ -196,39 +186,47 @@ class TestQmf:
         assert server.items[0].updates_executed == 1
 
     def test_controller_grows_quota_when_idle_and_fresh(self):
-        policy = QmfPolicy(QmfConfig(control_period=1.0))
+        policy = QmfPolicy()
         sim, server = build(policy)
         before = policy.backlog_quota
-        sim.run(until=3.5)  # idle CPU, everything fresh
-        assert policy.backlog_quota > before
-        assert policy.control_ticks >= 3
+        sim.run(until=15.5)  # idle CPU, everything fresh: ticks at 5, 10, 15
+        assert policy.backlog_quota == pytest.approx(before * 1.05**3)
+        assert policy.control_ticks == 3
+
+    def overload(self, horizon):
+        """Saturate the CPU past the 90 % utilization set-point with
+        updates (2 s of update work per second) and make tight-deadline
+        queries miss, far above the 1 % miss-ratio target."""
+        policy = QmfPolicy()
+        sim, server = build(policy, update_exec=0.4)
+        for k in range(int(horizon / 0.2)):
+            feed_updates(sim, server, k % 4, [0.05 + 0.2 * k])
+        for i in range(int(horizon / 0.3)):
+            feed_query(sim, server, 0.3 * i, exec_time=0.1, deadline=0.3)
+        return policy, sim
 
     def test_controller_shrinks_quota_under_miss_pressure(self):
-        policy = QmfPolicy(QmfConfig(control_period=1.0, freshness_target=0.99))
-        sim, server = build(policy, update_exec=0.4)
-        # Saturate with updates (freshness stays below the 99% target,
-        # so the overload branch sheds load via the quota).
-        for k in range(30):
-            feed_updates(sim, server, k % 4, [0.05 + 0.2 * k])
-        for i in range(15):
-            feed_query(sim, server, 0.3 * i, exec_time=0.1, deadline=0.3)
+        policy, sim = self.overload(horizon=21.0)
         before = policy.backlog_quota
-        sim.run(until=8.0)
+        # Ticks at 5 and 10 find every item fresh (above the 90 %
+        # target), so they move the flexible fraction to 0.2, which
+        # makes one of the four items flexible.  Its dropped updates
+        # take database freshness to 75 %, so the overload branch sheds
+        # load via the quota from then on.
+        sim.run(until=21.0)
+        assert policy.flex_fraction == pytest.approx(0.2)
         assert policy.backlog_quota < before
 
     def test_controller_degrades_updates_when_overloaded_but_fresh(self):
-        policy = QmfPolicy(
-            QmfConfig(control_period=1.0, freshness_target=0.1, miss_ratio_target=0.01)
-        )
-        sim, server = build(policy, update_exec=0.4)
-        for k in range(30):
-            feed_updates(sim, server, k % 4, [0.05 + 0.2 * k])
-        for i in range(15):
-            feed_query(sim, server, 0.3 * i, exec_time=0.1, deadline=0.3)
-        sim.run(until=8.0)
-        # Freshness target is trivially met, so overload moves the
-        # flexible-freshness fraction instead of the quota.
-        assert policy.flex_fraction > 0.0
+        policy, sim = self.overload(horizon=6.0)
+        before = policy.backlog_quota
+        sim.run(until=6.0)
+        # The first tick (t = 5) finds every item fresh, above the 90 %
+        # target, so overload moves the flexible-freshness fraction
+        # instead of the quota.
+        assert policy.control_ticks == 1
+        assert policy.flex_fraction == pytest.approx(0.1)
+        assert policy.backlog_quota == before
 
 
 class TestUnit:

@@ -153,6 +153,7 @@ class TestValidateTrace:
             [5] * 32,
             horizon=200.0,
             streams=RandomStreams(3),
+            mean_exec=0.15,
         )
         # CPU demand within 10% of the target utilization.
         target = trace.target_utilization

@@ -42,7 +42,7 @@ def scenario(start=40.0, end=60.0):
 class TestUsmTimeSeries:
     def test_buckets_average_contributions(self):
         records = successes([1.0, 2.0]) + misses([7.0])
-        series = usm_time_series(records, NAIVE, horizon=20.0, bucket=5.0)
+        series = usm_time_series(records, NAIVE, horizon=20.0)
         assert [t for t, _ in series] == [0.0, 5.0, 10.0, 15.0]
         assert series[0][1] == pytest.approx(1.0)
         assert series[1][1] == pytest.approx(0.0)
@@ -51,13 +51,13 @@ class TestUsmTimeSeries:
 
     def test_late_finishers_land_in_the_last_bucket(self):
         series = usm_time_series(
-            successes([25.0]), NAIVE, horizon=20.0, bucket=5.0
+            successes([25.0]), NAIVE, horizon=20.0
         )
         assert series[-1][1] == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            usm_time_series([], NAIVE, horizon=20.0, bucket=0.0)
+            usm_time_series([], NAIVE, horizon=-5.0)
         with pytest.raises(ValueError):
             usm_time_series([], NAIVE, horizon=0.0)
 
@@ -72,7 +72,7 @@ class TestDegradationMetrics:
             + successes([62.0, 67.0, 72.0, 77.0, 82.0, 87.0])
         )
         out = degradation_metrics(
-            records, NAIVE, scenario(), horizon=90.0, bucket=5.0
+            records, NAIVE, scenario(), horizon=90.0
         )
         window = out["windows"][0]
         assert window["label"] == "server-slowdown-0"
@@ -90,7 +90,7 @@ class TestDegradationMetrics:
             + successes([72.0, 77.0, 82.0, 87.0])
         )
         out = degradation_metrics(
-            records, NAIVE, scenario(), horizon=90.0, bucket=5.0
+            records, NAIVE, scenario(), horizon=90.0
         )
         window = out["windows"][0]
         # In-band again from the t=70 bucket; the fault ended at 60.
@@ -102,13 +102,13 @@ class TestDegradationMetrics:
             [45.0, 55.0, 65.0, 75.0, 85.0]
         )
         out = degradation_metrics(
-            records, NAIVE, scenario(), horizon=90.0, bucket=5.0
+            records, NAIVE, scenario(), horizon=90.0
         )
         assert out["windows"][0]["recovery_time"] is None
 
     def test_single_inband_bucket_does_not_count_as_settled(self):
         # One good bucket sandwiched between bad ones must not satisfy
-        # the settle requirement (settle_buckets=2).
+        # the settle requirement (SETTLE_BUCKETS = 2).
         records = (
             successes([t + 0.5 for t in range(0, 40, 2)])
             + misses([45.0, 55.0, 65.0])
@@ -116,7 +116,7 @@ class TestDegradationMetrics:
             + misses([77.0, 82.0, 87.0])
         )
         out = degradation_metrics(
-            records, NAIVE, scenario(), horizon=90.0, bucket=5.0
+            records, NAIVE, scenario(), horizon=90.0
         )
         assert out["windows"][0]["recovery_time"] is None
 
@@ -129,7 +129,7 @@ class TestDegradationMetrics:
             + successes([87.0])  # ... still in band: settled
         )
         out = degradation_metrics(
-            records, NAIVE, scenario(), horizon=90.0, bucket=5.0
+            records, NAIVE, scenario(), horizon=90.0
         )
         assert out["windows"][0]["recovery_time"] == pytest.approx(0.0)
 
@@ -140,7 +140,7 @@ class TestDegradationMetrics:
 
     def test_payload_shape(self):
         out = degradation_metrics(
-            successes([1.0]), NAIVE, scenario(), horizon=20.0, bucket=5.0
+            successes([1.0]), NAIVE, scenario(), horizon=20.0
         )
         assert out["scenario"] == "s"
         assert len(out["usm_series"]) == 4

@@ -24,8 +24,12 @@ BASE = ExperimentConfig(
 def two_shard_specs():
     query_trace, update_trace = get_workload(BASE)
     partition = build_partition(BASE.scale.n_items, 2)
-    plan = route_queries(query_trace, update_trace, partition)
-    return build_shard_specs(BASE, partition, plan, query_trace, update_trace)
+    plan = route_queries(
+        query_trace, update_trace, partition, policy="primary", replica_lag=5.0
+    )
+    return build_shard_specs(
+        BASE, partition, plan, query_trace, update_trace, replica_lag=5.0
+    )
 
 
 class TestWorkerDeath:

@@ -9,6 +9,7 @@ from repro.workload.queries import QuerySpec, QueryTrace
 from repro.workload.updates import ItemUpdateSpec, UpdateTrace
 
 HORIZON = 100.0
+LAG = 5.0  # FleetConfig.replica_lag
 
 
 def query(arrival, items, exec_time=0.1, deadline=5.0, freshness=0.9):
@@ -44,14 +45,14 @@ class TestPrimaryPolicy:
     def test_routes_to_primary_of_first_item(self):
         part = build_partition(4, 2, strategy="mod")  # item i -> shard i%2
         qt, ut = make_traces([query(1.0, [2]), query(2.0, [1]), query(3.0, [3])])
-        plan = route_queries(qt, ut, part, policy="primary")
+        plan = route_queries(qt, ut, part, policy="primary", replica_lag=LAG)
         assert plan.assignments == [0, 1, 1]
         assert plan.forced == [False, False, False]
 
     def test_single_shard_takes_everything(self):
         part = build_partition(4, 1)
         qt, ut = make_traces([query(1.0, [0]), query(2.0, [3])])
-        plan = route_queries(qt, ut, part, policy="primary")
+        plan = route_queries(qt, ut, part, policy="primary", replica_lag=LAG)
         assert plan.assignments == [0, 0]
         assert plan.est_freshness == [1.0, 1.0]
 
@@ -60,7 +61,7 @@ class TestForcedRouting:
     def test_disjoint_hosts_force_primary_and_materialize_replicas(self):
         part = build_partition(4, 2, strategy="mod")  # no replication
         qt, ut = make_traces([query(1.0, [0, 1])])  # primaries 0 and 1
-        plan = route_queries(qt, ut, part, policy="primary")
+        plan = route_queries(qt, ut, part, policy="primary", replica_lag=LAG)
         assert plan.assignments == [0]
         assert plan.forced == [True]
         # Item 1 must be materialized on shard 0 as a forced replica.
@@ -69,7 +70,7 @@ class TestForcedRouting:
     def test_replication_avoids_forcing(self):
         part = build_partition(4, 2, replication=2, strategy="mod")
         qt, ut = make_traces([query(1.0, [0, 1])])
-        plan = route_queries(qt, ut, part, policy="primary")
+        plan = route_queries(qt, ut, part, policy="primary", replica_lag=LAG)
         assert plan.forced == [False]
         assert plan.extra_hosts == {}
 
@@ -80,13 +81,13 @@ class TestLeastLoaded:
         # purely load-driven and must alternate.
         part = build_partition(4, 2, replication=2, strategy="mod")
         qt, ut = make_traces([query(float(i), [0]) for i in range(1, 5)])
-        plan = route_queries(qt, ut, part, policy="least-loaded")
+        plan = route_queries(qt, ut, part, policy="least-loaded", replica_lag=LAG)
         assert sorted(plan.routed_counts) == [2, 2]
 
     def test_round_robin_cycles(self):
         part = build_partition(4, 2, replication=2, strategy="mod")
         qt, ut = make_traces([query(float(i), [0]) for i in range(1, 5)])
-        plan = route_queries(qt, ut, part, policy="round-robin")
+        plan = route_queries(qt, ut, part, policy="round-robin", replica_lag=LAG)
         assert plan.assignments == [0, 1, 0, 1]
 
 
@@ -115,7 +116,7 @@ class TestFreshnessPolicy:
             n_items=2,
             updates_per_item=0,
         )
-        plan = route_queries(qt, ut, part, policy="freshness")
+        plan = route_queries(qt, ut, part, policy="freshness", replica_lag=LAG)
         assert sorted(plan.routed_counts) == [2, 2]
 
     def test_low_requirement_tolerates_staleness(self):
@@ -136,8 +137,8 @@ class TestDeterminismAndObs:
         part = build_partition(8, 3, replication=2)
         queries = [query(float(i) * 0.5, [i % 8]) for i in range(40)]
         qt, ut = make_traces(queries, n_items=8, updates_per_item=10)
-        a = route_queries(qt, ut, part, policy="least-loaded")
-        b = route_queries(qt, ut, part, policy="least-loaded")
+        a = route_queries(qt, ut, part, policy="least-loaded", replica_lag=LAG)
+        b = route_queries(qt, ut, part, policy="least-loaded", replica_lag=LAG)
         assert a.assignments == b.assignments
         assert a.routed_exec == b.routed_exec
 
@@ -145,7 +146,9 @@ class TestDeterminismAndObs:
         part = build_partition(4, 2, replication=2, strategy="mod")
         qt, ut = make_traces([query(1.0, [0]), query(2.0, [1])])
         recorder = TraceRecorder()
-        plan = route_queries(qt, ut, part, policy="primary", recorder=recorder)
+        plan = route_queries(
+            qt, ut, part, policy="primary", replica_lag=LAG, recorder=recorder
+        )
         events = [e for e in recorder.event_dicts() if e["kind"] == FLEET_ROUTE]
         assert len(events) == 2
         first = events[0]
@@ -157,4 +160,4 @@ class TestDeterminismAndObs:
         part = build_partition(4, 2)
         qt, ut = make_traces([query(1.0, [0])])
         with pytest.raises(ValueError):
-            route_queries(qt, ut, part, policy="nope")
+            route_queries(qt, ut, part, policy="nope", replica_lag=LAG)

@@ -52,7 +52,6 @@ class TestWorkloadKey:
         assert _config(scale=SCALES["small"]).workload_key() != key
         assert _config(zipf_skew=1.7).workload_key() != key
         assert _config(items_per_query=2).workload_key() != key
-        assert _config(freshness_req=0.5).workload_key() != key
 
 
 class TestCacheBehavior:
@@ -119,21 +118,20 @@ QUERY_FIELDS = frozenset(
         "scale.n_items",
         "scale.query_utilization",
         "scale.mean_query_service",
-        "service_cv",
         "zipf_skew",
         "burst_factor",
         "normal_dwell",
         "burst_dwell",
-        "freshness_req",
         "items_per_query",
     }
 )
 
 #: The fields :func:`build_workload` reads on top of the base query trace
 #: and :func:`build_query_workload` does not.
-UPDATE_FIELDS = frozenset(
-    {"update_trace", "scale.mean_update_exec", "update_exec_cv", "faults"}
-)
+UPDATE_FIELDS = frozenset({"update_trace", "scale.mean_update_exec", "faults"})
+
+#: The smoke scale with slower updates: an update-only difference.
+SLOW_UPDATES = dataclasses.replace(SMOKE, mean_update_exec=0.3)
 
 FLASH_CROWD = FaultScenario(
     name="crowd", flash_crowds=(FlashCrowd(start=20.0, end=50.0, multiplier=3.0),)
@@ -238,11 +236,11 @@ class TestQueryTier:
         cache = WorkloadCache()
         plain, _ = cache.get(_config())
         other_trace, _ = cache.get(_config(update_trace="high-unif"))
-        other_cv, _ = cache.get(_config(update_exec_cv=0.25))
+        slow_updates, _ = cache.get(_config(scale=SLOW_UPDATES))
         cache.get(_config(faults=FLASH_CROWD))
         cache.get(_config(faults=UPDATE_STORM))
         assert other_trace is plain
-        assert other_cv is plain
+        assert slow_updates is plain
         assert list(cache._queries.values()) == [plain]
         assert counts == {"query": 1, "update": 5}
         assert (cache.hits, cache.misses) == (0, 5)
@@ -252,12 +250,12 @@ class TestQueryTier:
         [
             {},
             {"update_trace": "high-unif"},
-            {"update_exec_cv": 0.25},
+            {"scale": SLOW_UPDATES},
             {"faults": FLASH_CROWD},
             {"faults": HOTSPOT_SHIFT},
             {"faults": UPDATE_STORM},
         ],
-        ids=["plain", "high-unif", "exec-cv", "flash-crowd", "hotspot", "storm"],
+        ids=["plain", "high-unif", "mean-exec", "flash-crowd", "hotspot", "storm"],
     )
     def test_cached_pairs_pickle_like_fresh_generation(self, overrides):
         """Each pair is built on a base another config generated first,
@@ -310,6 +308,7 @@ class TestQueryTier:
             first.access_counts(),
             horizon=config.scale.horizon,
             streams=streams,
+            mean_exec=config.scale.mean_update_exec,
         )
         streams.stream("fault-flash-0").random()
         after = build_query_workload(config, streams)

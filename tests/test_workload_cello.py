@@ -12,6 +12,10 @@ def small_config(**overrides):
         n_items=64,
         query_utilization=0.5,
         mean_service=0.05,
+        zipf_skew=1.3,
+        burst_factor=4.0,
+        normal_dwell=120.0,
+        burst_dwell=20.0,
     )
     defaults.update(overrides)
     return CelloConfig(**defaults)

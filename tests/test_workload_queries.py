@@ -49,8 +49,8 @@ class TestBuildQueryTrace:
             assert query.relative_deadline > query.exec_time
 
     def test_freshness_requirement_propagated(self):
-        trace = self.build(freshness_req=0.75)
-        assert all(q.freshness_req == 0.75 for q in trace.queries)
+        trace = self.build()
+        assert all(q.freshness_req == 0.9 for q in trace.queries)  # paper §4.1
 
     def test_multi_item_queries(self):
         trace = self.build(items_per_query=3)

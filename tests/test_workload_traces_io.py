@@ -14,7 +14,16 @@ from repro.workload.updates import STANDARD_UPDATE_TRACES, build_update_trace
 @pytest.fixture()
 def bundle():
     streams = RandomStreams(4)
-    config = CelloConfig(horizon=200.0, n_items=16, query_utilization=0.4)
+    config = CelloConfig(
+        horizon=200.0,
+        n_items=16,
+        query_utilization=0.4,
+        mean_service=0.05,
+        zipf_skew=1.3,
+        burst_factor=4.0,
+        normal_dwell=120.0,
+        burst_dwell=20.0,
+    )
     records = generate_cello_trace(config, streams)
     query_trace = build_query_trace(records, 16, streams, horizon=200.0)
     update_trace = build_update_trace(
@@ -22,6 +31,7 @@ def bundle():
         query_trace.access_counts(),
         horizon=200.0,
         streams=streams,
+        mean_exec=0.15,
     )
     return query_trace, {"low-unif": update_trace}
 

@@ -121,7 +121,11 @@ class TestBuildUpdateTrace:
             utilization=0.001, paper_total_updates=0,
         )
         trace = build_update_trace(
-            spec, reference_counts(), horizon=100.0, streams=RandomStreams(2)
+            spec,
+            reference_counts(),
+            horizon=100.0,
+            streams=RandomStreams(2),
+            mean_exec=0.15,
         )
         for item in trace.items:
             if item.count == 0:
@@ -137,5 +141,5 @@ class TestBuildUpdateTrace:
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
             build_update_trace(
-                STANDARD_UPDATE_TRACES["low-unif"], [], 100.0, RandomStreams(0)
+                STANDARD_UPDATE_TRACES["low-unif"], [], 100.0, RandomStreams(0), 0.15
             )
