@@ -24,6 +24,7 @@ from repro.db.transactions import Outcome
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.report import ascii_table
 from repro.experiments.runner import Substrate
+from repro.faults.scenario import FaultScenario, FlashCrowd
 from repro.workload.cache import get_workload
 
 
@@ -40,16 +41,18 @@ class Sample:
 
 
 def main() -> None:
-    # One long, violent flash crowd instead of background burstiness.
+    # One long breaking-news crowd on top of the background burstiness:
+    # four times the query rate for two minutes.
     scale = SCALES["small"]
     config = ExperimentConfig(
         policy="unit",
         update_trace="low-unif",  # light background updates: the crowd is the story
         seed=11,
         scale=scale,
-        burst_factor=6.0,
-        normal_dwell=150.0,
-        burst_dwell=30.0,
+        faults=FaultScenario(
+            name="breaking-news",
+            flash_crowds=(FlashCrowd(start=120.0, end=240.0, multiplier=4.0),),
+        ),
         unit=UnitConfig(profile=PenaltyProfile.naive(), control_period=1.0),
     )
     substrate = Substrate(config, *get_workload(config))

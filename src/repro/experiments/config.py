@@ -76,15 +76,14 @@ class ExperimentConfig:
     seed: int = 7
     scale: ExperimentScale = dataclasses.field(default_factory=lambda: SCALES["small"])
 
-    # Query-trace shape (beyond the scale preset).  The defaults are the
-    # calibration DESIGN.md documents: Zipf 1.3 access skew and 4x flash
-    # crowds.  Deadlines are always drawn from [mean response, 3 x mean
-    # response] (``repro.workload.queries.deadline_range``), and every
-    # query asks for 90% freshness (``repro.workload.queries``).
+    # Query-trace shape (beyond the scale preset).  The default is the
+    # calibration DESIGN.md documents: Zipf 1.3 access skew.  Every
+    # trace has the same flash crowds (``repro.experiments.runner``'s
+    # burst constants), deadlines are always drawn from
+    # [mean response, 3 x mean response]
+    # (``repro.workload.queries.deadline_range``), and every query asks
+    # for 90% freshness (``repro.workload.queries``).
     zipf_skew: float = 1.3
-    burst_factor: float = 4.0
-    normal_dwell: float = 120.0
-    burst_dwell: float = 20.0
     items_per_query: int = 1
 
     # Policy knobs (None = defaults derived from the profile/scale).
@@ -139,9 +138,6 @@ class ExperimentConfig:
                 scale.query_utilization.hex(),
                 scale.mean_query_service.hex(),
                 self.zipf_skew.hex(),
-                self.burst_factor.hex(),
-                self.normal_dwell.hex(),
-                self.burst_dwell.hex(),
                 str(self.items_per_query),
             )
         )

@@ -53,6 +53,14 @@ from repro.workload.updates import (
     build_update_trace,
 )
 
+#: Flash crowds of every query trace, the calibration DESIGN.md
+#: documents ("unpredictable access patterns ... flash crowds", paper
+#: Section 1): the arrival rate quadruples in bursts of ~20 s that
+#: come every ~2 min.
+_BURST_FACTOR = 4.0
+_NORMAL_DWELL = 120.0
+_BURST_DWELL = 20.0
+
 
 @dataclasses.dataclass
 class SimulationReport:
@@ -157,9 +165,9 @@ def build_query_workload(config: ExperimentConfig, streams: RandomStreams) -> Qu
         query_utilization=scale.query_utilization,
         mean_service=scale.mean_query_service,
         zipf_skew=config.zipf_skew,
-        burst_factor=config.burst_factor,
-        normal_dwell=config.normal_dwell,
-        burst_dwell=config.burst_dwell,
+        burst_factor=_BURST_FACTOR,
+        normal_dwell=_NORMAL_DWELL,
+        burst_dwell=_BURST_DWELL,
     )
     records = generate_cello_trace(cello, streams)
     return build_query_trace(

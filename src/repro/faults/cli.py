@@ -17,15 +17,31 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.experiments.config import POLICIES, SCALES
 from repro.obs.logging_setup import (
     add_verbosity_flags,
     configure_logging,
     verbosity_from_args,
 )
+from repro.workload.updates import STANDARD_UPDATE_TRACES
+
+
+def _add_scale(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scale", default="smoke", choices=sorted(SCALES), help="scale preset (default: smoke)"
+    )
+
+
+def _add_trace(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace",
+        default="med-unif",
+        choices=sorted(STANDARD_UPDATE_TRACES),
+        help="update trace name",
+    )
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    from repro.experiments.config import SCALES
     from repro.faults.scenarios import CANNED, canned
 
     preset = SCALES[args.scale]
@@ -44,7 +60,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.config import SCALES, ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
     from repro.experiments.report import degradation_table, json_sanitize
     from repro.experiments.runner import run_experiment
     from repro.faults.scenarios import canned
@@ -97,7 +113,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.config import SCALES
     from repro.faults.scenarios import canned
     from repro.faults.suite import run_suite, render_suite, write_suite_report
 
@@ -121,14 +136,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="canned scenarios and their timelines")
-    p.add_argument("--scale", default="smoke", help="scale preset (default: smoke)")
+    _add_scale(p)
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("run", help="one policy under one canned scenario")
     p.add_argument("scenario", help="canned scenario name (see `list`)")
-    p.add_argument("--policy", default="unit")
-    p.add_argument("--trace", default="med-unif", help="update trace name")
-    p.add_argument("--scale", default="smoke", help="scale preset (default: smoke)")
+    p.add_argument("--policy", default="unit", choices=POLICIES)
+    _add_trace(p)
+    _add_scale(p)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", help="write degradation JSON here instead of stdout")
     p.add_argument("--trace-out", help="also record an obs trace to this directory")
@@ -136,8 +151,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("suite", help="UNIT vs IMU/ODU/QMF recovery comparison")
     p.add_argument("scenario", help="canned scenario name (see `list`)")
-    p.add_argument("--trace", default="med-unif", help="update trace name")
-    p.add_argument("--scale", default="smoke", help="scale preset (default: smoke)")
+    _add_trace(p)
+    _add_scale(p)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", help="also write JSON + text artifacts here")
     p.set_defaults(func=_cmd_suite)

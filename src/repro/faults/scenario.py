@@ -5,7 +5,7 @@ stress a run is subjected to, layered on top of the base workload:
 
 * :class:`FlashCrowd` — an arrival-rate multiplier over a time window
   (the query stream bursts, or thins when the multiplier is below 1);
-* :class:`UpdateStorm` — a per-item or global update-period override
+* :class:`UpdateStorm` — an update-period override for every item
   over a window.  ``period_factor < 1`` is a storm (the source emits
   faster), ``period_factor == 0`` is an update-stream *outage* (the
   window is silent);
@@ -34,7 +34,7 @@ all.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Fingerprint schema version; bump when injection semantics change.
 _FINGERPRINT_VERSION = "faults-v1"
@@ -78,14 +78,12 @@ class UpdateStorm:
     In-window arrivals of the affected items are regenerated with
     period ``base_period * period_factor``: ``period_factor < 1`` is a
     storm, ``> 1`` a lull, and ``0`` silences the window entirely (an
-    update-stream outage).  ``item_id`` limits the fault to one item;
-    ``None`` applies it to every item.
+    update-stream outage).  The override applies to every item.
     """
 
     start: float
     end: float
     period_factor: float
-    item_id: Optional[int] = None
 
     def __post_init__(self) -> None:
         _coerce_floats(self, "start", "end", "period_factor")
@@ -99,14 +97,7 @@ class UpdateStorm:
         return self.period_factor == 0.0
 
     def params(self) -> Dict[str, float]:
-        out = {
-            "start": self.start,
-            "end": self.end,
-            "period_factor": self.period_factor,
-        }
-        if self.item_id is not None:
-            out["item_id"] = float(self.item_id)
-        return out
+        return {"start": self.start, "end": self.end, "period_factor": self.period_factor}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,10 +220,9 @@ class FaultScenario:
                 )
             )
         for storm in self.update_storms:
-            item = "*" if storm.item_id is None else str(storm.item_id)
             parts.append(
                 "us:" + ",".join(
-                    (storm.start.hex(), storm.end.hex(), storm.period_factor.hex(), item)
+                    (storm.start.hex(), storm.end.hex(), storm.period_factor.hex())
                 )
             )
         for shift in self.hotspot_shifts:

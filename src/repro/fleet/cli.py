@@ -17,16 +17,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.db.transactions import Outcome
-from repro.experiments.config import SCALES, ExperimentConfig
+from repro.experiments.config import POLICIES, SCALES, ExperimentConfig
 from repro.experiments.report import ascii_table, stable_report_digest
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import fan_out
 from repro.fleet.report import FleetReport
 from repro.fleet.router import ROUTER_POLICIES
 from repro.fleet.runner import FleetConfig, run_fleet
+from repro.workload.updates import STANDARD_UPDATE_TRACES
 
 #: The figure's load axis: Table 1 update volumes at uniform spatial mix
 #: (15% / 75% / 150% update CPU).
@@ -51,17 +52,24 @@ def _base_config(args: argparse.Namespace, trace: str) -> ExperimentConfig:
     )
 
 
+#: ``FleetConfig`` fields a flag may override.  The flags default to
+#: ``argparse.SUPPRESS``, so a flag the user did not set leaves no
+#: attribute and ``FleetConfig``'s own default applies.
+_FLEET_FLAGS: Tuple[str, ...] = (
+    "n_shards",
+    "replication",
+    "router_policy",
+    "replica_lag",
+    "sync_period",
+)
+
+
+def _fleet_flags(args: argparse.Namespace) -> Dict[str, Any]:
+    return {name: getattr(args, name) for name in _FLEET_FLAGS if hasattr(args, name)}
+
+
 def _fleet_config(args: argparse.Namespace, base: ExperimentConfig) -> FleetConfig:
-    return FleetConfig(
-        base=base,
-        n_shards=args.shards,
-        replication=args.replication,
-        partition_strategy=args.partition,
-        router_policy=args.router,
-        replica_lag=args.replica_lag,
-        sync_period=args.sync_period,
-        workers=1 if args.processes else 0,
-    )
+    return FleetConfig(base=base, workers=1 if args.processes else 0, **_fleet_flags(args))
 
 
 def _cell_metrics(report: FleetReport) -> Dict[str, object]:
@@ -154,8 +162,7 @@ def _figure_cells(args: argparse.Namespace) -> Dict[Tuple[str, str], FleetConfig
             n_shards=shards,
             replication=replication,
             router_policy=router,
-            replica_lag=args.replica_lag,
-            sync_period=args.sync_period,
+            **_fleet_flags(args),
         )
         for trace in FIGURE_TRACES
         for label, shards, replication, router in FIGURE_VARIANTS
@@ -211,10 +218,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", default="smoke", choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--policy", default="unit")
-    parser.add_argument("--replica-lag", dest="replica_lag", type=float, default=5.0)
-    parser.add_argument("--sync-period", dest="sync_period", type=float, default=20.0)
+    parser.add_argument("--policy", default="unit", choices=POLICIES)
     parser.add_argument("--out", default=None, help="write a JSON artifact here")
+
+
+def _add_timing(parser: argparse.ArgumentParser) -> None:
+    """Replica lag and epoch length (default: ``FleetConfig``'s)."""
+    for flag, dest in (("--replica-lag", "replica_lag"), ("--sync-period", "sync_period")):
+        parser.add_argument(flag, dest=dest, type=float, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,11 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="one fleet run")
     _add_common(run_p)
-    run_p.add_argument("--trace", default="med-unif")
-    run_p.add_argument("--shards", type=int, default=2)
-    run_p.add_argument("--replication", type=int, default=1)
-    run_p.add_argument("--partition", default="block")
-    run_p.add_argument("--router", default="primary", choices=ROUTER_POLICIES)
+    _add_timing(run_p)
+    run_p.add_argument("--trace", default="med-unif", choices=sorted(STANDARD_UPDATE_TRACES))
+    run_p.add_argument("--shards", dest="n_shards", type=int, default=argparse.SUPPRESS)
+    run_p.add_argument("--replication", type=int, default=argparse.SUPPRESS)
+    run_p.add_argument(
+        "--router", dest="router_policy", choices=ROUTER_POLICIES, default=argparse.SUPPRESS
+    )
     run_p.add_argument(
         "--processes", action="store_true", help="one OS process per shard"
     )
@@ -244,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure_p = sub.add_parser("figure", help="1-vs-4-shard routing sweep")
     _add_common(figure_p)
+    _add_timing(figure_p)
     figure_p.set_defaults(func=_cmd_figure)
     return parser
 

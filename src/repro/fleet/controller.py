@@ -26,14 +26,10 @@ from repro.obs.trace import Recorder
 from repro.sim.stats import ordered_sum
 
 #: Gain of the factor on a shard's miss and reject excess over the
-#: fleet mean.
+#: fleet mean.  Each ratio lies in [0, 1], so each excess lies strictly
+#: inside (-1, 1) and the factor strictly inside (0.5, 1.5): no clamp
+#: is needed (``ShardRun.apply_directive`` still bounds ``C_flex``).
 _ETA = 0.25
-#: Bounds of the ``C_flex`` factor.  They bracket 1.0, so a lone
-#: shard's exact 1.0 survives the clamp.  Each ratio lies in [0, 1], so
-#: at ``_ETA`` = 0.25 the factor stays inside (0.5, 1.5) and the clamp
-#: never binds.
-_FLEX_LO = 0.5
-_FLEX_HI = 2.0
 #: Miss excess over the fleet mean past which a shard also gets a
 #: Degrade-Update nudge (or, below its negative, an Upgrade).
 _MODULATE_THRESHOLD = 0.15
@@ -92,7 +88,6 @@ class GlobalCoordinator:
 
     def __init__(self, recorder: Optional[Recorder] = None) -> None:
         self.recorder = recorder
-        self.plans = 0
 
     def plan(self, summaries: Sequence[EpochSummary]) -> List[Directive]:
         """One directive per summary, in shard order.
@@ -104,7 +99,6 @@ class GlobalCoordinator:
         """
         if not summaries:
             return []
-        self.plans += 1
         n = len(summaries)
         mean_miss = ordered_sum(s.miss_ratio for s in summaries) / n
         mean_reject = ordered_sum(s.reject_ratio for s in summaries) / n
@@ -113,10 +107,9 @@ class GlobalCoordinator:
         for summary in sorted(summaries, key=lambda s: s.shard_id):
             miss_excess = summary.miss_ratio - mean_miss
             reject_excess = summary.reject_ratio - mean_reject
-            # With one shard both excesses are exactly 0.0, the factor
-            # is exactly 1.0, and the clamp (bracketing 1.0) keeps it.
+            # With one shard both excesses are exactly 0.0 and the
+            # factor is exactly 1.0.
             factor = 1.0 + _ETA * miss_excess - _ETA * reject_excess
-            factor = min(_FLEX_HI, max(_FLEX_LO, factor))
             modulate: Optional[str] = None
             if miss_excess > _MODULATE_THRESHOLD:
                 modulate = "degrade"

@@ -104,7 +104,6 @@ class FleetReport:
 
     n_shards: int
     replication: int
-    partition_strategy: str
     router_policy: str
     merged: SimulationReport
     shard_reports: List[SimulationReport]
@@ -125,7 +124,7 @@ class FleetReport:
     def summary(self) -> str:
         lines = [
             f"fleet: {self.n_shards} shard(s), replication={self.replication}, "
-            f"partition={self.partition_strategy}, router={self.router_policy}, "
+            f"router={self.router_policy}, "
             f"epochs={self.epochs}, rebalances={len(self.rebalances)}",
             self.merged.summary(),
         ]
@@ -146,7 +145,6 @@ class FleetReport:
         return {
             "n_shards": self.n_shards,
             "replication": self.replication,
-            "partition_strategy": self.partition_strategy,
             "router_policy": self.router_policy,
             "epochs": self.epochs,
             "digest": self.digest,

@@ -6,13 +6,11 @@ therefore the whole fleet trajectory) are a pure function of the
 routing plan.  Writes are never routed: an item's update stream always
 executes on its primary shard (replicas receive a lag-delayed copy).
 
-Reads are routed by a pluggable policy trading freshness against
-latency:
+Reads are routed by one of two policies, the two sides of the
+freshness-vs-latency tradeoff:
 
 ``primary``       always the primary shard of the query's first item
                   (maximally fresh, concentrates load)
-``round-robin``   cycle through the candidate host shards
-``least-loaded``  the candidate with the smallest routed-work window
 ``freshness``     candidates whose *estimated* replica freshness meets
                   the query's requirement, then least-loaded among them
 
@@ -42,15 +40,10 @@ from repro.workload.queries import QueryTrace
 from repro.workload.updates import UpdateTrace
 
 #: Read-routing policies, in documentation order.
-ROUTER_POLICIES: Tuple[str, ...] = (
-    "primary",
-    "round-robin",
-    "least-loaded",
-    "freshness",
-)
+ROUTER_POLICIES: Tuple[str, ...] = ("primary", "freshness")
 
 #: Width in seconds of the sliding window of routed work that
-#: ``least-loaded`` and ``freshness`` compare shards by.
+#: ``freshness`` compares its fresh candidates by.
 _LOAD_WINDOW = 30.0
 
 
@@ -64,8 +57,6 @@ class RoutingPlan:
         forced: Per-query flag — True when the host sets of the query's
             items had an empty intersection and the router fell back to
             the first item's primary shard.
-        est_freshness: The router's freshness estimate for each query
-            at its chosen shard (1.0 on any primary-complete shard).
         extra_hosts: Forced replicas: shard → sorted global item ids
             the shard must additionally host.
         routed_exec: Total routed query execution time per shard.
@@ -75,7 +66,6 @@ class RoutingPlan:
     policy: str
     assignments: List[int]
     forced: List[bool]
-    est_freshness: List[float]
     extra_hosts: Dict[int, List[int]]
     routed_exec: List[float]
     routed_counts: List[int]
@@ -97,7 +87,7 @@ class _LoadTracker:
     """Sliding-window routed work per shard, plus a static update bias.
 
     The bias charges each shard its steady-state update CPU rate times
-    the window length, so ``least-loaded`` sees update demand (which is
+    the window length, so ``freshness`` sees update demand (which is
     fixed by the partition) as well as the reads it has routed.
     """
 
@@ -187,11 +177,9 @@ def route_queries(
 
     assignments: List[int] = []
     forced_flags: List[bool] = []
-    est_list: List[float] = []
     extra_hosts: Dict[int, List[int]] = {}
     routed_exec = [0.0] * n_shards
     routed_counts = [0] * n_shards
-    rr_cursor = 0
     emit = recorder is not None and recorder.enabled
 
     for index, query in enumerate(query_trace.queries):
@@ -213,11 +201,6 @@ def route_queries(
             shard = candidates[0]
         elif policy == "primary":
             shard = primary[query.items[0]]
-        elif policy == "round-robin":
-            shard = candidates[rr_cursor % len(candidates)]
-            rr_cursor += 1
-        elif policy == "least-loaded":
-            shard = min(candidates, key=lambda s: (tracker.load(s, now), s))
         else:  # freshness
             fresh_enough = [
                 s
@@ -228,17 +211,16 @@ def route_queries(
             pool = fresh_enough or [primary[query.items[0]]]
             shard = min(pool, key=lambda s: (tracker.load(s, now), s))
 
-        estimate = estimator.freshness(query.items, shard, primary, now)
         tracker.add(shard, now, query.exec_time)
         assignments.append(shard)
         forced_flags.append(forced)
-        est_list.append(estimate)
         routed_exec[shard] += query.exec_time
         routed_counts[shard] += 1
         if emit:
             # Fleet-level query number (1..N in global trace order);
             # shards renumber their routed subsequences locally, so this
             # coincides with shard txn ids only on a 1-shard fleet.
+            estimate = estimator.freshness(query.items, shard, primary, now)
             recorder.fleet_route(
                 now, index + 1, shard, policy, candidates, estimate, forced
             )
@@ -247,7 +229,6 @@ def route_queries(
         policy=policy,
         assignments=assignments,
         forced=forced_flags,
-        est_freshness=est_list,
         extra_hosts=extra_hosts,
         routed_exec=routed_exec,
         routed_counts=routed_counts,

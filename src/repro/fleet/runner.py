@@ -42,7 +42,6 @@ class FleetConfig:
     base: ExperimentConfig
     n_shards: int = 2
     replication: int = 1
-    partition_strategy: str = "block"
     router_policy: str = "primary"
     replica_lag: float = 5.0
     sync_period: float = 20.0
@@ -77,10 +76,7 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
     query_trace, update_trace = get_workload(base)
 
     partition = build_partition(
-        base.scale.n_items,
-        fleet.n_shards,
-        replication=fleet.replication,
-        strategy=fleet.partition_strategy,
+        base.scale.n_items, fleet.n_shards, replication=fleet.replication
     )
     recorder: Optional[TraceRecorder] = None
     if base.obs is not None and base.obs.enabled:
@@ -158,7 +154,6 @@ def run_fleet(fleet: FleetConfig) -> FleetReport:
     return FleetReport(
         n_shards=fleet.n_shards,
         replication=fleet.replication,
-        partition_strategy=fleet.partition_strategy,
         router_policy=fleet.router_policy,
         merged=merged,
         shard_reports=list(reports),

@@ -84,8 +84,8 @@ class ShardRun(Substrate):
             shard_id=self.spec.shard_id, time=self.sim.now, deltas=deltas, c_flex=c_flex
         )
 
-    def apply_directive(self, directive: Directive) -> bool:
-        """Apply a coordinator directive; returns True if anything changed.
+    def apply_directive(self, directive: Directive) -> None:
+        """Apply a coordinator directive.
 
         Only the UNIT policy exposes the knobs; baseline policies
         silently ignore directives (the coordinator still observes
@@ -93,21 +93,16 @@ class ShardRun(Substrate):
         """
         policy = self.policy
         if not isinstance(policy, UnitPolicy):
-            return False
-        changed = False
+            return
         if directive.flex_factor != 1.0 and policy.admission is not None:
             admission = policy.admission
             admission.c_flex = min(
                 FLEX_MAX, max(FLEX_MIN, admission.c_flex * directive.flex_factor)
             )
-            changed = True
         if directive.modulate == "degrade" and policy.modulator is not None:
             policy.modulator.degrade(1)
-            changed = True
         elif directive.modulate == "upgrade" and policy.modulator is not None:
             policy.modulator.upgrade_all()
-            changed = True
-        return changed
 
 
 def build_shard_specs(

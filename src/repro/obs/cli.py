@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.config import POLICIES, SCALES
 from repro.obs.export import (
     render_trace_jsonl,
     trace_digest,
@@ -39,6 +40,7 @@ from repro.obs.logging_setup import (
     configure_logging,
     verbosity_from_args,
 )
+from repro.workload.updates import STANDARD_UPDATE_TRACES
 
 
 def _load_events(path: str) -> List[Dict[str, object]]:
@@ -211,7 +213,7 @@ def _cmd_attrib(args: argparse.Namespace) -> int:
 def _cmd_dash(args: argparse.Namespace) -> int:
     # Heavy imports deferred, as in smoke.
     from repro.core.usm import PenaltyProfile
-    from repro.experiments.config import SCALES, ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
     from repro.experiments.sweep import run_grid
     from repro.obs.config import ObsConfig
     from repro.obs.dash import render_dashboard
@@ -245,7 +247,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 def _cmd_smoke(args: argparse.Namespace) -> int:
     # Imported here: the experiments stack is heavy and the other
     # subcommands are pure trace-file plumbing.
-    from repro.experiments.config import SCALES, ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
     from repro.obs.config import ObsConfig
 
     from repro.experiments.runner import run_experiment
@@ -326,7 +328,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=_cmd_attrib)
 
     p = sub.add_parser("dash", help="run a sweep, export its static HTML page")
-    p.add_argument("--scale", default="smoke", help="scale preset (default: smoke)")
+    p.add_argument(
+        "--scale", default="smoke", choices=sorted(SCALES), help="scale preset (default: smoke)"
+    )
     p.add_argument(
         "--policies", default="unit,odu", help="comma-separated policy names"
     )
@@ -340,9 +344,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "smoke", help="run one instrumented cell and export every artifact"
     )
-    p.add_argument("--scale", default="smoke", help="scale preset (default: smoke)")
-    p.add_argument("--policy", default="unit")
-    p.add_argument("--trace", default="med-unif", help="update trace name")
+    p.add_argument(
+        "--scale", default="smoke", choices=sorted(SCALES), help="scale preset (default: smoke)"
+    )
+    p.add_argument("--policy", default="unit", choices=POLICIES)
+    p.add_argument(
+        "--trace",
+        default="med-unif",
+        choices=sorted(STANDARD_UPDATE_TRACES),
+        help="update trace name",
+    )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="artifact output directory")
     p.set_defaults(func=_cmd_smoke)

@@ -6,7 +6,7 @@ traces:
 
 * flash crowds replicate (or thin) queries inside the window;
 * hotspot shifts rotate query item ids from a point in time on;
-* update storms / outages regenerate the affected items' in-window
+* update storms / outages regenerate every item's in-window
   arrivals, which turns the periodic :class:`UpdateTrace` into an
   :class:`ExplicitUpdateTrace` carrying the event list verbatim.
 
@@ -139,23 +139,13 @@ def perturb_query_trace(
     )
 
 
-def _storms_for_item(
-    scenario: "FaultScenario", item_id: int
-) -> List[Tuple[int, "UpdateStorm"]]:
-    return [
-        (index, storm)
-        for index, storm in enumerate(scenario.update_storms)
-        if storm.item_id is None or storm.item_id == item_id
-    ]
-
-
 def _perturb_item_events(
     item: ItemUpdateSpec,
-    storms: List[Tuple[int, "UpdateStorm"]],
+    storms: Tuple["UpdateStorm", ...],
     streams: RandomStreams,
     horizon: float,
 ) -> List[float]:
-    """One item's arrival times with every applicable storm applied.
+    """One item's arrival times with every storm applied.
 
     Base arrivals inside a storm window are removed; unless the storm
     is an outage, the window is refilled with arrivals at the overridden
@@ -165,7 +155,7 @@ def _perturb_item_events(
     fingerprint).
     """
     times = list(item.arrival_times(horizon))
-    for index, storm in storms:
+    for index, storm in enumerate(storms):
         times = [t for t in times if not storm.start <= t < storm.end]
         if storm.is_outage:
             continue
@@ -197,11 +187,7 @@ def perturb_update_trace(
         return trace
     events: List[Tuple[float, int]] = []
     for item in trace.items:
-        storms = _storms_for_item(scenario, item.item_id)
-        if storms:
-            times = _perturb_item_events(item, storms, streams, trace.horizon)
-        else:
-            times = list(item.arrival_times(trace.horizon))
+        times = _perturb_item_events(item, scenario.update_storms, streams, trace.horizon)
         events.extend((t, item.item_id) for t in times)
     events.sort()
     return ExplicitUpdateTrace(

@@ -150,19 +150,6 @@ class TestUpdateStorm:
         assert [t for t, _ in out.arrival_events() if 20.0 <= t < 60.0] == []
         assert out.total_updates() < trace.total_updates()
 
-    def test_per_item_storm_touches_only_that_item(self):
-        trace = make_update_trace()
-        scenario = FaultScenario(
-            name="s",
-            update_storms=[
-                UpdateStorm(start=0.0, end=HORIZON, period_factor=0.0, item_id=1)
-            ],
-        )
-        out = perturb_update_trace(trace, scenario, RandomStreams(seed=1))
-        counts = out.per_item_counts()
-        assert counts[1] == 0
-        assert counts[0] == trace.per_item_counts()[0]
-
     def test_explicit_trace_accounting_is_consistent(self):
         trace = make_update_trace()
         scenario = FaultScenario(

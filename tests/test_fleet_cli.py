@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.sweep import WORKERS_ENV
-from repro.fleet.cli import build_parser, main
+from repro.fleet.cli import _fleet_config, build_parser, main
+from repro.fleet.runner import FleetConfig
 
 
 class TestParser:
@@ -14,10 +16,27 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_defaults(self):
+        """A bare ``run`` builds ``FleetConfig``'s own default fleet."""
         args = build_parser().parse_args(["run"])
         assert args.scale == "smoke"
-        assert args.shards == 2
-        assert args.router == "primary"
+        base = ExperimentConfig(scale=SCALES["smoke"])
+        assert _fleet_config(args, base) == FleetConfig(base=base)
+
+    def test_run_flags_override_the_defaults(self):
+        args = build_parser().parse_args(
+            ["run", "--shards", "4", "--router", "freshness", "--replica-lag", "9"]
+        )
+        base = ExperimentConfig(scale=SCALES["smoke"])
+        assert _fleet_config(args, base) == FleetConfig(
+            base=base, n_shards=4, router_policy="freshness", replica_lag=9.0
+        )
+
+    def test_smoke_rejects_fleet_timing_flags(self, capsys):
+        """``smoke`` is a fixed gate: it takes no flag it would ignore."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["smoke", "--replica-lag", "50"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --replica-lag" in capsys.readouterr().err
 
     def test_unknown_router_rejected(self):
         with pytest.raises(SystemExit):

@@ -3,6 +3,7 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet.controller import Directive, EpochSummary, GlobalCoordinator
 from repro.obs.trace import FLEET_REBALANCE, TraceRecorder
@@ -66,16 +67,35 @@ class TestRebalancing:
         assert d_rej.modulate is None
         assert d_other.modulate is None
 
-    def test_factor_clamped(self):
-        """The widest spread of ratios moves the factor by the 0.25
-        gain times each excess, inside the [0.5, 2.0] clamp."""
+    def test_widest_two_shard_spread_moves_factor_by_the_gain(self):
         coordinator = GlobalCoordinator()
         d_bad, d_rej = coordinator.plan(
             [summary(0, dmf=10, success=0), summary(1, rejected=10, success=0)]
         )
         assert d_bad.flex_factor == 1.25  # 1 + 0.25 * 0.5 + 0.25 * 0.5
         assert d_rej.flex_factor == 0.75
-        assert 0.5 <= d_rej.flex_factor <= d_bad.flex_factor <= 2.0
+
+    @settings(max_examples=500)
+    @given(
+        # Small counts make the extreme epochs (all misses, all
+        # rejections) common.
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_factor_stays_strictly_inside_half_to_one_and_a_half(self, counts):
+        """Each ratio lies in [0, 1], so at the 0.25 gain no factor can
+        reach 0.5 or 1.5 and the factor needs no clamp."""
+        summaries = [
+            summary(shard, dmf=dmf, dsf=dsf, rejected=rejected, success=success)
+            for shard, (dmf, dsf, rejected, success) in enumerate(counts)
+        ]
+        factors = [d.flex_factor for d in GlobalCoordinator().plan(summaries)]
+        assert all(0.5 < factor < 1.5 for factor in factors)
+        if len(factors) == 1:
+            assert factors == [1.0]
 
     def test_directives_sorted_by_shard(self):
         coordinator = GlobalCoordinator()

@@ -41,10 +41,17 @@ def make_traces(queries, n_items=4, updates_per_item=0, update_exec=0.05):
     return qt, ut
 
 
+def route_estimates(recorder):
+    """The router's freshness estimate of each routed query, in order."""
+    return [
+        e["est_freshness"] for e in recorder.event_dicts() if e["kind"] == FLEET_ROUTE
+    ]
+
+
 class TestPrimaryPolicy:
     def test_routes_to_primary_of_first_item(self):
-        part = build_partition(4, 2, strategy="mod")  # item i -> shard i%2
-        qt, ut = make_traces([query(1.0, [2]), query(2.0, [1]), query(3.0, [3])])
+        part = build_partition(4, 2)  # items 0, 1 -> shard 0; 2, 3 -> shard 1
+        qt, ut = make_traces([query(1.0, [1]), query(2.0, [2]), query(3.0, [3])])
         plan = route_queries(qt, ut, part, policy="primary", replica_lag=LAG)
         assert plan.assignments == [0, 1, 1]
         assert plan.forced == [False, False, False]
@@ -52,43 +59,30 @@ class TestPrimaryPolicy:
     def test_single_shard_takes_everything(self):
         part = build_partition(4, 1)
         qt, ut = make_traces([query(1.0, [0]), query(2.0, [3])])
-        plan = route_queries(qt, ut, part, policy="primary", replica_lag=LAG)
+        recorder = TraceRecorder()
+        plan = route_queries(
+            qt, ut, part, policy="primary", replica_lag=LAG, recorder=recorder
+        )
         assert plan.assignments == [0, 0]
-        assert plan.est_freshness == [1.0, 1.0]
+        assert route_estimates(recorder) == [1.0, 1.0]
 
 
 class TestForcedRouting:
     def test_disjoint_hosts_force_primary_and_materialize_replicas(self):
-        part = build_partition(4, 2, strategy="mod")  # no replication
-        qt, ut = make_traces([query(1.0, [0, 1])])  # primaries 0 and 1
+        part = build_partition(4, 2)  # no replication
+        qt, ut = make_traces([query(1.0, [0, 2])])  # primaries 0 and 1
         plan = route_queries(qt, ut, part, policy="primary", replica_lag=LAG)
         assert plan.assignments == [0]
         assert plan.forced == [True]
-        # Item 1 must be materialized on shard 0 as a forced replica.
-        assert plan.extra_hosts == {0: [1]}
+        # Item 2 must be materialized on shard 0 as a forced replica.
+        assert plan.extra_hosts == {0: [2]}
 
     def test_replication_avoids_forcing(self):
-        part = build_partition(4, 2, replication=2, strategy="mod")
-        qt, ut = make_traces([query(1.0, [0, 1])])
+        part = build_partition(4, 2, replication=2)
+        qt, ut = make_traces([query(1.0, [0, 2])])
         plan = route_queries(qt, ut, part, policy="primary", replica_lag=LAG)
         assert plan.forced == [False]
         assert plan.extra_hosts == {}
-
-
-class TestLeastLoaded:
-    def test_spreads_replicated_reads(self):
-        # Full replication: every shard hosts every item, so routing is
-        # purely load-driven and must alternate.
-        part = build_partition(4, 2, replication=2, strategy="mod")
-        qt, ut = make_traces([query(float(i), [0]) for i in range(1, 5)])
-        plan = route_queries(qt, ut, part, policy="least-loaded", replica_lag=LAG)
-        assert sorted(plan.routed_counts) == [2, 2]
-
-    def test_round_robin_cycles(self):
-        part = build_partition(4, 2, replication=2, strategy="mod")
-        qt, ut = make_traces([query(float(i), [0]) for i in range(1, 5)])
-        plan = route_queries(qt, ut, part, policy="round-robin", replica_lag=LAG)
-        assert plan.assignments == [0, 1, 0, 1]
 
 
 class TestFreshnessPolicy:
@@ -97,20 +91,23 @@ class TestFreshnessPolicy:
         # replica.  With updates every 2s and a 10s lag, the replica is
         # ~5 updates behind: estimated freshness 1/6 << 0.9, so every
         # read of item 0 must stay on the primary.
-        part = build_partition(2, 2, replication=2, strategy="mod")
+        part = build_partition(2, 2, replication=2)
         qt, ut = make_traces(
             [query(50.0 + i, [0], freshness=0.9) for i in range(4)],
             n_items=2,
             updates_per_item=50,
         )
-        plan = route_queries(qt, ut, part, policy="freshness", replica_lag=10.0)
+        recorder = TraceRecorder()
+        plan = route_queries(
+            qt, ut, part, policy="freshness", replica_lag=10.0, recorder=recorder
+        )
         assert plan.assignments == [0, 0, 0, 0]
-        assert all(f == 1.0 for f in plan.est_freshness)
+        assert route_estimates(recorder) == [1.0] * 4
 
     def test_fresh_replica_used_for_balance(self):
         # No updates at all: replicas are perfectly fresh, so the
-        # freshness policy degenerates to least-loaded and spreads.
-        part = build_partition(2, 2, replication=2, strategy="mod")
+        # freshness policy balances load alone and spreads.
+        part = build_partition(2, 2, replication=2)
         qt, ut = make_traces(
             [query(float(i), [0], freshness=0.9) for i in range(1, 5)],
             n_items=2,
@@ -120,7 +117,7 @@ class TestFreshnessPolicy:
         assert sorted(plan.routed_counts) == [2, 2]
 
     def test_low_requirement_tolerates_staleness(self):
-        part = build_partition(2, 2, replication=2, strategy="mod")
+        part = build_partition(2, 2, replication=2)
         qt, ut = make_traces(
             [query(50.0 + i, [0], freshness=0.05) for i in range(4)],
             n_items=2,
@@ -137,13 +134,13 @@ class TestDeterminismAndObs:
         part = build_partition(8, 3, replication=2)
         queries = [query(float(i) * 0.5, [i % 8]) for i in range(40)]
         qt, ut = make_traces(queries, n_items=8, updates_per_item=10)
-        a = route_queries(qt, ut, part, policy="least-loaded", replica_lag=LAG)
-        b = route_queries(qt, ut, part, policy="least-loaded", replica_lag=LAG)
+        a = route_queries(qt, ut, part, policy="freshness", replica_lag=LAG)
+        b = route_queries(qt, ut, part, policy="freshness", replica_lag=LAG)
         assert a.assignments == b.assignments
         assert a.routed_exec == b.routed_exec
 
     def test_route_events_emitted(self):
-        part = build_partition(4, 2, replication=2, strategy="mod")
+        part = build_partition(4, 2, replication=2)
         qt, ut = make_traces([query(1.0, [0]), query(2.0, [1])])
         recorder = TraceRecorder()
         plan = route_queries(

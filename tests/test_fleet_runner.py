@@ -76,9 +76,9 @@ class TestMultiShardDeterminism:
 
     def test_serial_and_process_fleets_identical(self):
         serial = run_fleet(fleet_config(base_config(), n_shards=2, replication=2,
-                                        router_policy="least-loaded", workers=0))
+                                        router_policy="freshness", workers=0))
         procs = run_fleet(fleet_config(base_config(), n_shards=2, replication=2,
-                                       router_policy="least-loaded", workers=1))
+                                       router_policy="freshness", workers=1))
         assert stable_report_bytes(serial.merged) == stable_report_bytes(procs.merged)
         assert serial.shard_digests() == procs.shard_digests()
         assert serial.rebalances == procs.rebalances

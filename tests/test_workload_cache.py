@@ -119,9 +119,6 @@ QUERY_FIELDS = frozenset(
         "scale.query_utilization",
         "scale.mean_query_service",
         "zipf_skew",
-        "burst_factor",
-        "normal_dwell",
-        "burst_dwell",
         "items_per_query",
     }
 )
