@@ -42,7 +42,7 @@ from repro.core.usm import PenaltyProfile, UsmWindow
 from repro.db.items import DataItem
 from repro.db.policy_api import ServerPolicy
 from repro.db.server import CONTROL_EVENT_PRIORITY
-from repro.db.transactions import Outcome, QueryRecord, QueryTransaction
+from repro.db.transactions import Outcome, QueryTransaction
 from repro.sim.stats import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,8 +130,8 @@ class QmfPolicy(ServerPolicy):
 
         return refresh_stale_items(self, query, server, server.items, dedup=True)
 
-    def on_query_outcome(self, record: QueryRecord, server: "Server") -> None:
-        self._outcomes.record(server.now, record.outcome)
+    def on_query_outcome(self, outcome: Outcome, server: "Server") -> None:
+        self._outcomes.record(server.now, outcome)
 
     def describe(self) -> str:
         return "QMF"

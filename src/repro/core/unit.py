@@ -32,7 +32,7 @@ from repro.core.usm import PenaltyProfile, UsmWindow
 from repro.db.items import DataItem
 from repro.db.policy_api import ServerPolicy
 from repro.db.server import CONTROL_EVENT_PRIORITY
-from repro.db.transactions import Outcome, QueryRecord, QueryTransaction, UpdateTransaction
+from repro.db.transactions import Outcome, QueryTransaction, UpdateTransaction
 from repro.obs.trace import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -205,9 +205,9 @@ class UnitPolicy(ServerPolicy):
         # pull its ticket back down.
         self.tickets.on_update(item.item_id, update.exec_time)
 
-    def on_query_outcome(self, record: QueryRecord, server: "Server") -> None:
+    def on_query_outcome(self, outcome: Outcome, server: "Server") -> None:
         assert self.usm_window is not None and self.lbc is not None
-        self.usm_window.record(server.now, record.outcome)
+        self.usm_window.record(server.now, outcome)
         # Event trigger: a big USM drop runs Adaptive Allocation without
         # waiting for the periodic tick (rate-limited to a quarter
         # period so one burst cannot spam signals).

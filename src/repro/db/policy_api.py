@@ -14,7 +14,7 @@ import abc
 from typing import TYPE_CHECKING
 
 from repro.db.items import DataItem
-from repro.db.transactions import QueryRecord, QueryTransaction, UpdateTransaction
+from repro.db.transactions import Outcome, QueryTransaction, UpdateTransaction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.db.server import Server
@@ -66,8 +66,8 @@ class ServerPolicy(abc.ABC):
         """
         return False
 
-    def on_query_outcome(self, record: QueryRecord, server: "Server") -> None:
-        """Called when a query reaches a final outcome (including
+    def on_query_outcome(self, outcome: Outcome, server: "Server") -> None:
+        """Called when a query reaches its final ``outcome`` (including
         rejection)."""
 
     def on_update_applied(

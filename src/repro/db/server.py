@@ -84,6 +84,10 @@ class Server:
     :meth:`source_update_arrival` from events scheduled on the shared
     :class:`~repro.sim.engine.Simulator` (the experiment runner does
     this from workload traces).
+
+    ``keep_records`` carries ``ExperimentConfig.keep_records``: only a
+    run that reads per-query records (fault metrics, the ``run``
+    dossier, the fleet merge) pays one :class:`QueryRecord` per query.
     """
 
     def __init__(
@@ -93,6 +97,7 @@ class Server:
         policy: ServerPolicy,
         config: Optional[ServerConfig] = None,
         recorder: Optional[Recorder] = None,
+        keep_records: bool = False,
     ) -> None:
         self.sim = sim
         self.items = items
@@ -146,8 +151,10 @@ class Server:
 
         self._next_txn_id = 1
 
-        # Outcome bookkeeping.
-        self.records: List[QueryRecord] = []
+        # Outcome bookkeeping.  ``records`` holds every finished
+        # query's record in outcome order, or is None when the run does
+        # not keep them; ``outcome_counts`` is kept either way.
+        self.records: Optional[List[QueryRecord]] = [] if keep_records else None
         self.outcome_counts: Dict[Outcome, int] = {outcome: 0 for outcome in Outcome}
         self.queries_submitted = 0
         self.updates_enqueued = 0
@@ -173,10 +180,11 @@ class Server:
     def now(self) -> float:
         return self.sim.now
 
-    def next_txn_id(self) -> int:
-        """Allocate a fresh transaction id (monotonically increasing)."""
+    def next_txn_id(self, count: int = 1) -> int:
+        """Allocate ``count`` consecutive fresh transaction ids
+        (monotonically increasing) and return the first."""
         txn_id = self._next_txn_id
-        self._next_txn_id += 1
+        self._next_txn_id += count
         return txn_id
 
     def submit_query(self, query: QueryTransaction) -> None:
@@ -655,22 +663,25 @@ class Server:
                 if outcome in (Outcome.SUCCESS, Outcome.DATA_STALE)
                 else TransactionState.ABORTED
             )
-        # Positional construction (field order) — this is the per-query
-        # hot exit path and keyword binding measurably adds up.
         now = self.sim.now
-        record = QueryRecord(
-            query.txn_id,
-            query.arrival,
-            query.items,
-            query.exec_time,
-            query.relative_deadline,
-            query.freshness_req,
-            outcome,
-            now,
-            freshness,
-            query.restarts,
-        )
-        self.records.append(record)
+        records = self.records
+        if records is not None:
+            # Positional construction (field order) — this is the
+            # per-query hot exit path and keyword binding adds up.
+            records.append(
+                QueryRecord(
+                    query.txn_id,
+                    query.arrival,
+                    query.items,
+                    query.exec_time,
+                    query.relative_deadline,
+                    query.freshness_req,
+                    outcome,
+                    now,
+                    freshness,
+                    query.restarts,
+                )
+            )
         self.outcome_counts[outcome] += 1
         emit = self._emit_outcome
         if emit is not None:
@@ -683,4 +694,4 @@ class Server:
                 freshness,
                 query.restarts,
             )
-        self.policy.on_query_outcome(record, self)
+        self.policy.on_query_outcome(outcome, self)

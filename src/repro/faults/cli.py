@@ -18,6 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.experiments.config import POLICIES, SCALES
+from repro.faults.scenarios import CANNED
 from repro.obs.logging_setup import (
     add_verbosity_flags,
     configure_logging,
@@ -42,7 +43,7 @@ def _add_trace(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    from repro.faults.scenarios import CANNED, canned
+    from repro.faults.scenarios import canned
 
     preset = SCALES[args.scale]
     for name in sorted(CANNED):
@@ -140,7 +141,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("run", help="one policy under one canned scenario")
-    p.add_argument("scenario", help="canned scenario name (see `list`)")
+    p.add_argument(
+        "scenario", choices=sorted(CANNED), help="canned scenario name (see `list`)"
+    )
     p.add_argument("--policy", default="unit", choices=POLICIES)
     _add_trace(p)
     _add_scale(p)
@@ -150,7 +153,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("suite", help="UNIT vs IMU/ODU/QMF recovery comparison")
-    p.add_argument("scenario", help="canned scenario name (see `list`)")
+    p.add_argument(
+        "scenario", choices=sorted(CANNED), help="canned scenario name (see `list`)"
+    )
     _add_trace(p)
     _add_scale(p)
     p.add_argument("--seed", type=int, default=7)
@@ -158,7 +163,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("smoke", help="CI smoke: tiny suite + report artifacts")
-    p.add_argument("--scenario", default="pile-up")
+    p.add_argument("--scenario", default="pile-up", choices=sorted(CANNED))
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="artifact output directory")
     p.set_defaults(func=_cmd_smoke)

@@ -147,15 +147,19 @@ def build_shard_specs(
         shard_updates: List[ItemUpdateSpec] = []
         for g in hosted:
             item = update_by_id[g]
-            if partition.primary[g] == shard:
-                shard_updates.append(dataclasses.replace(item, item_id=local_of[g]))
-            else:
+            phase = item.phase
+            if partition.primary[g] != shard:
                 # Replica stream: same counts and period, lag-delayed.
-                shard_updates.append(
-                    dataclasses.replace(
-                        item, item_id=local_of[g], phase=item.phase + replica_lag
-                    )
+                phase += replica_lag
+            shard_updates.append(
+                ItemUpdateSpec(
+                    item_id=local_of[g],
+                    count=item.count,
+                    period=item.period,
+                    phase=phase,
+                    exec_time=item.exec_time,
                 )
+            )
         shard_update_trace = UpdateTrace(
             name=update_trace.name,
             horizon=update_trace.horizon,
@@ -164,8 +168,12 @@ def build_shard_specs(
         )
 
         shard_queries: List[QuerySpec] = [
-            dataclasses.replace(
-                query, items=tuple(local_of[item] for item in query.items)
+            QuerySpec(
+                arrival=query.arrival,
+                items=tuple(local_of[item] for item in query.items),
+                exec_time=query.exec_time,
+                relative_deadline=query.relative_deadline,
+                freshness_req=query.freshness_req,
             )
             for query, assigned in zip(query_trace.queries, plan.assignments)
             if assigned == shard

@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.config import POLICIES, SCALES
 from repro.obs.export import (
@@ -210,6 +210,25 @@ def _cmd_attrib(args: argparse.Namespace) -> int:
     return 0
 
 
+def _names(allowed: Sequence[str]) -> Callable[[str], List[str]]:
+    """An argparse ``type`` for a comma list whose every name is one of
+    ``allowed``; an empty list or an unknown name is a usage error."""
+
+    def parse(text: str) -> List[str]:
+        names = [name.strip() for name in text.split(",") if name.strip()]
+        if not names:
+            raise argparse.ArgumentTypeError(f"no name in {text!r}")
+        for name in names:
+            if name not in allowed:
+                choices = ", ".join(repr(choice) for choice in allowed)
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {name!r} (choose from {choices})"
+                )
+        return names
+
+    return parse
+
+
 def _cmd_dash(args: argparse.Namespace) -> int:
     # Heavy imports deferred, as in smoke.
     from repro.core.usm import PenaltyProfile
@@ -218,8 +237,8 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     from repro.obs.config import ObsConfig
     from repro.obs.dash import render_dashboard
 
-    policies = [name.strip() for name in args.policies.split(",") if name.strip()]
-    traces = [name.strip() for name in args.traces.split(",") if name.strip()]
+    policies = args.policies
+    traces = args.traces
     scale = SCALES[args.scale]
     base = ExperimentConfig(
         policy=policies[0],
@@ -332,10 +351,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--scale", default="smoke", choices=sorted(SCALES), help="scale preset (default: smoke)"
     )
     p.add_argument(
-        "--policies", default="unit,odu", help="comma-separated policy names"
+        "--policies",
+        default="unit,odu",
+        type=_names(POLICIES),
+        help="comma-separated policy names",
     )
     p.add_argument(
-        "--traces", default="low-unif,med-unif", help="comma-separated trace names"
+        "--traces",
+        default="low-unif,med-unif",
+        type=_names(sorted(STANDARD_UPDATE_TRACES)),
+        help="comma-separated trace names",
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="static HTML output path")

@@ -16,7 +16,7 @@ from repro.sim.rng import RandomStreams
 def build(policy, n_items=4, period=5.0, update_exec=0.5):
     sim = Simulator()
     items = ItemTable.uniform(n_items, ideal_period=period, update_exec_time=update_exec)
-    server = Server(sim, items, policy, ServerConfig())
+    server = Server(sim, items, policy, ServerConfig(), keep_records=True)
     return sim, server
 
 

@@ -44,7 +44,7 @@ class StubPolicy(ServerPolicy):
 def make_server(n_items=4, policy=None, period=100.0, update_exec=0.5):
     sim = Simulator()
     items = ItemTable.uniform(n_items, ideal_period=period, update_exec_time=update_exec)
-    server = Server(sim, items, policy or StubPolicy(), ServerConfig())
+    server = Server(sim, items, policy or StubPolicy(), ServerConfig(), keep_records=True)
     return sim, server
 
 

@@ -105,7 +105,11 @@ class TestKillInsteadOfRestart:
         sim = Simulator()
         items = ItemTable.uniform(2, ideal_period=100.0, update_exec_time=0.5)
         server = Server(
-            sim, items, StubPolicy(), ServerConfig(restart_aborted_queries=False)
+            sim,
+            items,
+            StubPolicy(),
+            ServerConfig(restart_aborted_queries=False),
+            keep_records=True,
         )
         txn = QueryTransaction(
             txn_id=server.next_txn_id(),

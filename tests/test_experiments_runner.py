@@ -1,10 +1,11 @@
 """End-to-end tests of the experiment runner."""
 
+import gc
 from types import SimpleNamespace
 
 import pytest
 
-from repro.db.transactions import Outcome
+from repro.db.transactions import Outcome, QueryTransaction
 from repro.experiments.config import SCALES, ExperimentConfig, build_experiment
 from repro.experiments.report import stable_report_digest
 from repro.experiments.runner import Substrate, _drain_window, run_experiment
@@ -255,6 +256,67 @@ class TestEngineBounds:
         whole = run_experiment(config)
         assert stepped.events_fired == whole.events_fired
         assert stable_report_digest(stepped) == stable_report_digest(whole)
+
+
+def _live_query_transactions():
+    return sum(1 for obj in gc.get_objects() if type(obj) is QueryTransaction)
+
+
+class TestMemoryContract:
+    """A run holds only its live queries: a query's transaction exists
+    from its arrival to its outcome, and per-query records exist only
+    under ``keep_records``.  Counted in objects, not bytes."""
+
+    SLICES = 8
+
+    @pytest.mark.parametrize("policy", ["unit", "odu"])
+    def test_live_transactions_never_exceed_unresolved_queries(self, policy):
+        config = ExperimentConfig(
+            policy=policy, update_trace="med-unif", seed=7, scale=SCALES["small"]
+        )
+        query_trace, update_trace = get_workload(config)
+        gc.collect()
+        before = _live_query_transactions()
+        substrate = Substrate(config, query_trace, update_trace)
+        server = substrate.server
+        assert _live_query_transactions() == before, "built before arrival"
+        end = substrate.drain_until()
+        for index in range(1, self.SLICES + 1):
+            substrate.run_to(end * index / self.SLICES)
+            unresolved = server.queries_submitted - sum(server.outcome_counts.values())
+            assert _live_query_transactions() - before <= unresolved, f"slice {index}"
+        assert server.queries_submitted == len(query_trace.queries)
+        assert server.records is None
+        assert substrate.finish().records is None
+
+    def test_ids_in_trace_order_and_records_in_outcome_order(self):
+        config = ExperimentConfig(
+            policy="odu", update_trace="med-unif", seed=7, scale=SMOKE, keep_records=True
+        )
+        query_trace, update_trace = get_workload(config)
+        queries = query_trace.queries
+        n = len(queries)
+        # Updates draw ids from the same counter, after the query block.
+        assert Substrate(config, query_trace, update_trace).server.next_txn_id() == n + 1
+        records = Substrate(config, query_trace, update_trace).finish().records
+        assert sorted(record.txn_id for record in records) == list(range(1, n + 1))
+        for record in records:
+            spec = queries[record.txn_id - 1]
+            assert (
+                record.arrival,
+                record.items,
+                record.exec_time,
+                record.relative_deadline,
+                record.freshness_req,
+            ) == (
+                spec.arrival,
+                spec.items,
+                spec.exec_time,
+                spec.relative_deadline,
+                spec.freshness_req,
+            )
+        finish_times = [record.finish_time for record in records]
+        assert finish_times == sorted(finish_times)
 
 
 class TestMultiItemEndToEnd:

@@ -81,8 +81,9 @@ class TestCli:
         assert payload["windows"][0]["label"] == "flash-crowd-0"
 
     def test_unknown_scenario_errors(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exit_info:
             faults_main(["run", "does-not-exist"])
+        assert exit_info.value.code == 2
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

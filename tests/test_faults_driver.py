@@ -30,7 +30,7 @@ def make_server():
     sim = Simulator()
     items = ItemTable.uniform(4, ideal_period=100.0, update_exec_time=0.5)
     policy = _Inert()
-    return sim, policy, Server(sim, items, policy, ServerConfig())
+    return sim, policy, Server(sim, items, policy, ServerConfig(), keep_records=True)
 
 
 def submit(server, exec_time=1.0, deadline=100.0, at=0.0):

@@ -52,7 +52,7 @@ class TestPolicyDefaults:
     def make(self):
         sim = Simulator()
         items = ItemTable.uniform(2, ideal_period=5.0, update_exec_time=0.1)
-        return sim, Server(sim, items, MinimalPolicy(), ServerConfig())
+        return sim, Server(sim, items, MinimalPolicy(), ServerConfig(), keep_records=True)
 
     def test_default_hooks_are_noops(self):
         """A policy with only the two decisions implemented runs a full
