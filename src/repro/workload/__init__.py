@@ -13,7 +13,7 @@ configurable scale.  See DESIGN.md Section 3 for the substitution
 rationale.
 """
 
-from repro.workload.cello import CelloConfig, ReadRecord, generate_cello_trace
+from repro.workload.cello import CelloConfig, ReadColumns, generate_cello_trace
 from repro.workload.correlation import correlated_weights, pearson
 from repro.workload.queries import QuerySpec, QueryTrace, build_query_trace
 from repro.workload.traces import load_trace_bundle, save_trace_bundle
@@ -30,7 +30,7 @@ __all__ = [
     "ItemUpdateSpec",
     "QuerySpec",
     "QueryTrace",
-    "ReadRecord",
+    "ReadColumns",
     "STANDARD_UPDATE_TRACES",
     "UpdateTrace",
     "UpdateTraceSpec",

@@ -22,13 +22,14 @@ def small_config(**overrides):
 
 
 def test_records_within_horizon_and_sorted():
-    records = generate_cello_trace(small_config(), RandomStreams(1))
-    assert records
-    arrivals = [r.arrival for r in records]
+    reads = generate_cello_trace(small_config(), RandomStreams(1))
+    arrivals = reads.arrivals
+    assert arrivals
+    assert len(reads.service_times) == len(reads.regions) == len(arrivals)
     assert arrivals == sorted(arrivals)
     assert arrivals[-1] <= 500.0
-    assert all(0 <= r.region < 64 for r in records)
-    assert all(r.service_time > 0 for r in records)
+    assert all(0 <= region < 64 for region in reads.regions)
+    assert all(service > 0 for service in reads.service_times)
 
 
 def test_deterministic_given_seed():
@@ -45,8 +46,8 @@ def test_different_seeds_differ():
 
 def test_utilization_matches_target():
     config = small_config(horizon=5000.0)
-    records = generate_cello_trace(config, RandomStreams(3))
-    demand = sum(r.service_time for r in records)
+    reads = generate_cello_trace(config, RandomStreams(3))
+    demand = sum(reads.service_times)
     assert demand / config.horizon == pytest.approx(0.5, rel=0.15)
 
 
@@ -56,18 +57,18 @@ def test_mean_rate_derivation():
 
 
 
-def access_histogram(records, n_items):
+def access_histogram(reads, n_items):
     """Reads per region — the paper's Fig. 3(a) data."""
     counts = [0] * n_items
-    for record in records:
-        counts[record.region] += 1
+    for region in reads.regions:
+        counts[region] += 1
     return counts
 
 def test_histogram_is_skewed():
     config = small_config(horizon=2000.0, zipf_skew=1.3)
-    records = generate_cello_trace(config, RandomStreams(5))
-    histogram = access_histogram(records, config.n_items)
-    assert sum(histogram) == len(records)
+    reads = generate_cello_trace(config, RandomStreams(5))
+    histogram = access_histogram(reads, config.n_items)
+    assert sum(histogram) == len(reads.arrivals)
     top = max(histogram)
     mean = sum(histogram) / len(histogram)
     assert top > 5 * mean  # heavy skew: hottest region way above average
@@ -75,8 +76,8 @@ def test_histogram_is_skewed():
 
 def test_zero_skew_spreads_accesses():
     config = small_config(horizon=2000.0, zipf_skew=0.0)
-    records = generate_cello_trace(config, RandomStreams(5))
-    histogram = access_histogram(records, config.n_items)
+    reads = generate_cello_trace(config, RandomStreams(5))
+    histogram = access_histogram(reads, config.n_items)
     top = max(histogram)
     mean = sum(histogram) / len(histogram)
     assert top < 2.5 * mean

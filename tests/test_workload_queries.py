@@ -3,15 +3,16 @@
 import pytest
 
 from repro.sim.rng import RandomStreams
-from repro.workload.cello import ReadRecord
+from repro.workload.cello import ReadColumns
 from repro.workload.queries import QuerySpec, build_query_trace, deadline_range
 
 
 def records(n=50, service=0.05):
-    return [
-        ReadRecord(arrival=float(i), service_time=service * (1 + i % 3), region=i % 8)
-        for i in range(n)
-    ]
+    return ReadColumns(
+        arrivals=[float(i) for i in range(n)],
+        service_times=[service * (1 + i % 3) for i in range(n)],
+        regions=[i % 8 for i in range(n)],
+    )
 
 
 class TestDeadlineRange:
@@ -41,7 +42,7 @@ class TestBuildQueryTrace:
 
     def test_deadlines_within_range_and_feasible(self):
         trace = self.build()
-        low, high = deadline_range([r.service_time for r in records()])
+        low, high = deadline_range(records().service_times)
         for query in trace.queries:
             assert query.relative_deadline >= min(low, 1.1 * query.exec_time) - 1e-12
             assert query.relative_deadline <= max(high, 1.1 * query.exec_time) + 1e-12
@@ -77,7 +78,7 @@ class TestBuildQueryTrace:
         assert trace.utilization() == pytest.approx(expected)
 
     def test_empty_records(self):
-        trace = build_query_trace([], n_items=8, streams=RandomStreams(1), horizon=10.0)
+        trace = build_query_trace(records(n=0), n_items=8, streams=RandomStreams(1), horizon=10.0)
         assert trace.queries == []
         assert trace.utilization() == 0.0
 

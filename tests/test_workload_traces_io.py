@@ -24,8 +24,8 @@ def bundle():
         normal_dwell=120.0,
         burst_dwell=20.0,
     )
-    records = generate_cello_trace(config, streams)
-    query_trace = build_query_trace(records, 16, streams, horizon=200.0)
+    reads = generate_cello_trace(config, streams)
+    query_trace = build_query_trace(reads, 16, streams, horizon=200.0)
     update_trace = build_update_trace(
         STANDARD_UPDATE_TRACES["low-unif"],
         query_trace.access_counts(),
